@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .core import Coeff, GradedVector, Monomial
+from .core import Coeff, GradedVector, Monomial, json_number
 from .growth import GrowthFamily, builtin
 from .hopf import HopfAlgebra
 
@@ -321,7 +321,7 @@ def controlled_witness(phi, family: GrowthFamily, radius=1, k_max: int = 64,
     for k in range(1, k_max + 1):
         norm = linf_norm(phi, family, k, over=over)
         if norm <= radius + guard:
-            return {"witness_k": k, "norm": _json_number(norm),
+            return {"witness_k": k, "norm": json_number(norm),
                     "note": "finite-degree proxy"}
     return {"witness_k": None, "norm": None, "note": "finite-degree proxy"}
 
@@ -415,12 +415,6 @@ def check_derivation(eta: TruncatedInfChar, pairs) -> tuple[bool, str | None]:
         if lhs != rhs:
             return False, f"{H.monomial_text(m1)} . {H.monomial_text(m2)}"
     return True, None
-
-
-def _json_number(x):
-    if isinstance(x, Fraction):
-        return float(x) if x.denominator != 1 else int(x)
-    return x
 
 
 # --------------------------------------------------------------------------

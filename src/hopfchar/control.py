@@ -11,17 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Coeff, Monomial, TensorVector
+from .core import Coeff, Monomial, TensorVector, json_number
 from .growth import GrowthFamily
 from .hopf import HopfAlgebra
-
-
-def _as_jsonable(x):
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        return float(x) if x.denominator != 1 else int(x)
-    return x
 
 
 @dataclass
@@ -36,9 +28,9 @@ class RatioRow:
         return {
             "degree": self.degree,
             "max_element": self.element,
-            "l1_norm": _as_jsonable(self.norm),
-            "weight": _as_jsonable(self.weight),
-            "ratio": _as_jsonable(self.ratio),
+            "l1_norm": json_number(self.norm),
+            "weight": json_number(self.weight),
+            "ratio": json_number(self.ratio),
         }
 
 
@@ -79,7 +71,7 @@ class RatioReport:
             "k1": self.k1,
             "k2": self.k2,
             "max_degree": self.max_degree,
-            "c_hat": _as_jsonable(self.c_hat),
+            "c_hat": json_number(self.c_hat),
             "attained_degree": self.attained_degree,
             "verdict": self.verdict,
             "table": [r.to_dict() for r in self.rows],
@@ -147,12 +139,12 @@ class RlbReport:
             "instance": self.instance,
             "max_degree": self.max_degree,
             "table": [
-                {"degree": n, "elementary_l1_count": _as_jsonable(self.counts[n]),
+                {"degree": n, "elementary_l1_count": json_number(self.counts[n]),
                  "max_element": self.witnesses.get(n, "")}
                 for n in sorted(self.counts)
             ],
-            "a_hat": _as_jsonable(self.a_hat),
-            "b_hat": _as_jsonable(self.b_hat),
+            "a_hat": json_number(self.a_hat),
+            "b_hat": json_number(self.b_hat),
             "verdict": self.verdict,
         }
 

@@ -12,13 +12,25 @@ Everything downstream is built from four value types:
   the output type of coproducts.
 
 Coefficients are exact rationals stored as ``int`` where possible and
-``fractions.Fraction`` otherwise; no zero coefficient is ever stored.
+``fractions.Fraction`` otherwise.
+
+Accumulation invariant: sums are built in place in a plain dict (see
+:func:`add_scaled`), which may pass through zero coefficients, and are
+normalised once when wrapped in a vector; no zero coefficient is stored in a
+vector once it is returned.
+
+Construction: ``Monomial(mode, factors)`` validates -- it checks the mode,
+sorts commutative factors and rejects mixed alphabets.  ``Monomial.trusted``
+does none of this and trusts its caller to pass factors that are already in
+canonical order, from one alphabet, with their degree sum; only products and
+slices of validated monomials are built that way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from operator import attrgetter
+from typing import Iterator, Mapping, Union
 
 Coeff = Union[int, Fraction]
 
@@ -34,6 +46,13 @@ def normalize_coeff(c: Coeff) -> Coeff:
     return c
 
 
+def json_number(x):
+    """A report value: integral Fractions as int, other Fractions as float."""
+    if isinstance(x, Fraction):
+        return float(x) if x.denominator != 1 else int(x)
+    return x
+
+
 class Generator:
     """A graded alphabet element with a canonical text key.
 
@@ -41,7 +60,7 @@ class Generator:
     carried along and must be >= 1 (pure alphabet, no degree-0 generators).
     """
 
-    __slots__ = ("alphabet", "key", "degree", "_hash")
+    __slots__ = ("alphabet", "key", "degree", "order", "_hash")
 
     def __init__(self, alphabet: str, key: str, degree: int):
         if degree < 1:
@@ -49,6 +68,7 @@ class Generator:
         self.alphabet = alphabet
         self.key = key
         self.degree = degree
+        self.order = (degree, key)
         self._hash = hash((alphabet, key))
 
     def __eq__(self, other) -> bool:
@@ -62,22 +82,28 @@ class Generator:
         return self._hash
 
     def sort_key(self) -> tuple:
-        return (self.degree, self.key)
+        return self.order
 
     def __repr__(self) -> str:
         return f"Generator({self.alphabet!r}, {self.key!r}, deg={self.degree})"
 
 
+_ORDER = attrgetter("order")
+
+
 class Monomial:
-    """A product of generators from one alphabet, in one commutativity mode."""
+    """A product of generators from one alphabet, in one commutativity mode.
+
+    The constructor validates its input; :meth:`trusted` does not.
+    """
 
     __slots__ = ("mode", "factors", "degree", "_hash")
 
-    def __init__(self, mode: str, factors: tuple[Generator, ...], _sorted: bool = False):
+    def __init__(self, mode: str, factors: tuple[Generator, ...]):
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == COMMUTATIVE and not _sorted:
-            factors = tuple(sorted(factors, key=Generator.sort_key))
+        if mode == COMMUTATIVE:
+            factors = tuple(sorted(factors, key=_ORDER))
         alphabets = {g.alphabet for g in factors}
         if len(alphabets) > 1:
             raise ValueError(f"mixed alphabets in one monomial: {sorted(alphabets)}")
@@ -85,6 +111,16 @@ class Monomial:
         self.factors = factors
         self.degree = sum(g.degree for g in factors)
         self._hash = hash((mode, factors))
+
+    @classmethod
+    def trusted(cls, mode: str, factors: tuple[Generator, ...], degree: int) -> "Monomial":
+        """Build without sorting or checks: factors canonical, degree their sum."""
+        m = cls.__new__(cls)
+        m.mode = mode
+        m.factors = factors
+        m.degree = degree
+        m._hash = hash((mode, factors))
+        return m
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -119,20 +155,34 @@ def empty_monomial(mode: str) -> Monomial:
 
 
 def monomial_of(g: Generator, mode: str = COMMUTATIVE) -> Monomial:
-    return Monomial(mode, (g,), _sorted=True)
+    return Monomial(mode, (g,))
 
 
 def monomial_product(a: Monomial, b: Monomial) -> Monomial:
-    """Monoid product: multiset union (commutative) or concatenation (word)."""
+    """Monoid product: multiset union (commutative) or concatenation (word).
+
+    Both factor tuples are already canonical, so a commutative product is a
+    merge, and the sort runs only when the two tuples interleave.
+    """
     if a.mode != b.mode:
         raise ValueError(f"cannot multiply a {a.mode} monomial by a {b.mode} one")
-    if a.factors and b.factors and a.factors[0].alphabet != b.factors[0].alphabet:
-        raise ValueError("cannot multiply monomials over different alphabets")
-    if not a.factors:
+    fa, fb = a.factors, b.factors
+    if not fa:
         return b
-    if not b.factors:
+    if not fb:
         return a
-    return Monomial(a.mode, a.factors + b.factors)
+    if fa[0].alphabet != fb[0].alphabet:
+        raise ValueError("cannot multiply monomials over different alphabets")
+    factors = fa + fb
+    if a.mode == COMMUTATIVE and fb[0].order < fa[-1].order:
+        factors = tuple(sorted(factors, key=_ORDER))
+    return Monomial.trusted(a.mode, factors, a.degree + b.degree)
+
+
+def add_scaled(acc: dict, terms: Mapping, c: Coeff) -> None:
+    """acc += c * terms, in place; zeros are dropped when acc is wrapped."""
+    for key, k in terms.items():
+        acc[key] = acc.get(key, 0) + c * k
 
 
 class GradedVector:
@@ -249,14 +299,8 @@ def vector_product(u: GradedVector, v: GradedVector) -> GradedVector:
     for ma, ca in u.terms.items():
         for mb, cb in v.terms.items():
             m = monomial_product(ma, mb)
-            acc = out.get(m, 0) + ca * cb
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
-    w = GradedVector.__new__(GradedVector)
-    w.terms = {m: normalize_coeff(c) for m, c in out.items()}
-    return w
+            out[m] = out.get(m, 0) + ca * cb
+    return GradedVector(out)
 
 
 class TensorVector:
@@ -357,19 +401,5 @@ def tensor_product(s: TensorVector, t: TensorVector) -> TensorVector:
     for (la, ra), ca in s.terms.items():
         for (lb, rb), cb in t.terms.items():
             p = (monomial_product(la, lb), monomial_product(ra, rb))
-            acc = out.get(p, 0) + ca * cb
-            if acc:
-                out[p] = acc
-            else:
-                out.pop(p, None)
-    u = TensorVector.__new__(TensorVector)
-    u.terms = {p: normalize_coeff(c) for p, c in out.items()}
-    return u
-
-
-def l1_norm(v: GradedVector, family, k: int):
-    return v.l1_norm(family, k)
-
-
-def tensor_l1_norm(t: TensorVector, family, k: int):
-    return t.l1_norm(family, k)
+            out[p] = out.get(p, 0) + ca * cb
+    return TensorVector(out)

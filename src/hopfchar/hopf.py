@@ -10,6 +10,11 @@ checker -- is generic.
 Conventions: the basis of degree 0 is the empty monomial alone (connected),
 generators have degree >= 1, and the coproduct of a basis element x always
 contains x (x) 1 and 1 (x) x once.
+
+Sums of products, coproducts and antipodes accumulate in place into one dict
+through :meth:`HopfAlgebra.add_product` and :func:`~hopfchar.core.add_scaled`
+and are normalised once at the end; no returned vector stores a zero
+coefficient.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .core import (
     GradedVector,
     Monomial,
     TensorVector,
+    add_scaled,
     empty_monomial,
     monomial_product,
     tensor_product,
@@ -106,16 +112,23 @@ class HopfAlgebra(ABC):
 
     # ------------------------------------------------------------------ product
 
+    def add_product(self, acc: dict, a: Monomial, b: Monomial, c: Coeff) -> None:
+        """acc += c * (a . b) in place; the monoid product by default."""
+        m = monomial_product(a, b)
+        acc[m] = acc.get(m, 0) + c
+
     def product_monomials(self, a: Monomial, b: Monomial) -> GradedVector:
-        """Algebra product of two basis elements; the monoid product by default."""
-        return GradedVector.of(monomial_product(a, b))
+        """Algebra product of two basis elements."""
+        acc: dict[Monomial, Coeff] = {}
+        self.add_product(acc, a, b, 1)
+        return GradedVector(acc)
 
     def product(self, u: GradedVector, v: GradedVector) -> GradedVector:
-        out = GradedVector()
+        acc: dict[Monomial, Coeff] = {}
         for ma, ca in u.terms.items():
             for mb, cb in v.terms.items():
-                out = out + self.product_monomials(ma, mb).scale(ca * cb)
-        return out
+                self.add_product(acc, ma, mb, ca * cb)
+        return GradedVector(acc)
 
     def generator_factorizations(
         self, m: Monomial
@@ -126,7 +139,7 @@ class HopfAlgebra(ABC):
         the word into its Lyndon polynomial.  Used to evaluate characters,
         which are only stored on generators.
         """
-        return ((1, tuple(Monomial(m.mode, (g,), _sorted=True) for g in m.factors)),)
+        return ((1, tuple(Monomial.trusted(m.mode, (g,), g.degree) for g in m.factors)),)
 
     # ------------------------------------------------------------------ coproduct
 
@@ -142,17 +155,18 @@ class HopfAlgebra(ABC):
         elif m.is_single():
             out = self.coproduct_generator(m)
         else:
-            head = Monomial(m.mode, (m.factors[0],), _sorted=True)
-            tail = Monomial(m.mode, m.factors[1:], _sorted=True)
+            g = m.factors[0]
+            head = Monomial.trusted(m.mode, (g,), g.degree)
+            tail = Monomial.trusted(m.mode, m.factors[1:], m.degree - g.degree)
             out = tensor_product(self.coproduct_monomial(head), self.coproduct_monomial(tail))
         self._coproduct_cache[m] = out
         return out
 
     def coproduct(self, v: GradedVector) -> TensorVector:
-        out = TensorVector()
+        acc: dict[tuple[Monomial, Monomial], Coeff] = {}
         for m, c in v.terms.items():
-            out = out + self.coproduct_monomial(m).scale(c)
-        return out
+            add_scaled(acc, self.coproduct_monomial(m).terms, c)
+        return TensorVector(acc)
 
     def reduced_coproduct_monomial(self, m: Monomial) -> TensorVector:
         """Coproduct minus the two primitive terms m (x) 1 and 1 (x) m."""
@@ -187,15 +201,15 @@ class HopfAlgebra(ABC):
             factors = m.factors if self.mode == COMMUTATIVE else tuple(reversed(m.factors))
             out = GradedVector.of(self.empty())
             for g in factors:
-                out = self.product(out, self.antipode_monomial(Monomial(m.mode, (g,), _sorted=True)))
+                out = self.product(out, self.antipode_monomial(Monomial.trusted(m.mode, (g,), g.degree)))
         self._antipode_cache[m] = out
         return out
 
     def antipode(self, v: GradedVector) -> GradedVector:
-        out = GradedVector()
+        acc: dict[Monomial, Coeff] = {}
         for m, c in v.terms.items():
-            out = out + self.antipode_monomial(m).scale(c)
-        return out
+            add_scaled(acc, self.antipode_monomial(m).terms, c)
+        return GradedVector(acc)
 
     def antipode_recursive(self, m: Monomial, variant: int = 1) -> GradedVector:
         """S from the connected-grading recursion.
@@ -212,15 +226,17 @@ class HopfAlgebra(ABC):
         cached = self._rec_cache.get(key)
         if cached is not None:
             return cached
-        acc = GradedVector.of(m, -1)
+        acc: dict[Monomial, Coeff] = {m: -1}
         for (mu, sigma), c in self.reduced_coproduct_monomial(m).terms.items():
             if variant == 1:
-                term = self.product(self.antipode_recursive(mu, 1), GradedVector.of(sigma))
+                for a, ca in self.antipode_recursive(mu, 1).terms.items():
+                    self.add_product(acc, a, sigma, -c * ca)
             else:
-                term = self.product(GradedVector.of(mu), self.antipode_recursive(sigma, 2))
-            acc = acc - term.scale(c)
-        self._rec_cache[key] = acc
-        return acc
+                for b, cb in self.antipode_recursive(sigma, 2).terms.items():
+                    self.add_product(acc, mu, b, -c * cb)
+        out = GradedVector(acc)
+        self._rec_cache[key] = out
+        return out
 
     # ------------------------------------------------------------------ misc
 
@@ -350,11 +366,14 @@ def _check_element(H: HopfAlgebra, x: Monomial, n: int) -> AxiomViolation | None
         )
 
     # antipode axiom: m(S (x) id) Delta = u eps = m(id (x) S) Delta
-    lhs = GradedVector()
-    rhs = GradedVector()
+    lhs_acc: dict[Monomial, Coeff] = {}
+    rhs_acc: dict[Monomial, Coeff] = {}
     for (mu, sigma), c in cop.terms.items():
-        lhs = lhs + H.product(H.antipode_monomial(mu), GradedVector.of(sigma)).scale(c)
-        rhs = rhs + H.product(GradedVector.of(mu), H.antipode_monomial(sigma)).scale(c)
+        for a, ca in H.antipode_monomial(mu).terms.items():
+            H.add_product(lhs_acc, a, sigma, c * ca)
+        for b, cb in H.antipode_monomial(sigma).terms.items():
+            H.add_product(rhs_acc, mu, b, c * cb)
+    lhs, rhs = GradedVector(lhs_acc), GradedVector(rhs_acc)
     if not lhs.is_zero() or not rhs.is_zero():
         return AxiomViolation(H.name, n, label, "antipode", f"S*id={lhs!r} id*S={rhs!r}")
     return None

@@ -35,6 +35,7 @@ from .core import (
     GradedVector,
     Monomial,
     TensorVector,
+    add_scaled,
     monomial_of,
 )
 from .hopf import HopfAlgebra
@@ -100,17 +101,22 @@ def admissible_tuples(r: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def lambda_coefficient(parts: tuple[int, ...]) -> int:
-    """Lattice-path weight used by the closed substitution antipodes."""
+    """Lattice-path weight used by the closed substitution antipodes.
+
+    The sum over admissible_tuples(r) of prod C(n_i + 1, m_i), by dynamic
+    programming over (prefix length h, prefix sum s) in O(r^3): ways[s] is
+    the weighted count of admissible prefixes of length h summing to s.
+    """
     r = len(parts)
-    total = 0
-    for ms in admissible_tuples(r):
-        p = 1
-        for n_i, m_i in zip(parts, ms):
-            p *= comb(n_i + 1, m_i)
-            if not p:
-                break
-        total += p
-    return total
+    ways = [1] + [0] * r
+    for h, n_i in enumerate(parts, start=1):
+        # a prefix of length h sums to at least h (and to at most r, as m_i >= 0)
+        binom = [comb(n_i + 1, m) for m in range(r + 1)]
+        ways = [
+            sum(ways[s - m] * binom[m] for m in range(s + 1)) if s >= h else 0
+            for s in range(r + 1)
+        ]
+    return ways[r]
 
 
 def bell_partial(n: int, k: int, args):
@@ -120,7 +126,7 @@ def bell_partial(n: int, k: int, args):
     caller supplies the unit vector for any argument equal to 1.
     """
     vector_mode = any(isinstance(a, GradedVector) for a in args)
-    total_vec = GradedVector() if vector_mode else None
+    total_vec: dict[Monomial, Coeff] = {}
     total_num: Coeff = 0
     for part in partitions(n, n - k + 1):
         if len(part) != k:
@@ -135,13 +141,13 @@ def bell_partial(n: int, k: int, args):
             for j, m in mult.items():
                 for _ in range(m):
                     term = args[j - 1] if term is None else term * args[j - 1]
-            total_vec = total_vec + term.scale(coeff)
+            add_scaled(total_vec, term.terms, coeff)
         else:
             prod: Coeff = coeff
             for j, m in mult.items():
                 prod *= args[j - 1] ** m
             total_num += prod
-    return total_vec if vector_mode else total_num
+    return GradedVector(total_vec) if vector_mode else total_num
 
 
 # --------------------------------------------------------------------------
@@ -237,9 +243,14 @@ class Shuffle(HopfAlgebra):
         self.letters = "".join(sorted(letters))
         self.name = f"shuffle:{self.letters}"
         self._gen = {ch: Generator(self.name, ch, 1) for ch in self.letters}
+        self._word_monomials: dict[Word, Monomial] = {}
 
     def word_monomial(self, w: Word) -> Monomial:
-        return Monomial(WORD, tuple(self._gen[ch] for ch in w), _sorted=True)
+        m = self._word_monomials.get(w)
+        if m is None:
+            m = Monomial(WORD, tuple(self._gen[ch] for ch in w))
+            self._word_monomials[w] = m
+        return m
 
     def word_of(self, m: Monomial) -> Word:
         return tuple(g.key for g in m.factors)
@@ -283,9 +294,11 @@ class Shuffle(HopfAlgebra):
     def monomial_text(self, m: Monomial) -> str:
         return "".join(g.key for g in m.factors) if m.factors else "1"
 
-    def product_monomials(self, a: Monomial, b: Monomial) -> GradedVector:
-        out = shuffle_words(self.word_of(a), self.word_of(b))
-        return GradedVector({self.word_monomial(w): c for w, c in out.items()})
+    def add_product(self, acc: dict, a: Monomial, b: Monomial, c: Coeff) -> None:
+        """acc += c * (a shuffle b) in place."""
+        for w, k in shuffle_words(self.word_of(a), self.word_of(b)).items():
+            m = self.word_monomial(w)
+            acc[m] = acc.get(m, 0) + c * k
 
     def coproduct_generator(self, g: Monomial) -> TensorVector:
         return self.coproduct_monomial(g)
@@ -352,6 +365,24 @@ class _FaaDiBrunoBase(HopfAlgebra):
     def _composition_monomial(self, comp: tuple[int, ...]) -> Monomial:
         return Monomial(COMMUTATIVE, tuple(self.gen(i) for i in comp))
 
+    def _antipode_weight(self, n: int, comp: tuple[int, ...]) -> Coeff:
+        """Basis factor of the closed antipode's term for `comp`; 1 for a_n."""
+        return 1
+
+    def antipode_generator_explicit(self, g: Monomial) -> GradedVector:
+        """Sum over compositions of n, weighted by lattice paths and the basis."""
+        n = g.degree
+        terms: dict[Monomial, Coeff] = {self.gen_monomial(n): -1}
+        for r in range(1, n):
+            sign = 1 if r % 2 else -1  # -(-1)^r
+            for comp in compositions(n, r + 1):
+                lam = lambda_coefficient(comp[:r])
+                if not lam:
+                    continue
+                m = self._composition_monomial(comp)
+                terms[m] = terms.get(m, 0) + sign * lam * self._antipode_weight(n, comp)
+        return GradedVector(terms)
+
 
 class FaaDiBrunoA(_FaaDiBrunoBase):
     """Coefficient normalisation f(x) = x + sum a_n x^{n+1}."""
@@ -379,23 +410,6 @@ class FaaDiBrunoA(_FaaDiBrunoBase):
                 terms[key] = terms.get(key, 0) + coeff
         return TensorVector(terms)
 
-    def antipode_generator_explicit(self, g: Monomial) -> GradedVector:
-        n = g.degree
-        terms: dict[Monomial, Coeff] = {self.gen_monomial(n): -1}
-        for r in range(1, n):
-            sign = 1 if r % 2 else -1  # -(-1)^r
-            for comp in compositions(n, r + 1):
-                lam = lambda_coefficient(comp[:r])
-                if not lam:
-                    continue
-                m = self._composition_monomial(comp)
-                acc = terms.get(m, 0) + sign * lam
-                if acc:
-                    terms[m] = acc
-                else:
-                    terms.pop(m, None)
-        return GradedVector(terms)
-
 
 class FaaDiBrunoX(_FaaDiBrunoBase):
     """Coefficient normalisation with X_n = (n+1)! a_n; Bell-polynomial coproduct."""
@@ -422,26 +436,12 @@ class FaaDiBrunoX(_FaaDiBrunoBase):
                     terms.pop(key, None)
         return TensorVector(terms)
 
-    def antipode_generator_explicit(self, g: Monomial) -> GradedVector:
-        n = g.degree
-        terms: dict[Monomial, Coeff] = {self.gen_monomial(n): -1}
-        for r in range(1, n):
-            sign = 1 if r % 2 else -1  # -(-1)^r
-            for comp in compositions(n, r + 1):
-                lam = lambda_coefficient(comp[:r])
-                if not lam:
-                    continue
-                den = 1
-                for i in comp:
-                    den *= factorial(i + 1)
-                coeff = Fraction(sign * lam * factorial(n + 1), den)
-                m = self._composition_monomial(comp)
-                acc = terms.get(m, 0) + coeff
-                if acc:
-                    terms[m] = acc
-                else:
-                    terms.pop(m, None)
-        return GradedVector(terms)
+    def _antipode_weight(self, n: int, comp: tuple[int, ...]) -> Coeff:
+        """(n+1)! / prod (i+1)!, from X_i = (i+1)! a_i."""
+        den = 1
+        for i in comp:
+            den *= factorial(i + 1)
+        return Fraction(factorial(n + 1), den)
 
 
 def fdb_a_coproduct_via_bell(H: FaaDiBrunoA, n: int) -> TensorVector:

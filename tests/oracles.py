@@ -138,3 +138,15 @@ def seeded_rational_values(H, N: int, rng, den_max: int = 12) -> dict:
             num = rng.randint(-3 * den, 3 * den)
             vals[g] = Fraction(num, den)
     return vals
+
+
+def lambda_by_enumeration(parts: tuple, tuples) -> int:
+    """Lattice-path weight by its definition: the sum over the admissible
+    tuples (m_1..m_r) of prod C(n_i + 1, m_i)."""
+    total = 0
+    for ms in tuples:
+        p = 1
+        for n_i, m_i in zip(parts, ms):
+            p *= comb(n_i + 1, m_i)
+        total += p
+    return total

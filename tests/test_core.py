@@ -21,7 +21,13 @@ def mono(*gens):
     return Monomial(COMMUTATIVE, gens)
 
 
+D = Generator("demo", "d", 3)
+E = Generator("demo", "ab", 1)
+OTHER = Generator("other", "a", 1)
+
 rationals = st.fractions(max_denominator=40)
+modes = st.sampled_from([COMMUTATIVE, WORD])
+factor_lists = st.lists(st.sampled_from([A, B, C, D, E]), max_size=5)
 monomials = st.lists(st.sampled_from([A, B, C]), max_size=4).map(
     lambda gs: Monomial(COMMUTATIVE, tuple(gs)))
 vectors = st.dictionaries(monomials, rationals, max_size=5).map(GradedVector)
@@ -51,6 +57,29 @@ def test_monomial_product_concatenates_degrees():
     m = monomial_product(mono(A, B), mono(C))
     assert m.degree == 4
     assert m == mono(A, B, C)
+
+
+@given(modes, factor_lists, factor_lists)
+def test_fast_monomial_product_matches_validating_constructor(mode, fa, fb):
+    a, b = Monomial(mode, tuple(fa)), Monomial(mode, tuple(fb))
+    fast = monomial_product(a, b)
+    slow = Monomial(mode, a.factors + b.factors)
+    assert fast.factors == slow.factors
+    assert fast.degree == slow.degree
+    assert hash(fast) == hash(slow)
+    assert fast == slow
+
+
+@given(modes, factor_lists)
+def test_monomial_product_rejects_mixed_alphabets_and_modes(mode, fa):
+    a = Monomial(mode, tuple(fa) + (A,))
+    with pytest.raises(ValueError):
+        monomial_product(a, Monomial(mode, (OTHER,)))
+    other_mode = WORD if mode == COMMUTATIVE else COMMUTATIVE
+    with pytest.raises(ValueError):
+        monomial_product(a, Monomial(other_mode, (B,)))
+    with pytest.raises(ValueError):
+        monomial_product(Monomial(other_mode, ()), a)
 
 
 def test_vector_drops_zero_terms():

@@ -12,7 +12,7 @@ from hopfchar.core import COMMUTATIVE, GradedVector, Monomial, TensorVector
 from hopfchar.instances import (admissible_tuples, bell_partial, compositions,
                                 fdb_a_coproduct_via_bell, instance_by_name,
                                 lambda_coefficient, partitions)
-from oracles import bell_partial_recurrence, catalan
+from oracles import bell_partial_recurrence, catalan, lambda_by_enumeration
 
 
 def test_bell_partial_matches_recurrence_oracle():
@@ -66,6 +66,21 @@ def test_lambda_coefficient_single_part():
     # one part: the only constraint is m_1 = 1, weight C(n+1, 1)
     for n in range(1, 8):
         assert lambda_coefficient((n,)) == n + 1
+
+
+def test_lambda_coefficient_matches_admissible_tuple_sum():
+    # every prefix comp[:r] the closed fdb antipodes look up through degree 12
+    expected: dict[tuple[int, ...], int] = {}
+    checked = 0
+    for n in range(1, 13):
+        for r in range(1, n):
+            for comp in compositions(n, r + 1):
+                parts = comp[:r]
+                if parts not in expected:
+                    expected[parts] = lambda_by_enumeration(parts, admissible_tuples(r))
+                assert lambda_coefficient(parts) == expected[parts], parts
+                checked += 1
+    assert checked == 4083
 
 
 def test_partition_and_composition_counts():
