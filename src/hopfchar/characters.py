@@ -3,15 +3,17 @@
 A character is stored by its values on generators only; evaluation extends
 multiplicatively (through the Lyndon rewrite where the basis is not the
 generator monoid).  Convolution of two characters therefore needs only
-generator coproducts.  Full monomial tables appear only inside the exp/log
-series, which are genuinely linear-map valued midway.
+generator coproducts.  exp, log and the evolution equation share one exact
+solver of gamma' = gamma * eta that works degree by degree on generators,
+exp(eta) being the time-1 value; no full monomial table is built.  A full
+table appears only as the result of convolving maps that are not both
+characters.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from math import factorial
 from typing import Mapping
 
 from .core import Coeff, GradedVector, Monomial, json_number
@@ -327,64 +329,158 @@ def controlled_witness(phi, family: GrowthFamily, radius=1, k_max: int = 64,
 
 
 # --------------------------------------------------------------------------
-# exp / log / bracket
+# exp / log / bracket through one flow solver
+#
+# A t-polynomial over a target algebra B is a list of B-values, t^0 first;
+# the empty list is zero.  A slot still holding the B.zero object itself is
+# overwritten rather than added to, which skips most Fraction additions.
 
 
-def _table_convolve(H, N, B, t1: dict, t2: dict) -> dict:
-    out = {}
-    for m in t1:  # both tables share the basis key set
-        total = B.zero
-        for (mu, sigma), c in H.coproduct_monomial(m).terms.items():
-            total = B.add(total, B.scale(c, B.mul(t1[mu], t2[sigma])))
-        out[m] = total
+def _poly_mul(B: TargetAlgebra, p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    zero = B.zero
+    out = [zero] * (len(p) + len(q) - 1)
+    q = [(j, b) for j, b in enumerate(q) if b != zero]
+    for i, a in enumerate(p):
+        if a == zero:  # gamma vanishes at t = 0, so products lead with zeros
+            continue
+        for j, b in q:
+            x = out[i + j]
+            out[i + j] = B.mul(a, b) if x is zero else B.add(x, B.mul(a, b))
     return out
 
 
-def exp_infchar(eta: TruncatedInfChar, N: int | None = None) -> TruncatedCharacter:
-    """exp(eta) = sum eta^{*j}/j!; the j-th power vanishes below degree j."""
+def _poly_add_scaled(B: TargetAlgebra, acc: list, c: Coeff, p) -> None:
+    """acc += c * p in place, for a rational c."""
+    zero = B.zero
+    if len(acc) < len(p):
+        acc.extend([zero] * (len(p) - len(acc)))
+    scaled = c != 1
+    for i, a in enumerate(p):
+        if scaled:
+            a = B.scale(c, a)
+        acc[i] = a if acc[i] is zero else B.add(acc[i], a)
+
+
+def _poly_at_one(B: TargetAlgebra, p: list):
+    total = B.zero
+    for a in p:
+        total = B.add(total, a)
+    return total
+
+
+def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
+                phi: TruncatedCharacter | None = None) -> dict:
+    """gamma' = gamma * eta, gamma(0) = counit, on the generators up to degree N.
+
+    eta maps generators to t-polynomials over B (absent means zero); the
+    result maps every generator of degree <= N to gamma_t there.  Degree by
+    degree, gamma(g) = integral_0^t (eta(g) + sum c gamma(alpha) eta(beta))
+    over the reduced coproduct of g: the primitive terms give
+    gamma(1) eta(g) = eta(g) and gamma(g) eta(1) = 0.  gamma(alpha), of lower
+    degree, multiplies out generator polynomials already solved, and
+    eta(beta) reads only the single-generator factorizations of beta, as
+    eta vanishes on products.  Integration is exact over an exact B.
+
+    With phi, eta is the unknown instead: a constant infinitesimal character,
+    written into the (empty) eta, with gamma(1) = phi.  Since gamma(alpha)
+    vanishes at t = 0, eta(g) enters gamma(g) only as the t^1 term eta(g) t,
+    and the higher coefficients do not depend on it, so
+    eta(g) = phi(g) - sum_{k >= 2} gamma(g)_k.
+    """
+    gamma: dict[Monomial, list] = {}
+    gamma_on: dict[Monomial, list] = {}
+    eta_on: dict[Monomial, list] = {}
+
+    def gamma_of(alpha: Monomial) -> list:
+        p = gamma_on.get(alpha)
+        if p is None:
+            p = []
+            for coeff, gens in H.generator_factorizations(alpha):
+                term = gamma[gens[0]]
+                for g in gens[1:]:
+                    term = _poly_mul(B, term, gamma[g])
+                _poly_add_scaled(B, p, coeff, term)
+            gamma_on[alpha] = p
+        return p
+
+    def eta_of(beta: Monomial) -> list:
+        p = eta_on.get(beta)
+        if p is None:
+            p = []
+            for coeff, gens in H.generator_factorizations(beta):
+                if len(gens) == 1:
+                    _poly_add_scaled(B, p, coeff, eta.get(gens[0], ()))
+            eta_on[beta] = p
+        return p
+
+    for n in range(1, N + 1):
+        for g in H.generators(n):
+            integrand = [] if phi is not None else list(eta.get(g, ()))
+            for (alpha, beta), c in H.reduced_coproduct_monomial(g).terms.items():
+                ep = eta_of(beta)
+                if ep:
+                    _poly_add_scaled(B, integrand, c, _poly_mul(B, gamma_of(alpha), ep))
+            p = [B.zero] + [B.scale(Fraction(1, i + 1), a) for i, a in enumerate(integrand)]
+            if phi is not None:
+                value = B.add(phi.evaluate(g), B.neg(_poly_at_one(B, p)))
+                eta[g] = [value]
+                _poly_add_scaled(B, p, 1, (B.zero, value))  # + eta(g) t
+            gamma[g] = p
+    return gamma
+
+
+def _truncation(f, N: int | None) -> int:
     if N is None:
-        N = eta.N
+        return f.N
+    if N > f.N:
+        raise ValueError(f"truncation {N} exceeds N={f.N} for {f.kind}")
+    return N
+
+
+def exp_infchar(eta: TruncatedInfChar, N: int | None = None) -> TruncatedCharacter:
+    """exp(eta), the time-1 value of gamma' = gamma * eta, gamma(0) = counit.
+
+    Solved exactly on generators, degree by degree (see ``_solve_flow``);
+    exp(eta)(g) is the sum of the coefficients of the t-polynomial gamma_t(g).
+    """
+    N = _truncation(eta, N)
     H, B = eta.hopf, eta.target
-    basis = H.basis_upto(N)
-    eta_table = {m: eta.evaluate(m) for m in basis}
-    acc = {m: (B.one if m.is_empty() else B.zero) for m in basis}
-    power = dict(acc)
-    for j in range(1, N + 1):
-        power = _table_convolve(H, N, B, power, eta_table)
-        inv = Fraction(1, factorial(j))
-        for m in basis:
-            acc[m] = B.add(acc[m], B.scale(inv, power[m]))
-    values = {g: acc[g] for g in H.generators_upto(N)}
-    return TruncatedCharacter(H, N, B, values)
+    gamma = _solve_flow(H, N, B, {g: [v] for g, v in eta.values.items()})
+    return TruncatedCharacter(H, N, B, {g: _poly_at_one(B, p) for g, p in gamma.items()})
 
 
 def log_character(phi: TruncatedCharacter, N: int | None = None) -> TruncatedInfChar:
-    """Formal inverse of exp: sum (-1)^{j+1} (phi - counit)^{*j} / j."""
-    if N is None:
-        N = phi.N
+    """The infinitesimal character eta with exp(eta) = phi.
+
+    Runs the exp recursion while solving for eta degree by degree: the t^1
+    coefficient of gamma_t(g) is eta(g) and the higher ones depend only on
+    lower degrees, so eta(g) = phi(g) - sum_{k >= 2} gamma_t(g)_k.
+    """
+    N = _truncation(phi, N)
     H, B = phi.hopf, phi.target
-    basis = H.basis_upto(N)
-    psi = {m: (B.zero if m.is_empty() else phi.evaluate(m)) for m in basis}
-    acc = {m: B.zero for m in basis}
-    power = psi
-    for j in range(1, N + 1):
-        if j > 1:
-            power = _table_convolve(H, N, B, power, psi)
-        c = Fraction(1 if j % 2 else -1, j)
-        for m in basis:
-            acc[m] = B.add(acc[m], B.scale(c, power[m]))
-    values = {g: acc[g] for g in H.generators_upto(N)}
-    return TruncatedInfChar(H, N, B, values)
+    eta: dict[Monomial, list] = {}
+    _solve_flow(H, N, B, eta, phi)
+    return TruncatedInfChar(H, N, B, {g: p[0] for g, p in eta.items()})
 
 
 def bracket(eta1: TruncatedInfChar, eta2: TruncatedInfChar) -> TruncatedInfChar:
-    """Convolution commutator eta1 * eta2 - eta2 * eta1 on generators."""
+    """Convolution commutator eta1 * eta2 - eta2 * eta1 on generators.
+
+    One pass over the reduced coproduct: the primitive terms vanish because
+    eta(1) = 0.
+    """
     _check_compatible(eta1, eta2)
     H, N, B = eta1.hopf, eta1.N, eta1.target
     values = {}
     for g in H.generators_upto(N):
-        v = B.add(_convolve_on(eta1, eta2, g), B.neg(_convolve_on(eta2, eta1, g)))
-        values[g] = v
+        total = B.zero
+        for (mu, sigma), c in H.reduced_coproduct_monomial(g).terms.items():
+            d = B.add(B.mul(eta1.evaluate(mu), eta2.evaluate(sigma)),
+                      B.neg(B.mul(eta2.evaluate(mu), eta1.evaluate(sigma))))
+            total = B.add(total, B.scale(c, d))
+        values[g] = total
     return TruncatedInfChar(H, N, B, values)
 
 

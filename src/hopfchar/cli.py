@@ -62,6 +62,11 @@ def _load_instance(name: str, max_degree: int):
         H = instance_by_name(name)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc))
+    _check_degree(H, max_degree)
+    return H
+
+
+def _check_degree(H, max_degree: int) -> None:
     limit = degree_limit(_instance_kind(H.name))
     if max_degree > limit:
         raise ConfigError(
@@ -69,7 +74,6 @@ def _load_instance(name: str, max_degree: int):
             f"{H.name} (override with {MAX_DEGREE_ENV})")
     if max_degree < 0:
         raise ConfigError("max degree must be nonnegative")
-    return H
 
 
 def _load_family(name: str):
@@ -174,9 +178,11 @@ def run_evolve(args) -> tuple[bool, dict]:
 def _load_character(path: str):
     doc = _read_json(path)
     try:
-        return reports.character_from_json(doc)
+        phi = reports.character_from_json(doc)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad character file {path}: {exc}")
+    _check_degree(phi.hopf, phi.N)
+    return phi
 
 
 def run_char(args) -> tuple[bool, dict]:

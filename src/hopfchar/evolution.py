@@ -18,6 +18,7 @@ from .characters import (
     RATIONAL,
     TruncatedCharacter,
     TruncatedInfChar,
+    _solve_flow,
 )
 from .core import Coeff, Monomial, normalize_coeff
 from .growth import GrowthFamily
@@ -138,49 +139,14 @@ def evolve(H: HopfAlgebra, eta: TimePolynomialCurve, N: int) -> TimePolynomialCu
     there plus the reduced-coproduct sum c * gamma(alpha) * eta(beta), where
     gamma on the lower-degree monomial alpha multiplies out already-computed
     generator polynomials and eta kills everything outside the generator
-    span.  Each step integrates a rational polynomial, which is exact.
+    span.  Each step integrates a rational polynomial, which is exact.  This
+    is the recursion behind ``exp_infchar`` and ``log_character`` too, run
+    here over the rationals on the curve's coefficient lists.
     """
     if N > eta.N:
         raise ValueError(f"truncation {N} exceeds the curve's degree bound {eta.N}")
-    gamma: dict[Monomial, TimePoly] = {}
-    one = TimePoly.const(1)
-    eta_cache: dict[Monomial, TimePoly] = {}
-    gamma_cache: dict[Monomial, TimePoly] = {}
-
-    def eta_on(beta: Monomial) -> TimePoly:
-        p = eta_cache.get(beta)
-        if p is None:
-            p = TimePoly.zero()
-            for coeff, gens in H.generator_factorizations(beta):
-                if len(gens) == 1:
-                    p = p + eta.poly(gens[0]).scale(coeff)
-            eta_cache[beta] = p
-        return p
-
-    def gamma_on(alpha: Monomial) -> TimePoly:
-        if alpha.is_empty():
-            return one
-        p = gamma_cache.get(alpha)
-        if p is None:
-            p = TimePoly.zero()
-            for coeff, gens in H.generator_factorizations(alpha):
-                term = TimePoly.const(coeff)
-                for g in gens:
-                    term = term * gamma[g]
-                p = p + term
-            gamma_cache[alpha] = p
-        return p
-
-    for n in range(1, N + 1):
-        for g in H.generators(n):
-            integrand = eta_on(g)
-            for (alpha, beta), c in H.reduced_coproduct_monomial(g).terms.items():
-                ep = eta_on(beta)
-                if ep.is_zero():
-                    continue
-                integrand = integrand + (gamma_on(alpha) * ep).scale(c)
-            gamma[g] = integrand.integrate()
-    return TimePolynomialCurve(H, N, gamma, "char")
+    gamma = _solve_flow(H, N, RATIONAL, {g: p.coeffs for g, p in eta.polys.items()})
+    return TimePolynomialCurve(H, N, {g: TimePoly(p) for g, p in gamma.items()}, "char")
 
 
 def gronwall_bound(A, B, t) -> float:

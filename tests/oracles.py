@@ -2,14 +2,15 @@
 
 Everything here is deliberately written from first principles, without
 importing the library's combinatorial machinery, so agreement between the
-two is meaningful evidence rather than a tautology.
+two is meaningful evidence rather than a tautology.  The exp/log series use
+an instance's coproduct and basis, but none of the library's solvers.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 def mobius(n: int) -> int:
@@ -150,3 +151,49 @@ def lambda_by_enumeration(parts: tuple, tuples) -> int:
             p *= comb(n_i + 1, m_i)
         total += p
     return total
+
+
+def _table_convolve(H, B, t1: dict, t2: dict) -> dict:
+    out = {}
+    for m in t1:  # both tables share the basis key set
+        total = B.zero
+        for (mu, sigma), c in H.coproduct_monomial(m).terms.items():
+            total = B.add(total, B.scale(c, B.mul(t1[mu], t2[sigma])))
+        out[m] = total
+    return out
+
+
+def exp_by_series(eta, N: int) -> dict:
+    """exp(eta) = sum eta^{*j}/j! on every basis element of degree <= N.
+
+    The power series over full-basis tables, through the instance's
+    coproduct only: independent of the library's degree-by-degree solver.
+    """
+    H, B = eta.hopf, eta.target
+    basis = H.basis_upto(N)
+    eta_table = {m: eta.evaluate(m) for m in basis}
+    acc = {m: (B.one if m.is_empty() else B.zero) for m in basis}
+    power = dict(acc)
+    for j in range(1, N + 1):
+        power = _table_convolve(H, B, power, eta_table)
+        inv = Fraction(1, factorial(j))
+        for m in basis:
+            acc[m] = B.add(acc[m], B.scale(inv, power[m]))
+    return acc
+
+
+def log_by_series(phi, N: int) -> dict:
+    """log(phi) = sum (-1)^{j+1} (phi - counit)^{*j}/j on every basis element
+    of degree <= N, by the power series over full-basis tables."""
+    H, B = phi.hopf, phi.target
+    basis = H.basis_upto(N)
+    psi = {m: (B.zero if m.is_empty() else phi.evaluate(m)) for m in basis}
+    acc = {m: B.zero for m in basis}
+    power = psi
+    for j in range(1, N + 1):
+        if j > 1:
+            power = _table_convolve(H, B, power, psi)
+        c = Fraction(1 if j % 2 else -1, j)
+        for m in basis:
+            acc[m] = B.add(acc[m], B.scale(c, power[m]))
+    return acc

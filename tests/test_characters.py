@@ -4,6 +4,7 @@ non-group counterexample under a decaying weight family."""
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isclose
 
 import pytest
 
@@ -15,7 +16,8 @@ from hopfchar.characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
                                  linf_norm, log_character)
 from hopfchar.control import coproduct_ratio
 from hopfchar.growth import builtin
-from oracles import seeded_rational_values
+from hopfchar.instances import instance_by_name
+from oracles import exp_by_series, log_by_series, seeded_rational_values
 
 
 def _char(H, N, seed):
@@ -104,8 +106,8 @@ def test_closure_estimate_connes_kreimer(ck):
             assert lhs <= bound
 
 
-def test_exp_log_round_trip(ck, fdb_a):
-    for H, seed in ((ck, 11), (fdb_a, 12)):
+def test_exp_log_round_trip(ck, fdb_a, ck2, shuffle_ab):
+    for H, seed in ((ck, 11), (fdb_a, 12), (ck2, 17), (shuffle_ab, 18)):
         eta = _inf(H, 5, seed)
         phi = exp_infchar(eta)
         back = log_character(phi)
@@ -113,6 +115,40 @@ def test_exp_log_round_trip(ck, fdb_a):
             assert back.evaluate(g) == eta.evaluate(g)
         again = exp_infchar(back)
         assert _same_on_basis(again, phi, 5)
+
+
+def _target_values(H, N, B, seed):
+    vals = seeded_rational_values(H, N, random.Random(seed))
+    if B is DUAL:
+        tangent = seeded_rational_values(H, N, random.Random(seed + 1))
+        return {g: (v, tangent[g]) for g, v in vals.items()}
+    return {g: B.from_rational(v) for g, v in vals.items()}
+
+
+def _agrees(B, got, want):
+    if B is FLOAT:  # summation order differs from the series
+        return isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
+    return got == want
+
+
+@pytest.mark.parametrize("label,N", [("ck", 5), ("ck2", 4), ("fdb-a", 6),
+                                     ("fdb-x", 6), ("shuffle:ab", 5), ("binomial", 8)])
+def test_exp_log_match_power_series(label, N):
+    H = instance_by_name(label)
+    for B in (RATIONAL, DUAL, FLOAT):
+        eta = TruncatedInfChar(H, N, B, _target_values(H, N, B, 40))
+        phi = TruncatedCharacter(H, N, B, _target_values(H, N, B, 50))
+        for n in (N, N - 2):
+            got, want = exp_infchar(eta, n), exp_by_series(eta, n)
+            assert got.N == n
+            assert all(_agrees(B, got.evaluate(m), want[m]) for m in H.basis_upto(n)), (B, n)
+            got, want = log_character(phi, n), log_by_series(phi, n)
+            assert got.N == n
+            assert all(_agrees(B, got.evaluate(m), want[m]) for m in H.basis_upto(n)), (B, n)
+        with pytest.raises(ValueError):
+            exp_infchar(eta, N + 1)
+        with pytest.raises(ValueError):
+            log_character(phi, N + 1)
 
 
 def test_exp_of_single_seed_on_chain(ck):

@@ -274,6 +274,21 @@ def test_cli_char_kind_mismatch(tmp_path, ck, capsys):
     assert "inf" in capsys.readouterr().err
 
 
+def test_cli_char_refuses_file_past_safety_limit(tmp_path, monkeypatch, capsys):
+    deep = {"hopf": "binomial", "N": 65, "B": "rational", "kind": "inf",
+            "values": [{"generator": "X", "value": "1"}]}
+    shallow = dict(deep, N=2, kind="char")
+    a, b = tmp_path / "deep.json", tmp_path / "shallow.json"
+    a.write_text(json.dumps(deep))
+    b.write_text(json.dumps(shallow))
+    assert _run("char", "exp", "--a", str(a)) == 2
+    assert "safety limit 64" in capsys.readouterr().err
+    assert _run("char", "conv", "--a", str(b), "--b", str(a)) == 2
+    assert "safety limit 64" in capsys.readouterr().err
+    monkeypatch.setenv(cli.MAX_DEGREE_ENV, "65")
+    assert _run("char", "exp", "--a", str(a), "--out", str(tmp_path / "e.json")) == 0
+
+
 def test_cli_bseries_exponential(tmp_path):
     field_path = tmp_path / "f.json"
     field_path.write_text(json.dumps(FIELD_LINEAR))
