@@ -114,14 +114,11 @@ def antipode_ratio(H: HopfAlgebra, family: GrowthFamily, k1: int, k2: int,
 def elementary_coproduct(H: HopfAlgebra, m: Monomial) -> TensorVector:
     """The reduced coproduct restricted to generator (x) generator terms."""
     reduced = H.reduced_coproduct_monomial(m)
-    out = {
+    return TensorVector.trusted({
         pair: c
         for pair, c in reduced.terms.items()
         if H.is_generator(pair[0]) and H.is_generator(pair[1])
-    }
-    t = TensorVector.__new__(TensorVector)
-    t.terms = out
-    return t
+    })
 
 
 @dataclass

@@ -1,15 +1,16 @@
 """Graded alphabets, free (commutative) monoids and sparse exact-rational vectors.
 
-Everything downstream is built from four value types:
+Everything downstream is built from three value types:
 
 * :class:`Generator` -- an element of a graded alphabet (a tree, a word, a
   series coefficient), identified by a canonical text key.
 * :class:`Monomial` -- a product of generators: a sorted multiset in
   commutative mode, an ordered sequence in word mode.  The empty monomial is
   the unit and the only degree-0 element.
-* :class:`GradedVector` -- finitely supported map ``Monomial -> coefficient``.
-* :class:`TensorVector` -- finitely supported map on pairs of monomials,
-  the output type of coproducts.
+* :class:`GradedVector` -- finitely supported map ``key -> coefficient``
+  on H (keys: monomials) or on H (x) H (keys: pairs of monomials, the
+  output type of coproducts); ``TensorVector`` is an alias kept for the
+  second use.
 
 Coefficients are exact rationals stored as ``int`` where possible and
 ``fractions.Fraction`` otherwise.
@@ -81,9 +82,6 @@ class Generator:
     def __hash__(self) -> int:
         return self._hash
 
-    def sort_key(self) -> tuple:
-        return self.order
-
     def __repr__(self) -> str:
         return f"Generator({self.alphabet!r}, {self.key!r}, deg={self.degree})"
 
@@ -138,9 +136,6 @@ class Monomial:
     def is_single(self) -> bool:
         return len(self.factors) == 1
 
-    def alphabet(self) -> str | None:
-        return self.factors[0].alphabet if self.factors else None
-
     def sort_key(self) -> tuple:
         return (self.degree, tuple(g.key for g in self.factors))
 
@@ -148,6 +143,9 @@ class Monomial:
         if not self.factors:
             return "1"
         return "*".join(g.key for g in self.factors)
+
+
+Key = Union[Monomial, tuple[Monomial, ...]]
 
 
 def empty_monomial(mode: str) -> Monomial:
@@ -185,31 +183,51 @@ def add_scaled(acc: dict, terms: Mapping, c: Coeff) -> None:
         acc[key] = acc.get(key, 0) + c * k
 
 
+def _parts(key) -> tuple:
+    """The monomials of a key: the tuple itself for H (x) H, a 1-tuple for H."""
+    return key if isinstance(key, tuple) else (key,)
+
+
+def _degree(key) -> int:
+    # a plain loop: about twice as fast as sum() over a generator
+    total = 0
+    for m in _parts(key):
+        total += m.degree
+    return total
+
+
 class GradedVector:
-    """Sparse linear combination of monomials with exact coefficients."""
+    """Sparse linear combination of basis elements with exact coefficients.
+
+    A key is a :class:`Monomial` (a basis element of H) or a tuple of
+    monomials (a basis element of H (x) H, of degree the sum of its parts).
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
-        clean: dict[Monomial, Coeff] = {}
+    def __init__(self, terms: Mapping[Key, Coeff] | None = None):
+        clean: dict[Key, Coeff] = {}
         if terms:
-            for m, c in terms.items():
+            for key, c in terms.items():
                 c = normalize_coeff(c)
                 if c:
-                    clean[m] = c
+                    clean[key] = c
         self.terms = clean
 
     @classmethod
-    def zero(cls) -> "GradedVector":
-        return cls()
+    def trusted(cls, terms: dict[Key, Coeff]) -> "GradedVector":
+        """Wrap ``terms`` as is, without normalising: no coefficient may be zero."""
+        v = cls.__new__(cls)
+        v.terms = terms
+        return v
 
     @classmethod
     def unit(cls, mode: str) -> "GradedVector":
         return cls({empty_monomial(mode): 1})
 
     @classmethod
-    def of(cls, m: Monomial, c: Coeff = 1) -> "GradedVector":
-        return cls({m: c})
+    def of(cls, key: Key, c: Coeff = 1) -> "GradedVector":
+        return cls({key: c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -222,7 +240,7 @@ class GradedVector:
     def __hash__(self):
         raise TypeError("GradedVector is not hashable")
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Coeff]]:
+    def __iter__(self) -> Iterator[tuple[Key, Coeff]]:
         return iter(self.terms.items())
 
     def __len__(self) -> int:
@@ -230,20 +248,16 @@ class GradedVector:
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, 0) + c
+        for key, c in other.terms.items():
+            acc = out.get(key, 0) + c
             if acc:
-                out[m] = acc
+                out[key] = acc
             else:
-                out.pop(m, None)
-        v = GradedVector.__new__(GradedVector)
-        v.terms = out
-        return v
+                out.pop(key, None)
+        return GradedVector.trusted(out)
 
     def __neg__(self) -> "GradedVector":
-        v = GradedVector.__new__(GradedVector)
-        v.terms = {m: -c for m, c in self.terms.items()}
-        return v
+        return GradedVector.trusted({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + (-other)
@@ -252,9 +266,7 @@ class GradedVector:
         c = normalize_coeff(c)
         if not c:
             return GradedVector()
-        v = GradedVector.__new__(GradedVector)
-        v.terms = {m: normalize_coeff(k * c) for m, k in self.terms.items()}
-        return v
+        return GradedVector.trusted({key: normalize_coeff(k * c) for key, k in self.terms.items()})
 
     def __rmul__(self, c: Coeff) -> "GradedVector":
         if isinstance(c, (int, Fraction)):
@@ -268,29 +280,43 @@ class GradedVector:
             return vector_product(self, other)
         return NotImplemented
 
-    def coefficient(self, m: Monomial) -> Coeff:
-        return self.terms.get(m, 0)
+    def coefficient(self, key: Key) -> Coeff:
+        return self.terms.get(key, 0)
 
     def counit(self, mode: str) -> Coeff:
         return self.terms.get(empty_monomial(mode), 0)
 
     def max_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
+        return max((_degree(key) for key in self.terms), default=0)
 
     def l1_norm(self, family, k: int):
         """Sum of |coefficient| * omega_k(degree) over all terms."""
         total = 0
-        for m, c in self.terms.items():
-            total += abs(c) * family.eval(k, m.degree)
+        for key, c in self.terms.items():
+            total += abs(c) * family.eval(k, _degree(key))
         return normalize_coeff(total) if isinstance(total, Fraction) else total
 
-    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+    def l1_count(self) -> Coeff:
+        """Unweighted coefficient mass, sum of |c|."""
+        total = sum(abs(c) for c in self.terms.values())
+        return normalize_coeff(total) if isinstance(total, Fraction) else total
+
+    def sorted_terms(self) -> list[tuple[Key, Coeff]]:
+        return sorted(self.terms.items(),
+                      key=lambda kc: tuple(map(Monomial.sort_key, _parts(kc[0]))))
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{m!r}" for m, c in self.sorted_terms())
+        out = []
+        for key, c in self.sorted_terms():
+            parts = _parts(key)
+            text = " (x) ".join(repr(m) for m in parts)
+            out.append(f"{c}*{text}" if len(parts) == 1 else f"{c}*({text})")
+        return " + ".join(out)
+
+
+TensorVector = GradedVector
 
 
 def vector_product(u: GradedVector, v: GradedVector) -> GradedVector:
@@ -301,98 +327,6 @@ def vector_product(u: GradedVector, v: GradedVector) -> GradedVector:
             m = monomial_product(ma, mb)
             out[m] = out.get(m, 0) + ca * cb
     return GradedVector(out)
-
-
-class TensorVector:
-    """Sparse vector on pairs of monomials; houses coproduct output."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[Monomial, Monomial], Coeff] | None = None):
-        clean: dict[tuple[Monomial, Monomial], Coeff] = {}
-        if terms:
-            for p, c in terms.items():
-                c = normalize_coeff(c)
-                if c:
-                    clean[p] = c
-        self.terms = clean
-
-    @classmethod
-    def of(cls, left: Monomial, right: Monomial, c: Coeff = 1) -> "TensorVector":
-        return cls({(left, right): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("TensorVector is not hashable")
-
-    def __iter__(self) -> Iterator[tuple[tuple[Monomial, Monomial], Coeff]]:
-        return iter(self.terms.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            acc = out.get(p, 0) + c
-            if acc:
-                out[p] = acc
-            else:
-                out.pop(p, None)
-        t = TensorVector.__new__(TensorVector)
-        t.terms = out
-        return t
-
-    def __neg__(self) -> "TensorVector":
-        t = TensorVector.__new__(TensorVector)
-        t.terms = {p: -c for p, c in self.terms.items()}
-        return t
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + (-other)
-
-    def scale(self, c: Coeff) -> "TensorVector":
-        c = normalize_coeff(c)
-        if not c:
-            return TensorVector()
-        t = TensorVector.__new__(TensorVector)
-        t.terms = {p: normalize_coeff(k * c) for p, k in self.terms.items()}
-        return t
-
-    def __rmul__(self, c: Coeff) -> "TensorVector":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def coefficient(self, left: Monomial, right: Monomial) -> Coeff:
-        return self.terms.get((left, right), 0)
-
-    def l1_norm(self, family, k: int):
-        """Sum of |c_{mu,sigma}| * omega_k(|mu| + |sigma|)."""
-        total = 0
-        for (left, right), c in self.terms.items():
-            total += abs(c) * family.eval(k, left.degree + right.degree)
-        return normalize_coeff(total) if isinstance(total, Fraction) else total
-
-    def l1_count(self) -> Coeff:
-        """Unweighted coefficient mass, sum of |c|."""
-        total = sum(abs(c) for c in self.terms.values())
-        return normalize_coeff(total) if isinstance(total, Fraction) else total
-
-    def sorted_terms(self) -> list[tuple[tuple[Monomial, Monomial], Coeff]]:
-        return sorted(self.terms.items(), key=lambda pc: (pc[0][0].sort_key(), pc[0][1].sort_key()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*({a!r} (x) {b!r})" for (a, b), c in self.sorted_terms())
 
 
 def tensor_product(s: TensorVector, t: TensorVector) -> TensorVector:

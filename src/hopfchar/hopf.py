@@ -151,7 +151,7 @@ class HopfAlgebra(ABC):
         if cached is not None:
             return cached
         if m.is_empty():
-            out = TensorVector.of(m, m)
+            out = TensorVector.of((m, m))
         elif m.is_single():
             out = self.coproduct_generator(m)
         else:
@@ -173,10 +173,8 @@ class HopfAlgebra(ABC):
         if m.is_empty():
             return TensorVector()
         full = self.coproduct_monomial(m)
-        out = {p: c for p, c in full.terms.items() if p[0].factors and p[1].factors}
-        t = TensorVector.__new__(TensorVector)
-        t.terms = out
-        return t
+        return TensorVector.trusted(
+            {p: c for p, c in full.terms.items() if p[0].factors and p[1].factors})
 
     def counit(self, v: GradedVector) -> Coeff:
         return v.counit(self.mode)
@@ -332,7 +330,7 @@ def _check_element(H: HopfAlgebra, x: Monomial, n: int) -> AxiomViolation | None
         if mu.degree + sigma.degree != n:
             return AxiomViolation(H.name, n, label, "degree-preservation",
                                   f"{H.monomial_text(mu)} (x) {H.monomial_text(sigma)}")
-    if cop.coefficient(x, one) != 1 or cop.coefficient(one, x) != 1:
+    if cop.coefficient((x, one)) != 1 or cop.coefficient((one, x)) != 1:
         return AxiomViolation(H.name, n, label, "connected-primitive-terms", repr(cop))
 
     # counit: (eps (x) id) Delta = id = (id (x) eps) Delta

@@ -428,12 +428,7 @@ class FaaDiBrunoX(_FaaDiBrunoBase):
             left = empty if k == 0 else self.gen_monomial(k)
             right = bell_partial(n + 1, k + 1, args[: n - k + 1])
             for m, c in right.terms.items():
-                key = (left, m)
-                acc = terms.get(key, 0) + c
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+                terms[(left, m)] = c
         return TensorVector(terms)
 
     def _antipode_weight(self, n: int, comp: tuple[int, ...]) -> Coeff:
@@ -462,12 +457,7 @@ def fdb_a_coproduct_via_bell(H: FaaDiBrunoA, n: int) -> TensorVector:
         vec = bell_partial(n + 1, r + 1, args[: n - r + 1])
         scale = Fraction(factorial(r + 1), factorial(n + 1))
         for m, c in vec.scale(scale).terms.items():
-            key = (left, m)
-            acc = terms.get(key, 0) + c
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            terms[(left, m)] = c
     return TensorVector(terms)
 
 

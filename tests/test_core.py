@@ -31,6 +31,13 @@ factor_lists = st.lists(st.sampled_from([A, B, C, D, E]), max_size=5)
 monomials = st.lists(st.sampled_from([A, B, C]), max_size=4).map(
     lambda gs: Monomial(COMMUTATIVE, tuple(gs)))
 vectors = st.dictionaries(monomials, rationals, max_size=5).map(GradedVector)
+tensors = st.dictionaries(st.tuples(monomials, monomials), rationals,
+                          max_size=5).map(GradedVector)
+# (product, u, v, w): three elements of H, or of H (x) H, with its product
+spaces = st.one_of(
+    st.tuples(st.just(vector_product), vectors, vectors, vectors),
+    st.tuples(st.just(tensor_product), tensors, tensors, tensors),
+)
 
 
 def test_commutative_monomials_sort_factors():
@@ -125,18 +132,28 @@ def test_max_degree():
 
 
 def test_tensor_vector_basics():
-    t = TensorVector.of(mono(A), mono(B), 2) + TensorVector.of(mono(A), mono(B), 1)
-    assert t.coefficient(mono(A), mono(B)) == 3
+    t = TensorVector.of((mono(A), mono(B)), 2) + TensorVector.of((mono(A), mono(B)), 1)
+    assert t.coefficient((mono(A), mono(B))) == 3
     assert t.l1_count() == 3
     fam = builtin("pow")
     assert t.l1_norm(fam, 1) == 3
 
 
 def test_tensor_product_multiplies_componentwise():
-    t1 = TensorVector.of(mono(A), empty_monomial(COMMUTATIVE))
-    t2 = TensorVector.of(mono(B), mono(C))
+    t1 = TensorVector.of((mono(A), empty_monomial(COMMUTATIVE)))
+    t2 = TensorVector.of((mono(B), mono(C)))
     p = tensor_product(t1, t2)
-    assert p.coefficient(mono(A, B), mono(C)) == 1
+    assert p.coefficient((mono(A, B), mono(C))) == 1
+
+
+def test_tensor_repr_and_sorted_terms():
+    one = empty_monomial(COMMUTATIVE)
+    t = TensorVector({(mono(A, B), mono(C)): 1, (mono(A), mono(C)): 2,
+                      (mono(A), one): Fraction(-1, 2)})
+    assert TensorVector is GradedVector
+    assert repr(t) == "-1/2*(a (x) 1) + 2*(a (x) c) + 1*(a*b (x) c)"
+    assert t.sorted_terms() == [((mono(A), one), Fraction(-1, 2)), ((mono(A), mono(C)), 2),
+                                ((mono(A, B), mono(C)), 1)]
 
 
 def test_vectors_are_not_hashable():
@@ -144,25 +161,29 @@ def test_vectors_are_not_hashable():
         hash(GradedVector())
 
 
-@given(vectors, vectors)
-def test_addition_commutes(u, v):
+@given(spaces)
+def test_addition_commutes(space):
+    _, u, v, _ = space
     assert (u + v).terms == (v + u).terms
 
 
-@given(vectors, vectors, vectors)
-def test_product_distributes_over_addition(u, v, w):
-    left = vector_product(u, v + w)
-    right = vector_product(u, v) + vector_product(u, w)
+@given(spaces)
+def test_product_distributes_over_addition(space):
+    product, u, v, w = space
+    left = product(u, v + w)
+    right = product(u, v) + product(u, w)
     assert left.terms == right.terms
 
 
-@given(vectors, rationals)
-def test_norm_scales_absolutely(v, q):
+@given(spaces, rationals)
+def test_norm_scales_absolutely(space, q):
+    _, v, _, _ = space
     fam = builtin("pow")
     assert v.scale(q).l1_norm(fam, 2) == abs(q) * v.l1_norm(fam, 2)
 
 
-@given(vectors, vectors)
-def test_norm_triangle_inequality(u, v):
+@given(spaces)
+def test_norm_triangle_inequality(space):
+    _, u, v, _ = space
     fam = builtin("pow")
     assert (u + v).l1_norm(fam, 2) <= u.l1_norm(fam, 2) + v.l1_norm(fam, 2)
