@@ -1,13 +1,13 @@
 """Truncated characters and infinitesimal characters into a target algebra.
 
 A character is stored by its values on generators only; evaluation extends
-multiplicatively (through the Lyndon rewrite where the basis is not the
-generator monoid).  Convolution of two characters therefore needs only
-generator coproducts.  exp, log and the evolution equation share one exact
-solver of gamma' = gamma * eta that works degree by degree on generators,
-exp(eta) being the time-1 value; no full monomial table is built.  A full
-table appears only as the result of convolving maps that are not both
-characters.
+multiplicatively through the instance's ``character_value`` hook (a
+triangular solve where the basis is not the generator monoid).  Convolution
+of two characters therefore needs only generator coproducts.  exp, log and
+the evolution equation share one exact solver of gamma' = gamma * eta that
+works degree by degree on generators, exp(eta) being the time-1 value; no
+full monomial table is built.  A full table appears only as the result of
+convolving maps that are not both characters.
 """
 
 from __future__ import annotations
@@ -177,14 +177,21 @@ def _clean_generator_values(hopf: HopfAlgebra, N: int,
     return out
 
 
-class TruncatedCharacter(_BaseMap):
-    """Multiplicative unital map, determined by generator values."""
-
-    kind = "character"
+class _GeneratorMap(_BaseMap):
+    """A map stored by its values on generators; absent means zero."""
 
     def __init__(self, hopf, N, target, values: Mapping[Monomial, object]):
         super().__init__(hopf, N, target)
         self.values = _clean_generator_values(hopf, N, values)
+
+    def _value(self, g: Monomial):
+        return self.values.get(g, self.target.zero)
+
+
+class TruncatedCharacter(_GeneratorMap):
+    """Multiplicative unital map, determined by generator values."""
+
+    kind = "character"
 
     def evaluate(self, m: Monomial):
         self._guard(m)
@@ -193,25 +200,15 @@ class TruncatedCharacter(_BaseMap):
         cached = self._cache.get(m)
         if cached is not None:
             return cached
-        B = self.target
-        total = B.zero
-        for coeff, gens in self.hopf.generator_factorizations(m):
-            prod = B.one
-            for g in gens:
-                prod = B.mul(prod, self.values.get(g, B.zero))
-            total = B.add(total, B.scale(coeff, prod))
+        total = self.hopf.character_value(m, self._value, self.evaluate, self.target, False)
         self._cache[m] = total
         return total
 
 
-class TruncatedInfChar(_BaseMap):
+class TruncatedInfChar(_GeneratorMap):
     """Derivation past the counit: zero on 1 and on multi-factor monomials."""
 
     kind = "infinitesimal character"
-
-    def __init__(self, hopf, N, target, values: Mapping[Monomial, object]):
-        super().__init__(hopf, N, target)
-        self.values = _clean_generator_values(hopf, N, values)
 
     def evaluate(self, m: Monomial):
         self._guard(m)
@@ -220,11 +217,7 @@ class TruncatedInfChar(_BaseMap):
         cached = self._cache.get(m)
         if cached is not None:
             return cached
-        B = self.target
-        total = B.zero
-        for coeff, gens in self.hopf.generator_factorizations(m):
-            if len(gens) == 1:
-                total = B.add(total, B.scale(coeff, self.values.get(gens[0], B.zero)))
+        total = self.hopf.character_value(m, self._value, self.evaluate, self.target, True)
         self._cache[m] = total
         return total
 

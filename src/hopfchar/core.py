@@ -251,7 +251,7 @@ class GradedVector:
         for key, c in other.terms.items():
             acc = out.get(key, 0) + c
             if acc:
-                out[key] = acc
+                out[key] = normalize_coeff(acc)
             else:
                 out.pop(key, None)
         return GradedVector.trusted(out)

@@ -136,10 +136,28 @@ class HopfAlgebra(ABC):
         """m written as a combination of algebra products of generators.
 
         Polynomial instances factor literally; the shuffle instance rewrites
-        the word into its Lyndon polynomial.  Used to evaluate characters,
-        which are only stored on generators.
+        the word into its Lyndon polynomial.  The exp/log/evolve solver reads
+        it; characters evaluate through :meth:`character_value` instead.
         """
         return ((1, tuple(Monomial.trusted(m.mode, (g,), g.degree) for g in m.factors)),)
+
+    def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
+        """The value at a nonempty basis element m of a character (or, with
+        infinitesimal, of an infinitesimal character) stored on generators.
+
+        gen_value(g) reads the stored value of a generator g, and value_of(u)
+        the map's own value at another basis element u of the same degree.
+        Here m is the product of its factors: a character multiplies their
+        values, and an infinitesimal character, zero on products, gives the
+        value of a single generator and zero otherwise.
+        """
+        gens = [Monomial.trusted(m.mode, (g,), g.degree) for g in m.factors]
+        if infinitesimal:
+            return gen_value(gens[0]) if len(gens) == 1 else B.zero
+        value = B.one
+        for g in gens:
+            value = B.mul(value, gen_value(g))
+        return value
 
     # ------------------------------------------------------------------ coproduct
 

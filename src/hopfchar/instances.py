@@ -43,10 +43,13 @@ from .trees import RootedTree, edge_cuts, iter_nodes, parse_tree, root_cuts, tre
 from .words import (
     Word,
     all_words,
+    chen_fox_lyndon,
     deconcatenations,
     is_lyndon,
     lyndon_rewrite_word,
     lyndon_words,
+    rearrangements,
+    shuffle_many,
     shuffle_words,
 )
 
@@ -244,6 +247,8 @@ class Shuffle(HopfAlgebra):
         self.name = f"shuffle:{self.letters}"
         self._gen = {ch: Generator(self.name, ch, 1) for ch in self.letters}
         self._word_monomials: dict[Word, Monomial] = {}
+        self._solve_rows: dict[Monomial, tuple] = {}
+        self._word_classes: dict[Word, tuple[Monomial, ...]] = {}
 
     def word_monomial(self, w: Word) -> Monomial:
         m = self._word_monomials.get(w)
@@ -327,6 +332,55 @@ class Shuffle(HopfAlgebra):
             (coeff, tuple(self.word_monomial(w) for w in multiset))
             for multiset, coeff in lyndon_rewrite_word(self.word_of(m))
         )
+
+    def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
+        """A triangular solve on the Chen-Fox-Lyndon factors of the word w.
+
+        A Lyndon word is a generator.  Otherwise its factors l_1 >= ... >= l_k
+        shuffle to lead * w + sum c_u u, every u a lexicographically smaller
+        word with the same letters, so
+        phi(w) = (phi(l_1) ... phi(l_k) - sum c_u phi(u)) / lead, the product
+        being 0 for an infinitesimal character (k >= 2).  The smaller words
+        with the same letters are valued first, in increasing order, so each
+        value_of(u) finds the words below u already valued and never
+        recurses further.
+        """
+        row = self._solve_rows.get(m)
+        if row is None:
+            row = self._solve_rows[m] = self._solve_row(m)
+        if not row:
+            return gen_value(m)
+        inv, factors, words, coeffs, same_letters, index = row
+        for i in range(index):
+            value_of(same_letters[i])
+        if infinitesimal:
+            total = B.zero
+        else:
+            total = B.one
+            for f in factors:
+                total = B.mul(total, gen_value(f))
+        for u, c in zip(words, coeffs):
+            total = B.add(total, B.scale(-c, value_of(u)))
+        return B.scale(inv, total)
+
+    def _solve_row(self, m: Monomial) -> tuple:
+        """() for a Lyndon word; else (1/lead, factor generators, the words u
+        and their coefficients c_u, the words with the same letters in
+        lexicographic order, and the position of m among them)."""
+        w = self.word_of(m)
+        if is_lyndon(w):
+            return ()
+        factors = chen_fox_lyndon(w)
+        expansion = shuffle_many(factors)
+        lead = expansion.pop(w)
+        key = tuple(sorted(w))
+        same_letters = self._word_classes.get(key)
+        if same_letters is None:
+            same_letters = self._word_classes[key] = tuple(
+                self.word_monomial(u) for u in rearrangements(w))
+        return (Fraction(1, lead), tuple(self.word_monomial(f) for f in factors),
+                tuple(self.word_monomial(u) for u in expansion), tuple(expansion.values()),
+                same_letters, same_letters.index(m))
 
 
 # --------------------------------------------------------------------------

@@ -34,25 +34,50 @@ def sigma(t: RootedTree) -> int:
 
 def elementary_differential(f: PolyVectorField, t: RootedTree, y: Sequence) -> tuple:
     """F(t)(y): the m-linear derivative of f at y fed the child values."""
-    if not t.children:
-        return f.evaluate(y)
-    vectors = [elementary_differential(f, c, y) for c in t.children]
-    return f.deriv_apply(y, vectors)
+    return _elementary(f, t, y, {}, t.order)
 
 
 def coloured_elementary_differential(system: ColouredPolySystem, t: RootedTree,
                                      point: Sequence) -> tuple:
     """Partitioned-system variant: root colour picks the map (0 -> f, 1 -> g),
     each child's colour picks which variable block its derivative ranges over."""
-    fmap = system.f if t.colour == 0 else system.g
-    if not t.children:
-        return fmap.evaluate(point)
-    vectors = []
-    slots = []
-    for c in t.children:
-        vectors.append(coloured_elementary_differential(system, c, point))
-        slots.append(system.p_slot if c.colour == 0 else system.q_slot)
-    return fmap.deriv_apply(point, vectors, slots)
+    return _coloured_elementary(system, t, point, {}, t.order)
+
+
+# Within one series pass, F(t) is computed once per distinct tree: memo maps
+# a tree to its value and keeps only trees of order below top, as a tree of
+# the top order is never the child of another tree in the pass.
+
+
+def _elementary(f: PolyVectorField, t: RootedTree, y: Sequence, memo: dict,
+                top: int) -> tuple:
+    vec = memo.get(t)
+    if vec is None:
+        if t.children:
+            vec = f.deriv_apply(y, [_elementary(f, c, y, memo, top) for c in t.children])
+        else:
+            vec = f.evaluate(y)
+        if t.order < top:
+            memo[t] = vec
+    return vec
+
+
+def _coloured_elementary(system: ColouredPolySystem, t: RootedTree, point: Sequence,
+                         memo: dict, top: int) -> tuple:
+    vec = memo.get(t)
+    if vec is None:
+        fmap = system.f if t.colour == 0 else system.g
+        if t.children:
+            vectors = [_coloured_elementary(system, c, point, memo, top)
+                       for c in t.children]
+            slots = [system.p_slot if c.colour == 0 else system.q_slot
+                     for c in t.children]
+            vec = fmap.deriv_apply(point, vectors, slots)
+        else:
+            vec = fmap.evaluate(point)
+        if t.order < top:
+            memo[t] = vec
+    return vec
 
 
 def _value_of(a, t: RootedTree):
@@ -67,6 +92,7 @@ def bseries_order_terms(a, f: PolyVectorField, y: Sequence, max_order: int) -> l
     The series partial sum is then y + sum h^n T_n; keeping the h-free terms
     lets callers probe several step sizes from one symbolic pass.
     """
+    memo: dict[RootedTree, tuple] = {}
     terms = []
     for n in range(1, max_order + 1):
         acc = [0] * f.dim
@@ -75,7 +101,7 @@ def bseries_order_terms(a, f: PolyVectorField, y: Sequence, max_order: int) -> l
             if not c:
                 continue
             c = Fraction(c, sigma(t)) if isinstance(c, int) else c / sigma(t)
-            vec = elementary_differential(f, t, y)
+            vec = _elementary(f, t, y, memo, max_order)
             acc = [u + c * v for u, v in zip(acc, vec)]
         terms.append(tuple(acc))
     return terms
@@ -140,6 +166,7 @@ def pseries_order_terms(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
     """
     point = tuple(p) + tuple(q)
     d = system.dim
+    memo: dict[RootedTree, tuple] = {}
     terms = []
     for n in range(1, max_order + 1):
         accp = [0] * d
@@ -149,7 +176,7 @@ def pseries_order_terms(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
             if not c:
                 continue
             c = Fraction(c, sigma(t)) if isinstance(c, int) else c / sigma(t)
-            vec = coloured_elementary_differential(system, t, point)
+            vec = _coloured_elementary(system, t, point, memo, max_order)
             if t.colour == 0:
                 accp = [u + c * v for u, v in zip(accp, vec)]
             else:

@@ -9,6 +9,7 @@ colour before structure, so equal trees have equal encodings.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterator
 
@@ -124,16 +125,21 @@ def forests_of_order(n: int, colours: int = 1) -> tuple[tuple[RootedTree, ...], 
     for k in range(1, n + 1):
         pool.extend(trees_of_order(k, colours))
     pool.sort(key=_sort_key)
+    # fits[r]: the ascending pool indices of the trees with at most r nodes
+    fits: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, t in enumerate(pool):
+        for r in range(t.order, n + 1):
+            fits[r].append(i)
     out: list[tuple[RootedTree, ...]] = []
 
     def extend(prefix: list[RootedTree], start: int, remaining: int) -> None:
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        for i in range(start, len(pool)):
+        candidates = fits[remaining]
+        for k in range(bisect_left(candidates, start), len(candidates)):
+            i = candidates[k]
             t = pool[i]
-            if t.order > remaining:
-                continue
             prefix.append(t)
             extend(prefix, i, remaining - t.order)
             prefix.pop()

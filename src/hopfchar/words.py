@@ -6,6 +6,12 @@ Duval's algorithm, factorizations by Duval's Chen-Fox-Lyndon algorithm, and
 product) in Lyndon words by triangular elimination: the shuffle of the CFL
 factors of w equals (product of multiplicities factorial) * w plus lexicographically
 smaller words of the same length.
+
+Characters no longer evaluate through that symbolic rewrite: the shuffle
+instance solves the same triangular system numerically, word by word (see
+``Shuffle.character_value``).  ``lyndon_rewrite_word`` stays as the oracle the
+tests compare against and as the factoriser behind the shuffle instance's
+``generator_factorizations``, which the exp/log/evolve solver reads.
 """
 
 from __future__ import annotations
@@ -121,6 +127,25 @@ def lyndon_rewrite_word(w: Word) -> tuple[tuple[tuple[Word, ...], Fraction], ...
             else:
                 acc.pop(ms, None)
     return tuple(sorted(acc.items()))
+
+
+def rearrangements(w: Word) -> tuple[Word, ...]:
+    """The distinct words with the letters of w, in lexicographic order."""
+    a = sorted(w)
+    out = [tuple(a)]
+    while True:
+        # next permutation: the longest nonincreasing tail, then the pivot before it
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+        out.append(tuple(a))
 
 
 def all_words(alphabet: str, n: int) -> Iterator[Word]:

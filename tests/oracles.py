@@ -197,3 +197,97 @@ def log_by_series(phi, N: int) -> dict:
         for m in basis:
             acc[m] = B.add(acc[m], B.scale(c, power[m]))
     return acc
+
+
+def forests_by_scan(pool: list, n: int) -> tuple:
+    """Multisets of trees with n nodes in total, as tuples in pool order.
+
+    pool holds every tree with at most n nodes, in the library's canonical
+    order.  Each step scans the whole pool from the last index taken and
+    skips the trees that do not fit: the enumeration, and its order, as it
+    was before the library indexed the pool by size.
+    """
+    out = []
+
+    def extend(prefix: list, start: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for i in range(start, len(pool)):
+            t = pool[i]
+            if t.order > remaining:
+                continue
+            prefix.append(t)
+            extend(prefix, i, remaining - t.order)
+            prefix.pop()
+
+    extend([], 0, n)
+    return tuple(out)
+
+
+def _plain_differential(f, t, y) -> tuple:
+    """F(t)(y) recomputed at every node: no memo."""
+    if not t.children:
+        return f.evaluate(y)
+    return f.deriv_apply(y, [_plain_differential(f, c, y) for c in t.children])
+
+
+def _plain_coloured_differential(system, t, point) -> tuple:
+    fmap = system.f if t.colour == 0 else system.g
+    if not t.children:
+        return fmap.evaluate(point)
+    vectors = [_plain_coloured_differential(system, c, point) for c in t.children]
+    slots = [system.p_slot if c.colour == 0 else system.q_slot for c in t.children]
+    return fmap.deriv_apply(point, vectors, slots)
+
+
+def bseries_terms_by_recursion(a: dict, f, y, trees_by_order) -> list:
+    """Per-order sums of a(t)/|Aut t| * F(t)(y), with F(t) recomputed per node.
+
+    trees_by_order[n - 1] lists the trees with n nodes; the symmetry weight
+    is the brute-force automorphism count, not the library's sigma.
+    """
+    terms = []
+    for trees in trees_by_order:
+        acc = [0] * f.dim
+        for t in trees:
+            c = Fraction(a.get(t, 0), automorphism_count(t))
+            vec = _plain_differential(f, t, y)
+            acc = [u + c * v for u, v in zip(acc, vec)]
+        terms.append(tuple(acc))
+    return terms
+
+
+def pseries_terms_by_recursion(a: dict, system, p, q, trees_by_order) -> list:
+    """Per-order pairs (P_n, Q_n) of the partitioned series, as above: trees
+    rooted at colour 0 feed P_n and colour 1 feed Q_n."""
+    point = tuple(p) + tuple(q)
+    terms = []
+    for trees in trees_by_order:
+        acc = ([0] * system.dim, [0] * system.dim)
+        for t in trees:
+            c = Fraction(a.get(t, 0), automorphism_count(t))
+            vec = _plain_coloured_differential(system, t, point)
+            acc[t.colour][:] = [u + c * v for u, v in zip(acc[t.colour], vec)]
+        terms.append((tuple(acc[0]), tuple(acc[1])))
+    return terms
+
+
+def character_by_rewrite(phi, m):
+    """phi(m) from the instance's generator factorizations: the sum over
+    them of coeff * the product of generator values for a character, and of
+    coeff * the value of a lone generator for an infinitesimal one."""
+    B = phi.target
+    infinitesimal = phi.kind == "infinitesimal character"
+    total = B.zero
+    for coeff, gens in phi.hopf.generator_factorizations(m):
+        if infinitesimal:
+            if len(gens) != 1:
+                continue
+            value = phi.values.get(gens[0], B.zero)
+        else:
+            value = B.one
+            for g in gens:
+                value = B.mul(value, phi.values.get(g, B.zero))
+        total = B.add(total, B.scale(coeff, value))
+    return total

@@ -17,7 +17,8 @@ from hopfchar.characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
 from hopfchar.control import coproduct_ratio
 from hopfchar.growth import builtin
 from hopfchar.instances import instance_by_name
-from oracles import exp_by_series, log_by_series, seeded_rational_values
+from oracles import (character_by_rewrite, exp_by_series, log_by_series,
+                     seeded_rational_values)
 
 
 def _char(H, N, seed):
@@ -149,6 +150,53 @@ def test_exp_log_match_power_series(label, N):
             exp_infchar(eta, N + 1)
         with pytest.raises(ValueError):
             log_character(phi, N + 1)
+
+
+@pytest.mark.parametrize("kind", [TruncatedCharacter, TruncatedInfChar])
+@pytest.mark.parametrize("target", [RATIONAL, DUAL, FLOAT], ids=lambda B: B.name)
+@pytest.mark.parametrize("letters,N", [("ab", 8), ("abc", 6)])
+def test_shuffle_evaluation_matches_lyndon_rewrite(letters, N, target, kind):
+    H = instance_by_name(f"shuffle:{letters}")
+    rng = random.Random(f"{letters}:{target.name}")
+    first = seeded_rational_values(H, N, rng)
+    second = seeded_rational_values(H, N, rng)
+    if target is DUAL:
+        values = {g: (v, second[g]) for g, v in first.items()}
+    else:
+        values = {g: target.from_rational(v) for g, v in first.items()}
+    phi = kind(H, N, target, values)
+    # largest words first, so that each value is reached by the solve's own fill
+    for n in range(N, 0, -1):
+        for m in reversed(H.basis(n)):
+            got, want = phi.evaluate(m), character_by_rewrite(phi, m)
+            if target is FLOAT:
+                assert isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), H.monomial_text(m)
+            else:
+                assert got == want, H.monomial_text(m)
+
+
+def test_shuffle_solve_nests_one_level():
+    # valuing the largest word of a letter class first must not recurse once
+    # per smaller word of the class: the solve fills the class in order
+    H = instance_by_name("shuffle:ab")
+    phi = TruncatedCharacter(H, 8, RATIONAL,
+                             seeded_rational_values(H, 8, random.Random(5)))
+    depth = [0, 0]
+    evaluate = phi.evaluate
+
+    def tracked(m):
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return evaluate(m)
+        finally:
+            depth[0] -= 1
+
+    phi.evaluate = tracked
+    w = H.monomial_from_text("bbbbaaaa")
+    assert tracked(w) == character_by_rewrite(phi, w)
+    # the word, a smaller word being solved, and the cached words below that one
+    assert depth[1] == 3
 
 
 def test_exp_of_single_seed_on_chain(ck):

@@ -96,6 +96,14 @@ def test_vector_drops_zero_terms():
     assert v.coefficient(mono(A)) == 0
 
 
+def test_vector_sum_stores_integral_coefficients_as_int():
+    half = GradedVector.of(mono(A), Fraction(1, 2))
+    total = half + half
+    assert total.terms == {mono(A): 1}
+    assert type(total.coefficient(mono(A))) is int
+    assert type((half + half + half).coefficient(mono(A))) is Fraction
+
+
 def test_vector_arithmetic_and_scaling():
     v = GradedVector.of(mono(A), 2) + GradedVector.of(mono(B), 3)
     w = v - GradedVector.of(mono(A), 2)

@@ -15,10 +15,11 @@ from hopfchar.series import (bseries_order_terms, bseries_partial,
                              coloured_elementary_differential,
                              convergence_probe, elementary_differential,
                              exact_flow_character, flow_taylor_coefficients,
-                             pseries_partial, sigma, word_basis_function,
+                             pseries_order_terms, pseries_partial, sigma, word_basis_function,
                              wordseries_partial)
 from hopfchar.trees import parse_tree, trees_of_order
-from oracles import automorphism_count
+from oracles import (automorphism_count, bseries_terms_by_recursion,
+                     pseries_terms_by_recursion)
 
 
 def _linear_field():
@@ -104,6 +105,61 @@ def test_elementary_differential_scales_by_order(n, c):
         assert elementary_differential(scaled, t, y) == tuple(
             c ** t.order * v for v in elementary_differential(f, t, y)
         )
+
+
+def _seeded_tree_coefficients(trees_by_order, seed):
+    # about one tree in seven gets a zero coefficient and is skipped
+    rng = random.Random(seed)
+    return {t: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            for trees in trees_by_order for t in trees}
+
+
+def _seeded_partitioned_system(seed):
+    # p, q in R^2: f and g each take two components of a seeded field on R^4
+    comps = _seeded_field(4, seed).comps
+    return ColouredPolySystem(PolyMap(4, comps[:2]), PolyMap(4, comps[2:]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bseries_terms_match_unmemoised_recursion(seed):
+    trees_by_order = [trees_of_order(n) for n in range(1, 8)]
+    a = _seeded_tree_coefficients(trees_by_order, seed)
+    f = _seeded_field(2, seed, max_deg=3)
+    y = (Fraction(1, 2), Fraction(-2, 3))
+    assert bseries_order_terms(a, f, y, 7) == bseries_terms_by_recursion(a, f, y, trees_by_order)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pseries_terms_match_unmemoised_recursion(seed):
+    trees_by_order = [trees_of_order(n, colours=2) for n in range(1, 7)]
+    a = _seeded_tree_coefficients(trees_by_order, seed)
+    system = _seeded_partitioned_system(seed)
+    p, q = (Fraction(1, 3), Fraction(-1)), (Fraction(2), Fraction(1, 2))
+    assert pseries_order_terms(a, system, p, q, 6) == \
+        pseries_terms_by_recursion(a, system, p, q, trees_by_order)
+
+
+def _count_derivatives(monkeypatch) -> list:
+    calls = []
+    original = PolyMap.deriv_apply
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyMap, "deriv_apply", counting)
+    return calls
+
+
+def test_series_pass_differentiates_once_per_distinct_tree(monkeypatch):
+    calls = _count_derivatives(monkeypatch)
+    # every exact-flow coefficient is nonzero, so every tree is visited
+    bseries_order_terms(exact_flow_character(7), _seeded_field(2, 3), (1, 2), 7)
+    assert len(calls) == sum(len(trees_of_order(n)) for n in range(2, 8))
+    calls.clear()
+    pseries_order_terms(exact_flow_character(6, colours=2), _seeded_partitioned_system(3),
+                        (1, 2), (3, 4), 6)
+    assert len(calls) == sum(len(trees_of_order(n, colours=2)) for n in range(2, 7))
 
 
 def test_exact_flow_character_values():

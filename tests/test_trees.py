@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hopfchar.trees import (LEAF, RootedTree, edge_cuts, forests_of_order,
                             iter_nodes, parse_tree, root_cuts, tree,
                             trees_of_order)
-from oracles import brute_force_tree_count
+from oracles import brute_force_tree_count, forests_by_scan
 
 TREE_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115)
 TWO_COLOUR_COUNTS = (2, 4, 14, 52, 214, 916, 4116)
@@ -24,6 +24,14 @@ def test_two_colour_counts_match_brute_force_oracle():
         assert len(trees_of_order(n, colours=2)) == expected
         assert brute_force_tree_count(n, colours=2) == expected
     assert len(trees_of_order(7, colours=2)) == TWO_COLOUR_COUNTS[6]
+
+
+@pytest.mark.parametrize("colours", [1, 2])
+def test_forest_order_matches_scanning_enumeration(colours):
+    for n in range(8):
+        pool = sorted((t for k in range(1, n + 1) for t in trees_of_order(k, colours)),
+                      key=lambda t: (t.colour, t.encode(True)))
+        assert forests_of_order(n, colours) == forests_by_scan(pool, n)
 
 
 def test_trees_are_distinct_and_canonical():

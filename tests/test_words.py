@@ -1,6 +1,7 @@
 """Lyndon words, shuffles, and the generator rewrite."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hopfchar.words import (all_words, chen_fox_lyndon, deconcatenations,
                             is_lyndon, lyndon_rewrite_word, lyndon_words,
-                            shuffle_many, shuffle_words)
+                            rearrangements, shuffle_many, shuffle_words)
 from oracles import brute_shuffle, necklace_lyndon_count
 
 words_ab = st.lists(st.sampled_from("ab"), min_size=0, max_size=6).map(tuple)
@@ -103,6 +104,11 @@ def test_rewrite_round_trips_for_short_words():
                         acc[word] = acc.get(word, 0) + coeff * mult
                 acc = {k: v for k, v in acc.items() if v}
                 assert acc == {w: 1}, (w, acc)
+
+
+@given(st.lists(st.sampled_from("abc"), max_size=6).map(tuple))
+def test_rearrangements_are_the_sorted_distinct_permutations(w):
+    assert rearrangements(w) == tuple(sorted(set(permutations(w))))
 
 
 def test_all_words_count():
