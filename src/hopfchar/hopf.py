@@ -88,6 +88,7 @@ class HopfAlgebra(ABC):
             raise NotImplementedError("word-mode instances must override basis()")
         if n == 0:
             return (self.empty(),)
+        # ascending degree, so the first generator too large ends a scan
         pool = self.generators_upto(n)
         out: list[Monomial] = []
 
@@ -98,7 +99,7 @@ class HopfAlgebra(ABC):
             for i in range(start, len(pool)):
                 g = pool[i]
                 if g.degree > remaining:
-                    continue
+                    break
                 prefix.append(g)
                 extend(prefix, i, remaining - g.degree)
                 prefix.pop()

@@ -5,7 +5,8 @@ Five instances share the interface in :mod:`hopfchar.hopf`:
 ``ck`` / ``ck2``
     Polynomial algebra on rooted trees (one or two node colours).  The
     coproduct sums over rooted subtree cuts, forest on the left and kept
-    root part on the right; the antipode sums signed edge-subset cuts.
+    root part on the right, computed through the B⁺ cocycle; the antipode
+    sums signed edge-subset cuts, collapsed into a dynamic programme.
 ``shuffle:<letters>``
     Words under the shuffle product with deconcatenation coproduct.  The
     polynomial generators are the Lyndon words.
@@ -37,9 +38,10 @@ from .core import (
     TensorVector,
     add_scaled,
     monomial_of,
+    monomial_product,
 )
 from .hopf import HopfAlgebra
-from .trees import RootedTree, edge_cuts, iter_nodes, parse_tree, root_cuts, trees_of_order
+from .trees import RootedTree, iter_nodes, parse_tree, trees_of_order
 from .words import (
     Word,
     all_words,
@@ -158,7 +160,19 @@ def bell_partial(n: int, k: int, args):
 
 
 class ConnesKreimer(HopfAlgebra):
-    """Polynomial Hopf algebra on rooted trees (1 or more node colours)."""
+    """Polynomial Hopf algebra on rooted trees (1 or more node colours).
+
+    Trees are hash-consed per instance: a tree is B⁺_c(F), a root of colour c
+    grafted onto a forest monomial F of child generators, and :meth:`graft`
+    returns the one tree monomial for each (c, F), so a coproduct or antipode
+    never builds a :class:`RootedTree`.  The coproduct follows the B⁺
+    Hochschild 1-cocycle of Connes and Kreimer,
+    Δ B⁺(F) = B⁺(F) ⊗ 1 + (id ⊗ B⁺) Δ(F), with Δ(F) the cached product of the
+    child coproducts.  The closed antipode is the signed sum over edge
+    subsets p of (-1)^{#trees} (t minus p), collapsed into a dynamic
+    programme over (root component, loose forest) states that never reads
+    the coproduct, so it stays an independent check on both recursions.
+    """
 
     mode = COMMUTATIVE
 
@@ -169,23 +183,51 @@ class ConnesKreimer(HopfAlgebra):
         self.colours = colours
         self.name = "ck" if colours == 1 else f"ck{colours}"
         self._coloured = colours > 1
-        self._gen_by_tree: dict[RootedTree, Generator] = {}
+        # the hash-consing: (root colour, children forest) <-> the one tree monomial
+        self._grafts: dict[tuple[int, Monomial], Monomial] = {}
+        self._shapes: dict[Generator, tuple[int, Monomial]] = {}
+        self._by_tree: dict[RootedTree, Monomial] = {}
         self._tree_by_key: dict[str, RootedTree] = {}
+        self._cut_states: dict[Generator, dict[tuple[Monomial, Monomial], int]] = {}
 
-    def tree_generator(self, t: RootedTree) -> Generator:
-        g = self._gen_by_tree.get(t)
-        if g is None:
-            key = t.encode(self._coloured)
-            g = Generator(self.name, key, t.order)
-            self._gen_by_tree[t] = g
-            self._tree_by_key[key] = t
-        return g
+    def graft(self, colour: int, forest: Monomial) -> Monomial:
+        """B⁺: the tree monomial with a root of `colour` over the trees of `forest`.
+
+        The key is the tree's canonical text: the child keys sorted on
+        (colour, key), which is the order of ``trees._sort_key`` (with one
+        colour the key omits every ``:0``, and each token keeps its first
+        character, so the order is unchanged).
+        """
+        m = self._grafts.get((colour, forest))
+        if m is None:
+            kids = sorted(forest.factors, key=lambda g: (self._shapes[g][0], g.key))
+            body = "[" + ",".join(g.key for g in kids) + "]" if kids else "B"
+            g = Generator(self.name, f"{body}:{colour}" if self._coloured else body,
+                          forest.degree + 1)
+            m = Monomial.trusted(COMMUTATIVE, (g,), g.degree)
+            self._grafts[(colour, forest)] = m
+            self._shapes[g] = (colour, forest)
+        return m
+
+    def _shape(self, g: Generator) -> tuple[int, Monomial]:
+        """(root colour, children forest) of g, grafting it first if g was
+        made elsewhere (an equal generator from another instance)."""
+        shape = self._shapes.get(g)
+        if shape is None:
+            self.tree_monomial(self.tree_of(g))
+            shape = self._shapes[g]
+        return shape
 
     def tree_monomial(self, t: RootedTree) -> Monomial:
-        return monomial_of(self.tree_generator(t))
+        m = self._by_tree.get(t)
+        if m is None:
+            forest = Monomial(COMMUTATIVE, tuple(self.tree_generator(c) for c in t.children))
+            m = self._by_tree[t] = self.graft(t.colour, forest)
+            self._tree_by_key.setdefault(m.factors[0].key, t)
+        return m
 
-    def forest_monomial(self, forest: tuple[RootedTree, ...]) -> Monomial:
-        return Monomial(COMMUTATIVE, tuple(self.tree_generator(t) for t in forest))
+    def tree_generator(self, t: RootedTree) -> Generator:
+        return self.tree_monomial(t).factors[0]
 
     def tree_of(self, g: Generator) -> RootedTree:
         t = self._tree_by_key.get(g.key)
@@ -204,23 +246,47 @@ class ConnesKreimer(HopfAlgebra):
         return self.tree_monomial(t)
 
     def coproduct_generator(self, g: Monomial) -> TensorVector:
-        t = self.tree_of(g.factors[0])
-        terms: dict[tuple[Monomial, Monomial], Coeff] = {}
-        empty = self.empty()
-        for kept, forest in root_cuts(t):
-            left = self.forest_monomial(forest)
-            right = empty if kept is None else self.tree_monomial(kept)
-            terms[(left, right)] = terms.get((left, right), 0) + 1
-        return TensorVector(terms)
+        """Δ B⁺(F) = B⁺(F) ⊗ 1 + Σ a ⊗ B⁺(b) over the terms a ⊗ b of Δ(F)."""
+        colour, forest = self._shape(g.factors[0])
+        terms = {(g, self.empty()): 1}
+        for (a, b), c in self.coproduct_monomial(forest).terms.items():
+            terms[(a, self.graft(colour, b))] = c
+        return TensorVector.trusted(terms)
 
     def antipode_generator_explicit(self, g: Monomial) -> GradedVector:
-        t = self.tree_of(g.factors[0])
+        """S(t) = Σ over edge subsets p of (-1)^{1 + #loose} root·loose, where
+        t minus p is the root component and the loose forest."""
         terms: dict[Monomial, Coeff] = {}
-        for forest in edge_cuts(t):
-            m = self.forest_monomial(forest)
-            sign = -1 if len(forest) % 2 else 1
-            terms[m] = terms.get(m, 0) + sign
+        for (root, loose), n in self._edge_cut_states(g.factors[0]).items():
+            m = monomial_product(root, loose)
+            terms[m] = terms.get(m, 0) + (n if len(loose.factors) % 2 else -n)
         return GradedVector(terms)
+
+    def _edge_cut_states(self, g: Generator) -> dict[tuple[Monomial, Monomial], int]:
+        """{(root component, loose forest): number of edge subsets giving it}.
+
+        Folded child by child: the edge into a child is kept (its root
+        component joins the root's children) or cut (it joins the loose
+        forest), and equal states merge before the next child.
+        """
+        states = self._cut_states.get(g)
+        if states is None:
+            colour, forest = self._shape(g)
+            empty = self.empty()
+            acc: dict[tuple[Monomial, Monomial], int] = {(empty, empty): 1}
+            for child in forest.factors:
+                child_states = self._edge_cut_states(child).items()
+                folded: dict[tuple[Monomial, Monomial], int] = {}
+                for (kept, loose), n in acc.items():
+                    for (r, l), k in child_states:
+                        rest = monomial_product(loose, l)
+                        for key in ((monomial_product(kept, r), rest),
+                                    (kept, monomial_product(rest, r))):
+                            folded[key] = folded.get(key, 0) + n * k
+                acc = folded
+            states = {(self.graft(colour, kept), loose): n for (kept, loose), n in acc.items()}
+            self._cut_states[g] = states
+        return states
 
 
 # --------------------------------------------------------------------------

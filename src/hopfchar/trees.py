@@ -24,6 +24,16 @@ class RootedTree:
         self.order = 1 + sum(c.order for c in self.children)
         self._hash = hash((colour, self.children))
 
+    @classmethod
+    def trusted(cls, children: tuple["RootedTree", ...], colour: int = 0) -> "RootedTree":
+        """Build without sorting: children already in ``_sort_key`` order."""
+        t = cls.__new__(cls)
+        t.children = children
+        t.colour = colour
+        t.order = 1 + sum(c.order for c in children)
+        t._hash = hash((colour, children))
+        return t
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -109,10 +119,10 @@ def trees_of_order(n: int, colours: int = 1) -> tuple[RootedTree, ...]:
     """All canonical rooted trees with n nodes, deterministically ordered."""
     if n < 1:
         return ()
-    out = []
-    for root_colour in range(colours):
-        for kids in forests_of_order(n - 1, colours):
-            out.append(RootedTree(kids, root_colour))
+    # forests_of_order yields its forests in _sort_key order already
+    out = [RootedTree.trusted(kids, root_colour)
+           for root_colour in range(colours)
+           for kids in forests_of_order(n - 1, colours)]
     return tuple(sorted(out, key=_sort_key))
 
 

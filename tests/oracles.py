@@ -3,7 +3,9 @@
 Everything here is deliberately written from first principles, without
 importing the library's combinatorial machinery, so agreement between the
 two is meaningful evidence rather than a tautology.  The exp/log series use
-an instance's coproduct and basis, but none of the library's solvers.
+an instance's coproduct and basis, but none of the library's solvers; the
+Connes-Kreimer cut sums use the cut enumerators of ``hopfchar.trees``, which
+the instance itself no longer calls.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial
+
+from hopfchar.core import COMMUTATIVE, GradedVector, Monomial, TensorVector
+from hopfchar.trees import edge_cuts, root_cuts
 
 
 def mobius(n: int) -> int:
@@ -291,3 +296,53 @@ def character_by_rewrite(phi, m):
                 value = B.mul(value, phi.values.get(g, B.zero))
         total = B.add(total, B.scale(coeff, value))
     return total
+
+
+def basis_by_scan(H, n: int) -> tuple:
+    """The degree-n monomial basis as it was enumerated before the scan
+    stopped at the first generator too large: every later generator of the
+    pool is visited and skipped."""
+    if n == 0:
+        return (H.empty(),)
+    pool = H.generators_upto(n)
+    out = []
+
+    def extend(prefix: list, start: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(Monomial(COMMUTATIVE, tuple(g for m in prefix for g in m.factors)))
+            return
+        for i in range(start, len(pool)):
+            g = pool[i]
+            if g.degree > remaining:
+                continue
+            prefix.append(g)
+            extend(prefix, i, remaining - g.degree)
+            prefix.pop()
+
+    extend([], 0, n)
+    return tuple(out)
+
+
+def _forest_monomial(H, forest) -> Monomial:
+    return Monomial(COMMUTATIVE, tuple(H.tree_generator(t) for t in forest))
+
+
+def ck_coproduct_by_root_cuts(H, g) -> TensorVector:
+    """The Connes-Kreimer coproduct of a tree generator as the sum over its
+    root cuts: the cut forest on the left, the kept root part on the right."""
+    terms: dict = {}
+    for kept, forest in root_cuts(H.tree_of(g.factors[0])):
+        left = _forest_monomial(H, forest)
+        right = H.empty() if kept is None else H.tree_monomial(kept)
+        terms[(left, right)] = terms.get((left, right), 0) + 1
+    return TensorVector(terms)
+
+
+def ck_antipode_by_edge_cuts(H, g) -> GradedVector:
+    """The closed Connes-Kreimer antipode as the signed sum over every edge
+    subset p of the forest t minus p, sign (-1)^{#trees}."""
+    terms: dict = {}
+    for forest in edge_cuts(H.tree_of(g.factors[0])):
+        m = _forest_monomial(H, forest)
+        terms[m] = terms.get(m, 0) + (-1 if len(forest) % 2 else 1)
+    return GradedVector(terms)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hopfchar.core import GradedVector, monomial_product
 from hopfchar.hopf import check_hopf_axioms
 from hopfchar.instances import instance_by_name
+from hopfchar.trees import parse_tree
+from oracles import basis_by_scan, ck_antipode_by_edge_cuts, ck_coproduct_by_root_cuts
 
 
 def text_terms(H, v):
@@ -204,6 +206,13 @@ def test_basis_counts(ck, fdb_a, shuffle_ab, binomial):
     assert [len(binomial.basis(n)) for n in range(1, 6)] == [1, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("name, degree", [("ck", 9), ("ck2", 6), ("fdb-a", 10)])
+def test_basis_matches_scanning_enumeration(name, degree):
+    H = instance_by_name(name)
+    for n in range(degree + 1):
+        assert H.basis(n) == basis_by_scan(H, n)
+
+
 def test_generator_text_round_trip(ck, fdb_a, shuffle_ab):
     for H, texts in ((ck, ["B", "[B]", "[B,[B]]"]),
                      (fdb_a, ["a1", "a4"]),
@@ -226,3 +235,55 @@ def test_generator_from_text_rejects_garbage(ck, fdb_a, shuffle_ab, ck2):
         shuffle_ab.generator_from_text("ac")    # letter outside alphabet
     with pytest.raises(ValueError):
         ck2.generator_from_text("[B:2]")        # colour out of range
+
+
+# ---------------------------------------------------------------- Connes-Kreimer
+
+
+@pytest.mark.parametrize("name, degree", [("ck", 9), ("ck2", 6)])
+def test_ck_maps_match_cut_enumeration(name, degree):
+    H = instance_by_name(name)
+    for n in range(1, degree + 1):
+        for g in H.generators(n):
+            assert H.coproduct_generator(g) == ck_coproduct_by_root_cuts(H, g)
+            assert H.antipode_generator_explicit(g) == ck_antipode_by_edge_cuts(H, g)
+
+
+@pytest.mark.parametrize("name, colour, children, text", [
+    ("ck", 0, ("B", "B"), "[B,B]"),
+    ("ck", 0, ("[B,B]", "[B]"), "[[B,B],[B]]"),
+    ("ck2", 1, ("[B:1]:0", "B:0"), "[B:0,[B:1]:0]:1"),
+    ("ck2", 0, ("B:1", "[B:0]:0"), "[[B:0]:0,B:1]:0"),  # colour sorts before text
+])
+def test_ck_graft_returns_the_held_generator(name, colour, children, text):
+    H = instance_by_name(name)
+    forest = H.empty()
+    for child in children:
+        forest = monomial_product(forest, H.generator_from_text(child))
+    m = H.graft(colour, forest)
+    g = m.factors[0]
+    assert g.key == text and g.degree == 1 + forest.degree
+    held = [h.factors[0] for h in H.generators(g.degree) if h.factors[0].key == text]
+    assert len(held) == 1 and held[0] is g
+    assert H.tree_of(g) == parse_tree(text, coloured=name == "ck2")
+    assert H.tree_monomial(H.tree_of(g)) is m
+
+
+def test_ck_maps_accept_a_generator_of_another_instance(ck):
+    g = ck.generator_from_text("[B,[B,B]]")
+    H = instance_by_name("ck")
+    assert H.coproduct_monomial(g) == ck.coproduct_monomial(g)
+    assert H.antipode_generator_explicit(g) == ck.antipode_generator_explicit(g)
+
+
+def test_ck_closed_antipode_never_reads_the_coproduct(monkeypatch):
+    H = instance_by_name("ck2")
+
+    def refuse(*args):
+        raise AssertionError("the closed antipode read the coproduct")
+
+    monkeypatch.setattr(H, "coproduct_monomial", refuse)
+    monkeypatch.setattr(H, "coproduct_generator", refuse)
+    for n in range(1, 7):
+        for g in H.generators(n):
+            H.antipode_generator_explicit(g)

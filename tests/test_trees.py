@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfchar.trees import (LEAF, RootedTree, edge_cuts, forests_of_order,
-                            iter_nodes, parse_tree, root_cuts, tree,
-                            trees_of_order)
+from hopfchar.trees import (LEAF, RootedTree, _sort_key, edge_cuts,
+                            forests_of_order, iter_nodes, parse_tree, root_cuts,
+                            tree, trees_of_order)
 from oracles import brute_force_tree_count, forests_by_scan
 
 TREE_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115)
@@ -32,6 +32,18 @@ def test_forest_order_matches_scanning_enumeration(colours):
         pool = sorted((t for k in range(1, n + 1) for t in trees_of_order(k, colours)),
                       key=lambda t: (t.colour, t.encode(True)))
         assert forests_of_order(n, colours) == forests_by_scan(pool, n)
+
+
+@pytest.mark.parametrize("colours", [1, 2])
+def test_trusted_trees_match_sorting_construction(colours):
+    for n in range(1, 9):
+        built = tuple(sorted((RootedTree(kids, c) for c in range(colours)
+                              for kids in forests_of_order(n - 1, colours)), key=_sort_key))
+        got = trees_of_order(n, colours)
+        assert got == built
+        assert [hash(t) for t in got] == [hash(t) for t in built]
+        for t in got:
+            assert list(t.children) == sorted(t.children, key=_sort_key)
 
 
 def test_trees_are_distinct_and_canonical():
