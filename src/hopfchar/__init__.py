@@ -11,8 +11,7 @@ reports for every check.
 from .characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
                          TruncatedInfChar, TruncatedLinearMap, bracket,
                          convolve, counit_character, counterexample_demo,
-                         exp_infchar, extend, inverse, linf_norm,
-                         log_character)
+                         exp_infchar, inverse, linf_norm, log_character)
 from .control import (antipode_ratio, coproduct_ratio, elementary_coproduct,
                       right_handed_check, rlb_check)
 from .core import (COMMUTATIVE, WORD, Generator, GradedVector, Monomial,
@@ -46,7 +45,7 @@ __all__ = [
     "chen_fox_lyndon", "convergence_probe", "convolve", "coproduct_ratio",
     "counit_character", "counterexample_demo", "elementary_coproduct",
     "elementary_differential", "evolve", "exact_flow_character",
-    "exp_infchar", "extend", "flow_taylor_coefficients", "gronwall_bound",
+    "exp_infchar", "flow_taylor_coefficients", "gronwall_bound",
     "instance_by_name", "inverse", "is_lyndon", "linf_norm", "log_character",
     "lyndon_words", "monomial_of", "parse_tree", "pseries_partial",
     "right_handed_check", "rlb_check", "semiregularity_check", "sigma",

@@ -5,7 +5,9 @@ multiplicatively through the instance's ``character_value`` hook (a
 triangular solve where the basis is not the generator monoid).  Convolution
 of two characters therefore needs only generator coproducts.  exp, log and
 the evolution equation share one exact solver of gamma' = gamma * eta that
-works degree by degree on generators, exp(eta) being the time-1 value; no
+works degree by degree on generators, exp(eta) being the time-1 value: gamma
+and eta are a character and an infinitesimal character over B[t], the
+polynomials in t over the target B, and evaluate through the same hook.  No
 full monomial table is built.  A full table appears only as the result of
 convolving maps that are not both characters.
 """
@@ -128,11 +130,74 @@ class DualTarget(TargetAlgebra):
         return (q, 0)
 
 
+class PolyTarget(TargetAlgebra):
+    """Polynomials in t over a target B: tuples of B-values, t^0 first, with
+    () as zero; the norm is the sum of the coefficient norms.
+
+    A slot still holding the B.zero object itself is overwritten rather than
+    added to, which skips most Fraction additions.
+    """
+
+    zero = ()
+
+    def __init__(self, base: TargetAlgebra):
+        self.base = base
+        self.name = f"{base.name}[t]"
+
+    @property
+    def one(self):
+        return (self.base.one,)
+
+    def add(self, p, q):
+        if len(p) < len(q):
+            p, q = q, p
+        B, zero = self.base, self.base.zero
+        out = list(p)
+        for i, b in enumerate(q):
+            a = out[i]
+            out[i] = b if a is zero else B.add(a, b)
+        return tuple(out)
+
+    def mul(self, p, q):
+        if not p or not q:
+            return ()
+        B, zero = self.base, self.base.zero
+        out = [zero] * (len(p) + len(q) - 1)
+        q = [(j, b) for j, b in enumerate(q) if b != zero]
+        for i, a in enumerate(p):
+            if a == zero:  # gamma vanishes at t = 0, so products lead with zeros
+                continue
+            for j, b in q:
+                x = out[i + j]
+                out[i + j] = B.mul(a, b) if x is zero else B.add(x, B.mul(a, b))
+        return tuple(out)
+
+    def scale(self, q, p):
+        if q == 1:
+            return p
+        return tuple(self.base.scale(q, a) for a in p)
+
+    def norm(self, p):
+        return sum(self.base.norm(a) for a in p)
+
+    def from_rational(self, q):
+        return (self.base.from_rational(q),)
+
+    def at_one(self, p):
+        """The value p(1), the sum of the coefficients."""
+        B = self.base
+        total = B.zero
+        for a in p:
+            total = B.add(total, a)
+        return total
+
+
 RATIONAL = RationalTarget()
 FLOAT = FloatTarget()
 DUAL = DualTarget()
 
 TARGETS = {"rational": RATIONAL, "float": FLOAT, "dual": DUAL}
+RATIONAL_POLY = PolyTarget(RATIONAL)
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +245,8 @@ def _clean_generator_values(hopf: HopfAlgebra, N: int,
 class _GeneratorMap(_BaseMap):
     """A map stored by its values on generators; absent means zero."""
 
+    infinitesimal: bool
+
     def __init__(self, hopf, N, target, values: Mapping[Monomial, object]):
         super().__init__(hopf, N, target)
         self.values = _clean_generator_values(hopf, N, values)
@@ -187,39 +254,31 @@ class _GeneratorMap(_BaseMap):
     def _value(self, g: Monomial):
         return self.values.get(g, self.target.zero)
 
+    def evaluate(self, m: Monomial):
+        self._guard(m)
+        if m.is_empty():
+            return self.target.zero if self.infinitesimal else self.target.one
+        cached = self._cache.get(m)
+        if cached is not None:
+            return cached
+        total = self.hopf.character_value(m, self._value, self.evaluate, self.target,
+                                          self.infinitesimal)
+        self._cache[m] = total
+        return total
+
 
 class TruncatedCharacter(_GeneratorMap):
     """Multiplicative unital map, determined by generator values."""
 
     kind = "character"
-
-    def evaluate(self, m: Monomial):
-        self._guard(m)
-        if m.is_empty():
-            return self.target.one
-        cached = self._cache.get(m)
-        if cached is not None:
-            return cached
-        total = self.hopf.character_value(m, self._value, self.evaluate, self.target, False)
-        self._cache[m] = total
-        return total
+    infinitesimal = False
 
 
 class TruncatedInfChar(_GeneratorMap):
     """Derivation past the counit: zero on 1 and on multi-factor monomials."""
 
     kind = "infinitesimal character"
-
-    def evaluate(self, m: Monomial):
-        self._guard(m)
-        if m.is_empty():
-            return self.target.zero
-        cached = self._cache.get(m)
-        if cached is not None:
-            return cached
-        total = self.hopf.character_value(m, self._value, self.evaluate, self.target, True)
-        self._cache[m] = total
-        return total
+    infinitesimal = True
 
 
 class TruncatedLinearMap(_BaseMap):
@@ -303,12 +362,6 @@ def linf_norm(phi, family: GrowthFamily, k: int, N: int | None = None,
     return 0 if best is None else best
 
 
-def extend(hopf: HopfAlgebra, N: int, target: TargetAlgebra,
-           f: Mapping[Monomial, object]) -> TruncatedCharacter:
-    """The unique multiplicative extension of generator values."""
-    return TruncatedCharacter(hopf, N, target, f)
-
-
 def controlled_witness(phi, family: GrowthFamily, radius=1, k_max: int = 64,
                        over: str = "generators") -> dict:
     """Least k whose finite-degree norm is <= radius; a truncation proxy."""
@@ -323,105 +376,45 @@ def controlled_witness(phi, family: GrowthFamily, radius=1, k_max: int = 64,
 
 # --------------------------------------------------------------------------
 # exp / log / bracket through one flow solver
-#
-# A t-polynomial over a target algebra B is a list of B-values, t^0 first;
-# the empty list is zero.  A slot still holding the B.zero object itself is
-# overwritten rather than added to, which skips most Fraction additions.
-
-
-def _poly_mul(B: TargetAlgebra, p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    zero = B.zero
-    out = [zero] * (len(p) + len(q) - 1)
-    q = [(j, b) for j, b in enumerate(q) if b != zero]
-    for i, a in enumerate(p):
-        if a == zero:  # gamma vanishes at t = 0, so products lead with zeros
-            continue
-        for j, b in q:
-            x = out[i + j]
-            out[i + j] = B.mul(a, b) if x is zero else B.add(x, B.mul(a, b))
-    return out
-
-
-def _poly_add_scaled(B: TargetAlgebra, acc: list, c: Coeff, p) -> None:
-    """acc += c * p in place, for a rational c."""
-    zero = B.zero
-    if len(acc) < len(p):
-        acc.extend([zero] * (len(p) - len(acc)))
-    scaled = c != 1
-    for i, a in enumerate(p):
-        if scaled:
-            a = B.scale(c, a)
-        acc[i] = a if acc[i] is zero else B.add(acc[i], a)
-
-
-def _poly_at_one(B: TargetAlgebra, p: list):
-    total = B.zero
-    for a in p:
-        total = B.add(total, a)
-    return total
 
 
 def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
-                phi: TruncatedCharacter | None = None) -> dict:
+                phi: TruncatedCharacter | None = None):
     """gamma' = gamma * eta, gamma(0) = counit, on the generators up to degree N.
 
-    eta maps generators to t-polynomials over B (absent means zero); the
-    result maps every generator of degree <= N to gamma_t there.  Degree by
-    degree, gamma(g) = integral_0^t (eta(g) + sum c gamma(alpha) eta(beta))
-    over the reduced coproduct of g: the primitive terms give
-    gamma(1) eta(g) = eta(g) and gamma(g) eta(1) = 0.  gamma(alpha), of lower
-    degree, multiplies out generator polynomials already solved, and
-    eta(beta) reads only the single-generator factorizations of beta, as
-    eta vanishes on products.  Integration is exact over an exact B.
+    eta maps generators to t-polynomials over B (absent means zero; those past
+    degree N are ignored).  Returns (gamma, eta) as a TruncatedCharacter and
+    a TruncatedInfChar over B[t], gamma valued on every generator of degree
+    <= N.  Degree by degree, gamma(g) = integral_0^t (eta(g) + sum c
+    gamma(alpha) eta(beta)) over the reduced coproduct of g: the primitive
+    terms give gamma(1) eta(g) = eta(g) and gamma(g) eta(1) = 0.  alpha and
+    beta have lower degree, so both evaluate, through the instance's
+    ``character_value`` hook, from generator values already solved.
+    Integration is exact over an exact B.
 
-    With phi, eta is the unknown instead: a constant infinitesimal character,
-    written into the (empty) eta, with gamma(1) = phi.  Since gamma(alpha)
+    With phi, eta is the unknown instead: a constant infinitesimal character
+    with gamma(1) = phi, solved generator by generator.  Since gamma(alpha)
     vanishes at t = 0, eta(g) enters gamma(g) only as the t^1 term eta(g) t,
     and the higher coefficients do not depend on it, so
     eta(g) = phi(g) - sum_{k >= 2} gamma(g)_k.
     """
-    gamma: dict[Monomial, list] = {}
-    gamma_on: dict[Monomial, list] = {}
-    eta_on: dict[Monomial, list] = {}
-
-    def gamma_of(alpha: Monomial) -> list:
-        p = gamma_on.get(alpha)
-        if p is None:
-            p = []
-            for coeff, gens in H.generator_factorizations(alpha):
-                term = gamma[gens[0]]
-                for g in gens[1:]:
-                    term = _poly_mul(B, term, gamma[g])
-                _poly_add_scaled(B, p, coeff, term)
-            gamma_on[alpha] = p
-        return p
-
-    def eta_of(beta: Monomial) -> list:
-        p = eta_on.get(beta)
-        if p is None:
-            p = []
-            for coeff, gens in H.generator_factorizations(beta):
-                if len(gens) == 1:
-                    _poly_add_scaled(B, p, coeff, eta.get(gens[0], ()))
-            eta_on[beta] = p
-        return p
-
+    P = PolyTarget(B)
+    gamma = TruncatedCharacter(H, N, P, {})
+    eta = TruncatedInfChar(H, N, P, {g: p for g, p in eta.items() if g.degree <= N})
     for n in range(1, N + 1):
         for g in H.generators(n):
-            integrand = [] if phi is not None else list(eta.get(g, ()))
+            integrand = P.zero if phi is not None else eta._value(g)
             for (alpha, beta), c in H.reduced_coproduct_monomial(g).terms.items():
-                ep = eta_of(beta)
-                if ep:
-                    _poly_add_scaled(B, integrand, c, _poly_mul(B, gamma_of(alpha), ep))
-            p = [B.zero] + [B.scale(Fraction(1, i + 1), a) for i, a in enumerate(integrand)]
+                e = eta.evaluate(beta)
+                if e:
+                    integrand = P.add(integrand, P.scale(c, P.mul(gamma.evaluate(alpha), e)))
+            p = (B.zero,) + tuple(B.scale(Fraction(1, i + 1), a) for i, a in enumerate(integrand))
             if phi is not None:
-                value = B.add(phi.evaluate(g), B.neg(_poly_at_one(B, p)))
-                eta[g] = [value]
-                _poly_add_scaled(B, p, 1, (B.zero, value))  # + eta(g) t
-            gamma[g] = p
-    return gamma
+                value = B.add(phi.evaluate(g), B.neg(P.at_one(p)))
+                eta.values[g] = (value,)
+                p = P.add(p, (B.zero, value))  # + eta(g) t
+            gamma.values[g] = p
+    return gamma, eta
 
 
 def _truncation(f, N: int | None) -> int:
@@ -440,8 +433,9 @@ def exp_infchar(eta: TruncatedInfChar, N: int | None = None) -> TruncatedCharact
     """
     N = _truncation(eta, N)
     H, B = eta.hopf, eta.target
-    gamma = _solve_flow(H, N, B, {g: [v] for g, v in eta.values.items()})
-    return TruncatedCharacter(H, N, B, {g: _poly_at_one(B, p) for g, p in gamma.items()})
+    gamma, _ = _solve_flow(H, N, B, {g: (v,) for g, v in eta.values.items()})
+    return TruncatedCharacter(H, N, B, {g: gamma.target.at_one(p)
+                                        for g, p in gamma.values.items()})
 
 
 def log_character(phi: TruncatedCharacter, N: int | None = None) -> TruncatedInfChar:
@@ -453,9 +447,8 @@ def log_character(phi: TruncatedCharacter, N: int | None = None) -> TruncatedInf
     """
     N = _truncation(phi, N)
     H, B = phi.hopf, phi.target
-    eta: dict[Monomial, list] = {}
-    _solve_flow(H, N, B, eta, phi)
-    return TruncatedInfChar(H, N, B, {g: p[0] for g, p in eta.items()})
+    _, eta = _solve_flow(H, N, B, {}, phi)
+    return TruncatedInfChar(H, N, B, {g: p[0] for g, p in eta.values.items()})
 
 
 def bracket(eta1: TruncatedInfChar, eta2: TruncatedInfChar) -> TruncatedInfChar:

@@ -16,6 +16,7 @@ from typing import Mapping
 from .characters import (
     FLOAT,
     RATIONAL,
+    RATIONAL_POLY,
     TruncatedCharacter,
     TruncatedInfChar,
     _solve_flow,
@@ -26,7 +27,8 @@ from .hopf import HopfAlgebra
 
 
 class TimePoly:
-    """Dense univariate polynomial in t over exact rationals."""
+    """Dense univariate polynomial in t over exact rationals; its arithmetic
+    is the rational polynomial target's (``characters.PolyTarget``)."""
 
     __slots__ = ("coeffs",)
 
@@ -60,30 +62,16 @@ class TimePoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "TimePoly") -> "TimePoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TimePoly(out)
+        return TimePoly(RATIONAL_POLY.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "TimePoly") -> "TimePoly":
         return self + other.scale(-1)
 
     def __mul__(self, other: "TimePoly") -> "TimePoly":
-        if self.is_zero() or other.is_zero():
-            return TimePoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TimePoly(out)
+        return TimePoly(RATIONAL_POLY.mul(self.coeffs, other.coeffs))
 
     def scale(self, c: Coeff) -> "TimePoly":
-        return TimePoly(tuple(a * c for a in self.coeffs))
+        return TimePoly(RATIONAL_POLY.scale(c, self.coeffs))
 
     def integrate(self) -> "TimePoly":
         """The antiderivative vanishing at t = 0."""
@@ -137,16 +125,18 @@ def evolve(H: HopfAlgebra, eta: TimePolynomialCurve, N: int) -> TimePolynomialCu
 
     Degree by degree: the derivative of gamma on a generator is eta's value
     there plus the reduced-coproduct sum c * gamma(alpha) * eta(beta), where
-    gamma on the lower-degree monomial alpha multiplies out already-computed
-    generator polynomials and eta kills everything outside the generator
-    span.  Each step integrates a rational polynomial, which is exact.  This
-    is the recursion behind ``exp_infchar`` and ``log_character`` too, run
-    here over the rationals on the curve's coefficient lists.
+    gamma and eta are a character and an infinitesimal character with values
+    in rational t-polynomials, evaluated on the lower-degree alpha and beta
+    through the instance's ``character_value`` hook from generator
+    polynomials already computed.  Each step integrates a rational
+    polynomial, which is exact.  This is the solver behind ``exp_infchar``
+    and ``log_character`` too, run here on the curve's coefficient tuples.
     """
     if N > eta.N:
         raise ValueError(f"truncation {N} exceeds the curve's degree bound {eta.N}")
-    gamma = _solve_flow(H, N, RATIONAL, {g: p.coeffs for g, p in eta.polys.items()})
-    return TimePolynomialCurve(H, N, {g: TimePoly(p) for g, p in gamma.items()}, "char")
+    gamma, _ = _solve_flow(H, N, RATIONAL, {g: p.coeffs for g, p in eta.polys.items()})
+    return TimePolynomialCurve(H, N, {g: TimePoly(p) for g, p in gamma.values.items()},
+                               "char")
 
 
 def gronwall_bound(A, B, t) -> float:

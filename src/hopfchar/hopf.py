@@ -131,17 +131,6 @@ class HopfAlgebra(ABC):
                 self.add_product(acc, ma, mb, ca * cb)
         return GradedVector(acc)
 
-    def generator_factorizations(
-        self, m: Monomial
-    ) -> tuple[tuple[Coeff, tuple[Monomial, ...]], ...]:
-        """m written as a combination of algebra products of generators.
-
-        Polynomial instances factor literally; the shuffle instance rewrites
-        the word into its Lyndon polynomial.  The exp/log/evolve solver reads
-        it; characters evaluate through :meth:`character_value` instead.
-        """
-        return ((1, tuple(Monomial.trusted(m.mode, (g,), g.degree) for g in m.factors)),)
-
     def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
         """The value at a nonempty basis element m of a character (or, with
         infinitesimal, of an infinitesimal character) stored on generators.
@@ -151,12 +140,16 @@ class HopfAlgebra(ABC):
         Here m is the product of its factors: a character multiplies their
         values, and an infinitesimal character, zero on products, gives the
         value of a single generator and zero otherwise.
+
+        This is the one evaluation path for characters: the exp/log/evolve
+        solver's gamma and eta come here too, with B the polynomials in t
+        over the solver's target.
         """
         gens = [Monomial.trusted(m.mode, (g,), g.degree) for g in m.factors]
         if infinitesimal:
             return gen_value(gens[0]) if len(gens) == 1 else B.zero
-        value = B.one
-        for g in gens:
+        value = gen_value(gens[0])
+        for g in gens[1:]:
             value = B.mul(value, gen_value(g))
         return value
 

@@ -48,7 +48,6 @@ from .words import (
     chen_fox_lyndon,
     deconcatenations,
     is_lyndon,
-    lyndon_rewrite_word,
     lyndon_words,
     rearrangements,
     shuffle_many,
@@ -389,16 +388,6 @@ class Shuffle(HopfAlgebra):
         sign = -1 if len(m.factors) % 2 else 1
         return GradedVector.of(self.word_monomial(tuple(reversed(self.word_of(m)))), sign)
 
-    def generator_factorizations(
-        self, m: Monomial
-    ) -> tuple[tuple[Coeff, tuple[Monomial, ...]], ...]:
-        if m.is_empty():
-            return ((1, ()),)
-        return tuple(
-            (coeff, tuple(self.word_monomial(w) for w in multiset))
-            for multiset, coeff in lyndon_rewrite_word(self.word_of(m))
-        )
-
     def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
         """A triangular solve on the Chen-Fox-Lyndon factors of the word w.
 
@@ -422,8 +411,8 @@ class Shuffle(HopfAlgebra):
         if infinitesimal:
             total = B.zero
         else:
-            total = B.one
-            for f in factors:
+            total = gen_value(factors[0])
+            for f in factors[1:]:
                 total = B.mul(total, gen_value(f))
         for u, c in zip(words, coeffs):
             total = B.add(total, B.scale(-c, value_of(u)))

@@ -7,11 +7,10 @@ product) in Lyndon words by triangular elimination: the shuffle of the CFL
 factors of w equals (product of multiplicities factorial) * w plus lexicographically
 smaller words of the same length.
 
-Characters no longer evaluate through that symbolic rewrite: the shuffle
-instance solves the same triangular system numerically, word by word (see
-``Shuffle.character_value``).  ``lyndon_rewrite_word`` stays as the oracle the
-tests compare against and as the factoriser behind the shuffle instance's
-``generator_factorizations``, which the exp/log/evolve solver reads.
+Characters, the exp/log/evolve solver's included, do not evaluate through
+that symbolic rewrite: the shuffle instance solves the same triangular system
+numerically, word by word (see ``Shuffle.character_value``).
+``lyndon_rewrite_word`` is only the oracle the tests compare against.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ importing the library's combinatorial machinery, so agreement between the
 two is meaningful evidence rather than a tautology.  The exp/log series use
 an instance's coproduct and basis, but none of the library's solvers; the
 Connes-Kreimer cut sums use the cut enumerators of ``hopfchar.trees``, which
-the instance itself no longer calls.
+the instance itself no longer calls, and the shuffle character values use the
+symbolic Lyndon rewrite of ``hopfchar.words``, which characters no longer call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from hopfchar.core import COMMUTATIVE, GradedVector, Monomial, TensorVector
+from hopfchar.instances import Shuffle
 from hopfchar.trees import edge_cuts, root_cuts
+from hopfchar.words import lyndon_rewrite_word
 
 
 def mobius(n: int) -> int:
@@ -278,14 +281,24 @@ def pseries_terms_by_recursion(a: dict, system, p, q, trees_by_order) -> list:
     return terms
 
 
+def generator_factorizations(H, m):
+    """m as a combination of algebra products of generators: the Lyndon
+    polynomial of the word on a shuffle instance, the literal factors
+    otherwise."""
+    if isinstance(H, Shuffle):
+        return [(coeff, tuple(H.word_monomial(w) for w in multiset))
+                for multiset, coeff in lyndon_rewrite_word(H.word_of(m))]
+    return [(1, tuple(Monomial.trusted(m.mode, (g,), g.degree) for g in m.factors))]
+
+
 def character_by_rewrite(phi, m):
-    """phi(m) from the instance's generator factorizations: the sum over
-    them of coeff * the product of generator values for a character, and of
+    """phi(m) from the generator factorizations of m: the sum over them of
+    coeff * the product of generator values for a character, and of
     coeff * the value of a lone generator for an infinitesimal one."""
     B = phi.target
     infinitesimal = phi.kind == "infinitesimal character"
     total = B.zero
-    for coeff, gens in phi.hopf.generator_factorizations(m):
+    for coeff, gens in generator_factorizations(phi.hopf, m):
         if infinitesimal:
             if len(gens) != 1:
                 continue

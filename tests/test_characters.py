@@ -8,7 +8,8 @@ from math import isclose
 
 import pytest
 
-from hopfchar.characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
+from hopfchar.characters import (DUAL, FLOAT, RATIONAL, PolyTarget,
+                                 RationalTarget, TruncatedCharacter,
                                  TruncatedInfChar, bracket, check_derivation,
                                  check_multiplicative, controlled_witness,
                                  convolve, counit_character,
@@ -133,7 +134,8 @@ def _agrees(B, got, want):
 
 
 @pytest.mark.parametrize("label,N", [("ck", 5), ("ck2", 4), ("fdb-a", 6),
-                                     ("fdb-x", 6), ("shuffle:ab", 5), ("binomial", 8)])
+                                     ("fdb-x", 6), ("shuffle:ab", 5), ("binomial", 8),
+                                     ("shuffle:abc", 4)])
 def test_exp_log_match_power_series(label, N):
     H = instance_by_name(label)
     for B in (RATIONAL, DUAL, FLOAT):
@@ -252,6 +254,64 @@ def test_dual_target_tracks_directional_part(binomial):
     assert phi.on_vector(sq) == (Fraction(1, 4), 1)
     assert DUAL.mul((0, 1), (0, 1)) == (0, 0)
     assert DUAL.norm((Fraction(-1, 2), Fraction(1, 3))) == Fraction(5, 6)
+
+
+def _seeded_poly(B, rng):
+    """A polynomial of 0-4 coefficients, some of them B.zero itself and some
+    an equal zero that is another object."""
+    def coeff():
+        roll = rng.random()
+        if roll < 0.2:
+            return B.zero
+        if roll < 0.3:
+            return B.from_rational(Fraction(0))
+        den = rng.randint(1, 6)
+        q = Fraction(rng.randint(-3 * den, 3 * den), den)
+        return (q, Fraction(rng.randint(-6, 6), den)) if B is DUAL else q
+    return tuple(coeff() for _ in range(rng.randint(0, 4)))
+
+
+@pytest.mark.parametrize("base", [RATIONAL, DUAL], ids=lambda B: B.name)
+def test_polynomial_target_is_a_commutative_normed_algebra(base):
+    P = PolyTarget(base)
+    rng = random.Random(f"poly:{base.name}")
+    assert P.one == (base.one,) and P.zero == () and P.norm(P.one) == 1
+    assert P.norm(P.zero) == 0
+    for _ in range(300):
+        p, q, r = (_seeded_poly(base, rng) for _ in range(3))
+        assert P.add(p, q) == P.add(q, p)
+        assert P.mul(p, q) == P.mul(q, p)
+        assert P.add(P.add(p, q), r) == P.add(p, P.add(q, r))
+        assert P.mul(P.mul(p, q), r) == P.mul(p, P.mul(q, r))
+        assert P.mul(p, P.add(q, r)) == P.add(P.mul(p, q), P.mul(p, r))
+        assert P.add(P.zero, p) == p == P.add(p, P.zero)
+        assert P.mul(P.zero, p) == P.zero == P.mul(p, P.zero)
+        assert P.mul(P.one, p) == p == P.mul(p, P.one)
+        assert P.scale(-1, P.add(p, q)) == P.add(P.neg(p), P.neg(q))
+        assert P.at_one(P.mul(p, q)) == base.mul(P.at_one(p), P.at_one(q))
+        assert P.at_one(P.add(p, q)) == base.add(P.at_one(p), P.at_one(q))
+        assert P.norm(P.mul(p, q)) <= P.norm(p) * P.norm(q)
+        assert P.norm(P.add(p, q)) <= P.norm(p) + P.norm(q)
+    c = base.from_rational
+    assert P.add((c(1), c(2)), (c(3),)) == (c(4), c(2))
+    assert P.mul((c(1), c(1)), (c(1), c(-1))) == (c(1), c(0), c(-1))
+    assert P.at_one((c(1), c(Fraction(1, 2)), c(3))) == c(Fraction(9, 2))
+
+
+def test_polynomial_product_skips_zero_coefficients():
+    # the flow solver's gamma vanishes at t = 0: its zero coefficients must
+    # cost no coefficient products
+    class Counting(RationalTarget):
+        products = 0
+
+        def mul(self, a, b):
+            self.products += 1
+            return a * b
+
+    base = Counting()
+    P = PolyTarget(base)
+    assert P.mul((0, 0, 2), (0, Fraction(1, 3), 0)) == (0, 0, 0, Fraction(2, 3), 0)
+    assert base.products == 1
 
 
 def test_linf_norm_on_counit(ck):

@@ -76,8 +76,8 @@ def test_evolve_time_dependent_seed(binomial):
     assert gamma.polys[X] == TimePoly((0, 0, Fraction(1, 2)))
 
 
-def test_evolve_constant_curve_equals_exponential(ck, fdb_a):
-    for H, seed in ((ck, 21), (fdb_a, 22)):
+def test_evolve_constant_curve_equals_exponential(ck, fdb_a, ck2, shuffle_ab):
+    for H, seed in ((ck, 21), (fdb_a, 22), (ck2, 24), (shuffle_ab, 25)):
         vals = seeded_rational_values(H, 6, random.Random(seed))
         eta_curve = TimePolynomialCurve.constant(H, 6, vals)
         gamma = evolve(H, eta_curve, 6)
