@@ -20,11 +20,18 @@ Accumulation invariant: sums are built in place in a plain dict (see
 normalised once when wrapped in a vector; no zero coefficient is stored in a
 vector once it is returned.
 
-Construction: ``Monomial(mode, factors)`` validates -- it checks the mode,
-sorts commutative factors and rejects mixed alphabets.  ``Monomial.trusted``
-does none of this and trusts its caller to pass factors that are already in
-canonical order, from one alphabet, with their degree sum; only products and
-slices of validated monomials are built that way.
+Construction: monomials are hash-consed for the whole process, one object
+per (mode, factors).  ``Monomial(mode, factors)`` validates -- it checks the
+mode, sorts commutative factors and rejects mixed alphabets -- and then
+returns the object the table holds.  ``Monomial.trusted`` does none of the
+checks and trusts its caller to pass factors that are already in canonical
+order, from one alphabet, with their degree sum; only products and slices of
+validated monomials are built that way.  Equal monomials are therefore the
+same object, and equality and hashing are the default identity ones, so
+monomials, H (x) H pairs and other tuples of them compare and hash in C.
+:func:`monomial_product` keeps a process-wide memo ``(a, b) -> a.b`` of the
+pairs that passed its checks.  Neither table is ever cleared: it holds the
+monomials and products the process has built so far.
 """
 
 from __future__ import annotations
@@ -92,43 +99,46 @@ _ORDER = attrgetter("order")
 class Monomial:
     """A product of generators from one alphabet, in one commutativity mode.
 
-    The constructor validates its input; :meth:`trusted` does not.
+    Interned: the constructor and :meth:`trusted` both return the one object
+    held for (mode, factors), so ``==`` is ``is`` and the hash is the
+    object's identity.  The constructor validates its input; :meth:`trusted`
+    does not.  A monomial is shared by every holder and is never mutated.
     """
 
-    __slots__ = ("mode", "factors", "degree", "_hash")
+    __slots__ = ("mode", "factors", "degree")
 
-    def __init__(self, mode: str, factors: tuple[Generator, ...]):
+    def __new__(cls, mode: str, factors: tuple[Generator, ...]):
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == COMMUTATIVE:
-            factors = tuple(sorted(factors, key=_ORDER))
+        factors = tuple(sorted(factors, key=_ORDER)) if mode == COMMUTATIVE else tuple(factors)
+        m = _INTERNED[mode].get(factors)
+        if m is not None:
+            return m
         alphabets = {g.alphabet for g in factors}
         if len(alphabets) > 1:
             raise ValueError(f"mixed alphabets in one monomial: {sorted(alphabets)}")
-        self.mode = mode
-        self.factors = factors
-        self.degree = sum(g.degree for g in factors)
-        self._hash = hash((mode, factors))
+        return cls.trusted(mode, factors, sum(g.degree for g in factors))
+
+    def __init__(self, mode: str, factors: tuple[Generator, ...]):
+        """Nothing to do: ``__new__`` returned the interned, complete object."""
 
     @classmethod
     def trusted(cls, mode: str, factors: tuple[Generator, ...], degree: int) -> "Monomial":
-        """Build without sorting or checks: factors canonical, degree their sum."""
-        m = cls.__new__(cls)
-        m.mode = mode
-        m.factors = factors
-        m.degree = degree
-        m._hash = hash((mode, factors))
+        """The interned monomial, built without sorting or checks if new:
+        factors canonical, degree their sum."""
+        table = _INTERNED[mode]
+        m = table.get(factors)
+        if m is None:
+            m = object.__new__(cls)
+            m.mode = mode
+            m.factors = factors
+            m.degree = degree
+            table[factors] = m
         return m
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._hash == other._hash and self.mode == other.mode and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        # copies and unpickled monomials go through the table too
+        return (Monomial, (self.mode, self.factors))
 
     def is_empty(self) -> bool:
         return not self.factors
@@ -147,6 +157,11 @@ class Monomial:
 
 Key = Union[Monomial, tuple[Monomial, ...]]
 
+# mode -> {factors: the one monomial}, filled by Monomial.trusted
+_INTERNED: dict[str, dict[tuple[Generator, ...], Monomial]] = {mode: {} for mode in _MODES}
+# (a, b) -> a.b, only for pairs that passed monomial_product's checks
+_PRODUCTS: dict[tuple[Monomial, Monomial], Monomial] = {}
+
 
 def empty_monomial(mode: str) -> Monomial:
     return Monomial(mode, ())
@@ -159,22 +174,31 @@ def monomial_of(g: Generator, mode: str = COMMUTATIVE) -> Monomial:
 def monomial_product(a: Monomial, b: Monomial) -> Monomial:
     """Monoid product: multiset union (commutative) or concatenation (word).
 
-    Both factor tuples are already canonical, so a commutative product is a
-    merge, and the sort runs only when the two tuples interleave.
+    Memoised per pair.  Both factor tuples are already canonical, so a new
+    commutative product is a merge, and the sort runs only when the two
+    tuples interleave.  A pair of mixed modes or alphabets raises on every
+    call and is never stored.
     """
+    key = (a, b)
+    p = _PRODUCTS.get(key)
+    if p is not None:
+        return p
     if a.mode != b.mode:
         raise ValueError(f"cannot multiply a {a.mode} monomial by a {b.mode} one")
     fa, fb = a.factors, b.factors
     if not fa:
-        return b
-    if not fb:
-        return a
-    if fa[0].alphabet != fb[0].alphabet:
-        raise ValueError("cannot multiply monomials over different alphabets")
-    factors = fa + fb
-    if a.mode == COMMUTATIVE and fb[0].order < fa[-1].order:
-        factors = tuple(sorted(factors, key=_ORDER))
-    return Monomial.trusted(a.mode, factors, a.degree + b.degree)
+        p = b
+    elif not fb:
+        p = a
+    else:
+        if fa[0].alphabet != fb[0].alphabet:
+            raise ValueError("cannot multiply monomials over different alphabets")
+        factors = fa + fb
+        if a.mode == COMMUTATIVE and fb[0].order < fa[-1].order:
+            factors = tuple(sorted(factors, key=_ORDER))
+        p = Monomial.trusted(a.mode, factors, a.degree + b.degree)
+    _PRODUCTS[key] = p
+    return p
 
 
 def add_scaled(acc: dict, terms: Mapping, c: Coeff) -> None:

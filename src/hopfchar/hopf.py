@@ -45,6 +45,7 @@ class HopfAlgebra(ABC):
 
     def __init__(self):
         self._coproduct_cache: dict[Monomial, TensorVector] = {}
+        self._reduced_cache: dict[Monomial, TensorVector] = {}
         self._antipode_cache: dict[Monomial, GradedVector] = {}
         self._rec_cache: dict[tuple[int, Monomial], GradedVector] = {}
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
@@ -182,11 +183,14 @@ class HopfAlgebra(ABC):
 
     def reduced_coproduct_monomial(self, m: Monomial) -> TensorVector:
         """Coproduct minus the two primitive terms m (x) 1 and 1 (x) m."""
-        if m.is_empty():
-            return TensorVector()
-        full = self.coproduct_monomial(m)
-        return TensorVector.trusted(
-            {p: c for p, c in full.terms.items() if p[0].factors and p[1].factors})
+        cached = self._reduced_cache.get(m)
+        if cached is not None:
+            return cached
+        out = TensorVector.trusted(
+            {p: c for p, c in self.coproduct_monomial(m).terms.items()
+             if p[0].factors and p[1].factors})
+        self._reduced_cache[m] = out
+        return out
 
     def counit(self, v: GradedVector) -> Coeff:
         return v.counit(self.mode)

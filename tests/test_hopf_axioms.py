@@ -274,6 +274,18 @@ def test_ck_maps_accept_a_generator_of_another_instance(ck):
     H = instance_by_name("ck")
     assert H.coproduct_monomial(g) == ck.coproduct_monomial(g)
     assert H.antipode_generator_explicit(g) == ck.antipode_generator_explicit(g)
+    # two fresh instances; the second one first sees the generators of the
+    # first, from the top degree down, so it grafts each one on first use
+    H1, H2 = instance_by_name("ck"), instance_by_name("ck")
+    for n in range(6, 0, -1):
+        for g in H1.generators(n):
+            assert H2.coproduct_monomial(g) == H1.coproduct_monomial(g)
+            assert H2.antipode_generator_explicit(g) == H1.antipode_generator_explicit(g)
+            for variant in (1, 2):
+                assert H2.antipode_recursive(g, variant) == H1.antipode_recursive(g, variant)
+    for n in range(1, 7):
+        gens1, gens2 = H1.generators(n), H2.generators(n)
+        assert len(gens1) == len(gens2) and all(a is b for a, b in zip(gens1, gens2))
 
 
 def test_ck_closed_antipode_never_reads_the_coproduct(monkeypatch):
@@ -287,3 +299,16 @@ def test_ck_closed_antipode_never_reads_the_coproduct(monkeypatch):
     for n in range(1, 7):
         for g in H.generators(n):
             H.antipode_generator_explicit(g)
+
+
+@pytest.mark.parametrize("name,degree", [("ck", 6), ("fdb-a", 7), ("shuffle:ab", 6)])
+def test_reduced_coproduct_is_memoised_and_drops_the_primitive_terms(name, degree):
+    H = instance_by_name(name)
+    one = H.empty()
+    assert H.reduced_coproduct_monomial(one).is_zero()
+    for m in H.basis_upto(degree)[1:]:
+        reduced = H.reduced_coproduct_monomial(m)
+        assert H.reduced_coproduct_monomial(m) is reduced
+        full = dict(H.coproduct_monomial(m).terms)
+        assert full.pop((m, one)) == 1 and full.pop((one, m)) == 1
+        assert reduced.terms == full

@@ -1,9 +1,13 @@
 """File formats, report rendering, and the command-line workflows."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import cos, e, exp
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -162,6 +166,28 @@ def test_cli_axioms_deterministic_bytes(tmp_path):
     env = _validated(out1, "report-axioms")
     assert env["status"] == "pass"
     assert env["report"]["violations"] == []
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # monomials hash by identity and strings by a seeded hash, so a report
+    # that followed hash order would differ between these processes
+    jobs = {"axioms": ["axioms", "--hopf", "ck2", "--max-degree", "4"],
+            "control": ["control-check", "--hopf", "ck", "--family", "pow",
+                        "--k1", "1", "--k2", "2", "--max-degree", "6"]}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports_by_seed = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = {}
+        for name, argv in jobs.items():
+            path = tmp_path / f"{name}-{seed}.json"
+            proc = subprocess.run([sys.executable, "-m", "hopfchar.cli", *argv,
+                                   "--out", str(path)], env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            out[name] = path.read_bytes()
+        reports_by_seed.append(out)
+    assert reports_by_seed[0] == reports_by_seed[1]
 
 
 def test_cli_safety_limit_and_env_override(tmp_path, monkeypatch, capsys):
