@@ -25,8 +25,8 @@ from .evolution import evolve
 from .growth import BUILTIN_FAMILIES, builtin, check_all_axioms
 from .hopf import check_hopf_axioms
 from .instances import INSTANCE_NAMES, instance_by_name
-from .series import (bseries_order_terms, exact_flow_character,
-                     pseries_order_terms, wordseries_order_terms)
+from .series import (bseries_order_terms, exact_flow_character, partial_sums,
+                     pseries_order_terms, series_rows, wordseries_order_terms)
 
 SAFETY_LIMITS = {"tree": 12, "fdb": 14, "word": 10, "poly": 64}
 
@@ -226,22 +226,9 @@ def run_char(args) -> tuple[bool, dict]:
     return True, payload
 
 
-def _series_rows(terms, start, h):
-    rows = []
-    partial = list(start)
-    hp = 1
-    for n, term in enumerate(terms, start=1):
-        hp = hp * h
-        inc_vec = [hp * v for v in term]
-        partial = [u + v for u, v in zip(partial, inc_vec)]
-        inc = max((abs(v) for v in inc_vec), default=0)
-        rows.append({"order": n, "increment": float(inc),
-                     "partial": [float(v) for v in partial]})
-    return rows, partial
-
-
-def _emit_series(args, payload, rows):
+def _emit_series(args, payload):
     if args.csv:
+        rows = payload["rows"]
         data = reports.series_csv([r["order"] for r in rows],
                                   [r["increment"] for r in rows],
                                   [r["partial"] for r in rows])
@@ -250,57 +237,53 @@ def _emit_series(args, payload, rows):
     return True, payload
 
 
-def _tree_coefficients(path: str, expected_instance: str) -> dict:
-    phi = _load_character(path)
-    if phi.hopf.name != expected_instance:
-        raise ConfigError(f"coefficient file must be a {expected_instance} character")
-    out = {}
-    for g, v in phi.values.items():
-        out[phi.hopf.tree_of(g.factors[0])] = v
-    return out
+def _tree_series(args, colours: int, dim: int, start, terms_of) -> tuple[dict, tuple]:
+    """What bseries (one colour, ck) and pseries (two, ck2) share: the order
+    limit, the step size, the coefficients (exact flow or a character file)
+    and the rows.  terms_of(a) gives the flat per-order terms for
+    coefficients a."""
+    if args.max_order > degree_limit("tree"):
+        raise ConfigError(f"max order {args.max_order} exceeds the tree safety limit")
+    h = _parse_rational(args.h)
+    if args.coeffs == "exact-flow":
+        a = exact_flow_character(args.max_order, colours)
+    else:
+        expected = "ck" if colours == 1 else "ck2"
+        phi = _load_character(args.coeffs)
+        if phi.hopf.name != expected:
+            raise ConfigError(f"coefficient file must be a {expected} character")
+        a = {phi.hopf.tree_of(g.factors[0]): v for g, v in phi.values.items()}
+    table, final = partial_sums(terms_of(a), start, h)
+    payload = {"series": args.subcommand, "dim": dim, "h": str(h),
+               "max_order": args.max_order, "coefficients": args.coeffs,
+               "rows": series_rows(table)}
+    return payload, final
 
 
 def run_bseries(args) -> tuple[bool, dict]:
-    if args.max_order > degree_limit("tree"):
-        raise ConfigError(f"max order {args.max_order} exceeds the tree safety limit")
     f = _field_or_error(reports.field_from_json, args.field)
     y0 = _parse_point(args.y)
     if len(y0) != f.dim:
         raise ConfigError(f"initial point has {len(y0)} components, field has {f.dim}")
-    h = _parse_rational(args.h)
-    if args.coeffs == "exact-flow":
-        a = exact_flow_character(args.max_order)
-    else:
-        a = _tree_coefficients(args.coeffs, "ck")
-    terms = bseries_order_terms(a, f, y0, args.max_order)
-    rows, final = _series_rows(terms, y0, h)
-    payload = {"series": "bseries", "dim": f.dim, "h": str(h),
-               "max_order": args.max_order, "coefficients": args.coeffs,
-               "rows": rows, "final": [float(v) for v in final]}
-    return _emit_series(args, payload, rows)
+    payload, final = _tree_series(
+        args, 1, f.dim, y0, lambda a: bseries_order_terms(a, f, y0, args.max_order))
+    payload["final"] = [float(v) for v in final]
+    return _emit_series(args, payload)
 
 
 def run_pseries(args) -> tuple[bool, dict]:
-    if args.max_order > degree_limit("tree"):
-        raise ConfigError(f"max order {args.max_order} exceeds the tree safety limit")
     system = _field_or_error(reports.coloured_system_from_json, args.system)
     p0 = _parse_point(args.p)
     q0 = _parse_point(args.q)
     if len(p0) != system.dim or len(q0) != system.dim:
         raise ConfigError("p and q must each have dim components")
-    h = _parse_rational(args.h)
-    if args.coeffs == "exact-flow":
-        a = exact_flow_character(args.max_order, colours=2)
-    else:
-        a = _tree_coefficients(args.coeffs, "ck2")
-    pairs = pseries_order_terms(a, system, p0, q0, args.max_order)
-    terms = [tp + tq for tp, tq in pairs]
-    rows, final = _series_rows(terms, tuple(p0) + tuple(q0), h)
-    payload = {"series": "pseries", "dim": system.dim, "h": str(h),
-               "max_order": args.max_order, "coefficients": args.coeffs,
-               "rows": rows, "final_p": [float(v) for v in final[:system.dim]],
-               "final_q": [float(v) for v in final[system.dim:]]}
-    return _emit_series(args, payload, rows)
+    payload, final = _tree_series(
+        args, 2, system.dim, p0 + q0,
+        lambda a: [tp + tq for tp, tq in pseries_order_terms(a, system, p0, q0,
+                                                             args.max_order)])
+    payload["final_p"] = [float(v) for v in final[:system.dim]]
+    payload["final_q"] = [float(v) for v in final[system.dim:]]
+    return _emit_series(args, payload)
 
 
 def run_wordseries(args) -> tuple[bool, dict]:
@@ -327,12 +310,11 @@ def run_wordseries(args) -> tuple[bool, dict]:
             return _phi.evaluate(_phi.hopf.monomial_from_text("".join(w)))
 
     terms = wordseries_order_terms(delta, system, x0, args.max_length)
-    start = [delta(()) * v for v in x0]
-    rows, final = _series_rows(terms, start, 1)
+    table, final = partial_sums(terms, [delta(()) * v for v in x0])
     payload = {"series": "wordseries", "dim": system.dim,
                "max_length": args.max_length, "coefficients": args.coeffs,
-               "rows": rows, "final": [float(v) for v in final]}
-    return _emit_series(args, payload, rows)
+               "rows": series_rows(table), "final": [float(v) for v in final]}
+    return _emit_series(args, payload)
 
 
 def _field_or_error(loader, path):

@@ -242,14 +242,9 @@ class ColouredPolySystem:
 
 
 class WordSystem:
-    """One polynomial field per letter, all on the same R^d.
+    """One polynomial field per letter, all on the same R^d."""
 
-    Optional per-letter scalar coefficient polynomials in t are carried
-    along for callers that build time-dependent combinations; the series
-    evaluators themselves consume word-indexed coefficients directly.
-    """
-
-    def __init__(self, fields: Mapping[str, PolyVectorField], lambdas=None):
+    def __init__(self, fields: Mapping[str, PolyVectorField]):
         if not fields:
             raise ValueError("need at least one letter")
         dims = {f.dim for f in fields.values()}
@@ -258,7 +253,6 @@ class WordSystem:
         self.fields = dict(fields)
         self.alphabet = "".join(sorted(self.fields))
         self.dim = dims.pop()
-        self.lambdas = dict(lambdas) if lambdas else {}
         self._basis_maps: dict[tuple, PolyMap] = {}
 
     def field(self, letter: str) -> PolyVectorField:

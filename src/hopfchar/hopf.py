@@ -30,7 +30,6 @@ from .core import (
     GradedVector,
     Monomial,
     TensorVector,
-    add_scaled,
     empty_monomial,
     monomial_product,
     tensor_product,
@@ -175,12 +174,6 @@ class HopfAlgebra(ABC):
         self._coproduct_cache[m] = out
         return out
 
-    def coproduct(self, v: GradedVector) -> TensorVector:
-        acc: dict[tuple[Monomial, Monomial], Coeff] = {}
-        for m, c in v.terms.items():
-            add_scaled(acc, self.coproduct_monomial(m).terms, c)
-        return TensorVector(acc)
-
     def reduced_coproduct_monomial(self, m: Monomial) -> TensorVector:
         """Coproduct minus the two primitive terms m (x) 1 and 1 (x) m."""
         cached = self._reduced_cache.get(m)
@@ -218,12 +211,6 @@ class HopfAlgebra(ABC):
                 out = self.product(out, self.antipode_monomial(Monomial.trusted(m.mode, (g,), g.degree)))
         self._antipode_cache[m] = out
         return out
-
-    def antipode(self, v: GradedVector) -> GradedVector:
-        acc: dict[Monomial, Coeff] = {}
-        for m, c in v.terms.items():
-            add_scaled(acc, self.antipode_monomial(m).terms, c)
-        return GradedVector(acc)
 
     def antipode_recursive(self, m: Monomial, variant: int = 1) -> GradedVector:
         """S from the connected-grading recursion.

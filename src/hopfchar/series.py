@@ -3,6 +3,12 @@
 Coefficients are supplied per tree (or per word) and the evaluators build
 exact order-by-order increments, so identity checks downstream can demand
 rational equality rather than tolerances.
+
+A B-series is the one-colour P-series: one elementary-differential
+recursion and one tree pass serve both, with a map and a variable block per
+colour.  One partial-sum table turns the increments of any of the three
+series into the exact partial sums and the rows the CLI and
+:func:`convergence_probe` report.
 """
 
 from __future__ import annotations
@@ -32,16 +38,41 @@ def sigma(t: RootedTree) -> int:
     return out
 
 
+def partial_sums(terms: Sequence[Sequence], start: Sequence, h: Coeff = 1) -> tuple:
+    """The partial sums start + sum over k <= n of h^k T_k, exactly, order by order.
+
+    Returns (table, final): table[n - 1] pairs the largest component of the
+    increment h^n T_n with the partial sum through order n, and final is
+    the last partial sum (start itself when there are no terms).
+    """
+    table = []
+    partial = tuple(start)
+    hp = 1
+    for term in terms:
+        hp = hp * h
+        step = [hp * v for v in term]
+        partial = tuple(u + v for u, v in zip(partial, step))
+        table.append((max((abs(v) for v in step), default=0), partial))
+    return table, partial
+
+
+def series_rows(table: Sequence) -> list:
+    """A partial-sum table as report rows, in floats."""
+    return [{"order": n, "increment": float(inc), "partial": [float(v) for v in partial]}
+            for n, (inc, partial) in enumerate(table, start=1)]
+
+
 def elementary_differential(f: PolyVectorField, t: RootedTree, y: Sequence) -> tuple:
     """F(t)(y): the m-linear derivative of f at y fed the child values."""
-    return _elementary(f, t, y, {}, t.order)
+    return _elementary((f,), (range(f.nvars),), t, y, {}, t.order)
 
 
 def coloured_elementary_differential(system: ColouredPolySystem, t: RootedTree,
                                      point: Sequence) -> tuple:
     """Partitioned-system variant: root colour picks the map (0 -> f, 1 -> g),
     each child's colour picks which variable block its derivative ranges over."""
-    return _coloured_elementary(system, t, point, {}, t.order)
+    return _elementary((system.f, system.g), (system.p_slot, system.q_slot), t, point,
+                       {}, t.order)
 
 
 # Within one series pass, F(t) is computed once per distinct tree: memo maps
@@ -49,30 +80,16 @@ def coloured_elementary_differential(system: ColouredPolySystem, t: RootedTree,
 # the top order is never the child of another tree in the pass.
 
 
-def _elementary(f: PolyVectorField, t: RootedTree, y: Sequence, memo: dict,
-                top: int) -> tuple:
+def _elementary(maps: Sequence[PolyMap], slots: Sequence[Sequence[int]], t: RootedTree,
+                point: Sequence, memo: dict, top: int) -> tuple:
+    """F(t)(point) with maps[c] at a root of colour c and slots[c] the
+    variables a child of colour c ranges over."""
     vec = memo.get(t)
     if vec is None:
+        fmap = maps[t.colour]
         if t.children:
-            vec = f.deriv_apply(y, [_elementary(f, c, y, memo, top) for c in t.children])
-        else:
-            vec = f.evaluate(y)
-        if t.order < top:
-            memo[t] = vec
-    return vec
-
-
-def _coloured_elementary(system: ColouredPolySystem, t: RootedTree, point: Sequence,
-                         memo: dict, top: int) -> tuple:
-    vec = memo.get(t)
-    if vec is None:
-        fmap = system.f if t.colour == 0 else system.g
-        if t.children:
-            vectors = [_coloured_elementary(system, c, point, memo, top)
-                       for c in t.children]
-            slots = [system.p_slot if c.colour == 0 else system.q_slot
-                     for c in t.children]
-            vec = fmap.deriv_apply(point, vectors, slots)
+            vectors = [_elementary(maps, slots, c, point, memo, top) for c in t.children]
+            vec = fmap.deriv_apply(point, vectors, [slots[c.colour] for c in t.children])
         else:
             vec = fmap.evaluate(point)
         if t.order < top:
@@ -80,10 +97,31 @@ def _coloured_elementary(system: ColouredPolySystem, t: RootedTree, point: Seque
     return vec
 
 
-def _value_of(a, t: RootedTree):
+def _coefficient(a, key):
+    """a(key) for a callable, a.get(key, 0) for a mapping."""
     if callable(a):
-        return a(t)
-    return a.get(t, 0)
+        return a(key)
+    return a.get(key, 0)
+
+
+def _tree_terms(a, maps: Sequence[PolyMap], slots: Sequence[Sequence[int]],
+                point: Sequence, max_order: int) -> list:
+    """Per order n, one vector per root colour c: the sum over trees t with
+    n nodes and root colour c of a(t)/sigma(t) * F(t)(point)."""
+    dim = maps[0].dim
+    memo: dict[RootedTree, tuple] = {}
+    terms = []
+    for n in range(1, max_order + 1):
+        accs = [[0] * dim for _ in maps]
+        for t in trees_of_order(n, len(maps)):
+            c = _coefficient(a, t)
+            if not c:
+                continue
+            c = Fraction(c, sigma(t)) if isinstance(c, int) else c / sigma(t)
+            vec = _elementary(maps, slots, t, point, memo, max_order)
+            accs[t.colour] = [u + c * v for u, v in zip(accs[t.colour], vec)]
+        terms.append(tuple(tuple(acc) for acc in accs))
+    return terms
 
 
 def bseries_order_terms(a, f: PolyVectorField, y: Sequence, max_order: int) -> list:
@@ -92,29 +130,12 @@ def bseries_order_terms(a, f: PolyVectorField, y: Sequence, max_order: int) -> l
     The series partial sum is then y + sum h^n T_n; keeping the h-free terms
     lets callers probe several step sizes from one symbolic pass.
     """
-    memo: dict[RootedTree, tuple] = {}
-    terms = []
-    for n in range(1, max_order + 1):
-        acc = [0] * f.dim
-        for t in trees_of_order(n):
-            c = _value_of(a, t)
-            if not c:
-                continue
-            c = Fraction(c, sigma(t)) if isinstance(c, int) else c / sigma(t)
-            vec = _elementary(f, t, y, memo, max_order)
-            acc = [u + c * v for u, v in zip(acc, vec)]
-        terms.append(tuple(acc))
-    return terms
+    return [term for (term,) in _tree_terms(a, (f,), (range(f.nvars),), y, max_order)]
 
 
 def bseries_partial(a, f: PolyVectorField, y: Sequence, h: Coeff,
                     max_order: int) -> tuple:
-    out = list(y)
-    hp = 1
-    for term in bseries_order_terms(a, f, y, max_order):
-        hp = hp * h
-        out = [u + hp * v for u, v in zip(out, term)]
-    return tuple(out)
+    return partial_sums(bseries_order_terms(a, f, y, max_order), y, h)[1]
 
 
 def exact_flow_character(max_order: int, colours: int = 1) -> dict:
@@ -164,37 +185,15 @@ def pseries_order_terms(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
     Trees rooted at colour 0 contribute to the first block, colour 1 to the
     second, each weighted a(t)/sigma(t).
     """
-    point = tuple(p) + tuple(q)
-    d = system.dim
-    memo: dict[RootedTree, tuple] = {}
-    terms = []
-    for n in range(1, max_order + 1):
-        accp = [0] * d
-        accq = [0] * d
-        for t in trees_of_order(n, colours=2):
-            c = _value_of(a, t)
-            if not c:
-                continue
-            c = Fraction(c, sigma(t)) if isinstance(c, int) else c / sigma(t)
-            vec = _coloured_elementary(system, t, point, memo, max_order)
-            if t.colour == 0:
-                accp = [u + c * v for u, v in zip(accp, vec)]
-            else:
-                accq = [u + c * v for u, v in zip(accq, vec)]
-        terms.append((tuple(accp), tuple(accq)))
-    return terms
+    return _tree_terms(a, (system.f, system.g), (system.p_slot, system.q_slot),
+                       tuple(p) + tuple(q), max_order)
 
 
 def pseries_partial(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
                     h: Coeff, max_order: int) -> tuple:
-    outp = list(p)
-    outq = list(q)
-    hp = 1
-    for termp, termq in pseries_order_terms(a, system, p, q, max_order):
-        hp = hp * h
-        outp = [u + hp * v for u, v in zip(outp, termp)]
-        outq = [u + hp * v for u, v in zip(outq, termq)]
-    return tuple(outp), tuple(outq)
+    terms = [tp + tq for tp, tq in pseries_order_terms(a, system, p, q, max_order)]
+    final = partial_sums(terms, tuple(p) + tuple(q), h)[1]
+    return final[:system.dim], final[system.dim:]
 
 
 def word_basis_map(sys: WordSystem, w: Sequence[str]) -> PolyMap:
@@ -221,12 +220,6 @@ def word_basis_function(sys: WordSystem, w: Sequence[str], x: Sequence) -> tuple
     return word_basis_map(sys, w).evaluate(x)
 
 
-def _delta_value(delta, w):
-    if callable(delta):
-        return delta(w)
-    return delta.get(w, 0)
-
-
 def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequence,
                            max_length: int) -> list:
     """Per-length vectors: sum of delta(w) f_w(x) over words of each length."""
@@ -234,7 +227,7 @@ def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequen
     for n in range(1, max_length + 1):
         acc = [0] * sys.dim
         for w in all_words(sys.alphabet, n):
-            c = _delta_value(delta, w)
+            c = _coefficient(delta, w)
             if not c:
                 continue
             vec = word_basis_function(sys, w, x)
@@ -246,11 +239,8 @@ def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequen
 def wordseries_partial(delta: Callable | Mapping, sys: WordSystem, x: Sequence,
                        max_length: int) -> tuple:
     """delta(empty) * x plus sum of delta(w) f_w(x) over 1 <= |w| <= max_length."""
-    c0 = _delta_value(delta, ())
-    out = [c0 * v for v in x]
-    for term in wordseries_order_terms(delta, sys, x, max_length):
-        out = [u + v for u, v in zip(out, term)]
-    return tuple(out)
+    start = [_coefficient(delta, ()) * v for v in x]
+    return partial_sums(wordseries_order_terms(delta, sys, x, max_length), start)[1]
 
 
 def convergence_probe(a, f: PolyVectorField, y: Sequence, h_list: Sequence,
@@ -264,23 +254,12 @@ def convergence_probe(a, f: PolyVectorField, y: Sequence, h_list: Sequence,
     terms = bseries_order_terms(a, f, y, max_order)
     results = []
     for h in h_list:
-        partial = list(y)
-        hp = 1
-        rows = []
-        incs = []
-        for n, term in enumerate(terms, start=1):
-            hp = hp * h
-            inc_vec = [hp * v for v in term]
-            partial = [u + v for u, v in zip(partial, inc_vec)]
-            inc = max((abs(v) for v in inc_vec), default=0)
-            incs.append(inc)
-            rows.append({"order": n, "increment": float(inc),
-                         "partial": [float(v) for v in partial]})
-        tail = incs[-4:]
+        table, _ = partial_sums(terms, y, h)
+        tail = [inc for inc, _ in table[-4:]]
         ok = all(b < a_ for a_, b in zip(tail, tail[1:]) if a_ or b) \
             if len(tail) >= 2 else False
         if tail and all(v == 0 for v in tail):
             ok = True
-        results.append({"h": float(h), "rows": rows,
+        results.append({"h": float(h), "rows": series_rows(table),
                         "verdict": "contracting" if ok else "not-contracting"})
     return {"max_order": max_order, "tables": results}

@@ -114,9 +114,22 @@ def _max_colour(t: RootedTree) -> int:
     return max([t.colour] + [_max_colour(c) for c in t.children])
 
 
-@lru_cache(maxsize=None)
+# The public functions normalise their arguments before the cached ones see
+# them, so trees_of_order(n), (n, 1) and (n, colours=1) share one entry.
+
+
 def trees_of_order(n: int, colours: int = 1) -> tuple[RootedTree, ...]:
     """All canonical rooted trees with n nodes, deterministically ordered."""
+    return _trees_of_order(n, colours)
+
+
+def forests_of_order(n: int, colours: int = 1) -> tuple[tuple[RootedTree, ...], ...]:
+    """All multisets of trees with total node count n, as sorted tuples."""
+    return _forests_of_order(n, colours)
+
+
+@lru_cache(maxsize=None)
+def _trees_of_order(n: int, colours: int) -> tuple[RootedTree, ...]:
     if n < 1:
         return ()
     # forests_of_order yields its forests in _sort_key order already
@@ -127,8 +140,7 @@ def trees_of_order(n: int, colours: int = 1) -> tuple[RootedTree, ...]:
 
 
 @lru_cache(maxsize=None)
-def forests_of_order(n: int, colours: int = 1) -> tuple[tuple[RootedTree, ...], ...]:
-    """All multisets of trees with total node count n, as sorted tuples."""
+def _forests_of_order(n: int, colours: int) -> tuple[tuple[RootedTree, ...], ...]:
     if n == 0:
         return ((),)
     pool = []

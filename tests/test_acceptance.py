@@ -178,11 +178,11 @@ def test_criterion_07_character_group_laws():
                 lhs = convolve(convolve(phi, psi), chi)
                 rhs = convolve(phi, convolve(psi, chi))
                 assert all(lhs.evaluate(m) == rhs.evaluate(m) for m in basis), (label, i)
-                assert all(convolve(eps, phi).evaluate(m) == phi.evaluate(m)
-                           for m in basis), (label, i)
+                unit = convolve(eps, phi)
+                assert all(unit.evaluate(m) == phi.evaluate(m) for m in basis), (label, i)
                 inv = inverse(phi)
-                assert all(convolve(phi, inv).evaluate(m) == eps.evaluate(m)
-                           for m in basis), (label, i)
+                product = convolve(phi, inv)
+                assert all(product.evaluate(m) == eps.evaluate(m) for m in basis), (label, i)
                 got = linf_norm(convolve(phi, psi), fam, 2)
                 cap = (linf_norm(phi, fam, 1, over="monomials")
                        * linf_norm(psi, fam, 1, over="monomials") * c_hat)

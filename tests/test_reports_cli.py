@@ -17,6 +17,7 @@ from hopfchar.characters import (DUAL, RATIONAL, TruncatedCharacter,
                                  TruncatedInfChar)
 from hopfchar.evolution import TimePoly, TimePolynomialCurve
 from hopfchar.fields import Poly, PolyVectorField
+from hopfchar.series import exact_flow_character
 from oracles import seeded_rational_values
 
 
@@ -346,6 +347,41 @@ def test_cli_bseries_character_coefficients(tmp_path, ck):
     env = _read(out)
     assert env["report"]["final"] == [pytest.approx(2 / 3)]
     assert all(r["increment"] == 0 for r in env["report"]["rows"])
+
+
+PENDULUM = {"dim": 1,
+            "f": [[{"monomial": [0, 1], "coeff": "1"}, {"monomial": [0, 3], "coeff": "-1/6"}]],
+            "g": [[{"monomial": [1, 0], "coeff": "-1"}]]}
+
+
+@pytest.mark.parametrize("colours", [1, 2])
+def test_cli_tree_series_coefficient_file_matches_exact_flow(tmp_path, ck, ck2, colours):
+    # the exact-flow coefficients written as a ck (ck2) character file give
+    # the same rows and finals as --coeffs exact-flow
+    H, N = (ck, ck2)[colours - 1], 6
+    values = {H.tree_monomial(t): v for t, v in exact_flow_character(N, colours).items()}
+    coeffs = tmp_path / "a.json"
+    coeffs.write_text(json.dumps(reports.character_to_json(
+        TruncatedCharacter(H, N, RATIONAL, values))))
+    inputs = tmp_path / "inputs.json"
+    if colours == 1:
+        inputs.write_text(json.dumps(FIELD_SQUARE))
+        argv = ["bseries", "--field", str(inputs), "--y", "2/3"]
+        finals = ["final"]
+    else:
+        inputs.write_text(json.dumps(PENDULUM))
+        argv = ["pseries", "--system", str(inputs), "--p", "1", "--q", "1/2"]
+        finals = ["final_p", "final_q"]
+    got = []
+    for i, source in enumerate(("exact-flow", str(coeffs))):
+        out = tmp_path / f"{i}.json"
+        assert _run(*argv, "--coeffs", source, "--h", "1/3", "--max-order", str(N),
+                    "--out", str(out)) == 0
+        got.append(_validated(out, f"report-{argv[0]}")["report"])
+    flow, filed = got
+    assert all(r["increment"] for r in filed["rows"])
+    assert filed["rows"] == flow["rows"]
+    assert [filed[k] for k in finals] == [flow[k] for k in finals]
 
 
 def test_cli_pseries_rotation(tmp_path):

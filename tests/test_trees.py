@@ -104,6 +104,14 @@ def test_forests_of_order():
         assert len(singles) == len(trees_of_order(n))
 
 
+def test_each_call_form_shares_one_enumeration():
+    for colours in (1, 2):
+        assert trees_of_order(5, colours) is trees_of_order(5, colours=colours)
+        assert forests_of_order(5, colours) is forests_of_order(5, colours=colours)
+    assert trees_of_order(5) is trees_of_order(5, 1) is trees_of_order(5, colours=1)
+    assert forests_of_order(5) is forests_of_order(5, 1) is forests_of_order(5, colours=1)
+
+
 def test_root_cuts_structure():
     t = parse_tree("[B]")
     cuts = root_cuts(t)
