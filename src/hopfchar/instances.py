@@ -50,8 +50,6 @@ from .words import (
     is_lyndon,
     lyndon_words,
     rearrangements,
-    shuffle_many,
-    shuffle_words,
 )
 
 # --------------------------------------------------------------------------
@@ -256,36 +254,45 @@ class ConnesKreimer(HopfAlgebra):
         """S(t) = Σ over edge subsets p of (-1)^{1 + #loose} root·loose, where
         t minus p is the root component and the loose forest."""
         terms: dict[Monomial, Coeff] = {}
-        for (root, loose), n in self._edge_cut_states(g.factors[0]).items():
+        for (root, loose), n in self._fold_cut_states(g.factors[0]).items():
             m = monomial_product(root, loose)
             terms[m] = terms.get(m, 0) + (n if len(loose.factors) % 2 else -n)
         return GradedVector(terms)
 
     def _edge_cut_states(self, g: Generator) -> dict[tuple[Monomial, Monomial], int]:
+        """The cut states of g as a child of a larger tree, memoised.
+
+        Only child trees are stored: the tree whose antipode is asked for is
+        folded by :meth:`antipode_generator_explicit` without storing its
+        states, which no larger tree of the sweep may ever read, and its
+        antipode is cached, so no tree is folded twice as the top tree.
+        """
+        states = self._cut_states.get(g)
+        if states is None:
+            states = self._cut_states[g] = self._fold_cut_states(g)
+        return states
+
+    def _fold_cut_states(self, g: Generator) -> dict[tuple[Monomial, Monomial], int]:
         """{(root component, loose forest): number of edge subsets giving it}.
 
         Folded child by child: the edge into a child is kept (its root
         component joins the root's children) or cut (it joins the loose
         forest), and equal states merge before the next child.
         """
-        states = self._cut_states.get(g)
-        if states is None:
-            colour, forest = self._shape(g)
-            empty = self.empty()
-            acc: dict[tuple[Monomial, Monomial], int] = {(empty, empty): 1}
-            for child in forest.factors:
-                child_states = self._edge_cut_states(child).items()
-                folded: dict[tuple[Monomial, Monomial], int] = {}
-                for (kept, loose), n in acc.items():
-                    for (r, l), k in child_states:
-                        rest = monomial_product(loose, l)
-                        for key in ((monomial_product(kept, r), rest),
-                                    (kept, monomial_product(rest, r))):
-                            folded[key] = folded.get(key, 0) + n * k
-                acc = folded
-            states = {(self.graft(colour, kept), loose): n for (kept, loose), n in acc.items()}
-            self._cut_states[g] = states
-        return states
+        colour, forest = self._shape(g)
+        empty = self.empty()
+        acc: dict[tuple[Monomial, Monomial], int] = {(empty, empty): 1}
+        for child in forest.factors:
+            child_states = self._edge_cut_states(child).items()
+            folded: dict[tuple[Monomial, Monomial], int] = {}
+            for (kept, loose), n in acc.items():
+                for (r, l), k in child_states:
+                    rest = monomial_product(loose, l)
+                    for key in ((monomial_product(kept, r), rest),
+                                (kept, monomial_product(rest, r))):
+                        folded[key] = folded.get(key, 0) + n * k
+            acc = folded
+        return {(self.graft(colour, kept), loose): n for (kept, loose), n in acc.items()}
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +305,20 @@ class Shuffle(HopfAlgebra):
     The vector-space basis in each degree is the full set of words; the
     polynomial generators are the Lyndon words, via the factorisation of
     every word as a shuffle polynomial in Lyndon words.
+
+    A word is coded as an int in base B = |A| + 1 with no zero digit: the
+    i-th letter of the alphabet is the digit i + 1, the first letter of the
+    word the most significant digit and the empty word 0, so a code fixes
+    both the word and its length, and a letter a goes in front of a word w
+    of length L as a·B^L + w.  Products and the triangular solve of
+    :meth:`character_value` go through one per-instance table
+    (u code, v code) -> {w code: count}, filled by the front recursion
+    au ш bv = a(u ш bv) + b(au ш v) in the insertion order of
+    :func:`~hopfchar.words.shuffle_words`, so every sum accumulates in the
+    same order.  The table keeps only the sub-pairs the recursion reaches:
+    the pair a caller asks for is built from its two stored sub-pairs and
+    not kept, as the axiom sweep asks for each such pair at most twice while
+    the larger degrees read the sub-pairs again.
     """
 
     mode = WORD
@@ -311,19 +332,76 @@ class Shuffle(HopfAlgebra):
         self.letters = "".join(sorted(letters))
         self.name = f"shuffle:{self.letters}"
         self._gen = {ch: Generator(self.name, ch, 1) for ch in self.letters}
-        self._word_monomials: dict[Word, Monomial] = {}
+        self._base = len(self.letters) + 1
+        self._digits = {ch: i + 1 for i, ch in enumerate(self.letters)}
+        self._powers = [1]  # B^L at index L, extended by _shuffle_top
+        # word code <-> the one word monomial
+        self._monomials: dict[int, Monomial] = {}
+        self._codes: dict[Monomial, int] = {}
+        self._shuffles: dict[tuple[int, int], dict[int, int]] = {}
         self._solve_rows: dict[Monomial, tuple] = {}
         self._word_classes: dict[Word, tuple[Monomial, ...]] = {}
 
     def word_monomial(self, w: Word) -> Monomial:
-        m = self._word_monomials.get(w)
+        code = 0
+        for ch in w:
+            code = code * self._base + self._digits[ch]
+        m = self._monomials.get(code)
         if m is None:
             m = Monomial(WORD, tuple(self._gen[ch] for ch in w))
-            self._word_monomials[w] = m
+            self._monomials[code] = m
+            self._codes[m] = code
         return m
 
     def word_of(self, m: Monomial) -> Word:
         return tuple(g.key for g in m.factors)
+
+    def _code_monomial(self, code: int) -> Monomial:
+        m = self._monomials.get(code)
+        if m is None:
+            digits = []
+            while code:
+                code, d = divmod(code, self._base)
+                digits.append(self.letters[d - 1])
+            m = self.word_monomial(tuple(reversed(digits)))
+        return m
+
+    def _code(self, m: Monomial) -> int:
+        code = self._codes.get(m)
+        if code is None:
+            code = self._codes[self.word_monomial(self.word_of(m))]
+        return code
+
+    def _shuffle_top(self, a: Monomial, b: Monomial) -> dict[int, int]:
+        """a ш b as {w code: count}, in the order of words.shuffle_words."""
+        powers = self._powers
+        while len(powers) <= a.degree + b.degree:
+            powers.append(powers[-1] * self._base)
+        return self._shuffle(self._code(a), a.degree, self._code(b), b.degree, False)
+
+    def _shuffle(self, u: int, lu: int, v: int, lv: int, keep: bool) -> dict[int, int]:
+        """The words coded u and v, of lengths lu and lv, shuffled; stored in
+        the table only when `keep` (a sub-pair of the recursion)."""
+        if not lu:
+            return {v: 1}
+        if not lv:
+            return {u: 1}
+        out = self._shuffles.get((u, v))
+        if out is not None:
+            return out
+        powers = self._powers
+        shift = powers[lu + lv - 1]
+        head, tail = divmod(u, powers[lu - 1])
+        head *= shift
+        out = {head + w: c for w, c in self._shuffle(tail, lu - 1, v, lv, True).items()}
+        head, tail = divmod(v, powers[lv - 1])
+        head *= shift
+        for w, c in self._shuffle(u, lu, tail, lv - 1, True).items():
+            w += head
+            out[w] = out.get(w, 0) + c
+        if keep:
+            self._shuffles[(u, v)] = out
+        return out
 
     def generators(self, n: int) -> tuple[Monomial, ...]:
         return tuple(
@@ -366,8 +444,11 @@ class Shuffle(HopfAlgebra):
 
     def add_product(self, acc: dict, a: Monomial, b: Monomial, c: Coeff) -> None:
         """acc += c * (a shuffle b) in place."""
-        for w, k in shuffle_words(self.word_of(a), self.word_of(b)).items():
-            m = self.word_monomial(w)
+        monomials = self._monomials
+        for w, k in self._shuffle_top(a, b).items():
+            m = monomials.get(w)
+            if m is None:
+                m = self._code_monomial(w)
             acc[m] = acc.get(m, 0) + c * k
 
     def coproduct_generator(self, g: Monomial) -> TensorVector:
@@ -421,20 +502,25 @@ class Shuffle(HopfAlgebra):
     def _solve_row(self, m: Monomial) -> tuple:
         """() for a Lyndon word; else (1/lead, factor generators, the words u
         and their coefficients c_u, the words with the same letters in
-        lexicographic order, and the position of m among them)."""
+        lexicographic order, and the position of m among them).  The factors
+        are shuffled together left to right through :meth:`add_product`."""
         w = self.word_of(m)
         if is_lyndon(w):
             return ()
-        factors = chen_fox_lyndon(w)
-        expansion = shuffle_many(factors)
-        lead = expansion.pop(w)
+        factors = tuple(self.word_monomial(f) for f in chen_fox_lyndon(w))
+        expansion = {self.empty(): 1}
+        for f in factors:
+            acc: dict[Monomial, int] = {}
+            for prev, c in expansion.items():
+                self.add_product(acc, prev, f, c)
+            expansion = acc
+        lead = expansion.pop(m)
         key = tuple(sorted(w))
         same_letters = self._word_classes.get(key)
         if same_letters is None:
             same_letters = self._word_classes[key] = tuple(
                 self.word_monomial(u) for u in rearrangements(w))
-        return (Fraction(1, lead), tuple(self.word_monomial(f) for f in factors),
-                tuple(self.word_monomial(u) for u in expansion), tuple(expansion.values()),
+        return (Fraction(1, lead), factors, tuple(expansion), tuple(expansion.values()),
                 same_letters, same_letters.index(m))
 
 

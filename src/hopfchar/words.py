@@ -7,10 +7,12 @@ product) in Lyndon words by triangular elimination: the shuffle of the CFL
 factors of w equals (product of multiplicities factorial) * w plus lexicographically
 smaller words of the same length.
 
-Characters, the exp/log/evolve solver's included, do not evaluate through
-that symbolic rewrite: the shuffle instance solves the same triangular system
-numerically, word by word (see ``Shuffle.character_value``).
-``lyndon_rewrite_word`` is only the oracle the tests compare against.
+The library does not multiply words here.  Products go through the
+``Shuffle`` instance's table of shuffles on integer word codes, and so do
+the characters, the exp/log/evolve solver's included: the instance solves
+the same triangular system numerically, word by word, with its own products
+(see ``Shuffle.character_value``).  ``shuffle_words``, ``shuffle_many`` and
+``lyndon_rewrite_word`` are the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -34,8 +36,12 @@ def is_lyndon(w: Word) -> bool:
 def lyndon_words(alphabet: str, maxlen: int) -> list[Word]:
     """All Lyndon words of length <= maxlen, in lexicographic order (Duval)."""
     letters = sorted(alphabet)
+    if not letters:
+        raise ValueError("alphabet must be nonempty")
     if len(set(letters)) != len(letters):
         raise ValueError(f"alphabet {alphabet!r} has repeated letters")
+    if maxlen < 1:
+        return []
     k = len(letters)
     out: list[Word] = []
     w = [0]

@@ -119,3 +119,13 @@ def test_all_words_count():
 def test_lyndon_words_rejects_repeated_letters():
     with pytest.raises(ValueError):
         lyndon_words("aab", 3)
+
+
+def test_lyndon_words_of_no_length_are_none():
+    assert lyndon_words("ab", 0) == []
+    assert lyndon_words("ab", -1) == []
+
+
+def test_lyndon_words_rejects_an_empty_alphabet():
+    with pytest.raises(ValueError):
+        lyndon_words("", 2)
