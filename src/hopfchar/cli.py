@@ -25,7 +25,7 @@ from .evolution import evolve
 from .growth import BUILTIN_FAMILIES, builtin, check_all_axioms
 from .hopf import check_hopf_axioms
 from .instances import INSTANCE_NAMES, instance_by_name
-from .series import (bseries_order_terms, exact_flow_character, partial_sums,
+from .series import (bseries_order_terms, exact_flow_coefficient, partial_sums,
                      pseries_order_terms, series_rows, wordseries_order_terms)
 
 SAFETY_LIMITS = {"tree": 12, "fdb": 14, "word": 10, "poly": 64}
@@ -244,9 +244,11 @@ def _tree_series(args, colours: int, dim: int, start, terms_of) -> tuple[dict, t
     coefficients a."""
     if args.max_order > degree_limit("tree"):
         raise ConfigError(f"max order {args.max_order} exceeds the tree safety limit")
+    if args.max_order < 0:
+        raise ConfigError("max order must be nonnegative")
     h = _parse_rational(args.h)
     if args.coeffs == "exact-flow":
-        a = exact_flow_character(args.max_order, colours)
+        a = exact_flow_coefficient
     else:
         expected = "ck" if colours == 1 else "ck2"
         phi = _load_character(args.coeffs)
@@ -289,6 +291,8 @@ def run_pseries(args) -> tuple[bool, dict]:
 def run_wordseries(args) -> tuple[bool, dict]:
     if args.max_length > degree_limit("word"):
         raise ConfigError(f"max length {args.max_length} exceeds the word safety limit")
+    if args.max_length < 0:
+        raise ConfigError("max length must be nonnegative")
     system = _field_or_error(reports.word_system_from_json, args.system)
     x0 = _parse_point(args.x)
     if len(x0) != system.dim:

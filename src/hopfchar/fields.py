@@ -149,6 +149,11 @@ class PolyMap:
     def evaluate(self, y: Sequence) -> tuple:
         return tuple(p.eval(y) for p in self.comps)
 
+    def degree(self) -> int:
+        """The largest total degree of a component: every derivative of a
+        higher order is the zero map."""
+        return max((p.degree() for p in self.comps), default=0)
+
     def partial(self, i: int, js: tuple) -> Poly:
         """d^m comps[i] / d y_{j1} .. d y_{jm}; order of js is immaterial."""
         key = (i,) + tuple(sorted(js))

@@ -9,6 +9,21 @@ recursion and one tree pass serve both, with a map and a variable block per
 colour.  One partial-sum table turns the increments of any of the three
 series into the exact partial sums and the rows the CLI and
 :func:`convergence_probe` report.
+
+The tree pass builds only the live trees, those whose elementary
+differential F(t) at the point is not the zero vector; every other tree adds
+nothing to any order.  A tree of order n with root colour c is built from a
+multiset of live trees with n - 1 nodes in total, so F(t) is one derivative
+of the colour-c map applied to vectors already computed.  Two rules skip a
+tree without building it, and both are exact:
+
+- more children than the degree of the root's map: every derivative of that
+  order is the zero map;
+- a child whose F is the zero vector: F(t) is linear in each child's vector.
+
+A built tree whose F comes out as the zero vector is dropped: it is neither
+summed nor used as a child.  The coefficient a(t) is read for live trees
+only, and each order is summed in the canonical tree order.
 """
 
 from __future__ import annotations
@@ -20,21 +35,20 @@ from typing import Callable, Mapping, Sequence
 
 from .core import Coeff
 from .fields import ColouredPolySystem, PolyMap, PolyVectorField, WordSystem
-from .trees import RootedTree, trees_of_order
+from .trees import RootedTree, _sort_key, forests_from_pool, trees_of_order
 from .words import all_words
-
-_SIGMA_CACHE: dict[RootedTree, int] = {}
 
 
 def sigma(t: RootedTree) -> int:
     """Symmetry coefficient: product over child multiplicities m of m!*sigma^m."""
-    got = _SIGMA_CACHE.get(t)
-    if got is not None:
-        return got
+    return _symmetry(t.children, sigma)
+
+
+def _symmetry(children: Sequence[RootedTree], sigma_of: Callable) -> int:
+    """sigma of a tree with these children, sigma_of giving each child's."""
     out = 1
-    for child, mult in Counter(t.children).items():
-        out *= factorial(mult) * sigma(child) ** mult
-    _SIGMA_CACHE[t] = out
+    for child, mult in Counter(children).items():
+        out *= factorial(mult) * sigma_of(child) ** mult
     return out
 
 
@@ -64,37 +78,25 @@ def series_rows(table: Sequence) -> list:
 
 def elementary_differential(f: PolyVectorField, t: RootedTree, y: Sequence) -> tuple:
     """F(t)(y): the m-linear derivative of f at y fed the child values."""
-    return _elementary((f,), (range(f.nvars),), t, y, {}, t.order)
+    return _elementary((f,), (range(f.nvars),), t, y)
 
 
 def coloured_elementary_differential(system: ColouredPolySystem, t: RootedTree,
                                      point: Sequence) -> tuple:
     """Partitioned-system variant: root colour picks the map (0 -> f, 1 -> g),
     each child's colour picks which variable block its derivative ranges over."""
-    return _elementary((system.f, system.g), (system.p_slot, system.q_slot), t, point,
-                       {}, t.order)
-
-
-# Within one series pass, F(t) is computed once per distinct tree: memo maps
-# a tree to its value and keeps only trees of order below top, as a tree of
-# the top order is never the child of another tree in the pass.
+    return _elementary((system.f, system.g), (system.p_slot, system.q_slot), t, point)
 
 
 def _elementary(maps: Sequence[PolyMap], slots: Sequence[Sequence[int]], t: RootedTree,
-                point: Sequence, memo: dict, top: int) -> tuple:
+                point: Sequence) -> tuple:
     """F(t)(point) with maps[c] at a root of colour c and slots[c] the
     variables a child of colour c ranges over."""
-    vec = memo.get(t)
-    if vec is None:
-        fmap = maps[t.colour]
-        if t.children:
-            vectors = [_elementary(maps, slots, c, point, memo, top) for c in t.children]
-            vec = fmap.deriv_apply(point, vectors, [slots[c.colour] for c in t.children])
-        else:
-            vec = fmap.evaluate(point)
-        if t.order < top:
-            memo[t] = vec
-    return vec
+    fmap = maps[t.colour]
+    if not t.children:
+        return fmap.evaluate(point)
+    vectors = [_elementary(maps, slots, c, point) for c in t.children]
+    return fmap.deriv_apply(point, vectors, [slots[c.colour] for c in t.children])
 
 
 def _coefficient(a, key):
@@ -106,21 +108,43 @@ def _coefficient(a, key):
 
 def _tree_terms(a, maps: Sequence[PolyMap], slots: Sequence[Sequence[int]],
                 point: Sequence, max_order: int) -> list:
-    """Per order n, one vector per root colour c: the sum over trees t with
-    n nodes and root colour c of a(t)/sigma(t) * F(t)(point)."""
+    """Per order n, one vector per root colour c: the sum over the live trees
+    t with n nodes and root colour c of a(t)/sigma(t) * F(t)(point)."""
     dim = maps[0].dim
-    memo: dict[RootedTree, tuple] = {}
+    degrees = [fmap.degree() for fmap in maps]
+    # live[t] = (_sort_key(t), F(t)(point), sigma(t)); pool lists the live
+    # trees of the orders below n in _sort_key order, as forests_from_pool needs
+    live: dict[RootedTree, tuple] = {}
+    pool: list[RootedTree] = []
+
+    def key(t: RootedTree) -> tuple:
+        return live[t][0]
+
     terms = []
     for n in range(1, max_order + 1):
+        born = []
+        for colour, fmap in enumerate(maps):
+            for kids in forests_from_pool(pool, n - 1, degrees[colour]):
+                if kids:
+                    vec = fmap.deriv_apply(point, [live[k][1] for k in kids],
+                                           [slots[k.colour] for k in kids])
+                else:
+                    vec = fmap.evaluate(point)
+                if any(vec):
+                    t = RootedTree.trusted(kids, colour)
+                    live[t] = (_sort_key(t), vec, _symmetry(kids, lambda k: live[k][2]))
+                    born.append(t)
+        born.sort(key=key)
         accs = [[0] * dim for _ in maps]
-        for t in trees_of_order(n, len(maps)):
+        for t in born:
             c = _coefficient(a, t)
             if not c:
                 continue
-            c = Fraction(c, sigma(t)) if isinstance(c, int) else c / sigma(t)
-            vec = _elementary(maps, slots, t, point, memo, max_order)
+            _, vec, s = live[t]
+            c = Fraction(c, s) if isinstance(c, int) else c / s
             accs[t.colour] = [u + c * v for u, v in zip(accs[t.colour], vec)]
         terms.append(tuple(tuple(acc) for acc in accs))
+        pool = sorted(pool + born, key=key)
     return terms
 
 
@@ -138,28 +162,28 @@ def bseries_partial(a, f: PolyVectorField, y: Sequence, h: Coeff,
     return partial_sums(bseries_order_terms(a, f, y, max_order), y, h)[1]
 
 
-def exact_flow_character(max_order: int, colours: int = 1) -> dict:
-    """Tree coefficients whose series is the Taylor sum of the exact flow.
+def exact_flow_coefficient(t: RootedTree) -> Fraction:
+    """1/gamma(t), the tree coefficient of the exact flow.
 
-    a(leaf) = 1 and a(t) = (1/|t|) * product of a over children; validated
-    against the symbolic flow Taylor oracle rather than trusted on its own.
+    gamma is the tree factorial, gamma(t) = |t| * product of gamma over
+    children, so a(leaf) = 1 and a(t) = (1/|t|) * product of a over
+    children; validated against the symbolic flow Taylor oracle rather than
+    trusted on its own.
     """
-    table: dict[RootedTree, Fraction] = {}
+    return Fraction(1, _tree_factorial(t))
 
-    def rec(t: RootedTree) -> Fraction:
-        got = table.get(t)
-        if got is not None:
-            return got
-        val = Fraction(1, t.order)
-        for c in t.children:
-            val *= rec(c)
-        table[t] = val
-        return val
 
-    for n in range(1, max_order + 1):
-        for t in trees_of_order(n, colours=colours):
-            rec(t)
-    return table
+def _tree_factorial(t: RootedTree) -> int:
+    out = t.order
+    for c in t.children:
+        out *= _tree_factorial(c)
+    return out
+
+
+def exact_flow_character(max_order: int, colours: int = 1) -> dict:
+    """:func:`exact_flow_coefficient` on every tree up to max_order nodes."""
+    return {t: exact_flow_coefficient(t)
+            for n in range(1, max_order + 1) for t in trees_of_order(n, colours)}
 
 
 def flow_taylor_coefficients(f: PolyVectorField, y0: Sequence, max_order: int) -> list:

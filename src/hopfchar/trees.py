@@ -141,12 +141,19 @@ def _trees_of_order(n: int, colours: int) -> tuple[RootedTree, ...]:
 
 @lru_cache(maxsize=None)
 def _forests_of_order(n: int, colours: int) -> tuple[tuple[RootedTree, ...], ...]:
-    if n == 0:
-        return ((),)
-    pool = []
-    for k in range(1, n + 1):
-        pool.extend(trees_of_order(k, colours))
+    pool = [t for k in range(1, n + 1) for t in trees_of_order(k, colours)]
     pool.sort(key=_sort_key)
+    return tuple(forests_from_pool(pool, n))
+
+
+def forests_from_pool(pool: list[RootedTree], n: int,
+                      max_size: int | None = None) -> list[tuple[RootedTree, ...]]:
+    """The multisets of pool trees with n nodes in total and at most max_size
+    members (any number when None), as tuples in pool order.
+
+    pool holds distinct trees in ``_sort_key`` order, so each tuple is a
+    canonical child list for :meth:`RootedTree.trusted`.
+    """
     # fits[r]: the ascending pool indices of the trees with at most r nodes
     fits: list[list[int]] = [[] for _ in range(n + 1)]
     for i, t in enumerate(pool):
@@ -158,6 +165,8 @@ def _forests_of_order(n: int, colours: int) -> tuple[tuple[RootedTree, ...], ...
         if remaining == 0:
             out.append(tuple(prefix))
             return
+        if len(prefix) == max_size:
+            return
         candidates = fits[remaining]
         for k in range(bisect_left(candidates, start), len(candidates)):
             i = candidates[k]
@@ -167,7 +176,7 @@ def _forests_of_order(n: int, colours: int) -> tuple[tuple[RootedTree, ...], ...
             prefix.pop()
 
     extend([], 0, n)
-    return tuple(out)
+    return out
 
 
 def root_cuts(t: RootedTree) -> list[tuple[RootedTree | None, tuple[RootedTree, ...]]]:

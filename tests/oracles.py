@@ -233,18 +233,18 @@ def forests_by_scan(pool: list, n: int) -> tuple:
     return tuple(out)
 
 
-def _plain_differential(f, t, y) -> tuple:
+def plain_differential(f, t, y) -> tuple:
     """F(t)(y) recomputed at every node: no memo."""
     if not t.children:
         return f.evaluate(y)
-    return f.deriv_apply(y, [_plain_differential(f, c, y) for c in t.children])
+    return f.deriv_apply(y, [plain_differential(f, c, y) for c in t.children])
 
 
-def _plain_coloured_differential(system, t, point) -> tuple:
+def plain_coloured_differential(system, t, point) -> tuple:
     fmap = system.f if t.colour == 0 else system.g
     if not t.children:
         return fmap.evaluate(point)
-    vectors = [_plain_coloured_differential(system, c, point) for c in t.children]
+    vectors = [plain_coloured_differential(system, c, point) for c in t.children]
     slots = [system.p_slot if c.colour == 0 else system.q_slot for c in t.children]
     return fmap.deriv_apply(point, vectors, slots)
 
@@ -260,7 +260,7 @@ def bseries_terms_by_recursion(a: dict, f, y, trees_by_order) -> list:
         acc = [0] * f.dim
         for t in trees:
             c = Fraction(a.get(t, 0), automorphism_count(t))
-            vec = _plain_differential(f, t, y)
+            vec = plain_differential(f, t, y)
             acc = [u + c * v for u, v in zip(acc, vec)]
         terms.append(tuple(acc))
     return terms
@@ -275,7 +275,7 @@ def pseries_terms_by_recursion(a: dict, system, p, q, trees_by_order) -> list:
         acc = ([0] * system.dim, [0] * system.dim)
         for t in trees:
             c = Fraction(a.get(t, 0), automorphism_count(t))
-            vec = _plain_coloured_differential(system, t, point)
+            vec = plain_coloured_differential(system, t, point)
             acc[t.colour][:] = [u + c * v for u, v in zip(acc[t.colour], vec)]
         terms.append((tuple(acc[0]), tuple(acc[1])))
     return terms

@@ -460,3 +460,39 @@ def test_cli_bad_inputs(tmp_path, capsys):
                 "--y", "x") == 2
     assert _run("bseries", "--field", str(tmp_path / "missing.json"),
                 "--coeffs", "exact-flow", "--y", "1") == 2
+
+
+def test_cli_bseries_refuses_negative_order(tmp_path, capsys):
+    field_path = tmp_path / "f.json"
+    field_path.write_text(json.dumps(FIELD_LINEAR))
+    out = tmp_path / "bs.json"
+    assert _run("bseries", "--field", str(field_path), "--y", "1",
+                "--max-order", "-3", "--out", str(out)) == 2
+    assert "max order must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_pseries_refuses_negative_order(tmp_path, capsys):
+    sys_path = tmp_path / "rot.json"
+    sys_path.write_text(json.dumps({
+        "dim": 1,
+        "f": [[{"monomial": [0, 1], "coeff": "1"}]],
+        "g": [[{"monomial": [1, 0], "coeff": "-1"}]],
+    }))
+    out = tmp_path / "ps.json"
+    assert _run("pseries", "--system", str(sys_path), "--p", "1", "--q", "0",
+                "--max-order", "-3", "--out", str(out)) == 2
+    assert "max order must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_wordseries_refuses_negative_length(tmp_path, capsys):
+    sys_path = tmp_path / "ws.json"
+    sys_path.write_text(json.dumps(
+        {"dim": 1, "letters": {"a": [[{"monomial": [1], "coeff": "1"}]]}}
+    ))
+    out = tmp_path / "w.json"
+    assert _run("wordseries", "--system", str(sys_path), "--x", "1",
+                "--max-length", "-2", "--out", str(out)) == 2
+    assert "max length must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()

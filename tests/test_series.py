@@ -14,11 +14,13 @@ from hopfchar.fields import (ColouredPolySystem, Poly, PolyMap,
 from hopfchar.series import (bseries_order_terms, bseries_partial,
                              coloured_elementary_differential,
                              convergence_probe, elementary_differential,
-                             exact_flow_character, flow_taylor_coefficients,
+                             exact_flow_character, exact_flow_coefficient,
+                             flow_taylor_coefficients,
                              pseries_order_terms, pseries_partial, sigma, word_basis_function,
                              wordseries_partial)
 from hopfchar.trees import parse_tree, trees_of_order
 from oracles import (automorphism_count, bseries_terms_by_recursion,
+                     plain_coloured_differential, plain_differential,
                      pseries_terms_by_recursion)
 
 
@@ -32,9 +34,7 @@ def _square_field():
     return PolyVectorField([Poly(1, {(2,): 1})])
 
 
-def _seeded_field(dim, seed, max_deg=2):
-    rng = random.Random(seed)
-    comps = []
+def _exponents(dim, max_deg):
     exps = []
 
     def rec(prefix, left):
@@ -46,14 +46,50 @@ def _seeded_field(dim, seed, max_deg=2):
 
     for total in range(max_deg + 1):
         rec([], total)
+    return exps
+
+
+def _seeded_field(dim, seed, max_deg=2):
+    rng = random.Random(seed)
+    comps = []
     for _ in range(dim):
         terms = {}
-        for ex in exps:
+        for ex in _exponents(dim, max_deg):
             c = rng.randint(-2, 2)
             if c:
                 terms[ex] = Fraction(c, rng.randint(1, 3))
         comps.append(Poly(dim, terms))
     return PolyVectorField(comps)
+
+
+def _dense_comps(dim, nvars, max_deg):
+    # every monomial of degree <= max_deg, with a positive coefficient: at a
+    # positive point every derivative, and so every F(t), is positive
+    return [Poly(nvars, {ex: Fraction(1, 1 + i + sum(ex)) for ex in _exponents(nvars, max_deg)})
+            for i in range(dim)]
+
+
+def _dense_field(dim, max_deg):
+    return PolyVectorField(_dense_comps(dim, dim, max_deg))
+
+
+def _dense_system(max_deg):
+    return ColouredPolySystem(PolyMap(2, _dense_comps(1, 2, max_deg)),
+                              PolyMap(2, _dense_comps(1, 2, max_deg)))
+
+
+def _pendulum_system():
+    # separable: p' = -q + q^3/6 depends on q only, q' = 2p on p only
+    f = PolyMap(2, [Poly(2, {(0, 1): -1, (0, 3): Fraction(1, 6)})])
+    g = PolyMap(2, [Poly(2, {(1, 0): 2})])
+    return ColouredPolySystem(f, g)
+
+
+def _rest_point_system():
+    # p' = pq - 1 and q' = p - q^2 both vanish at p = q = 1
+    f = PolyMap(2, [Poly(2, {(1, 1): 1, (0, 0): -1})])
+    g = PolyMap(2, [Poly(2, {(1, 0): 1, (0, 2): -1})])
+    return ColouredPolySystem(f, g)
 
 
 def test_sigma_known_values():
@@ -151,15 +187,136 @@ def _count_derivatives(monkeypatch) -> list:
     return calls
 
 
+def _built_tree_count(differential, degree_of, trees_by_order) -> int:
+    """The non-leaf trees the live pass differentiates: at most as many
+    children as the root map's degree, and every child's F nonzero."""
+    return sum(1 for trees in trees_by_order for t in trees
+               if t.children and len(t.children) <= degree_of(t.colour)
+               and all(any(differential(c)) for c in t.children))
+
+
+def _degree(fmap):
+    return max(p.degree() for p in fmap.comps)
+
+
 def test_series_pass_differentiates_once_per_distinct_tree(monkeypatch):
     calls = _count_derivatives(monkeypatch)
-    # every exact-flow coefficient is nonzero, so every tree is visited
-    bseries_order_terms(exact_flow_character(7), _seeded_field(2, 3), (1, 2), 7)
-    assert len(calls) == sum(len(trees_of_order(n)) for n in range(2, 8))
-    calls.clear()
-    pseries_order_terms(exact_flow_character(6, colours=2), _seeded_partitioned_system(3),
-                        (1, 2), (3, 4), 6)
-    assert len(calls) == sum(len(trees_of_order(n, colours=2)) for n in range(2, 7))
+    fields = [(_seeded_field(2, 3), (1, 2), False),
+              (_rest_point_system().combined_field(), (1, 1), False),
+              (_dense_field(1, 7), (1,), True)]
+    for f, y, dense in fields:
+        trees_by_order = [trees_of_order(n) for n in range(2, 8)]
+        built = _built_tree_count(lambda t: plain_differential(f, t, y),
+                                  lambda c: _degree(f), trees_by_order)
+        all_trees = sum(len(trees) for trees in trees_by_order)
+        assert built == all_trees if dense else built < all_trees
+        calls.clear()
+        bseries_order_terms(exact_flow_coefficient, f, y, 7)
+        assert len(calls) == built
+    systems = [(_seeded_partitioned_system(3), (1, 2), (3, 4), 6, False),
+               (_pendulum_system(), (Fraction(1, 2),), (Fraction(-2, 3),), 6, False),
+               (_dense_system(5), (1,), (2,), 5, True)]
+    for system, p, q, order, dense in systems:
+        point = p + q
+        trees_by_order = [trees_of_order(n, colours=2) for n in range(2, order + 1)]
+        maps = (system.f, system.g)
+        built = _built_tree_count(lambda t: plain_coloured_differential(system, t, point),
+                                  lambda c: _degree(maps[c]), trees_by_order)
+        all_trees = sum(len(trees) for trees in trees_by_order)
+        assert built == all_trees if dense else built < all_trees
+        calls.clear()
+        pseries_order_terms(exact_flow_coefficient, system, p, q, order)
+        assert len(calls) == built
+
+
+def _partial_coefficients(trees_by_order):
+    # the exact-flow values on the trees of odd order and the chains only
+    return {t: exact_flow_coefficient(t) for trees in trees_by_order for t in trees
+            if t.order % 2 or len(t.children) == 1}
+
+
+_B_CASES = {
+    "dense": (_dense_field(2, 6), (Fraction(1, 2), Fraction(2, 3))),
+    "pendulum": (_pendulum_system().combined_field(), (Fraction(1, 2), Fraction(-2, 3))),
+    "zero-field": (PolyVectorField([Poly.zero(2), Poly.zero(2)]), (1, 2)),
+    "rest-point": (_rest_point_system().combined_field(), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_B_CASES))
+@pytest.mark.parametrize("coefficients", ["seeded", "partial", "exact-flow"])
+def test_bseries_live_pass_matches_recursion(case, coefficients):
+    f, y = _B_CASES[case]
+    trees_by_order = [trees_of_order(n) for n in range(1, 7)]
+    a = {"seeded": _seeded_tree_coefficients(trees_by_order, 5),
+         "partial": _partial_coefficients(trees_by_order),
+         "exact-flow": exact_flow_character(6)}[coefficients]
+    terms = bseries_order_terms(a, f, y, 6)
+    assert terms == bseries_terms_by_recursion(a, f, y, trees_by_order)
+    if coefficients == "exact-flow":
+        assert bseries_order_terms(exact_flow_coefficient, f, y, 6) == terms
+    if case in ("zero-field", "rest-point"):
+        assert all(not any(term) for term in terms)
+
+
+_P_CASES = {
+    "dense": (_dense_system(5), (Fraction(1, 2),), (Fraction(2, 3),)),
+    "pendulum": (_pendulum_system(), (Fraction(1, 2),), (Fraction(-2, 3),)),
+    "zero-field": (ColouredPolySystem(PolyMap(2, [Poly.zero(2)]), PolyMap(2, [Poly.zero(2)])),
+                   (1,), (2,)),
+    "rest-point": (_rest_point_system(), (1,), (1,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_P_CASES))
+@pytest.mark.parametrize("coefficients", ["seeded", "partial", "exact-flow"])
+def test_pseries_live_pass_matches_recursion(case, coefficients):
+    system, p, q = _P_CASES[case]
+    trees_by_order = [trees_of_order(n, colours=2) for n in range(1, 6)]
+    a = {"seeded": _seeded_tree_coefficients(trees_by_order, 5),
+         "partial": _partial_coefficients(trees_by_order),
+         "exact-flow": exact_flow_character(5, colours=2)}[coefficients]
+    terms = pseries_order_terms(a, system, p, q, 5)
+    assert terms == pseries_terms_by_recursion(a, system, p, q, trees_by_order)
+    if coefficients == "exact-flow":
+        assert pseries_order_terms(exact_flow_coefficient, system, p, q, 5) == terms
+    if case in ("zero-field", "rest-point"):
+        assert all(not any(tp + tq) for tp, tq in terms)
+
+
+def _float_coefficients(trees_by_order):
+    return {t: 1 / (3 + k) for k, t in enumerate(t for trees in trees_by_order for t in trees)}
+
+
+def test_tree_pass_sums_each_order_in_canonical_tree_order():
+    # float coefficients round at every addition, so only the trees_of_order
+    # order reproduces a plain sum over all trees (a dead tree adds 0.0)
+    f = _seeded_field(2, 4, max_deg=3)
+    y = (Fraction(1, 2), Fraction(-2, 3))
+    trees_by_order = [trees_of_order(n) for n in range(1, 7)]
+    a = _float_coefficients(trees_by_order)
+    want = []
+    for trees in trees_by_order:
+        acc = [0] * f.dim
+        for t in trees:
+            c = a[t] / automorphism_count(t)
+            acc = [u + c * v for u, v in zip(acc, plain_differential(f, t, y))]
+        want.append(tuple(acc))
+    assert bseries_order_terms(a, f, y, 6) == want
+
+    system = _seeded_partitioned_system(4)
+    p, q = (Fraction(1, 3), Fraction(-1)), (Fraction(2), Fraction(1, 2))
+    trees_by_order = [trees_of_order(n, colours=2) for n in range(1, 6)]
+    a = _float_coefficients(trees_by_order)
+    want = []
+    for trees in trees_by_order:
+        acc = ([0] * system.dim, [0] * system.dim)
+        for t in trees:
+            c = a[t] / automorphism_count(t)
+            vec = plain_coloured_differential(system, t, p + q)
+            acc[t.colour][:] = [u + c * v for u, v in zip(acc[t.colour], vec)]
+        want.append((tuple(acc[0]), tuple(acc[1])))
+    assert pseries_order_terms(a, system, p, q, 5) == want
 
 
 def test_exact_flow_character_values():
