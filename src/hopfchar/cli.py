@@ -306,6 +306,9 @@ def run_wordseries(args) -> tuple[bool, dict]:
             return Fraction(1, factorial(len(w)))
     else:
         phi = _load_character(args.coeffs)
+        if args.max_length > phi.N:
+            raise ConfigError(f"max length {args.max_length} exceeds the coefficient "
+                              f"file's truncation N={phi.N}")
         expected = f"shuffle:{system.alphabet}"
         if phi.hopf.name != expected:
             raise ConfigError(f"coefficient file must be a {expected} character")

@@ -258,7 +258,6 @@ class WordSystem:
         self.fields = dict(fields)
         self.alphabet = "".join(sorted(self.fields))
         self.dim = dims.pop()
-        self._basis_maps: dict[tuple, PolyMap] = {}
 
     def field(self, letter: str) -> PolyVectorField:
         try:

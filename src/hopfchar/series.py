@@ -24,17 +24,30 @@ tree without building it, and both are exact:
 A built tree whose F comes out as the zero vector is dropped: it is neither
 summed nor used as a child.  The coefficient a(t) is read for live trees
 only, and each order is summed in the canonical tree order.
+
+The word pass never builds a word's map f_w as a polynomial.  It expands
+each letter field once about the point x (an exact binomial shift) and
+keeps every map as its Taylor jet at x, truncated in total degree.  The
+word c s has f_{c s} = Df_s . f_c, and a word of length at most L
+differentiates f_s at most L - |s| times, so f_s is needed only through
+degree L - |s|: the jet of c s is D(jet of f_s) . (jet of f_c) truncated at
+L - |s| - 1, with no error.  f_w(x) is the constant term of w's jet.  Jets
+are built on demand from their suffix's jet and memoised for one call; delta
+is still read for every word, by length and then in ``all_words`` order.  A
+jet that comes out zero is dropped, and every word ending in that suffix
+adds nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Mapping, Sequence
 
 from .core import Coeff
-from .fields import ColouredPolySystem, PolyMap, PolyVectorField, WordSystem
+from .fields import ColouredPolySystem, Poly, PolyMap, PolyVectorField, WordSystem
 from .trees import RootedTree, _sort_key, forests_from_pool, trees_of_order
 from .words import all_words
 
@@ -220,33 +233,110 @@ def pseries_partial(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
     return final[:system.dim], final[system.dim:]
 
 
-def word_basis_map(sys: WordSystem, w: Sequence[str]) -> PolyMap:
-    """Symbolic basis map for a nonempty word, cached on the system.
+class _WordJets:
+    """Truncated Taylor jets at x of the word maps f_w, for words of length at
+    most max_length, each built once from its suffix's jet.
 
-    Base case is the last letter's field; each earlier letter c turns
-    f_rest into x -> Df_rest(x)[f_c(x)].
+    A jet is one dict per component from a packed exponent code to a Taylor
+    coefficient in z = y - x.  The code of z^e is sum e_i base^i plus |e|
+    base^nvars, so multiplying monomials adds codes and a code below
+    (k + 1) base^nvars has total degree at most k.  A zero jet is None.
     """
-    w = tuple(w)
-    if not w:
-        raise ValueError("word must be nonempty")
-    got = sys._basis_maps.get(w)
-    if got is not None:
+
+    def __init__(self, sys: WordSystem, x: Sequence, max_length: int):
+        if len(x) != sys.dim:
+            raise ValueError("point arity mismatch")
+        self.sys = sys
+        self.x = tuple(x)
+        self.max_length = max_length
+        self.base = max_length + 1
+        self.units = [self.base ** i for i in range(sys.dim)]
+        self.top = self.base ** sys.dim
+        self._letters: dict[str, list] = {}
+        self._jets: dict[tuple, tuple | None] = {}
+
+    def value(self, w: tuple) -> tuple | None:
+        """f_w(x), or None when the jet of f_w is zero."""
+        jet = self.jet(w)
+        return None if jet is None else tuple(comp.get(0, 0) for comp in jet)
+
+    def jet(self, w: tuple) -> tuple | None:
+        """The jet of f_w truncated at total degree max_length - |w|; the
+        jets of words shorter than max_length are memoised."""
+        if w in self._jets:
+            return self._jets[w]
+        if len(w) == 1:
+            comps = tuple(dict(factor) for factor in self._letter(w[0]))
+            out = comps if any(comps) else None
+        else:
+            suffix = self.jet(w[1:])
+            out = None if suffix is None else self._extend(suffix, w[0],
+                                                           self.max_length - len(w))
+        if len(w) < self.max_length:
+            self._jets[w] = out
+        return out
+
+    def _letter(self, c: str) -> list:
+        """The jet of f_c truncated at max_length - 1: per component, its
+        (code, coefficient) pairs in increasing code order."""
+        got = self._letters.get(c)
+        if got is None:
+            got = self._letters[c] = [sorted(self._shift(p, self.max_length - 1).items())
+                                      for p in self.sys.field(c).comps]
         return got
-    if len(w) == 1:
-        out = sys.field(w[0])
-    else:
-        out = word_basis_map(sys, w[1:]).jacobian_times(sys.field(w[0]))
-    sys._basis_maps[w] = out
-    return out
+
+    def _shift(self, p: Poly, order: int) -> dict:
+        """p(x + z) as a polynomial in z, truncated at total degree order."""
+        out: dict[int, Coeff] = {}
+        for e, a in p.terms.items():
+            for ks in itertools.product(*(range(k + 1) for k in e)):
+                if sum(ks) > order:
+                    continue
+                v = a
+                code = sum(ks) * self.top
+                for xi, ei, ki, unit in zip(self.x, e, ks, self.units):
+                    v = v * comb(ei, ki) * xi ** (ei - ki)
+                    code += ki * unit
+                out[code] = out.get(code, 0) + v
+        return {code: v for code, v in out.items() if v}
+
+    def _extend(self, suffix: tuple, c: str, order: int) -> tuple | None:
+        """The jet of D f_s . f_c truncated at total degree order, from the jet
+        of f_s truncated at order + 1."""
+        limit = (order + 1) * self.top
+        letter = self._letter(c)
+        out = []
+        for comp in suffix:
+            acc: dict[int, Coeff] = {}
+            for code, a in comp.items():
+                for unit, factor in zip(self.units, letter):
+                    ej = code // unit % self.base
+                    if not ej:
+                        continue
+                    dcode = code - unit - self.top
+                    da = a * ej
+                    for gcode, b in factor:
+                        k = dcode + gcode
+                        if k >= limit:
+                            break
+                        acc[k] = acc.get(k, 0) + da * b
+            out.append({k: v for k, v in acc.items() if v})
+        return tuple(out) if any(out) else None
 
 
 def word_basis_function(sys: WordSystem, w: Sequence[str], x: Sequence) -> tuple:
-    return word_basis_map(sys, w).evaluate(x)
+    """f_w(x) for a nonempty word: f_c for a letter c, Df_s . f_c for w = c s."""
+    w = tuple(w)
+    if not w:
+        raise ValueError("word must be nonempty")
+    value = _WordJets(sys, x, len(w)).value(w)
+    return (0,) * sys.dim if value is None else value
 
 
 def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequence,
                            max_length: int) -> list:
     """Per-length vectors: sum of delta(w) f_w(x) over words of each length."""
+    jets = _WordJets(sys, x, max_length)
     terms = []
     for n in range(1, max_length + 1):
         acc = [0] * sys.dim
@@ -254,7 +344,9 @@ def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequen
             c = _coefficient(delta, w)
             if not c:
                 continue
-            vec = word_basis_function(sys, w, x)
+            vec = jets.value(w)
+            if vec is None:
+                continue
             acc = [u + c * v for u, v in zip(acc, vec)]
         terms.append(tuple(acc))
     return terms

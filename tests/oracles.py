@@ -281,6 +281,34 @@ def pseries_terms_by_recursion(a: dict, system, p, q, trees_by_order) -> list:
     return terms
 
 
+def word_series_by_jacobian(delta, sys, x, max_length: int) -> list:
+    """Per-length sums of delta(w) f_w(x), with each word map built as a
+    symbolic polynomial map, f_c for a letter c and Df_s . f_c for w = c s by
+    ``PolyMap.jacobian_times``, then evaluated at x.
+
+    Words of each length are visited in lexicographic order.  With a float
+    point the sums may round differently from the library's, which expands
+    the fields about x first, so float results agree only to a tolerance.
+    """
+    maps = {}
+
+    def word_map(w):
+        if w not in maps:
+            f_c = sys.field(w[0])
+            maps[w] = f_c if len(w) == 1 else word_map(w[1:]).jacobian_times(f_c)
+        return maps[w]
+
+    terms = []
+    for n in range(1, max_length + 1):
+        acc = [0] * sys.dim
+        for w in itertools.product(sorted(sys.alphabet), repeat=n):
+            c = delta(w) if callable(delta) else delta.get(w, 0)
+            if c:
+                acc = [u + c * v for u, v in zip(acc, word_map(w).evaluate(x))]
+        terms.append(tuple(acc))
+    return terms
+
+
 def generator_factorizations(H, m):
     """m as a combination of algebra products of generators: the Lyndon
     polynomial of the word on a shuffle instance, the literal factors

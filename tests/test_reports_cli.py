@@ -496,3 +496,26 @@ def test_cli_wordseries_refuses_negative_length(tmp_path, capsys):
                 "--max-length", "-2", "--out", str(out)) == 2
     assert "max length must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_wordseries_refuses_length_above_coefficient_truncation(tmp_path, capsys,
+                                                                    monkeypatch):
+    sys_path = tmp_path / "ws.json"
+    sys_path.write_text(json.dumps(
+        {"dim": 1, "letters": {"a": [[{"monomial": [1], "coeff": "1"}]]}}
+    ))
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps({"hopf": "shuffle:a", "N": 4, "B": "rational",
+                                    "kind": "char",
+                                    "values": [{"generator": "a", "value": "1"}]}))
+
+    def no_pass(*args):
+        raise AssertionError("the word pass ran")
+
+    monkeypatch.setattr(cli, "wordseries_order_terms", no_pass)
+    out = tmp_path / "w.json"
+    assert _run("wordseries", "--system", str(sys_path), "--coeffs", str(phi_path),
+                "--x", "1", "--max-length", "5", "--out", str(out)) == 2
+    assert "max length 5 exceeds the coefficient file's truncation N=4" \
+        in capsys.readouterr().err
+    assert not out.exists()

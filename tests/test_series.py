@@ -3,7 +3,7 @@ Taylor oracles and closed-form flows."""
 
 import random
 from fractions import Fraction
-from math import cos, e, exp, factorial, log2, sin
+from math import cos, e, exp, factorial, isclose, log2, sin
 
 import pytest
 from hypothesis import given
@@ -18,10 +18,12 @@ from hopfchar.series import (bseries_order_terms, bseries_partial,
                              flow_taylor_coefficients,
                              pseries_order_terms, pseries_partial, sigma, word_basis_function,
                              wordseries_partial)
+from hopfchar import series
 from hopfchar.trees import parse_tree, trees_of_order
+from hopfchar.words import all_words
 from oracles import (automorphism_count, bseries_terms_by_recursion,
                      plain_coloured_differential, plain_differential,
-                     pseries_terms_by_recursion)
+                     pseries_terms_by_recursion, word_series_by_jacobian)
 
 
 def _linear_field():
@@ -488,3 +490,133 @@ def test_wordseries_dict_coefficients_pick_single_words():
     x = (Fraction(5),)
     # f_a = x, f_{ba} = (D f_a) f_b = 1
     assert wordseries_partial(delta, sys, x, 3) == (5 + 10 + Fraction(1, 2),)
+
+
+def _letter_field(dim, seed, degree):
+    """A seeded field of this degree; None is the zero field and 0 a nonzero
+    constant field, so jets of the words through them vanish, and "half" a
+    quadratic field whose last component is zero."""
+    if degree == "half":
+        comps = _seeded_field(dim, seed, 2).comps
+        return PolyVectorField(comps[:-1] + (Poly.zero(dim),))
+    if degree is None:
+        return PolyVectorField([Poly.zero(dim)] * dim)
+    if degree == 0:
+        return PolyVectorField([Poly.const(dim, Fraction(seed % 3 + 1, 2 + i))
+                                for i in range(dim)])
+    return _seeded_field(dim, seed, degree)
+
+
+# letters, variables, one degree per letter, max length
+_WORD_CASES = {
+    "a-cubic": ("a", 1, (3,), 7),
+    "a-quadratic-2d": ("a", 2, (2,), 7),
+    "ab-constant-quadratic": ("ab", 1, (0, 2), 7),
+    "ab-linear-quadratic-2d": ("ab", 2, (1, 2), 6),
+    "ab-half-zero-linear-2d": ("ab", 2, ("half", 1), 6),
+    "ab-quadratic-zero-3d": ("ab", 3, (2, None), 5),
+    "abc-constant-linear-cubic-2d": ("abc", 2, (0, 1, 3), 5),
+    "abc-linear-quadratic-zero-3d": ("abc", 3, (1, 2, None), 4),
+    "abc-cubic-constant-quadratic": ("abc", 1, (3, 0, 2), 5),
+}
+
+
+def _word_case(name, seed):
+    letters, dim, degrees, max_length = _WORD_CASES[name]
+    sys = WordSystem({c: _letter_field(dim, seed + i, deg)
+                      for i, (c, deg) in enumerate(zip(letters, degrees))})
+    rng = random.Random(seed)
+    x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim))
+    return sys, x, max_length
+
+
+def _word_delta(kind, sys, max_length, seed):
+    """delta as a callable, as a sparse dict, or as a callable that is 0 on
+    about a third of the words."""
+    if kind == "callable":
+        return lambda w: Fraction(len(w) + 1, factorial(len(w)) + sum(map(ord, w)) % 7)
+    rng = random.Random(seed)
+    words = [w for n in range(max_length + 1) for w in all_words(sys.alphabet, n)]
+    if kind == "sparse":
+        return {w: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                for w in rng.sample(words, len(words) // 4)}
+    values = {w: Fraction(rng.randint(-1, 1), rng.randint(1, 6)) for w in words}
+    return values.__getitem__
+
+
+@pytest.mark.parametrize("case", sorted(_WORD_CASES))
+@pytest.mark.parametrize("kind", ["callable", "sparse", "with-zeros"])
+def test_word_jets_match_symbolic_word_maps(case, kind):
+    sys, x, max_length = _word_case(case, 3)
+    delta = _word_delta(kind, sys, max_length, 3)
+    for point in (x, (Fraction(0),) * sys.dim):
+        assert series.wordseries_order_terms(delta, sys, point, max_length) \
+            == word_series_by_jacobian(delta, sys, point, max_length)
+
+
+@pytest.mark.parametrize("case", sorted(_WORD_CASES))
+def test_word_jets_match_symbolic_word_maps_at_a_float_point(case):
+    sys, x, max_length = _word_case(case, 5)
+    xf = tuple(float(v) + 0.125 for v in x)
+    delta = _word_delta("callable", sys, max_length, 5)
+    got = series.wordseries_order_terms(delta, sys, xf, max_length)
+    want = word_series_by_jacobian(delta, sys, xf, max_length)
+    for term, exact in zip(got, want):
+        for u, v in zip(term, exact):
+            assert isclose(u, v, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_word_basis_function_matches_symbolic_word_maps():
+    sys, x, _ = _word_case("abc-constant-linear-cubic-2d", 6)
+    for w in [("c",), ("b", "c"), ("a", "c", "c"), ("c", "a"), ("c", "b", "a", "c")]:
+        want = word_series_by_jacobian({w: 1}, sys, x, len(w))[-1]
+        assert word_basis_function(sys, w, x) == want
+    assert word_basis_function(sys, ("c", "a"), x) == (0, 0)
+    with pytest.raises(ValueError):
+        word_basis_function(sys, (), x)
+    with pytest.raises(ValueError):
+        word_basis_function(sys, ("z",), x)
+
+
+def test_word_pass_never_builds_symbolic_word_maps(monkeypatch):
+    sys, x, _ = _word_case("ab-linear-quadratic-2d", 7)
+    delta = _word_delta("callable", sys, 8, 7)
+    terms = word_series_by_jacobian(delta, sys, x, 8)
+    start = [delta(()) * v for v in x]
+    want = tuple(v + sum(term[i] for term in terms) for i, v in enumerate(start))
+    before = dict(vars(sys))
+
+    def refuse(*args):
+        raise AssertionError("symbolic word map built or evaluated")
+
+    monkeypatch.setattr(PolyMap, "jacobian_times", refuse)
+    monkeypatch.setattr(Poly, "eval", refuse)
+    assert wordseries_partial(delta, sys, x, 8) == want
+    assert vars(sys) == before
+
+
+def test_word_pass_drops_vanishing_jets(monkeypatch):
+    # with two constant letters every f_w with |w| >= 2 is zero: the jets of
+    # the four words of length 2 come out zero, and no longer word is extended
+    sys = WordSystem({"a": PolyVectorField([Poly.const(1, 2)]),
+                      "b": PolyVectorField([Poly.const(1, 3)])})
+    calls = []
+    extend = series._WordJets._extend
+    monkeypatch.setattr(series._WordJets, "_extend",
+                        lambda self, *args: calls.append(args) or extend(self, *args))
+    read = []
+    terms = series.wordseries_order_terms(lambda w: read.append(w) or 1, sys,
+                                          (Fraction(1, 2),), 6)
+    assert terms == [(5,)] + [(0,)] * 5
+    assert len(calls) == 4
+    # delta is still read once per word, by length and then in all_words order
+    assert read == [w for n in range(1, 7) for w in all_words("ab", n)]
+
+
+def test_demo_word_series_matches_symbolic_word_maps():
+    # demos/04: y' = y, exp-single coefficients, x = 1, length 10
+    sys = WordSystem({"a": _linear_field()})
+    delta = lambda w: Fraction(1, factorial(len(w)))
+    terms = series.wordseries_order_terms(delta, sys, (1,), 10)
+    assert terms == word_series_by_jacobian(delta, sys, (1,), 10)
+    assert terms == [(Fraction(1, factorial(n)),) for n in range(1, 11)]
