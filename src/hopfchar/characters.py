@@ -58,9 +58,6 @@ class TargetAlgebra(ABC):
     def neg(self, a):
         return self.scale(-1, a)
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def __repr__(self) -> str:
         return f"<target {self.name}>"
 

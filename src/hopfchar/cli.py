@@ -16,19 +16,21 @@ import sys
 from fractions import Fraction
 
 from . import reports
-from .characters import (RATIONAL, TruncatedCharacter, TruncatedInfChar,
-                         convolve, counterexample_demo, exp_infchar, inverse,
-                         linf_norm, log_character)
+from .characters import (TruncatedCharacter, TruncatedInfChar, convolve,
+                         counterexample_demo, exp_infchar, inverse, linf_norm,
+                         log_character)
 from .control import (antipode_ratio, coproduct_ratio, rlb_check,
                       right_handed_check)
 from .evolution import evolve
 from .growth import BUILTIN_FAMILIES, builtin, check_all_axioms
 from .hopf import check_hopf_axioms
-from .instances import INSTANCE_NAMES, instance_by_name
+from .instances import (INSTANCE_NAMES, Binomial, ConnesKreimer, FaaDiBrunoA,
+                        FaaDiBrunoX, Shuffle, instance_by_name)
 from .series import (bseries_order_terms, exact_flow_coefficient, partial_sums,
                      pseries_order_terms, series_rows, wordseries_order_terms)
 
-SAFETY_LIMITS = {"tree": 12, "fdb": 14, "word": 10, "poly": 64}
+SAFETY_LIMITS = {ConnesKreimer: 12, FaaDiBrunoA: 14, FaaDiBrunoX: 14, Shuffle: 10,
+                 Binomial: 64}
 
 MAX_DEGREE_ENV = "HOPFCHAR_MAX_DEGREE"
 
@@ -37,24 +39,21 @@ class ConfigError(Exception):
     pass
 
 
-def _instance_kind(name: str) -> str:
-    if name in ("ck", "ck2"):
-        return "tree"
-    if name.startswith("fdb"):
-        return "fdb"
-    if name.startswith("shuffle"):
-        return "word"
-    return "poly"
-
-
-def degree_limit(kind: str) -> int:
+def _check_range(what: str, value: int, cls, name: str) -> None:
+    """Refuse a degree, order or length above the safety limit of instance
+    class cls (HOPFCHAR_MAX_DEGREE overrides it), or below zero."""
+    limit = SAFETY_LIMITS[cls]
     override = os.environ.get(MAX_DEGREE_ENV)
     if override is not None:
         try:
-            return int(override)
+            limit = int(override)
         except ValueError:
             raise ConfigError(f"{MAX_DEGREE_ENV} must be an integer, got {override!r}")
-    return SAFETY_LIMITS[kind]
+    if value > limit:
+        raise ConfigError(f"{what} {value} exceeds the safety limit {limit} for "
+                          f"{name} (override with {MAX_DEGREE_ENV})")
+    if value < 0:
+        raise ConfigError(f"{what} must be nonnegative")
 
 
 def _load_instance(name: str, max_degree: int):
@@ -62,18 +61,8 @@ def _load_instance(name: str, max_degree: int):
         H = instance_by_name(name)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc))
-    _check_degree(H, max_degree)
+    _check_range("max degree", max_degree, type(H), H.name)
     return H
-
-
-def _check_degree(H, max_degree: int) -> None:
-    limit = degree_limit(_instance_kind(H.name))
-    if max_degree > limit:
-        raise ConfigError(
-            f"max degree {max_degree} exceeds the safety limit {limit} for "
-            f"{H.name} (override with {MAX_DEGREE_ENV})")
-    if max_degree < 0:
-        raise ConfigError("max degree must be nonnegative")
 
 
 def _load_family(name: str):
@@ -83,12 +72,34 @@ def _load_family(name: str):
         raise ConfigError(str(exc))
 
 
-def _read_json(path: str) -> dict:
+def _load(path: str, decode, *args):
+    """The one way an input file comes in: read its JSON and decode it with
+    one `reports` decoder.  A file that cannot be read or decoded is bad
+    input (exit 2); errors raised later, while computing, are not caught."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
+    try:
+        return decode(doc, *args)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"bad input file {path}: {exc}")
+
+
+def _load_character(path: str):
+    phi = _load(path, reports.character_from_json)
+    _check_range("truncation N", phi.N, type(phi.hopf), phi.hopf.name)
+    return phi
+
+
+def _write(path: str, data: bytes) -> None:
+    """The one way an output file goes out: --out, --emit and --csv."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -118,9 +129,7 @@ def run_enumerate(args) -> tuple[bool, dict]:
 def run_axioms(args) -> tuple[bool, dict]:
     H = _load_instance(args.hopf, args.max_degree)
     rep = check_hopf_axioms(H, args.max_degree, fail_fast=args.fail_fast)
-    payload = rep.to_dict()
-    payload.pop("elapsed_seconds", None)  # keep reruns byte-identical
-    return rep.ok, payload
+    return rep.ok, rep.to_dict()
 
 
 def run_control_check(args) -> tuple[bool, dict]:
@@ -133,9 +142,8 @@ def run_control_check(args) -> tuple[bool, dict]:
     if args.csv:
         rows = [[r.degree, r.element, repr(float(r.norm)), repr(float(r.weight)),
                  repr(float(r.ratio))] for r in rep.rows]
-        data = reports.render_csv(["degree", "element", "norm", "weight", "ratio"], rows)
-        with open(args.csv, "wb") as fh:
-            fh.write(data)
+        _write(args.csv, reports.render_csv(["degree", "element", "norm", "weight",
+                                             "ratio"], rows))
     return rep.verdict == "bounded", rep.to_dict()
 
 
@@ -155,34 +163,21 @@ def run_right_handed(args) -> tuple[bool, dict]:
 
 def run_evolve(args) -> tuple[bool, dict]:
     H = _load_instance(args.hopf, args.max_degree)
-    doc = _read_json(args.eta)
-    try:
-        eta = reports.curve_from_json(doc, H)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    eta = _load(args.eta, reports.curve_from_json, H)
+    if eta.kind != "inf":
+        raise ConfigError("evolve expects an infinitesimal curve file (kind inf-curve)")
     if args.max_degree > eta.N:
         raise ConfigError(f"max degree {args.max_degree} exceeds the eta file's N={eta.N}")
     gamma = evolve(H, eta, args.max_degree)
     gamma_doc = reports.curve_to_json(gamma)
     if args.emit:
-        with open(args.emit, "wb") as fh:
-            fh.write(reports.render_report(gamma_doc))
+        _write(args.emit, reports.render_report(gamma_doc))
     payload = {"instance": H.name, "max_degree": args.max_degree, "gamma": gamma_doc}
     if args.at is not None:
         t = _parse_rational(args.at)
         payload["at"] = {"t": str(t),
                          "character": reports.character_to_json(gamma.at(t))}
     return True, payload
-
-
-def _load_character(path: str):
-    doc = _read_json(path)
-    try:
-        phi = reports.character_from_json(doc)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad character file {path}: {exc}")
-    _check_degree(phi.hopf, phi.N)
-    return phi
 
 
 def run_char(args) -> tuple[bool, dict]:
@@ -221,19 +216,16 @@ def run_char(args) -> tuple[bool, dict]:
         out_doc = reports.character_to_json(result)
         payload["character"] = out_doc
         if args.emit:
-            with open(args.emit, "wb") as fh:
-                fh.write(reports.render_report(out_doc))
+            _write(args.emit, reports.render_report(out_doc))
     return True, payload
 
 
 def _emit_series(args, payload):
     if args.csv:
         rows = payload["rows"]
-        data = reports.series_csv([r["order"] for r in rows],
-                                  [r["increment"] for r in rows],
-                                  [r["partial"] for r in rows])
-        with open(args.csv, "wb") as fh:
-            fh.write(data)
+        _write(args.csv, reports.series_csv([r["order"] for r in rows],
+                                            [r["increment"] for r in rows],
+                                            [r["partial"] for r in rows]))
     return True, payload
 
 
@@ -242,15 +234,12 @@ def _tree_series(args, colours: int, dim: int, start, terms_of) -> tuple[dict, t
     limit, the step size, the coefficients (exact flow or a character file)
     and the rows.  terms_of(a) gives the flat per-order terms for
     coefficients a."""
-    if args.max_order > degree_limit("tree"):
-        raise ConfigError(f"max order {args.max_order} exceeds the tree safety limit")
-    if args.max_order < 0:
-        raise ConfigError("max order must be nonnegative")
+    expected = "ck" if colours == 1 else "ck2"
+    _check_range("max order", args.max_order, ConnesKreimer, expected)
     h = _parse_rational(args.h)
     if args.coeffs == "exact-flow":
         a = exact_flow_coefficient
     else:
-        expected = "ck" if colours == 1 else "ck2"
         phi = _load_character(args.coeffs)
         if phi.hopf.name != expected:
             raise ConfigError(f"coefficient file must be a {expected} character")
@@ -263,7 +252,7 @@ def _tree_series(args, colours: int, dim: int, start, terms_of) -> tuple[dict, t
 
 
 def run_bseries(args) -> tuple[bool, dict]:
-    f = _field_or_error(reports.field_from_json, args.field)
+    f = _load(args.field, reports.field_from_json)
     y0 = _parse_point(args.y)
     if len(y0) != f.dim:
         raise ConfigError(f"initial point has {len(y0)} components, field has {f.dim}")
@@ -274,7 +263,7 @@ def run_bseries(args) -> tuple[bool, dict]:
 
 
 def run_pseries(args) -> tuple[bool, dict]:
-    system = _field_or_error(reports.coloured_system_from_json, args.system)
+    system = _load(args.system, reports.coloured_system_from_json)
     p0 = _parse_point(args.p)
     q0 = _parse_point(args.q)
     if len(p0) != system.dim or len(q0) != system.dim:
@@ -289,11 +278,9 @@ def run_pseries(args) -> tuple[bool, dict]:
 
 
 def run_wordseries(args) -> tuple[bool, dict]:
-    if args.max_length > degree_limit("word"):
-        raise ConfigError(f"max length {args.max_length} exceeds the word safety limit")
-    if args.max_length < 0:
-        raise ConfigError("max length must be nonnegative")
-    system = _field_or_error(reports.word_system_from_json, args.system)
+    system = _load(args.system, reports.word_system_from_json)
+    expected = f"shuffle:{system.alphabet}"
+    _check_range("max length", args.max_length, Shuffle, expected)
     x0 = _parse_point(args.x)
     if len(x0) != system.dim:
         raise ConfigError(f"point has {len(x0)} components, fields have {system.dim}")
@@ -309,12 +296,11 @@ def run_wordseries(args) -> tuple[bool, dict]:
         if args.max_length > phi.N:
             raise ConfigError(f"max length {args.max_length} exceeds the coefficient "
                               f"file's truncation N={phi.N}")
-        expected = f"shuffle:{system.alphabet}"
         if phi.hopf.name != expected:
             raise ConfigError(f"coefficient file must be a {expected} character")
 
         def delta(w, _phi=phi):
-            return _phi.evaluate(_phi.hopf.monomial_from_text("".join(w)))
+            return _phi.evaluate(_phi.hopf.word_monomial(w))
 
     terms = wordseries_order_terms(delta, system, x0, args.max_length)
     table, final = partial_sums(terms, [delta(()) * v for v in x0])
@@ -322,14 +308,6 @@ def run_wordseries(args) -> tuple[bool, dict]:
                "max_length": args.max_length, "coefficients": args.coeffs,
                "rows": series_rows(table), "final": [float(v) for v in final]}
     return _emit_series(args, payload)
-
-
-def _field_or_error(loader, path):
-    doc = _read_json(path)
-    try:
-        return loader(doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad input file {path}: {exc}")
 
 
 def run_counterexample(args) -> tuple[bool, dict]:
@@ -480,23 +458,21 @@ def main(argv=None) -> int:
     workflow = WORKFLOWS[args.subcommand]
     try:
         ok, payload = workflow(args)
+        data = reports.render_report({
+            "tool": "hopfchar",
+            "subcommand": args.subcommand,
+            "seed": args.seed,
+            "config": _config_dict(args),
+            "status": "pass" if ok else "fail",
+            "report": payload,
+        })
+        if args.out:
+            _write(args.out, data)
+        else:
+            sys.stdout.write(data.decode("utf-8"))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = {
-        "tool": "hopfchar",
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "config": _config_dict(args),
-        "status": "pass" if ok else "fail",
-        "report": payload,
-    }
-    data = reports.render_report(doc)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
     return 0 if ok else 1
 
 

@@ -31,11 +31,18 @@ def encode_rational(x: Coeff) -> str:
 
 
 def decode_rational(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
+    if isinstance(v, (str, int)) and not isinstance(v, bool):
         return Fraction(v)
     raise ValueError(f"expected exact rational encoding, got {v!r}")
+
+
+def _decode_integer(v, what: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a boolean, float or string), at least minimum."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {v!r}")
+    return v
 
 
 def encode_scalar(target, x):
@@ -51,11 +58,15 @@ def encode_scalar(target, x):
 
 
 def decode_scalar(target, v):
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got {v!r}")
     if target is RATIONAL:
         return decode_rational(v)
     if target is FLOAT:
         return float(v)
     if target is DUAL:
+        if not isinstance(v, list) or len(v) != 2:
+            raise ValueError(f"a dual value must be a two-element array, got {v!r}")
         a, b = v
 
         def part(u):
@@ -89,8 +100,11 @@ def character_from_json(doc: Mapping, hopf: HopfAlgebra | None = None):
     for row in doc["values"]:
         g = H.generator_from_text(row["generator"])
         values[g] = decode_scalar(target, row["value"])
-    cls = TruncatedInfChar if doc.get("kind") == "inf" else TruncatedCharacter
-    return cls(H, int(doc["N"]), target, values)
+    kind = doc.get("kind", "char")
+    if kind not in ("char", "inf"):
+        raise ValueError(f"not a character file: kind={kind!r}")
+    cls = TruncatedInfChar if kind == "inf" else TruncatedCharacter
+    return cls(H, _decode_integer(doc["N"], "N"), target, values)
 
 
 def curve_to_json(curve: TimePolynomialCurve) -> dict:
@@ -106,14 +120,15 @@ def curve_from_json(doc: Mapping, hopf: HopfAlgebra | None = None) -> TimePolyno
     H = hopf if hopf is not None else instance_by_name(doc["hopf"])
     if H.name != doc["hopf"]:
         raise ValueError(f"curve file is for {doc['hopf']!r}, not {H.name!r}")
-    kind = doc.get("kind", "inf-curve")
-    if not kind.endswith("-curve"):
+    kind = doc["kind"]
+    if kind not in ("inf-curve", "char-curve"):
         raise ValueError(f"not a curve file: kind={kind!r}")
     polys = {}
     for row in doc["values"]:
         g = H.generator_from_text(row["generator"])
         polys[g] = TimePoly(tuple(decode_rational(c) for c in row["coeffs"]))
-    return TimePolynomialCurve(H, int(doc["N"]), polys, kind=kind[:-len("-curve")])
+    return TimePolynomialCurve(H, _decode_integer(doc["N"], "N"), polys,
+                               kind=kind[:-len("-curve")])
 
 
 # ---------------------------------------------------------------- vector fields
@@ -133,7 +148,7 @@ def _components_from_json(rows: Sequence, nvars: int) -> list:
     for comp in rows:
         terms = {}
         for cell in comp:
-            e = tuple(int(k) for k in cell["monomial"])
+            e = tuple(_decode_integer(k, "exponent", 0) for k in cell["monomial"])
             if len(e) != nvars:
                 raise ValueError(f"monomial {e} should have {nvars} exponents")
             terms[e] = terms.get(e, 0) + decode_rational(cell["coeff"])
@@ -146,7 +161,7 @@ def field_to_json(f: PolyVectorField) -> dict:
 
 
 def field_from_json(doc: Mapping) -> PolyVectorField:
-    dim = int(doc["dim"])
+    dim = _decode_integer(doc["dim"], "dim")
     comps = _components_from_json(doc["components"], dim)
     if len(comps) != dim:
         raise ValueError("component count must equal dim")
@@ -154,7 +169,7 @@ def field_from_json(doc: Mapping) -> PolyVectorField:
 
 
 def coloured_system_from_json(doc: Mapping) -> ColouredPolySystem:
-    dim = int(doc["dim"])
+    dim = _decode_integer(doc["dim"], "dim")
     f = PolyMap(2 * dim, _components_from_json(doc["f"], 2 * dim))
     g = PolyMap(2 * dim, _components_from_json(doc["g"], 2 * dim))
     if f.dim != dim or g.dim != dim:
@@ -163,7 +178,7 @@ def coloured_system_from_json(doc: Mapping) -> ColouredPolySystem:
 
 
 def word_system_from_json(doc: Mapping) -> WordSystem:
-    dim = int(doc["dim"])
+    dim = _decode_integer(doc["dim"], "dim")
     fields = {}
     for letter, rows in doc["letters"].items():
         if len(letter) != 1:

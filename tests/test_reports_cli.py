@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from hopfchar import cli, reports
-from hopfchar.characters import (DUAL, RATIONAL, TruncatedCharacter,
+from hopfchar.characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
                                  TruncatedInfChar)
 from hopfchar.evolution import TimePoly, TimePolynomialCurve
 from hopfchar.fields import Poly, PolyVectorField
@@ -519,3 +519,196 @@ def test_cli_wordseries_refuses_length_above_coefficient_truncation(tmp_path, ca
     assert "max length 5 exceeds the coefficient file's truncation N=4" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- input files
+
+GOOD_INPUTS = {
+    "inf": {"hopf": "ck", "N": 3, "B": "rational", "kind": "inf",
+            "values": [{"generator": "B", "value": "1"}]},
+    "ck": {"hopf": "ck", "N": 3, "B": "rational", "kind": "char", "values": []},
+    "ck2": {"hopf": "ck2", "N": 3, "B": "rational", "kind": "char", "values": []},
+    "shuffle": {"hopf": "shuffle:a", "N": 3, "B": "rational", "kind": "char",
+                "values": [{"generator": "a", "value": "1"}]},
+    "curve": {"hopf": "binomial", "N": 3, "kind": "inf-curve",
+              "values": [{"generator": "X", "coeffs": ["1"]}]},
+    "field": FIELD_LINEAR,
+    "system": PENDULUM,
+    "letters": {"dim": 1, "letters": {"a": [[{"monomial": [1], "coeff": "1"}]]}},
+}
+
+# file option -> (the good input it reads, that input's payload key, argv)
+FILE_OPTIONS = {
+    "char --a": ("inf", "values", ["char", "exp", "--a", "{bad}"]),
+    "char --b": ("ck", "values", ["char", "conv", "--a", "{ck}", "--b", "{bad}"]),
+    "bseries --coeffs": ("ck", "values", ["bseries", "--field", "{field}", "--y", "1",
+                                          "--max-order", "3", "--coeffs", "{bad}"]),
+    "pseries --coeffs": ("ck2", "values", ["pseries", "--system", "{system}", "--p", "1",
+                                           "--q", "0", "--max-order", "3",
+                                           "--coeffs", "{bad}"]),
+    "wordseries --coeffs": ("shuffle", "values", ["wordseries", "--system", "{letters}",
+                                                  "--x", "1", "--max-length", "3",
+                                                  "--coeffs", "{bad}"]),
+    "evolve --eta": ("curve", "values", ["evolve", "--hopf", "binomial",
+                                         "--max-degree", "2", "--eta", "{bad}"]),
+    "bseries --field": ("field", "components", ["bseries", "--field", "{bad}",
+                                                "--y", "1", "--max-order", "3"]),
+    "pseries --system": ("system", "f", ["pseries", "--system", "{bad}", "--p", "1",
+                                         "--q", "0", "--max-order", "3"]),
+    "wordseries --system": ("letters", "letters", ["wordseries", "--system", "{bad}",
+                                                   "--x", "1", "--max-length", "3"]),
+}
+
+
+def _inputs(tmp_path, bad_doc):
+    paths = {}
+    for name, doc in dict(GOOD_INPUTS, bad=bad_doc).items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return {name: str(p) for name, p in paths.items()}
+
+
+@pytest.mark.parametrize("defect", ["none", "top-level list", "no payload", "payload 5"])
+@pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
+def test_cli_malformed_input_files_exit_2(tmp_path, capsys, option, defect):
+    good, key, argv = FILE_OPTIONS[option]
+    doc = GOOD_INPUTS[good]
+    bad = {"none": doc,
+           "top-level list": [doc],
+           "no payload": {k: v for k, v in doc.items() if k != key},
+           "payload 5": dict(doc, **{key: 5})}[defect]
+    paths = _inputs(tmp_path, bad)
+    out = tmp_path / "out.json"
+    code = _run(*[a.format(**paths) for a in argv], "--out", str(out))
+    err = capsys.readouterr().err
+    if defect == "none":
+        assert code == 0, err
+        return
+    assert code == 2
+    assert f"bad input file {paths['bad']}" in err
+    assert not out.exists()
+
+
+def _field(monomial=(1,), coeff="1", dim=1):
+    return {"dim": dim, "components": [[{"monomial": list(monomial), "coeff": coeff}]]}
+
+
+def _char(**changes):
+    return dict({"hopf": "binomial", "N": 3, "B": "rational", "kind": "char",
+                 "values": [{"generator": "X", "value": "1/2"}]}, **changes)
+
+
+def _curve(**changes):
+    return dict({"hopf": "binomial", "N": 3, "kind": "inf-curve",
+                 "values": [{"generator": "X", "coeffs": ["0", "1"]}]}, **changes)
+
+
+SCHEMA_ARGV = {
+    "file-field": ["bseries", "--y", "1", "--max-order", "3", "--field"],
+    "file-character": ["char", "norm", "--a"],
+    "file-curve": ["evolve", "--hopf", "binomial", "--max-degree", "2", "--eta"],
+}
+
+SCHEMA_REJECTED = {
+    "negative exponent": ("file-field", _field(monomial=(-1,))),
+    "fractional exponent": ("file-field", _field(monomial=(1.5,))),
+    "boolean exponent": ("file-field", _field(monomial=(True,))),
+    "boolean coefficient": ("file-field", _field(coeff=True)),
+    "string dim": ("file-field", _field(dim="1")),
+    "boolean value": ("file-character",
+                      _char(values=[{"generator": "X", "value": True}])),
+    "dual value as a string": ("file-character",
+                               _char(B="dual", values=[{"generator": "X", "value": "12"}])),
+    "dual value of three parts": ("file-character",
+                                  _char(B="dual", values=[{"generator": "X",
+                                                           "value": ["1", "2", "3"]}])),
+    "unknown character kind": ("file-character", _char(kind="bogus")),
+    "string N": ("file-character", _char(N="3")),
+    "curve without kind": ("file-curve",
+                           {k: v for k, v in _curve().items() if k != "kind"}),
+    "unknown curve kind": ("file-curve", _curve(kind="bogus-curve")),
+    "boolean curve coefficient": ("file-curve",
+                                  _curve(values=[{"generator": "X", "coeffs": [True]}])),
+    "fractional curve N": ("file-curve", _curve(N=3.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_REJECTED))
+def test_decoders_reject_what_the_schemas_reject(tmp_path, capsys, case):
+    schema, doc = SCHEMA_REJECTED[case]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, reports.load_schema(schema))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert _run(*SCHEMA_ARGV[schema], str(path)) == 2
+    assert f"bad input file {path}" in capsys.readouterr().err
+
+
+def test_written_files_pass_schema_and_decoder(tmp_path, binomial):
+    X = binomial.generators(1)[0]
+    half = Fraction(1, 2)
+    written = [
+        ("file-character", reports.character_from_json, reports.character_to_json(
+            TruncatedCharacter(binomial, 3, RATIONAL, {X: half}))),
+        ("file-character", reports.character_from_json, reports.character_to_json(
+            TruncatedInfChar(binomial, 3, FLOAT, {X: 0.25}))),
+        ("file-character", reports.character_from_json, reports.character_to_json(
+            TruncatedCharacter(binomial, 3, DUAL, {X: (half, -3)}))),
+        ("file-curve", reports.curve_from_json, reports.curve_to_json(
+            TimePolynomialCurve(binomial, 3, {X: TimePoly((0, half))}, "inf"))),
+        ("file-curve", reports.curve_from_json, reports.curve_to_json(
+            TimePolynomialCurve(binomial, 3, {X: TimePoly((1, half))}, "char"))),
+        ("file-field", reports.field_from_json, reports.field_to_json(PolyVectorField([
+            Poly(2, {(0, 0): 1, (2, 1): Fraction(-2, 3)}), Poly(2, {(1, 0): 3})]))),
+    ]
+    for i, (schema, decode, doc) in enumerate(written):
+        jsonschema.validate(doc, reports.load_schema(schema))
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(doc))
+        assert cli._load(str(path), decode) is not None
+    for i, argv in ((0, SCHEMA_ARGV["file-character"]), (2, SCHEMA_ARGV["file-character"]),
+                    (3, SCHEMA_ARGV["file-curve"])):
+        assert _run(*argv, str(tmp_path / f"{i}.json"),
+                    "--out", str(tmp_path / "out.json")) == 0
+
+
+def test_cli_evolve_refuses_character_curve(tmp_path, capsys):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(_curve(kind="char-curve")))
+    out = tmp_path / "ev.json"
+    assert _run(*SCHEMA_ARGV["file-curve"], str(path), "--out", str(out)) == 2
+    assert "kind inf-curve" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--hopf", "ck", "--max-degree", "2", "--out"],
+    ["bseries", "--field", "{field}", "--y", "1", "--max-order", "2", "--csv"],
+    ["char", "exp", "--a", "{inf}", "--emit"],
+    ["control-check", "--hopf", "fdb-a", "--family", "pow", "--k1", "1", "--k2", "2",
+     "--max-degree", "2", "--csv"],
+    ["evolve", "--hopf", "binomial", "--max-degree", "2", "--eta", "{curve}", "--emit"],
+])
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, argv):
+    paths = _inputs(tmp_path, None)
+    target = tmp_path / "no-such-dir" / "out"
+    assert _run(*[a.format(**paths) for a in argv], str(target)) == 2
+    assert f"cannot write {target}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bseries", "--field", "{field}", "--y", "1", "--max-order", "13"],
+     "max order 13 exceeds the safety limit 12 for ck "),
+    (["pseries", "--system", "{system}", "--p", "1", "--q", "0", "--max-order", "13"],
+     "max order 13 exceeds the safety limit 12 for ck2 "),
+    (["wordseries", "--system", "{letters}", "--x", "1", "--max-length", "11"],
+     "max length 11 exceeds the safety limit 10 for shuffle:a "),
+    (["enumerate", "--hopf", "fdb-x", "--max-degree", "15"],
+     "max degree 15 exceeds the safety limit 14 for fdb-x "),
+    (["enumerate", "--hopf", "shuffle:ab", "--max-degree", "-1"],
+     "max degree must be nonnegative"),
+])
+def test_cli_one_range_rule(tmp_path, capsys, argv, message):
+    paths = _inputs(tmp_path, None)
+    assert _run(*[a.format(**paths) for a in argv]) == 2
+    assert message in capsys.readouterr().err
