@@ -36,9 +36,10 @@ monomials and products the process has built so far.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -199,6 +200,35 @@ def monomial_product(a: Monomial, b: Monomial) -> Monomial:
         p = Monomial.trusted(a.mode, factors, a.degree + b.degree)
     _PRODUCTS[key] = p
     return p
+
+
+def multisets(pool: Sequence, sizes: Sequence[int], n: int,
+              max_size: int | None = None) -> list[tuple]:
+    """The multisets of pool items with sizes (each >= 1) summing to n and at
+    most max_size members (any number when None), as tuples in pool order,
+    in lexicographic order of their pool indices."""
+    # fits[r]: the ascending pool indices of the items of size at most r
+    fits: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, s in enumerate(sizes):
+        for r in range(s, n + 1):
+            fits[r].append(i)
+    out: list[tuple] = []
+
+    def extend(prefix: list, start: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if len(prefix) == max_size:
+            return
+        candidates = fits[remaining]
+        for k in range(bisect_left(candidates, start), len(candidates)):
+            i = candidates[k]
+            prefix.append(pool[i])
+            extend(prefix, i, remaining - sizes[i])
+            prefix.pop()
+
+    extend([], 0, n)
+    return out
 
 
 def add_scaled(acc: dict, terms: Mapping, c: Coeff) -> None:

@@ -30,6 +30,7 @@ from .core import (
     TensorVector,
     empty_monomial,
     monomial_product,
+    multisets,
     tensor_product,
 )
 
@@ -70,40 +71,23 @@ class HopfAlgebra(ABC):
         return empty_monomial(self.mode)
 
     def basis(self, n: int) -> tuple[Monomial, ...]:
-        """The degree-n vector space basis; monomials over generators by default."""
-        if n not in self._basis_cache:
-            self._basis_cache[n] = self._basis_commutative(n)
-        return self._basis_cache[n]
+        """The degree-n vector space basis: the monomials over the generators,
+        in the walk order of :func:`~hopfchar.core.multisets`."""
+        out = self._basis_cache.get(n)
+        if out is None:
+            if self.mode != COMMUTATIVE:
+                raise NotImplementedError("word-mode instances must override basis()")
+            gens = [m.factors[0] for m in self.generators_upto(n)]
+            out = self._basis_cache[n] = tuple(
+                Monomial(COMMUTATIVE, factors)
+                for factors in multisets(gens, [g.degree for g in gens], n))
+        return out
 
     def basis_upto(self, n: int) -> list[Monomial]:
         out = [self.empty()]
         for d in range(1, n + 1):
             out.extend(self.basis(d))
         return out
-
-    def _basis_commutative(self, n: int) -> tuple[Monomial, ...]:
-        if self.mode != COMMUTATIVE:
-            raise NotImplementedError("word-mode instances must override basis()")
-        if n == 0:
-            return (self.empty(),)
-        # ascending degree, so the first generator too large ends a scan
-        pool = self.generators_upto(n)
-        out: list[Monomial] = []
-
-        def extend(prefix: list, start: int, remaining: int) -> None:
-            if remaining == 0:
-                out.append(Monomial(COMMUTATIVE, tuple(g for m in prefix for g in m.factors)))
-                return
-            for i in range(start, len(pool)):
-                g = pool[i]
-                if g.degree > remaining:
-                    break
-                prefix.append(g)
-                extend(prefix, i, remaining - g.degree)
-                prefix.pop()
-
-        extend([], 0, n)
-        return tuple(out)
 
     def axiom_domain(self, n: int) -> tuple[Monomial, ...]:
         """Elements the axiom checker visits; generators unless overridden."""
@@ -202,10 +186,9 @@ class HopfAlgebra(ABC):
             explicit = self.antipode_generator_explicit(m)
             out = explicit if explicit is not None else self.antipode_recursive(m, variant=1)
         else:
-            # S is an algebra antimorphism; factor order only matters in word mode
-            factors = m.factors if self.mode == COMMUTATIVE else tuple(reversed(m.factors))
+            # S is multiplicative; word-mode instances override this method
             out = GradedVector.of(self.empty())
-            for g in factors:
+            for g in m.factors:
                 out = self.product(out, self.antipode_monomial(Monomial.trusted(m.mode, (g,), g.degree)))
         self._antipode_cache[m] = out
         return out

@@ -41,7 +41,7 @@ from .core import (
     monomial_product,
 )
 from .hopf import HopfAlgebra
-from .trees import RootedTree, iter_nodes, parse_tree, trees_of_order
+from .trees import RootedTree, iter_nodes, parse_tree, tree_text
 from .words import (
     Word,
     all_words,
@@ -162,7 +162,8 @@ class ConnesKreimer(HopfAlgebra):
     Trees are hash-consed per instance: a tree is B⁺_c(F), a root of colour c
     grafted onto a forest monomial F of child generators, and :meth:`graft`
     returns the one tree monomial for each (c, F), so a coproduct or antipode
-    never builds a :class:`RootedTree`.  The coproduct follows the B⁺
+    never builds a :class:`RootedTree`; the trees with n nodes are B⁺_c over
+    the forests of ``basis(n - 1)``.  The coproduct follows the B⁺
     Hochschild 1-cocycle of Connes and Kreimer,
     Δ B⁺(F) = B⁺(F) ⊗ 1 + (id ⊗ B⁺) Δ(F), with Δ(F) the cached product of the
     child coproducts.  The closed antipode is the signed sum over edge
@@ -183,8 +184,7 @@ class ConnesKreimer(HopfAlgebra):
         # the hash-consing: (root colour, children forest) <-> the one tree monomial
         self._grafts: dict[tuple[int, Monomial], Monomial] = {}
         self._shapes: dict[Generator, tuple[int, Monomial]] = {}
-        self._by_tree: dict[RootedTree, Monomial] = {}
-        self._tree_by_key: dict[str, RootedTree] = {}
+        self._generators: dict[int, tuple[Monomial, ...]] = {}
         self._cut_states: dict[Generator, dict[tuple[Monomial, Monomial], int]] = {}
 
     def graft(self, colour: int, forest: Monomial) -> Monomial:
@@ -197,14 +197,17 @@ class ConnesKreimer(HopfAlgebra):
         """
         m = self._grafts.get((colour, forest))
         if m is None:
-            kids = sorted(forest.factors, key=lambda g: (self._shapes[g][0], g.key))
-            body = "[" + ",".join(g.key for g in kids) + "]" if kids else "B"
-            g = Generator(self.name, f"{body}:{colour}" if self._coloured else body,
+            kids = sorted(forest.factors, key=self._order)
+            g = Generator(self.name, tree_text(colour, [k.key for k in kids], self._coloured),
                           forest.degree + 1)
             m = Monomial.trusted(COMMUTATIVE, (g,), g.degree)
             self._grafts[(colour, forest)] = m
             self._shapes[g] = (colour, forest)
         return m
+
+    def _order(self, g: Generator) -> tuple[int, str]:
+        """(root colour, key): the order of trees among siblings and in a degree."""
+        return (self._shapes[g][0], g.key)
 
     def _shape(self, g: Generator) -> tuple[int, Monomial]:
         """(root colour, children forest) of g, grafting it first if g was
@@ -216,25 +219,25 @@ class ConnesKreimer(HopfAlgebra):
         return shape
 
     def tree_monomial(self, t: RootedTree) -> Monomial:
-        m = self._by_tree.get(t)
-        if m is None:
-            forest = Monomial(COMMUTATIVE, tuple(self.tree_generator(c) for c in t.children))
-            m = self._by_tree[t] = self.graft(t.colour, forest)
-            self._tree_by_key.setdefault(m.factors[0].key, t)
-        return m
-
-    def tree_generator(self, t: RootedTree) -> Generator:
-        return self.tree_monomial(t).factors[0]
+        forest = Monomial(COMMUTATIVE, tuple(self.tree_monomial(c).factors[0]
+                                             for c in t.children))
+        return self.graft(t.colour, forest)
 
     def tree_of(self, g: Generator) -> RootedTree:
-        t = self._tree_by_key.get(g.key)
-        if t is None:
-            t = parse_tree(g.key, self._coloured)
-            self._tree_by_key[g.key] = t
-        return t
+        return parse_tree(g.key, self._coloured)
 
     def generators(self, n: int) -> tuple[Monomial, ...]:
-        return tuple(self.tree_monomial(t) for t in trees_of_order(n, self.colours))
+        """B⁺ of a root of each colour over every forest of n - 1 nodes, in
+        (root colour, key) order, memoised per degree."""
+        if n < 1:
+            return ()
+        gens = self._generators.get(n)
+        if gens is None:
+            trees = [self.graft(colour, forest)
+                     for colour in range(self.colours) for forest in self.basis(n - 1)]
+            gens = self._generators[n] = tuple(
+                sorted(trees, key=lambda m: self._order(m.factors[0])))
+        return gens
 
     def generator_from_text(self, text: str) -> Monomial:
         t = parse_tree(text, self._coloured)

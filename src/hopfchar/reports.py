@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
@@ -30,8 +31,13 @@ def encode_rational(x: Coeff) -> str:
     return str(Fraction(x))
 
 
+# the file schemas' pattern for a rational string, with a nonzero denominator
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def decode_rational(v) -> Fraction:
-    if isinstance(v, (str, int)) and not isinstance(v, bool):
+    if (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v)):
         return Fraction(v)
     raise ValueError(f"expected exact rational encoding, got {v!r}")
 
@@ -42,6 +48,12 @@ def _decode_integer(v, what: str, minimum: int | None = None) -> int:
         raise ValueError(f"{what} must be an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ValueError(f"{what} must be at least {minimum}, got {v!r}")
+    return v
+
+
+def _decode_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be an array, got {v!r}")
     return v
 
 
@@ -93,11 +105,11 @@ def character_from_json(doc: Mapping, hopf: HopfAlgebra | None = None):
     H = hopf if hopf is not None else instance_by_name(doc["hopf"])
     if H.name != doc["hopf"]:
         raise ValueError(f"character file is for {doc['hopf']!r}, not {H.name!r}")
-    target = TARGETS.get(doc.get("B", "rational"))
+    target = TARGETS.get(doc["B"])
     if target is None:
-        raise ValueError(f"unknown target algebra {doc.get('B')!r}")
+        raise ValueError(f"unknown target algebra {doc['B']!r}")
     values = {}
-    for row in doc["values"]:
+    for row in _decode_list(doc["values"], "values"):
         g = H.generator_from_text(row["generator"])
         values[g] = decode_scalar(target, row["value"])
     kind = doc.get("kind", "char")
@@ -124,9 +136,10 @@ def curve_from_json(doc: Mapping, hopf: HopfAlgebra | None = None) -> TimePolyno
     if kind not in ("inf-curve", "char-curve"):
         raise ValueError(f"not a curve file: kind={kind!r}")
     polys = {}
-    for row in doc["values"]:
+    for row in _decode_list(doc["values"], "values"):
         g = H.generator_from_text(row["generator"])
-        polys[g] = TimePoly(tuple(decode_rational(c) for c in row["coeffs"]))
+        polys[g] = TimePoly(tuple(decode_rational(c)
+                                  for c in _decode_list(row["coeffs"], "coeffs")))
     return TimePolynomialCurve(H, _decode_integer(doc["N"], "N"), polys,
                                kind=kind[:-len("-curve")])
 
@@ -145,9 +158,9 @@ def _components_to_json(comps: Sequence[Poly]) -> list:
 
 def _components_from_json(rows: Sequence, nvars: int) -> list:
     comps = []
-    for comp in rows:
+    for comp in _decode_list(rows, "components"):
         terms = {}
-        for cell in comp:
+        for cell in _decode_list(comp, "a component"):
             e = tuple(_decode_integer(k, "exponent", 0) for k in cell["monomial"])
             if len(e) != nvars:
                 raise ValueError(f"monomial {e} should have {nvars} exponents")

@@ -46,9 +46,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Mapping, Sequence
 
-from .core import Coeff
+from .core import Coeff, multisets
 from .fields import ColouredPolySystem, Poly, PolyMap, PolyVectorField, WordSystem
-from .trees import RootedTree, _sort_key, forests_from_pool, trees_of_order
+from .trees import RootedTree, _sort_key, trees_of_order
 from .words import all_words
 
 
@@ -125,39 +125,36 @@ def _tree_terms(a, maps: Sequence[PolyMap], slots: Sequence[Sequence[int]],
     t with n nodes and root colour c of a(t)/sigma(t) * F(t)(point)."""
     dim = maps[0].dim
     degrees = [fmap.degree() for fmap in maps]
-    # live[t] = (_sort_key(t), F(t)(point), sigma(t)); pool lists the live
-    # trees of the orders below n in _sort_key order, as forests_from_pool needs
+    # live[t] = (F(t)(point), sigma(t)); pool lists the live trees of the
+    # orders below n in _sort_key order, as multisets needs
     live: dict[RootedTree, tuple] = {}
     pool: list[RootedTree] = []
-
-    def key(t: RootedTree) -> tuple:
-        return live[t][0]
-
     terms = []
     for n in range(1, max_order + 1):
+        sizes = [t.order for t in pool]
         born = []
         for colour, fmap in enumerate(maps):
-            for kids in forests_from_pool(pool, n - 1, degrees[colour]):
+            for kids in multisets(pool, sizes, n - 1, degrees[colour]):
                 if kids:
-                    vec = fmap.deriv_apply(point, [live[k][1] for k in kids],
+                    vec = fmap.deriv_apply(point, [live[k][0] for k in kids],
                                            [slots[k.colour] for k in kids])
                 else:
                     vec = fmap.evaluate(point)
                 if any(vec):
                     t = RootedTree.trusted(kids, colour)
-                    live[t] = (_sort_key(t), vec, _symmetry(kids, lambda k: live[k][2]))
+                    live[t] = (vec, _symmetry(kids, lambda k: live[k][1]))
                     born.append(t)
-        born.sort(key=key)
+        born.sort(key=_sort_key)
         accs = [[0] * dim for _ in maps]
         for t in born:
             c = _coefficient(a, t)
             if not c:
                 continue
-            _, vec, s = live[t]
+            vec, s = live[t]
             c = Fraction(c, s) if isinstance(c, int) else c / s
             accs[t.colour] = [u + c * v for u, v in zip(accs[t.colour], vec)]
         terms.append(tuple(tuple(acc) for acc in accs))
-        pool = sorted(pool + born, key=key)
+        pool = sorted(pool + born, key=_sort_key)
     return terms
 
 

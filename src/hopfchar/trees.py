@@ -9,54 +9,60 @@ colour before structure, so equal trees have equal encodings.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterator
 
+from .core import multisets
+
 
 class RootedTree:
-    __slots__ = ("colour", "children", "order", "_hash")
+    __slots__ = ("colour", "children", "order", "key", "_hash")
 
     def __init__(self, children: tuple["RootedTree", ...] = (), colour: int = 0):
         # children are assumed canonical themselves; only the local sort happens here
-        self.children = tuple(sorted(children, key=_sort_key))
-        self.colour = colour
-        self.order = 1 + sum(c.order for c in self.children)
-        self._hash = hash((colour, self.children))
+        self._build(tuple(sorted(children, key=_sort_key)), colour)
 
     @classmethod
     def trusted(cls, children: tuple["RootedTree", ...], colour: int = 0) -> "RootedTree":
         """Build without sorting: children already in ``_sort_key`` order."""
         t = cls.__new__(cls)
-        t.children = children
-        t.colour = colour
-        t.order = 1 + sum(c.order for c in children)
-        t._hash = hash((colour, children))
+        t._build(children, colour)
         return t
 
+    def _build(self, children: tuple["RootedTree", ...], colour: int) -> None:
+        self.children = children
+        self.colour = colour
+        self.order = 1 + sum(c.order for c in children)
+        # the sort key (root colour, coloured text), from the children's keys
+        self.key = (colour, tree_text(colour, [c.key[1] for c in children], True))
+        self._hash = hash(self.key)
+
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, RootedTree):
             return NotImplemented
-        return self.colour == other.colour and self.children == other.children
+        return self.key == other.key
 
     def __hash__(self) -> int:
         return self._hash
 
     def encode(self, coloured: bool = False) -> str:
-        if self.children:
-            body = "[" + ",".join(c.encode(coloured) for c in self.children) + "]"
-        else:
-            body = "B"
-        return f"{body}:{self.colour}" if coloured else body
+        if coloured:
+            return self.key[1]
+        return tree_text(self.colour, [c.encode() for c in self.children], False)
 
     def __repr__(self) -> str:
         return self.encode(coloured=_max_colour(self) > 0)
 
 
+def tree_text(colour: int, child_texts: list[str], coloured: bool) -> str:
+    """The canonical text of a tree from its children's texts, given in
+    canonical order: the one place a tree's text is written."""
+    body = "[" + ",".join(child_texts) + "]" if child_texts else "B"
+    return f"{body}:{colour}" if coloured else body
+
+
 def _sort_key(t: RootedTree) -> tuple:
-    return (t.colour, t.encode(True))
+    return t.key
 
 
 LEAF = RootedTree()
@@ -143,40 +149,7 @@ def _trees_of_order(n: int, colours: int) -> tuple[RootedTree, ...]:
 def _forests_of_order(n: int, colours: int) -> tuple[tuple[RootedTree, ...], ...]:
     pool = [t for k in range(1, n + 1) for t in trees_of_order(k, colours)]
     pool.sort(key=_sort_key)
-    return tuple(forests_from_pool(pool, n))
-
-
-def forests_from_pool(pool: list[RootedTree], n: int,
-                      max_size: int | None = None) -> list[tuple[RootedTree, ...]]:
-    """The multisets of pool trees with n nodes in total and at most max_size
-    members (any number when None), as tuples in pool order.
-
-    pool holds distinct trees in ``_sort_key`` order, so each tuple is a
-    canonical child list for :meth:`RootedTree.trusted`.
-    """
-    # fits[r]: the ascending pool indices of the trees with at most r nodes
-    fits: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, t in enumerate(pool):
-        for r in range(t.order, n + 1):
-            fits[r].append(i)
-    out: list[tuple[RootedTree, ...]] = []
-
-    def extend(prefix: list[RootedTree], start: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if len(prefix) == max_size:
-            return
-        candidates = fits[remaining]
-        for k in range(bisect_left(candidates, start), len(candidates)):
-            i = candidates[k]
-            t = pool[i]
-            prefix.append(t)
-            extend(prefix, i, remaining - t.order)
-            prefix.pop()
-
-    extend([], 0, n)
-    return out
+    return tuple(multisets(pool, [t.order for t in pool], n))
 
 
 def root_cuts(t: RootedTree) -> list[tuple[RootedTree | None, tuple[RootedTree, ...]]]:

@@ -104,6 +104,19 @@ def automorphism_count(tree) -> int:
     return count
 
 
+def tree_text_by_recursion(tree, coloured: bool) -> str:
+    """A tree's canonical text rebuilt from the codec's rules at every node:
+    a leaf is ``B``, children are sorted on (colour, coloured text) and
+    bracketed, and a coloured text puts ``:<colour>`` after every node."""
+    kids = []
+    for c in tree.children:
+        full = tree_text_by_recursion(c, True)
+        kids.append((c.colour, full, full if coloured else tree_text_by_recursion(c, False)))
+    kids.sort()
+    body = "[" + ",".join(text for _, _, text in kids) + "]" if kids else "B"
+    return f"{body}:{tree.colour}" if coloured else body
+
+
 def catalan(r: int) -> int:
     return comb(2 * r, r) // (r + 1)
 
@@ -365,7 +378,7 @@ def basis_by_scan(H, n: int) -> tuple:
 
 
 def _forest_monomial(H, forest) -> Monomial:
-    return Monomial(COMMUTATIVE, tuple(H.tree_generator(t) for t in forest))
+    return Monomial(COMMUTATIVE, tuple(H.tree_monomial(t).factors[0] for t in forest))
 
 
 def ck_coproduct_by_root_cuts(H, g) -> TensorVector:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hopfchar.core import GradedVector, monomial_product
 from hopfchar.hopf import check_hopf_axioms
 from hopfchar.instances import instance_by_name
-from hopfchar.trees import parse_tree
+from hopfchar.trees import parse_tree, trees_of_order
 from oracles import basis_by_scan, ck_antipode_by_edge_cuts, ck_coproduct_by_root_cuts
 
 
@@ -247,6 +247,13 @@ def test_ck_maps_match_cut_enumeration(name, degree):
         for g in H.generators(n):
             assert H.coproduct_generator(g) == ck_coproduct_by_root_cuts(H, g)
             assert H.antipode_generator_explicit(g) == ck_antipode_by_edge_cuts(H, g)
+
+
+@pytest.mark.parametrize("name, colours, degree", [("ck", 1, 11), ("ck2", 2, 7)])
+def test_ck_generators_by_grafting_match_tree_enumeration(name, colours, degree):
+    H = instance_by_name(name)
+    for n in range(1, degree + 1):
+        assert list(H.generators(n)) == [H.tree_monomial(t) for t in trees_of_order(n, colours)]
 
 
 @pytest.mark.parametrize("name, colour, children, text", [

@@ -43,8 +43,9 @@ def test_rational_encoding_round_trip():
     for q in (Fraction(3, 7), Fraction(-5, 1), 4, Fraction(0)):
         assert reports.decode_rational(reports.encode_rational(q)) == q
     assert reports.decode_rational(7) == 7
-    with pytest.raises(ValueError):
-        reports.decode_rational("x")
+    for bad in ("x", "1.5", "1e3", "1/0"):
+        with pytest.raises(ValueError):
+            reports.decode_rational(bad)
 
 
 def test_character_json_round_trip(fdb_a):
@@ -147,6 +148,37 @@ def test_load_schema_known_and_unknown():
     assert doc["properties"]["subcommand"]["const"] == "enumerate"
     with pytest.raises(FileNotFoundError):
         reports.load_schema("report-nope")
+
+
+def _schemas(prefix):
+    folder = Path(reports.__file__).parent / "schemas"
+    names = [p.name[:-len(".schema.json")] for p in folder.glob(f"{prefix}*.schema.json")]
+    return {name: reports.load_schema(name) for name in sorted(names)}
+
+
+def _titled(node):
+    """Every schema object with a title, at any depth."""
+    if isinstance(node, dict):
+        if isinstance(node.get("title"), str):
+            yield node
+        for v in node.values():
+            yield from _titled(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _titled(v)
+
+
+def test_embedded_file_schemas_equal_their_files():
+    files = {doc["title"]: doc for doc in _schemas("file-").values()}
+    embedded = []
+    for name, doc in _schemas("report-").items():
+        for node in _titled(doc):
+            if node["title"] in files:
+                assert node == files[node["title"]], (name, node["title"])
+                embedded.append((name, node["title"]))
+    assert sorted(embedded) == [("report-char", "Character file"),
+                                ("report-evolve", "Character file"),
+                                ("report-evolve", "Time-polynomial curve file")]
 
 
 def test_cli_enumerate_stdout(capsys, ck):
@@ -614,6 +646,8 @@ SCHEMA_REJECTED = {
     "fractional exponent": ("file-field", _field(monomial=(1.5,))),
     "boolean exponent": ("file-field", _field(monomial=(True,))),
     "boolean coefficient": ("file-field", _field(coeff=True)),
+    "decimal coefficient": ("file-field", _field(coeff="1.5")),
+    "component as an object": ("file-field", {"dim": 1, "components": [{}]}),
     "string dim": ("file-field", _field(dim="1")),
     "boolean value": ("file-character",
                       _char(values=[{"generator": "X", "value": True}])),
@@ -624,12 +658,19 @@ SCHEMA_REJECTED = {
                                                            "value": ["1", "2", "3"]}])),
     "unknown character kind": ("file-character", _char(kind="bogus")),
     "string N": ("file-character", _char(N="3")),
+    "values as an object": ("file-character", _char(values={})),
+    "character without B": ("file-character",
+                            {k: v for k, v in _char().items() if k != "B"}),
     "curve without kind": ("file-curve",
                            {k: v for k, v in _curve().items() if k != "kind"}),
     "unknown curve kind": ("file-curve", _curve(kind="bogus-curve")),
     "boolean curve coefficient": ("file-curve",
                                   _curve(values=[{"generator": "X", "coeffs": [True]}])),
     "fractional curve N": ("file-curve", _curve(N=3.5)),
+    "exponent-notation curve coefficient": (
+        "file-curve", _curve(values=[{"generator": "X", "coeffs": ["0", "1e3"]}])),
+    "curve coefficients as a string": (
+        "file-curve", _curve(values=[{"generator": "X", "coeffs": "12"}])),
 }
 
 

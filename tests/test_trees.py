@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hopfchar.trees import (LEAF, RootedTree, _sort_key, edge_cuts,
                             forests_of_order, iter_nodes, parse_tree, root_cuts,
                             tree, trees_of_order)
-from oracles import brute_force_tree_count, forests_by_scan
+from oracles import brute_force_tree_count, forests_by_scan, tree_text_by_recursion
 
 TREE_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115)
 TWO_COLOUR_COUNTS = (2, 4, 14, 52, 214, 916, 4116)
@@ -30,8 +30,18 @@ def test_two_colour_counts_match_brute_force_oracle():
 def test_forest_order_matches_scanning_enumeration(colours):
     for n in range(8):
         pool = sorted((t for k in range(1, n + 1) for t in trees_of_order(k, colours)),
-                      key=lambda t: (t.colour, t.encode(True)))
+                      key=lambda t: (t.colour, tree_text_by_recursion(t, True)))
         assert forests_of_order(n, colours) == forests_by_scan(pool, n)
+
+
+@pytest.mark.parametrize("colours", [1, 2])
+def test_tree_text_matches_recursive_encoder(colours):
+    for n in range(1, 9):
+        for t in trees_of_order(n, colours):
+            coloured = tree_text_by_recursion(t, True)
+            assert t.encode(True) == coloured
+            assert _sort_key(t) == (t.colour, coloured)
+            assert t.encode() == tree_text_by_recursion(t, False)
 
 
 @pytest.mark.parametrize("colours", [1, 2])
