@@ -10,15 +10,24 @@ and eta are a character and an infinitesimal character over B[t], the
 polynomials in t over the target B, and evaluate through the same hook.  No
 full monomial table is built.  A full table appears only as the result of
 convolving maps that are not both characters.
+
+Over RATIONAL the inner loops run on Python ints: the solver's polynomials
+are integer numerators over one denominator (``RationalPolyTarget``), and
+convolution, inverse and bracket go through ``sum_products``, which sums
+integer numerators per denominator.  A Fraction is built only where a value
+leaves a pass, with the type (int or Fraction) the Fraction-by-Fraction
+fold gives.  The float and dual targets keep that fold and its order of
+operations.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
-from .core import Coeff, GradedVector, Monomial, json_number
+from .core import Coeff, GradedVector, Monomial, json_number, normalize_coeff
 from .growth import GrowthFamily, builtin
 from .hopf import HopfAlgebra
 
@@ -58,11 +67,43 @@ class TargetAlgebra(ABC):
     def neg(self, a):
         return self.scale(-1, a)
 
+    def sum_products(self, terms):
+        """The sum of c (x y - x' y') over terms (c, x, y, x', y'), with c a
+        rational; a term (c, x, y) stands for c x y and (c, x) for c x.
+
+        This default is a left fold through add, mul, scale and neg, in that
+        order of operations, so float results keep their last bits.
+        """
+        total = self.zero
+        for c, *factors in terms:
+            v = factors[0]
+            if len(factors) > 1:
+                v = self.mul(v, factors[1])
+            if len(factors) > 2:
+                v = self.add(v, self.neg(self.mul(factors[2], factors[3])))
+            total = self.add(total, self.scale(c, v))
+        return total
+
     def __repr__(self) -> str:
         return f"<target {self.name}>"
 
 
+def _products(terms):
+    """The products of ``sum_products`` terms, each a tuple whose first factor
+    is the rational c: (c, x, y, x', y') gives (c, x, y) and (-c, x', y'),
+    and a shorter term is one product."""
+    for term in terms:
+        if len(term) == 5:
+            c, x, y, x2, y2 = term
+            yield c, x, y
+            yield -c, x2, y2
+        else:
+            yield term
+
+
 class RationalTarget(TargetAlgebra):
+    """Exact rationals: ints and Fractions."""
+
     name = "rational"
     one = 1
     zero = 0
@@ -81,6 +122,31 @@ class RationalTarget(TargetAlgebra):
 
     def from_rational(self, q):
         return q
+
+    def sum_products(self, terms):
+        """The exact sum on integers: each product's numerator is added to the
+        sum kept for its denominator, a product with a zero factor adds
+        nothing, and one Fraction is built at the end.  The result is an int
+        exactly when every factor of every term is an int, as the left fold
+        gives it."""
+        sums: dict[int, int] = {}
+        fraction = False
+        for product in _products(terms):
+            num = den = 1
+            for x in product:
+                if type(x) is int:
+                    num *= x
+                else:
+                    fraction = True
+                    if num:
+                        num *= x.numerator
+                        den *= x.denominator
+            if num:
+                sums[den] = sums.get(den, 0) + num
+        if not fraction:
+            return sums.get(1, 0)
+        den = lcm(*sums)
+        return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
 
 
 class FloatTarget(TargetAlgebra):
@@ -132,7 +198,9 @@ class PolyTarget(TargetAlgebra):
     () as zero; the norm is the sum of the coefficient norms.
 
     A slot still holding the B.zero object itself is overwritten rather than
-    added to, which skips most Fraction additions.
+    added to.  ``lift`` takes a tuple of B-values to an element, here as it
+    is.  Over RATIONAL the flow solver uses ``RationalPolyTarget`` instead,
+    which computes on integer numerators.
     """
 
     zero = ()
@@ -188,13 +256,160 @@ class PolyTarget(TargetAlgebra):
             total = B.add(total, a)
         return total
 
+    def integrate(self, p):
+        """The antiderivative vanishing at t = 0."""
+        B = self.base
+        return (B.zero,) + tuple(B.scale(Fraction(1, i + 1), a) for i, a in enumerate(p))
+
+    def lift(self, coeffs):
+        return coeffs
+
+
+def _reduced(den: int, nums: list):
+    """The polynomial nums / den in lowest terms, without trailing zeros."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return ()
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [n // g for n in nums]
+    return den, tuple(nums)
+
+
+def _times(a, b) -> list:
+    """The product of two numerator tuples, skipping zero numerators."""
+    out = [0] * (len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:  # gamma vanishes at t = 0, so products lead with zeros
+            for j, y in b:
+                out[i + j] += x * y
+    return out
+
+
+class RationalPolyTarget(PolyTarget):
+    """Polynomials in t over RATIONAL, computed on Python ints.
+
+    A nonzero polynomial is a pair (den, nums): den > 0 and a tuple of
+    integer numerators, t^0 first, in lowest terms (gcd(den, *nums) = 1)
+    with a nonzero last numerator; () is zero.  Every operation reduces with
+    one gcd, so a sum that cancels returns () itself.  Values enter through
+    ``lift`` and leave through ``lower`` or ``at_one``; no Fraction is built
+    in between.
+    """
+
+    def __init__(self):
+        super().__init__(RATIONAL)
+
+    @property
+    def one(self):
+        return (1, (1,))
+
+    def lift(self, coeffs):
+        """A tuple of rationals as (den, nums)."""
+        den = lcm(*(c.denominator for c in coeffs))
+        return _reduced(den, [c.numerator * (den // c.denominator) for c in coeffs])
+
+    def lower(self, p):
+        """The tuple of coefficients, integral ones as ints."""
+        if not p:
+            return ()
+        den, nums = p
+        return tuple(n if den == 1 else normalize_coeff(Fraction(n, den)) for n in nums)
+
+    def add(self, p, q):
+        if not p:
+            return q
+        if not q:
+            return p
+        (dp, a), (dq, b) = p, q
+        if len(a) < len(b):
+            dp, a, dq, b = dq, b, dp, a
+        den = lcm(dp, dq)
+        fp, fq = den // dp, den // dq
+        out = [x * fp for x in a]
+        for i, y in enumerate(b):
+            out[i] += y * fq
+        return _reduced(den, out)
+
+    def mul(self, p, q):
+        if not p or not q:
+            return ()
+        (dp, a), (dq, b) = p, q
+        return _reduced(dp * dq, _times(a, b))
+
+    def scale(self, q, p):
+        if q == 1 or not p:
+            return p
+        den, nums = p
+        return _reduced(den * q.denominator, [q.numerator * n for n in nums])
+
+    def norm(self, p):
+        if not p:
+            return 0
+        den, nums = p
+        return normalize_coeff(Fraction(sum(map(abs, nums)), den))
+
+    def from_rational(self, q):
+        return self.lift((q,))
+
+    def at_one(self, p):
+        if not p:
+            return 0
+        den, nums = p
+        return normalize_coeff(Fraction(sum(nums), den))
+
+    def integrate(self, p):
+        """The antiderivative vanishing at t = 0, over den * lcm(1..k) for k
+        coefficients."""
+        if not p:
+            return ()
+        den, nums = p
+        m = lcm(*range(1, len(nums) + 1))
+        return _reduced(den * m, [0] + [n * (m // (i + 1)) for i, n in enumerate(nums)])
+
+    def sum_products(self, terms):
+        """The exact sum on integers: each product's numerators are added to
+        the sums kept for its denominator, a product with a zero factor adds
+        nothing, and the result is reduced once at the end."""
+        sums: dict[int, list] = {}
+        for c, *polys in _products(terms):
+            if not c or not all(polys):
+                continue
+            den, nums = polys[0]
+            if len(polys) == 2:
+                dq, b = polys[1]
+                den *= dq
+                nums = _times(nums, b)
+            den *= c.denominator
+            c = c.numerator
+            acc = sums.get(den)
+            if acc is None:
+                sums[den] = [c * n for n in nums]
+                continue
+            if len(acc) < len(nums):
+                acc.extend([0] * (len(nums) - len(acc)))
+            for i, n in enumerate(nums):
+                acc[i] += c * n
+        if not sums:
+            return ()
+        den = lcm(*sums)
+        out = [0] * max(map(len, sums.values()))
+        for d, acc in sums.items():
+            f = den // d
+            for i, n in enumerate(acc):
+                out[i] += n * f
+        return _reduced(den, out)
+
 
 RATIONAL = RationalTarget()
 FLOAT = FloatTarget()
 DUAL = DualTarget()
 
 TARGETS = {"rational": RATIONAL, "float": FLOAT, "dual": DUAL}
-RATIONAL_POLY = PolyTarget(RATIONAL)
+RATIONAL_POLY = RationalPolyTarget()
 
 
 # --------------------------------------------------------------------------
@@ -217,11 +432,7 @@ class _BaseMap:
 
     def on_vector(self, v: GradedVector):
         """Linear extension to a vector of monomials."""
-        B = self.target
-        total = B.zero
-        for m, c in v.terms.items():
-            total = B.add(total, B.scale(c, self.evaluate(m)))
-        return total
+        return self.target.sum_products((c, self.evaluate(m)) for m, c in v.terms.items())
 
     def evaluate(self, m: Monomial):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -252,12 +463,12 @@ class _GeneratorMap(_BaseMap):
         return self.values.get(g, self.target.zero)
 
     def evaluate(self, m: Monomial):
+        cached = self._cache.get(m)  # holds only nonempty m within the truncation
+        if cached is not None:
+            return cached
         self._guard(m)
         if m.is_empty():
             return self.target.zero if self.infinitesimal else self.target.one
-        cached = self._cache.get(m)
-        if cached is not None:
-            return cached
         total = self.hopf.character_value(m, self._value, self.evaluate, self.target,
                                           self.infinitesimal)
         self._cache[m] = total
@@ -311,11 +522,9 @@ def _check_compatible(phi, psi) -> None:
 
 
 def _convolve_on(phi, psi, m: Monomial):
-    B = phi.target
-    total = B.zero
-    for (mu, sigma), c in phi.hopf.coproduct_monomial(m).terms.items():
-        total = B.add(total, B.scale(c, B.mul(phi.evaluate(mu), psi.evaluate(sigma))))
-    return total
+    return phi.target.sum_products(
+        (c, phi.evaluate(mu), psi.evaluate(sigma))
+        for (mu, sigma), c in phi.hopf.coproduct_monomial(m).terms.items())
 
 
 def convolve(phi, psi):
@@ -379,15 +588,16 @@ def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
                 phi: TruncatedCharacter | None = None):
     """gamma' = gamma * eta, gamma(0) = counit, on the generators up to degree N.
 
-    eta maps generators to t-polynomials over B (absent means zero; those past
-    degree N are ignored).  Returns (gamma, eta) as a TruncatedCharacter and
-    a TruncatedInfChar over B[t], gamma valued on every generator of degree
-    <= N.  Degree by degree, gamma(g) = integral_0^t (eta(g) + sum c
-    gamma(alpha) eta(beta)) over the reduced coproduct of g: the primitive
-    terms give gamma(1) eta(g) = eta(g) and gamma(g) eta(1) = 0.  alpha and
-    beta have lower degree, so both evaluate, through the instance's
-    ``character_value`` hook, from generator values already solved.
-    Integration is exact over an exact B.
+    eta maps generators to t-polynomials over B, tuples of B-values (absent
+    means zero; those past degree N are ignored).  Returns (gamma, eta) as
+    dicts of such tuples, gamma valued on every generator of degree <= N.
+    Degree by degree, gamma(g) = integral_0^t (eta(g) + sum c gamma(alpha)
+    eta(beta)) over the reduced coproduct of g: the primitive terms give
+    gamma(1) eta(g) = eta(g) and gamma(g) eta(1) = 0.  alpha and beta have
+    lower degree, so both evaluate, through the instance's
+    ``character_value`` hook, from generator values already solved.  gamma
+    and eta live in B[t]: ``RATIONAL_POLY`` on integer numerators when B is
+    RATIONAL, else ``PolyTarget(B)``.  Integration is exact over an exact B.
 
     With phi, eta is the unknown instead: a constant infinitesimal character
     with gamma(1) = phi, solved generator by generator.  Since gamma(alpha)
@@ -395,23 +605,65 @@ def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
     and the higher coefficients do not depend on it, so
     eta(g) = phi(g) - sum_{k >= 2} gamma(g)_k.
     """
-    P = PolyTarget(B)
+    P = RATIONAL_POLY if B is RATIONAL else PolyTarget(B)
+    eta = {g: p for g, p in eta.items() if g.degree <= N}
     gamma = TruncatedCharacter(H, N, P, {})
-    eta = TruncatedInfChar(H, N, P, {g: p for g, p in eta.items() if g.degree <= N})
+    inf = TruncatedInfChar(H, N, P, {g: P.lift(p) for g, p in eta.items()})
+    unreached = []  # generators whose integrand is zero
+
+    def integrand_terms(g):
+        if phi is None:
+            yield 1, inf._value(g)
+        for (alpha, beta), c in H.reduced_coproduct_monomial(g).terms.items():
+            e = inf.evaluate(beta)
+            if e:
+                yield c, gamma.evaluate(alpha), e
+
     for n in range(1, N + 1):
         for g in H.generators(n):
-            integrand = P.zero if phi is not None else eta._value(g)
-            for (alpha, beta), c in H.reduced_coproduct_monomial(g).terms.items():
-                e = eta.evaluate(beta)
-                if e:
-                    integrand = P.add(integrand, P.scale(c, P.mul(gamma.evaluate(alpha), e)))
-            p = (B.zero,) + tuple(B.scale(Fraction(1, i + 1), a) for i, a in enumerate(integrand))
+            integrand = P.sum_products(integrand_terms(g))
+            if not integrand:
+                unreached.append(g)
+            p = P.integrate(integrand)
             if phi is not None:
                 value = B.add(phi.evaluate(g), B.neg(P.at_one(p)))
-                eta.values[g] = (value,)
-                p = P.add(p, (B.zero, value))  # + eta(g) t
+                inf.values[g] = P.lift((value,))
+                p = P.add(p, P.lift((B.zero, value)))  # + eta(g) t
             gamma.values[g] = p
-    return gamma, eta
+    if P is not RATIONAL_POLY:
+        return gamma.values, inf.values
+    return _lower_flow(H, N, eta, phi, gamma.values, inf.values, unreached)
+
+
+def _lower_flow(H, N, eta, phi, gamma, inf, unreached):
+    """The rational solution as the tuples the PolyTarget(RATIONAL) solve
+    gives, types included: there every integrated coefficient is a Fraction,
+    and the integrand at g is () exactly where no stored eta value reaches
+    g.  Then gamma(g) is (0,), its sum the int 0, and log's eta(g) is phi(g)
+    itself.  Whether a value reaches g is decided only for generators whose
+    integrand here is zero, on a shadow of eta valued (0,) on the generators
+    eta stores: PolyTarget's sums and products are () exactly when their
+    inputs force it.
+    """
+    reached = set(gamma).difference(unreached)
+    if unreached:
+        stored = H.generators_upto(N) if phi is not None else [g for g, p in eta.items() if p]
+        shadow = TruncatedInfChar(H, N, PolyTarget(RATIONAL), dict.fromkeys(stored, (0,)))
+        reached.update(g for g in unreached
+                       if phi is None and eta.get(g)
+                       or any(shadow.evaluate(beta)
+                              for _, beta in H.reduced_coproduct_monomial(g).terms))
+    for g, p in gamma.items():
+        if p:
+            den, nums = p
+            gamma[g] = (0,) + tuple(Fraction(n, den) for n in nums[1:])
+        else:
+            gamma[g] = (0, Fraction(0)) if g in reached else (0,)
+    if phi is None:
+        return gamma, eta
+    return gamma, {g: (Fraction(RATIONAL_POLY.at_one(p)) if g in reached
+                       else phi.evaluate(g),)
+                   for g, p in inf.items()}
 
 
 def _truncation(f, N: int | None) -> int:
@@ -431,8 +683,8 @@ def exp_infchar(eta: TruncatedInfChar, N: int | None = None) -> TruncatedCharact
     N = _truncation(eta, N)
     H, B = eta.hopf, eta.target
     gamma, _ = _solve_flow(H, N, B, {g: (v,) for g, v in eta.values.items()})
-    return TruncatedCharacter(H, N, B, {g: gamma.target.at_one(p)
-                                        for g, p in gamma.values.items()})
+    P = PolyTarget(B)
+    return TruncatedCharacter(H, N, B, {g: P.at_one(p) for g, p in gamma.items()})
 
 
 def log_character(phi: TruncatedCharacter, N: int | None = None) -> TruncatedInfChar:
@@ -445,7 +697,7 @@ def log_character(phi: TruncatedCharacter, N: int | None = None) -> TruncatedInf
     N = _truncation(phi, N)
     H, B = phi.hopf, phi.target
     _, eta = _solve_flow(H, N, B, {}, phi)
-    return TruncatedInfChar(H, N, B, {g: p[0] for g, p in eta.values.items()})
+    return TruncatedInfChar(H, N, B, {g: p[0] for g, p in eta.items()})
 
 
 def bracket(eta1: TruncatedInfChar, eta2: TruncatedInfChar) -> TruncatedInfChar:
@@ -456,14 +708,11 @@ def bracket(eta1: TruncatedInfChar, eta2: TruncatedInfChar) -> TruncatedInfChar:
     """
     _check_compatible(eta1, eta2)
     H, N, B = eta1.hopf, eta1.N, eta1.target
-    values = {}
-    for g in H.generators_upto(N):
-        total = B.zero
-        for (mu, sigma), c in H.reduced_coproduct_monomial(g).terms.items():
-            d = B.add(B.mul(eta1.evaluate(mu), eta2.evaluate(sigma)),
-                      B.neg(B.mul(eta2.evaluate(mu), eta1.evaluate(sigma))))
-            total = B.add(total, B.scale(c, d))
-        values[g] = total
+    values = {g: B.sum_products((c, eta1.evaluate(mu), eta2.evaluate(sigma),
+                                 eta2.evaluate(mu), eta1.evaluate(sigma))
+                                for (mu, sigma), c
+                                in H.reduced_coproduct_monomial(g).terms.items())
+              for g in H.generators_upto(N)}
     return TruncatedInfChar(H, N, B, values)
 
 

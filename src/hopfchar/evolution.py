@@ -27,8 +27,14 @@ from .hopf import HopfAlgebra
 
 
 class TimePoly:
-    """Dense univariate polynomial in t over exact rationals; its arithmetic
-    is the rational polynomial target's (``characters.PolyTarget``)."""
+    """Dense univariate polynomial in t over exact rationals.
+
+    ``coeffs`` is a tuple of normalised rationals (integral ones as ints),
+    t^0 first, without trailing zeros.  Arithmetic and integration are the
+    flow solver's: each lifts the coefficients to ``characters.RATIONAL_POLY``
+    (integer numerators over one denominator), computes there and lowers the
+    result.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -61,21 +67,24 @@ class TimePoly:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def _lifted(self):
+        return RATIONAL_POLY.lift(self.coeffs)
+
     def __add__(self, other: "TimePoly") -> "TimePoly":
-        return TimePoly(RATIONAL_POLY.add(self.coeffs, other.coeffs))
+        return TimePoly(RATIONAL_POLY.lower(RATIONAL_POLY.add(self._lifted(), other._lifted())))
 
     def __sub__(self, other: "TimePoly") -> "TimePoly":
         return self + other.scale(-1)
 
     def __mul__(self, other: "TimePoly") -> "TimePoly":
-        return TimePoly(RATIONAL_POLY.mul(self.coeffs, other.coeffs))
+        return TimePoly(RATIONAL_POLY.lower(RATIONAL_POLY.mul(self._lifted(), other._lifted())))
 
     def scale(self, c: Coeff) -> "TimePoly":
-        return TimePoly(RATIONAL_POLY.scale(c, self.coeffs))
+        return TimePoly(RATIONAL_POLY.lower(RATIONAL_POLY.scale(c, self._lifted())))
 
     def integrate(self) -> "TimePoly":
         """The antiderivative vanishing at t = 0."""
-        return TimePoly((0,) + tuple(Fraction(c, i + 1) for i, c in enumerate(self.coeffs)))
+        return TimePoly(RATIONAL_POLY.lower(RATIONAL_POLY.integrate(self._lifted())))
 
     def eval(self, t):
         total = 0
@@ -135,7 +144,7 @@ def evolve(H: HopfAlgebra, eta: TimePolynomialCurve, N: int) -> TimePolynomialCu
     if N > eta.N:
         raise ValueError(f"truncation {N} exceeds the curve's degree bound {eta.N}")
     gamma, _ = _solve_flow(H, N, RATIONAL, {g: p.coeffs for g, p in eta.polys.items()})
-    return TimePolynomialCurve(H, N, {g: TimePoly(p) for g, p in gamma.values.items()},
+    return TimePolynomialCurve(H, N, {g: TimePoly(p) for g, p in gamma.items()},
                                "char")
 
 

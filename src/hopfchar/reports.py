@@ -51,6 +51,15 @@ def _decode_integer(v, what: str, minimum: int | None = None) -> int:
     return v
 
 
+def _key(doc: Mapping, key: str):
+    """doc[key], the only way a decoder reads a key: one the document lacks
+    is a ValueError that says so."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
+
+
 def _decode_list(v, what: str) -> list:
     if not isinstance(v, list):
         raise ValueError(f"{what} must be an array, got {v!r}")
@@ -102,21 +111,23 @@ def character_to_json(phi) -> dict:
 
 
 def character_from_json(doc: Mapping, hopf: HopfAlgebra | None = None):
-    H = hopf if hopf is not None else instance_by_name(doc["hopf"])
-    if H.name != doc["hopf"]:
-        raise ValueError(f"character file is for {doc['hopf']!r}, not {H.name!r}")
-    target = TARGETS.get(doc["B"])
+    name = _key(doc, "hopf")
+    H = hopf if hopf is not None else instance_by_name(name)
+    if H.name != name:
+        raise ValueError(f"character file is for {name!r}, not {H.name!r}")
+    B = _key(doc, "B")
+    target = TARGETS.get(B)
     if target is None:
-        raise ValueError(f"unknown target algebra {doc['B']!r}")
+        raise ValueError(f"unknown target algebra {B!r}")
     values = {}
-    for row in _decode_list(doc["values"], "values"):
-        g = H.generator_from_text(row["generator"])
-        values[g] = decode_scalar(target, row["value"])
+    for row in _decode_list(_key(doc, "values"), "values"):
+        g = H.generator_from_text(_key(row, "generator"))
+        values[g] = decode_scalar(target, _key(row, "value"))
     kind = doc.get("kind", "char")
     if kind not in ("char", "inf"):
         raise ValueError(f"not a character file: kind={kind!r}")
     cls = TruncatedInfChar if kind == "inf" else TruncatedCharacter
-    return cls(H, _decode_integer(doc["N"], "N"), target, values)
+    return cls(H, _decode_integer(_key(doc, "N"), "N"), target, values)
 
 
 def curve_to_json(curve: TimePolynomialCurve) -> dict:
@@ -129,18 +140,19 @@ def curve_to_json(curve: TimePolynomialCurve) -> dict:
 
 
 def curve_from_json(doc: Mapping, hopf: HopfAlgebra | None = None) -> TimePolynomialCurve:
-    H = hopf if hopf is not None else instance_by_name(doc["hopf"])
-    if H.name != doc["hopf"]:
-        raise ValueError(f"curve file is for {doc['hopf']!r}, not {H.name!r}")
-    kind = doc["kind"]
+    name = _key(doc, "hopf")
+    H = hopf if hopf is not None else instance_by_name(name)
+    if H.name != name:
+        raise ValueError(f"curve file is for {name!r}, not {H.name!r}")
+    kind = _key(doc, "kind")
     if kind not in ("inf-curve", "char-curve"):
         raise ValueError(f"not a curve file: kind={kind!r}")
     polys = {}
-    for row in _decode_list(doc["values"], "values"):
-        g = H.generator_from_text(row["generator"])
+    for row in _decode_list(_key(doc, "values"), "values"):
+        g = H.generator_from_text(_key(row, "generator"))
         polys[g] = TimePoly(tuple(decode_rational(c)
-                                  for c in _decode_list(row["coeffs"], "coeffs")))
-    return TimePolynomialCurve(H, _decode_integer(doc["N"], "N"), polys,
+                                  for c in _decode_list(_key(row, "coeffs"), "coeffs")))
+    return TimePolynomialCurve(H, _decode_integer(_key(doc, "N"), "N"), polys,
                                kind=kind[:-len("-curve")])
 
 
@@ -161,10 +173,11 @@ def _components_from_json(rows: Sequence, nvars: int) -> list:
     for comp in _decode_list(rows, "components"):
         terms = {}
         for cell in _decode_list(comp, "a component"):
-            e = tuple(_decode_integer(k, "exponent", 0) for k in cell["monomial"])
+            e = tuple(_decode_integer(k, "exponent", 0)
+                      for k in _key(cell, "monomial"))
             if len(e) != nvars:
                 raise ValueError(f"monomial {e} should have {nvars} exponents")
-            terms[e] = terms.get(e, 0) + decode_rational(cell["coeff"])
+            terms[e] = terms.get(e, 0) + decode_rational(_key(cell, "coeff"))
         comps.append(Poly(nvars, terms))
     return comps
 
@@ -174,26 +187,26 @@ def field_to_json(f: PolyVectorField) -> dict:
 
 
 def field_from_json(doc: Mapping) -> PolyVectorField:
-    dim = _decode_integer(doc["dim"], "dim")
-    comps = _components_from_json(doc["components"], dim)
+    dim = _decode_integer(_key(doc, "dim"), "dim")
+    comps = _components_from_json(_key(doc, "components"), dim)
     if len(comps) != dim:
         raise ValueError("component count must equal dim")
     return PolyVectorField(comps)
 
 
 def coloured_system_from_json(doc: Mapping) -> ColouredPolySystem:
-    dim = _decode_integer(doc["dim"], "dim")
-    f = PolyMap(2 * dim, _components_from_json(doc["f"], 2 * dim))
-    g = PolyMap(2 * dim, _components_from_json(doc["g"], 2 * dim))
+    dim = _decode_integer(_key(doc, "dim"), "dim")
+    f = PolyMap(2 * dim, _components_from_json(_key(doc, "f"), 2 * dim))
+    g = PolyMap(2 * dim, _components_from_json(_key(doc, "g"), 2 * dim))
     if f.dim != dim or g.dim != dim:
         raise ValueError("each block must have dim components")
     return ColouredPolySystem(f, g)
 
 
 def word_system_from_json(doc: Mapping) -> WordSystem:
-    dim = _decode_integer(doc["dim"], "dim")
+    dim = _decode_integer(_key(doc, "dim"), "dim")
     fields = {}
-    for letter, rows in doc["letters"].items():
+    for letter, rows in _key(doc, "letters").items():
         if len(letter) != 1:
             raise ValueError(f"letters must be single characters, got {letter!r}")
         comps = _components_from_json(rows, dim)

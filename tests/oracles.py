@@ -15,6 +15,7 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
+from hopfchar.characters import RationalTarget, TargetAlgebra
 from hopfchar.core import COMMUTATIVE, GradedVector, Monomial, TensorVector
 from hopfchar.instances import Shuffle
 from hopfchar.trees import edge_cuts, root_cuts
@@ -160,6 +161,22 @@ def seeded_rational_values(H, N: int, rng, den_max: int = 12) -> dict:
             num = rng.randint(-3 * den, 3 * den)
             vals[g] = Fraction(num, den)
     return vals
+
+
+class FoldRational(RationalTarget):
+    """Exact rationals computed one Fraction operation at a time.
+
+    ``sum_products`` is the generic left fold of ``TargetAlgebra``, and as
+    this target is not ``RATIONAL`` itself, the flow solver runs it over the
+    generic ``PolyTarget`` of rational tuples.  Results over it are the
+    reference for the integer kernels of ``RATIONAL``: equal values of the
+    same Python types.
+    """
+
+    sum_products = TargetAlgebra.sum_products
+
+
+FOLD = FoldRational()
 
 
 def lambda_by_enumeration(parts: tuple, tuples) -> int:

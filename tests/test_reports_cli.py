@@ -685,6 +685,19 @@ def test_decoders_reject_what_the_schemas_reject(tmp_path, capsys, case):
     assert f"bad input file {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,doc,key", [
+    (["char", "norm", "--a"], {k: v for k, v in _char().items() if k != "B"}, "B"),
+    (["char", "norm", "--a"], {k: v for k, v in _curve().items() if k != "kind"}, "B"),
+    (SCHEMA_ARGV["file-curve"], {k: v for k, v in _curve().items() if k != "kind"}, "kind"),
+], ids=["character without B", "curve without kind as a character",
+        "curve without kind"])
+def test_a_missing_key_is_named(tmp_path, capsys, argv, doc, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert _run(*argv, str(path)) == 2
+    assert f"bad input file {path}: missing key {key!r}" in capsys.readouterr().err
+
+
 def test_written_files_pass_schema_and_decoder(tmp_path, binomial):
     X = binomial.generators(1)[0]
     half = Fraction(1, 2)
