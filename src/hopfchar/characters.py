@@ -12,12 +12,13 @@ full monomial table is built.  A full table appears only as the result of
 convolving maps that are not both characters.
 
 Over RATIONAL the inner loops run on Python ints: the solver's polynomials
-are integer numerators over one denominator (``RationalPolyTarget``), and
-convolution, inverse and bracket go through ``sum_products``, which sums
-integer numerators per denominator.  A Fraction is built only where a value
-leaves a pass, with the type (int or Fraction) the Fraction-by-Fraction
-fold gives.  The float and dual targets keep that fold and its order of
-operations.
+are integer numerators over one denominator (``RationalPolyTarget``), slot
+for slot the tuples of ``PolyTarget(RATIONAL)``, and convolution, inverse
+and bracket go through ``sum_products``, which sums integer numerators per
+denominator.  A Fraction is built only where a value leaves a pass, with the
+type (int or Fraction) the Fraction-by-Fraction fold gives; the solver's
+polynomials carry it in their length.  The float and dual targets keep that
+fold and its order of operations.
 """
 
 from __future__ import annotations
@@ -198,9 +199,10 @@ class PolyTarget(TargetAlgebra):
     () as zero; the norm is the sum of the coefficient norms.
 
     A slot still holding the B.zero object itself is overwritten rather than
-    added to.  ``lift`` takes a tuple of B-values to an element, here as it
-    is.  Over RATIONAL the flow solver uses ``RationalPolyTarget`` instead,
-    which computes on integer numerators.
+    added to.  Zero slots stay in place, and ``integrate(())`` is the
+    constant (B.zero,).  ``lift`` and ``lower`` take a tuple of B-values to
+    an element and back, here as it is.  Over RATIONAL the flow solver uses
+    ``RationalPolyTarget``, the same tuples on integer numerators.
     """
 
     zero = ()
@@ -264,13 +266,12 @@ class PolyTarget(TargetAlgebra):
     def lift(self, coeffs):
         return coeffs
 
+    def lower(self, p):
+        return p
+
 
 def _reduced(den: int, nums: list):
-    """The polynomial nums / den in lowest terms, without trailing zeros."""
-    while nums and not nums[-1]:
-        nums.pop()
-    if not nums:
-        return ()
+    """The polynomial nums / den in lowest terms, every slot kept."""
     g = gcd(den, *nums)
     if g != 1:
         den //= g
@@ -292,12 +293,14 @@ def _times(a, b) -> list:
 class RationalPolyTarget(PolyTarget):
     """Polynomials in t over RATIONAL, computed on Python ints.
 
-    A nonzero polynomial is a pair (den, nums): den > 0 and a tuple of
-    integer numerators, t^0 first, in lowest terms (gcd(den, *nums) = 1)
-    with a nonzero last numerator; () is zero.  Every operation reduces with
-    one gcd, so a sum that cancels returns () itself.  Values enter through
-    ``lift`` and leave through ``lower`` or ``at_one``; no Fraction is built
-    in between.
+    It encodes ``PolyTarget(RATIONAL)`` slot for slot.  An element is ()
+    exactly where the generic target gives ().  Otherwise it is a pair
+    (den, nums): den > 0 and one integer numerator for each slot of the
+    generic tuple, t^0 first, zeros kept, with gcd(den, *nums) = 1.  So
+    ``lift((0,))`` is not zero and ``integrate(())`` is the constant 0, and
+    the length of a polynomial is the length of the generic one.  Every
+    operation reduces with one gcd.  Values enter through ``lift`` and leave
+    through ``lower`` or ``at_one``; no Fraction is built in between.
     """
 
     def __init__(self):
@@ -309,6 +312,8 @@ class RationalPolyTarget(PolyTarget):
 
     def lift(self, coeffs):
         """A tuple of rationals as (den, nums)."""
+        if not coeffs:
+            return ()
         den = lcm(*(c.denominator for c in coeffs))
         return _reduced(den, [c.numerator * (den // c.denominator) for c in coeffs])
 
@@ -356,27 +361,34 @@ class RationalPolyTarget(PolyTarget):
         return self.lift((q,))
 
     def at_one(self, p):
+        """p(1), of the type the generic target gives on the flow solver's
+        polynomials: there the t^0 slot is the int 0 and every later slot an
+        integrated Fraction, so a sum over two or more slots is a Fraction."""
         if not p:
             return 0
         den, nums = p
-        return normalize_coeff(Fraction(sum(nums), den))
+        if len(nums) == 1 and den == 1:
+            return nums[0]
+        return Fraction(sum(nums), den)
 
     def integrate(self, p):
         """The antiderivative vanishing at t = 0, over den * lcm(1..k) for k
-        coefficients."""
+        slots; as in the generic target, integrate(()) is the constant 0."""
         if not p:
-            return ()
+            return (1, (0,))
         den, nums = p
         m = lcm(*range(1, len(nums) + 1))
         return _reduced(den * m, [0] + [n * (m // (i + 1)) for i, n in enumerate(nums)])
 
     def sum_products(self, terms):
         """The exact sum on integers: each product's numerators are added to
-        the sums kept for its denominator, a product with a zero factor adds
-        nothing, and the result is reduced once at the end."""
+        the sums kept for its denominator and the result is reduced once at
+        the end.  A product with a () factor is () and adds nothing; any
+        other product, a zero one too, keeps its slots, so the sum is () only
+        when every product is ()."""
         sums: dict[int, list] = {}
         for c, *polys in _products(terms):
-            if not c or not all(polys):
+            if not all(polys):
                 continue
             den, nums = polys[0]
             if len(polys) == 2:
@@ -584,32 +596,38 @@ def controlled_witness(phi, family: GrowthFamily, radius=1, k_max: int = 64,
 # exp / log / bracket through one flow solver
 
 
+def _flow_target(B: TargetAlgebra) -> PolyTarget:
+    """B[t], where the flow solver's gamma and eta live: ``RATIONAL_POLY`` on
+    integer numerators when B is RATIONAL, else ``PolyTarget(B)``."""
+    return RATIONAL_POLY if B is RATIONAL else PolyTarget(B)
+
+
 def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
                 phi: TruncatedCharacter | None = None):
     """gamma' = gamma * eta, gamma(0) = counit, on the generators up to degree N.
 
     eta maps generators to t-polynomials over B, tuples of B-values (absent
-    means zero; those past degree N are ignored).  Returns (gamma, eta) as
-    dicts of such tuples, gamma valued on every generator of degree <= N.
-    Degree by degree, gamma(g) = integral_0^t (eta(g) + sum c gamma(alpha)
-    eta(beta)) over the reduced coproduct of g: the primitive terms give
-    gamma(1) eta(g) = eta(g) and gamma(g) eta(1) = 0.  alpha and beta have
-    lower degree, so both evaluate, through the instance's
-    ``character_value`` hook, from generator values already solved.  gamma
-    and eta live in B[t]: ``RATIONAL_POLY`` on integer numerators when B is
-    RATIONAL, else ``PolyTarget(B)``.  Integration is exact over an exact B.
+    means zero; those past degree N are ignored).  Returns (gamma, solved):
+    gamma maps every generator of degree <= N to its polynomial in
+    ``_flow_target(B)``, and solved holds log's eta (below).  Degree by
+    degree, gamma(g) = integral_0^t (eta(g) + sum c gamma(alpha) eta(beta))
+    over the reduced coproduct of g: the primitive terms give gamma(1)
+    eta(g) = eta(g) and gamma(g) eta(1) = 0.  alpha and beta have lower
+    degree, so both evaluate, through the instance's ``character_value``
+    hook, from generator values already solved.  Integration is exact over
+    an exact B.
 
     With phi, eta is the unknown instead: a constant infinitesimal character
     with gamma(1) = phi, solved generator by generator.  Since gamma(alpha)
     vanishes at t = 0, eta(g) enters gamma(g) only as the t^1 term eta(g) t,
-    and the higher coefficients do not depend on it, so
-    eta(g) = phi(g) - sum_{k >= 2} gamma(g)_k.
+    and the higher coefficients do not depend on it, so solved maps g to
+    the B-value eta(g) = phi(g) - sum_{k >= 2} gamma(g)_k.
     """
-    P = RATIONAL_POLY if B is RATIONAL else PolyTarget(B)
+    P = _flow_target(B)
     eta = {g: p for g, p in eta.items() if g.degree <= N}
     gamma = TruncatedCharacter(H, N, P, {})
     inf = TruncatedInfChar(H, N, P, {g: P.lift(p) for g, p in eta.items()})
-    unreached = []  # generators whose integrand is zero
+    solved = {}
 
     def integrand_terms(g):
         if phi is None:
@@ -621,49 +639,13 @@ def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
 
     for n in range(1, N + 1):
         for g in H.generators(n):
-            integrand = P.sum_products(integrand_terms(g))
-            if not integrand:
-                unreached.append(g)
-            p = P.integrate(integrand)
+            p = P.integrate(P.sum_products(integrand_terms(g)))
             if phi is not None:
-                value = B.add(phi.evaluate(g), B.neg(P.at_one(p)))
+                value = solved[g] = B.add(phi.evaluate(g), B.neg(P.at_one(p)))
                 inf.values[g] = P.lift((value,))
                 p = P.add(p, P.lift((B.zero, value)))  # + eta(g) t
             gamma.values[g] = p
-    if P is not RATIONAL_POLY:
-        return gamma.values, inf.values
-    return _lower_flow(H, N, eta, phi, gamma.values, inf.values, unreached)
-
-
-def _lower_flow(H, N, eta, phi, gamma, inf, unreached):
-    """The rational solution as the tuples the PolyTarget(RATIONAL) solve
-    gives, types included: there every integrated coefficient is a Fraction,
-    and the integrand at g is () exactly where no stored eta value reaches
-    g.  Then gamma(g) is (0,), its sum the int 0, and log's eta(g) is phi(g)
-    itself.  Whether a value reaches g is decided only for generators whose
-    integrand here is zero, on a shadow of eta valued (0,) on the generators
-    eta stores: PolyTarget's sums and products are () exactly when their
-    inputs force it.
-    """
-    reached = set(gamma).difference(unreached)
-    if unreached:
-        stored = H.generators_upto(N) if phi is not None else [g for g, p in eta.items() if p]
-        shadow = TruncatedInfChar(H, N, PolyTarget(RATIONAL), dict.fromkeys(stored, (0,)))
-        reached.update(g for g in unreached
-                       if phi is None and eta.get(g)
-                       or any(shadow.evaluate(beta)
-                              for _, beta in H.reduced_coproduct_monomial(g).terms))
-    for g, p in gamma.items():
-        if p:
-            den, nums = p
-            gamma[g] = (0,) + tuple(Fraction(n, den) for n in nums[1:])
-        else:
-            gamma[g] = (0, Fraction(0)) if g in reached else (0,)
-    if phi is None:
-        return gamma, eta
-    return gamma, {g: (Fraction(RATIONAL_POLY.at_one(p)) if g in reached
-                       else phi.evaluate(g),)
-                   for g, p in inf.items()}
+    return gamma.values, solved
 
 
 def _truncation(f, N: int | None) -> int:
@@ -683,7 +665,7 @@ def exp_infchar(eta: TruncatedInfChar, N: int | None = None) -> TruncatedCharact
     N = _truncation(eta, N)
     H, B = eta.hopf, eta.target
     gamma, _ = _solve_flow(H, N, B, {g: (v,) for g, v in eta.values.items()})
-    P = PolyTarget(B)
+    P = _flow_target(B)
     return TruncatedCharacter(H, N, B, {g: P.at_one(p) for g, p in gamma.items()})
 
 
@@ -697,7 +679,7 @@ def log_character(phi: TruncatedCharacter, N: int | None = None) -> TruncatedInf
     N = _truncation(phi, N)
     H, B = phi.hopf, phi.target
     _, eta = _solve_flow(H, N, B, {}, phi)
-    return TruncatedInfChar(H, N, B, {g: p[0] for g, p in eta.items()})
+    return TruncatedInfChar(H, N, B, eta)
 
 
 def bracket(eta1: TruncatedInfChar, eta2: TruncatedInfChar) -> TruncatedInfChar:

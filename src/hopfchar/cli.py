@@ -52,8 +52,15 @@ def _check_range(what: str, value: int, cls, name: str) -> None:
     if value > limit:
         raise ConfigError(f"{what} {value} exceeds the safety limit {limit} for "
                           f"{name} (override with {MAX_DEGREE_ENV})")
-    if value < 0:
-        raise ConfigError(f"{what} must be nonnegative")
+    _check_least(what, value)
+
+
+def _check_least(what: str, value: int, least: int = 0) -> None:
+    """Refuse an integer option below its least value: 0 for a degree, order,
+    length or count, 1 for a family index."""
+    if value < least:
+        raise ConfigError(f"{what} must be nonnegative" if least == 0
+                          else f"{what} must be at least {least}")
 
 
 def _load_instance(name: str, max_degree: int):
@@ -135,6 +142,7 @@ def run_axioms(args) -> tuple[bool, dict]:
 def run_control_check(args) -> tuple[bool, dict]:
     H = _load_instance(args.hopf, args.max_degree)
     fam = _load_family(args.family)
+    _check_least("k1", args.k1, 1)
     if args.k2 < args.k1:
         raise ConfigError("k2 must be at least k1")
     op = coproduct_ratio if args.map == "coproduct" else antipode_ratio
@@ -181,6 +189,7 @@ def run_evolve(args) -> tuple[bool, dict]:
 
 
 def run_char(args) -> tuple[bool, dict]:
+    _check_least("k", args.k, 1)
     phi = _load_character(args.a)
     payload: dict = {"op": args.op, "instance": phi.hopf.name, "N": phi.N}
     result = None
@@ -317,6 +326,9 @@ def run_counterexample(args) -> tuple[bool, dict]:
 
 def run_growth_check(args) -> tuple[bool, dict]:
     fam = _load_family(args.family)
+    _check_least("k max", args.k_max, 1)
+    _check_least("n max", args.n_max)
+    _check_least("k2 max", args.k2_max, 1)
     checks = check_all_axioms(fam, args.k_max, args.n_max, args.k2_max)
     ok = all(c.ok for c in checks)
     return ok, {"family": fam.name, "k_max": args.k_max, "n_max": args.n_max,

@@ -19,6 +19,7 @@ from .characters import (
     RATIONAL_POLY,
     TruncatedCharacter,
     TruncatedInfChar,
+    _flow_target,
     _solve_flow,
 )
 from .core import Coeff, Monomial, normalize_coeff
@@ -144,7 +145,8 @@ def evolve(H: HopfAlgebra, eta: TimePolynomialCurve, N: int) -> TimePolynomialCu
     if N > eta.N:
         raise ValueError(f"truncation {N} exceeds the curve's degree bound {eta.N}")
     gamma, _ = _solve_flow(H, N, RATIONAL, {g: p.coeffs for g, p in eta.polys.items()})
-    return TimePolynomialCurve(H, N, {g: TimePoly(p) for g, p in gamma.items()},
+    P = _flow_target(RATIONAL)
+    return TimePolynomialCurve(H, N, {g: TimePoly(P.lower(p)) for g, p in gamma.items()},
                                "char")
 
 

@@ -766,3 +766,35 @@ def test_cli_one_range_rule(tmp_path, capsys, argv, message):
     paths = _inputs(tmp_path, None)
     assert _run(*[a.format(**paths) for a in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def _computes_nothing(*args, **kwargs):
+    raise AssertionError("computed before refusing an option")
+
+
+# an integer option below its range -> argv and the error it must print;
+# a new integer option's range check gets a row here
+BELOW_RANGE = {
+    "control-check --k1 0": (["control-check", "--hopf", "fdb-a", "--family", "pow",
+                              "--k1", "0", "--k2", "2", "--max-degree", "2"],
+                             "k1 must be at least 1"),
+    "char norm --k 0": (["char", "norm", "--a", "{ck}", "--k", "0"],
+                        "k must be at least 1"),
+    "growth-check --k-max 0": (["growth-check", "--family", "pow", "--k-max", "0"],
+                               "k max must be at least 1"),
+    "growth-check --n-max -1": (["growth-check", "--family", "pow", "--n-max", "-1"],
+                                "n max must be nonnegative"),
+    "growth-check --k2-max 0": (["growth-check", "--family", "pow", "--k2-max", "0"],
+                                "k2 max must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BELOW_RANGE))
+def test_cli_integer_options_below_range_exit_2(tmp_path, capsys, monkeypatch, case):
+    argv, message = BELOW_RANGE[case]
+    for name in ("coproduct_ratio", "antipode_ratio", "linf_norm", "check_all_axioms"):
+        monkeypatch.setattr(cli, name, _computes_nothing)
+    paths = _inputs(tmp_path, None)
+    assert _run(*[a.format(**paths) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
