@@ -300,7 +300,9 @@ class RationalPolyTarget(PolyTarget):
     ``lift((0,))`` is not zero and ``integrate(())`` is the constant 0, and
     the length of a polynomial is the length of the generic one.  Every
     operation reduces with one gcd.  Values enter through ``lift`` and leave
-    through ``lower`` or ``at_one``; no Fraction is built in between.
+    through ``lower`` or ``at_one``; no Fraction is built in between.  The
+    int/Fraction type of a slot is not kept, so ``at_one`` gives the generic
+    type only on polynomials that ``integrate`` returned.
     """
 
     def __init__(self):
@@ -361,9 +363,11 @@ class RationalPolyTarget(PolyTarget):
         return self.lift((q,))
 
     def at_one(self, p):
-        """p(1), of the type the generic target gives on the flow solver's
-        polynomials: there the t^0 slot is the int 0 and every later slot an
-        integrated Fraction, so a sum over two or more slots is a Fraction."""
+        """p(1).  On a polynomial ``integrate`` returned, such as the flow
+        solver's gamma(g), the type is the generic target's: there the t^0
+        slot is the int 0 and every later slot a Fraction, so a sum over two
+        or more slots is a Fraction.  On others only the value is: the
+        generic at_one of (1, 2) is the int 3, this one Fraction(3)."""
         if not p:
             return 0
         den, nums = p
