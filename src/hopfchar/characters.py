@@ -363,11 +363,9 @@ class RationalPolyTarget(PolyTarget):
         return self.lift((q,))
 
     def at_one(self, p):
-        """p(1).  On a polynomial ``integrate`` returned, such as the flow
-        solver's gamma(g), the type is the generic target's: there the t^0
-        slot is the int 0 and every later slot a Fraction, so a sum over two
-        or more slots is a Fraction.  On others only the value is: the
-        generic at_one of (1, 2) is the int 3, this one Fraction(3)."""
+        """p(1); of the generic type only on polynomials from ``integrate``
+        (a Fraction over two or more slots, else the int 0).  Elsewhere only
+        the value is the generic one: (1, 2) gives Fraction(3), not 3."""
         if not p:
             return 0
         den, nums = p
