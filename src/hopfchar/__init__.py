@@ -14,8 +14,8 @@ from .characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
                          exp_infchar, inverse, linf_norm, log_character)
 from .control import (antipode_ratio, coproduct_ratio, elementary_coproduct,
                       right_handed_check, rlb_check)
-from .core import (COMMUTATIVE, WORD, Generator, GradedVector, Monomial,
-                   TensorVector, monomial_of, tensor_product, vector_product)
+from .core import (Generator, GradedVector, Monomial, TensorVector,
+                   monomial_of, tensor_product, vector_product)
 from .evolution import (TimePoly, TimePolynomialCurve, evolve, gronwall_bound,
                         semiregularity_check)
 from .fields import (ColouredPolySystem, Poly, PolyMap, PolyVectorField,
@@ -35,13 +35,13 @@ from .words import chen_fox_lyndon, is_lyndon, lyndon_words
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_FAMILIES", "AxiomsReport", "Binomial", "COMMUTATIVE",
-    "ColouredPolySystem", "ConnesKreimer", "DUAL", "FLOAT", "FaaDiBrunoA",
+    "BUILTIN_FAMILIES", "AxiomsReport", "Binomial", "ColouredPolySystem",
+    "ConnesKreimer", "DUAL", "FLOAT", "FaaDiBrunoA",
     "FaaDiBrunoX", "Generator", "GradedVector", "GrowthFamily",
     "HopfAlgebra", "Monomial", "Poly", "PolyMap", "PolyVectorField",
     "RATIONAL", "RootedTree", "Shuffle", "TensorVector", "TimePoly",
     "TimePolynomialCurve", "TruncatedCharacter", "TruncatedInfChar",
-    "TruncatedLinearMap", "WORD", "WordSystem", "antipode_ratio", "bracket",
+    "TruncatedLinearMap", "WordSystem", "antipode_ratio", "bracket",
     "bseries_partial", "builtin", "check_all_axioms", "check_hopf_axioms",
     "chen_fox_lyndon", "convergence_probe", "convolve", "coproduct_ratio",
     "counit_character", "counterexample_demo", "elementary_coproduct",

@@ -561,7 +561,8 @@ def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
 
 def linf_norm(phi, family: GrowthFamily, k: int, N: int | None = None,
               over: str = "generators"):
-    """Finite-degree sup of ||phi(m)|| / omega_k(|m|).
+    """Finite-degree sup of ||phi(m)|| / omega_k(|m|), an exact rational
+    when both the norm and the weight are, so it depends only on the values.
 
     A truncation cannot certify the supremum over all degrees; treat the
     result as a finite-degree proxy.
@@ -576,7 +577,11 @@ def linf_norm(phi, family: GrowthFamily, k: int, N: int | None = None,
         raise ValueError("over must be 'generators' or 'monomials'")
     best = None
     for m in domain:
-        ratio = phi.target.norm(phi.evaluate(m)) / family.eval(k, m.degree)
+        norm, weight = phi.target.norm(phi.evaluate(m)), family.eval(k, m.degree)
+        if isinstance(norm, (int, Fraction)) and isinstance(weight, (int, Fraction)):
+            ratio = Fraction(norm, weight)
+        else:
+            ratio = norm / weight
         if best is None or ratio > best:
             best = ratio
     return 0 if best is None else best

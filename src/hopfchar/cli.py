@@ -34,6 +34,10 @@ SAFETY_LIMITS = {ConnesKreimer: 12, FaaDiBrunoA: 14, FaaDiBrunoX: 14, Shuffle: 1
 
 MAX_DEGREE_ENV = "HOPFCHAR_MAX_DEGREE"
 
+# growth-check's grid limits, fixed; pow-nsq, the slowest built-in family,
+# takes about 4.5 s with all three at their limits (2 vCPUs, Python 3.11)
+GROWTH_GRID_LIMITS = {"k max": 12, "n max": 64, "k2 max": 4096}
+
 
 class ConfigError(Exception):
     pass
@@ -326,9 +330,11 @@ def run_counterexample(args) -> tuple[bool, dict]:
 
 def run_growth_check(args) -> tuple[bool, dict]:
     fam = _load_family(args.family)
-    _check_least("k max", args.k_max, 1)
-    _check_least("n max", args.n_max)
-    _check_least("k2 max", args.k2_max, 1)
+    for what, value, least in (("k max", args.k_max, 1), ("n max", args.n_max, 0),
+                               ("k2 max", args.k2_max, 1)):
+        _check_least(what, value, least)
+        if value > GROWTH_GRID_LIMITS[what]:
+            raise ConfigError(f"{what} {value} exceeds the limit {GROWTH_GRID_LIMITS[what]}")
     checks = check_all_axioms(fam, args.k_max, args.n_max, args.k2_max)
     ok = all(c.ok for c in checks)
     return ok, {"family": fam.name, "k_max": args.k_max, "n_max": args.n_max,

@@ -1,12 +1,15 @@
-"""Graded alphabets, free (commutative) monoids and sparse exact-rational vectors.
+"""Graded alphabets, the free commutative monoid on them, and sparse
+exact-rational vectors.
 
 Everything downstream is built from three value types:
 
-* :class:`Generator` -- an element of a graded alphabet (a tree, a word, a
-  series coefficient), identified by a canonical text key.
-* :class:`Monomial` -- a product of generators: a sorted multiset in
-  commutative mode, an ordered sequence in word mode.  The empty monomial is
-  the unit and the only degree-0 element.
+* :class:`Generator` -- a basis symbol of a graded alphabet (a tree, a
+  shuffle word, a series coefficient), identified by a canonical text key.
+* :class:`Monomial` -- a product of generators, as a sorted multiset: there
+  is one monoid, the free commutative one.  The empty monomial is the unit
+  and the only degree-0 element.  A shuffle word is one basis symbol, so a
+  single-factor monomial (``is_single()``) need not be a Hopf generator;
+  that is the instance's ``is_generator`` decision.
 * :class:`GradedVector` -- finitely supported map ``key -> coefficient``
   on H (keys: monomials) or on H (x) H (keys: pairs of monomials, the
   output type of coproducts); ``TensorVector`` is an alias kept for the
@@ -20,18 +23,18 @@ Accumulation invariant: sums are built in place in a plain dict (see
 normalised once when wrapped in a vector; no zero coefficient is stored in a
 vector once it is returned.
 
-Construction: monomials are hash-consed for the whole process, one object
-per (mode, factors).  ``Monomial(mode, factors)`` validates -- it checks the
-mode, sorts commutative factors and rejects mixed alphabets -- and then
-returns the object the table holds.  ``Monomial.trusted`` does none of the
-checks and trusts its caller to pass factors that are already in canonical
-order, from one alphabet, with their degree sum; only products and slices of
-validated monomials are built that way.  Equal monomials are therefore the
-same object, and equality and hashing are the default identity ones, so
-monomials, H (x) H pairs and other tuples of them compare and hash in C.
-:func:`monomial_product` keeps a process-wide memo ``(a, b) -> a.b`` of the
-pairs that passed its checks.  Neither table is ever cleared: it holds the
-monomials and products the process has built so far.
+Construction: monomials are hash-consed in one process-wide table, one
+object per sorted factor tuple.  ``Monomial(factors)`` validates -- it sorts
+the factors and rejects mixed alphabets -- and then returns the object the
+table holds.  ``Monomial.trusted`` does neither and trusts its caller to
+pass factors that are already sorted, from one alphabet, with their degree
+sum; only products and slices of validated monomials are built that way.
+Equal monomials are therefore the same object, and equality and hashing are
+the default identity ones, so monomials, H (x) H pairs and other tuples of
+them compare and hash in C.  :func:`monomial_product` keeps a process-wide
+memo ``(a, b) -> a.b`` of the pairs that passed its alphabet check.
+Neither table is ever cleared: it holds the monomials and products the
+process has built so far.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ from operator import attrgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
-
-COMMUTATIVE = "commutative"
-WORD = "word"
-_MODES = (COMMUTATIVE, WORD)
 
 
 def normalize_coeff(c: Coeff) -> Coeff:
@@ -98,48 +97,44 @@ _ORDER = attrgetter("order")
 
 
 class Monomial:
-    """A product of generators from one alphabet, in one commutativity mode.
+    """A product of generators from one alphabet, as a sorted multiset.
 
     Interned: the constructor and :meth:`trusted` both return the one object
-    held for (mode, factors), so ``==`` is ``is`` and the hash is the
+    held for the sorted factors, so ``==`` is ``is`` and the hash is the
     object's identity.  The constructor validates its input; :meth:`trusted`
     does not.  A monomial is shared by every holder and is never mutated.
     """
 
-    __slots__ = ("mode", "factors", "degree")
+    __slots__ = ("factors", "degree")
 
-    def __new__(cls, mode: str, factors: tuple[Generator, ...]):
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        factors = tuple(sorted(factors, key=_ORDER)) if mode == COMMUTATIVE else tuple(factors)
-        m = _INTERNED[mode].get(factors)
+    def __new__(cls, factors: tuple[Generator, ...]):
+        factors = tuple(sorted(factors, key=_ORDER))
+        m = _INTERNED.get(factors)
         if m is not None:
             return m
         alphabets = {g.alphabet for g in factors}
         if len(alphabets) > 1:
             raise ValueError(f"mixed alphabets in one monomial: {sorted(alphabets)}")
-        return cls.trusted(mode, factors, sum(g.degree for g in factors))
+        return cls.trusted(factors, sum(g.degree for g in factors))
 
-    def __init__(self, mode: str, factors: tuple[Generator, ...]):
+    def __init__(self, factors: tuple[Generator, ...]):
         """Nothing to do: ``__new__`` returned the interned, complete object."""
 
     @classmethod
-    def trusted(cls, mode: str, factors: tuple[Generator, ...], degree: int) -> "Monomial":
+    def trusted(cls, factors: tuple[Generator, ...], degree: int) -> "Monomial":
         """The interned monomial, built without sorting or checks if new:
-        factors canonical, degree their sum."""
-        table = _INTERNED[mode]
-        m = table.get(factors)
+        factors sorted, degree their sum."""
+        m = _INTERNED.get(factors)
         if m is None:
             m = object.__new__(cls)
-            m.mode = mode
             m.factors = factors
             m.degree = degree
-            table[factors] = m
+            _INTERNED[factors] = m
         return m
 
     def __reduce__(self):
         # copies and unpickled monomials go through the table too
-        return (Monomial, (self.mode, self.factors))
+        return (Monomial, (self.factors,))
 
     def is_empty(self) -> bool:
         return not self.factors
@@ -158,34 +153,32 @@ class Monomial:
 
 Key = Union[Monomial, tuple[Monomial, ...]]
 
-# mode -> {factors: the one monomial}, filled by Monomial.trusted
-_INTERNED: dict[str, dict[tuple[Generator, ...], Monomial]] = {mode: {} for mode in _MODES}
-# (a, b) -> a.b, only for pairs that passed monomial_product's checks
+# sorted factors -> the one monomial, filled by Monomial.trusted
+_INTERNED: dict[tuple[Generator, ...], Monomial] = {}
+# (a, b) -> a.b, only for pairs that passed monomial_product's check
 _PRODUCTS: dict[tuple[Monomial, Monomial], Monomial] = {}
 
 
-def empty_monomial(mode: str) -> Monomial:
-    return Monomial(mode, ())
+def empty_monomial() -> Monomial:
+    return Monomial(())
 
 
-def monomial_of(g: Generator, mode: str = COMMUTATIVE) -> Monomial:
-    return Monomial(mode, (g,))
+def monomial_of(g: Generator) -> Monomial:
+    return Monomial((g,))
 
 
 def monomial_product(a: Monomial, b: Monomial) -> Monomial:
-    """Monoid product: multiset union (commutative) or concatenation (word).
+    """Monoid product: multiset union.
 
-    Memoised per pair.  Both factor tuples are already canonical, so a new
-    commutative product is a merge, and the sort runs only when the two
-    tuples interleave.  A pair of mixed modes or alphabets raises on every
-    call and is never stored.
+    Memoised per pair.  Both factor tuples are already sorted, so a new
+    product is a merge, and the sort runs only when the two tuples
+    interleave.  A pair of mixed alphabets raises on every call and is never
+    stored.
     """
     key = (a, b)
     p = _PRODUCTS.get(key)
     if p is not None:
         return p
-    if a.mode != b.mode:
-        raise ValueError(f"cannot multiply a {a.mode} monomial by a {b.mode} one")
     fa, fb = a.factors, b.factors
     if not fa:
         p = b
@@ -195,9 +188,9 @@ def monomial_product(a: Monomial, b: Monomial) -> Monomial:
         if fa[0].alphabet != fb[0].alphabet:
             raise ValueError("cannot multiply monomials over different alphabets")
         factors = fa + fb
-        if a.mode == COMMUTATIVE and fb[0].order < fa[-1].order:
+        if fb[0].order < fa[-1].order:
             factors = tuple(sorted(factors, key=_ORDER))
-        p = Monomial.trusted(a.mode, factors, a.degree + b.degree)
+        p = Monomial.trusted(factors, a.degree + b.degree)
     _PRODUCTS[key] = p
     return p
 
@@ -276,8 +269,8 @@ class GradedVector:
         return v
 
     @classmethod
-    def unit(cls, mode: str) -> "GradedVector":
-        return cls({empty_monomial(mode): 1})
+    def unit(cls) -> "GradedVector":
+        return cls({empty_monomial(): 1})
 
     @classmethod
     def of(cls, key: Key, c: Coeff = 1) -> "GradedVector":
@@ -337,8 +330,8 @@ class GradedVector:
     def coefficient(self, key: Key) -> Coeff:
         return self.terms.get(key, 0)
 
-    def counit(self, mode: str) -> Coeff:
-        return self.terms.get(empty_monomial(mode), 0)
+    def counit(self) -> Coeff:
+        return self.terms.get(empty_monomial(), 0)
 
     def max_degree(self) -> int:
         return max((_degree(key) for key in self.terms), default=0)

@@ -1,11 +1,15 @@
 """The combinatorial Hopf algebra interface and instance-independent machinery.
 
-An instance provides its graded generator alphabet, the coproduct on
-generators (or on basis elements, where the structure maps live on a
-non-monomial basis, as for the shuffle algebra), and optionally an explicit
-antipode.  Everything else -- multiplicative extension, counit, reduced
-coproduct, the two recursive antipode formulas, and the exact Hopf-axiom
-checker -- is generic.
+An instance provides its graded alphabet of basis symbols, the coproduct
+on a single symbol, and optionally an explicit antipode on one.  Everything
+else -- multiplicative extension, counit, reduced coproduct, the two
+recursive antipode formulas, and the exact Hopf-axiom checker -- is
+generic.  Every basis element is a :class:`~hopfchar.core.Monomial` of the
+one commutative monoid.  Most instances take the Hopf generators as the
+symbols.  The shuffle algebra takes every nonempty word as one symbol and
+supplies its own product, so its coproduct and antipode are given on each
+word directly, and a symbol is a generator only when
+:meth:`HopfAlgebra.is_generator` says so (a Lyndon word).
 
 Conventions: the basis of degree 0 is the empty monomial alone (connected),
 generators have degree >= 1, and the coproduct of a basis element x always
@@ -23,7 +27,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from .core import (
-    COMMUTATIVE,
     Coeff,
     GradedVector,
     Monomial,
@@ -39,7 +42,6 @@ class HopfAlgebra(ABC):
     """Graded connected Hopf algebra presented on a generator alphabet."""
 
     name: str
-    mode: str
 
     def __init__(self):
         self._coproduct_cache: dict[Monomial, TensorVector] = {}
@@ -65,21 +67,20 @@ class HopfAlgebra(ABC):
         """Decode one generator from its canonical text key."""
 
     def is_generator(self, m: Monomial) -> bool:
+        """Whether m is a Hopf generator: any single symbol by default."""
         return m.is_single()
 
     def empty(self) -> Monomial:
-        return empty_monomial(self.mode)
+        return empty_monomial()
 
     def basis(self, n: int) -> tuple[Monomial, ...]:
         """The degree-n vector space basis: the monomials over the generators,
         in the walk order of :func:`~hopfchar.core.multisets`."""
         out = self._basis_cache.get(n)
         if out is None:
-            if self.mode != COMMUTATIVE:
-                raise NotImplementedError("word-mode instances must override basis()")
             gens = [m.factors[0] for m in self.generators_upto(n)]
             out = self._basis_cache[n] = tuple(
-                Monomial(COMMUTATIVE, factors)
+                Monomial(factors)
                 for factors in multisets(gens, [g.degree for g in gens], n))
         return out
 
@@ -127,7 +128,7 @@ class HopfAlgebra(ABC):
         solver's gamma and eta come here too, with B the polynomials in t
         over the solver's target.
         """
-        gens = [Monomial.trusted(m.mode, (g,), g.degree) for g in m.factors]
+        gens = [Monomial.trusted((g,), g.degree) for g in m.factors]
         if infinitesimal:
             return gen_value(gens[0]) if len(gens) == 1 else B.zero
         value = gen_value(gens[0])
@@ -150,8 +151,8 @@ class HopfAlgebra(ABC):
             out = self.coproduct_generator(m)
         else:
             g = m.factors[0]
-            head = Monomial.trusted(m.mode, (g,), g.degree)
-            tail = Monomial.trusted(m.mode, m.factors[1:], m.degree - g.degree)
+            head = Monomial.trusted((g,), g.degree)
+            tail = Monomial.trusted(m.factors[1:], m.degree - g.degree)
             out = tensor_product(self.coproduct_monomial(head), self.coproduct_monomial(tail))
         self._coproduct_cache[m] = out
         return out
@@ -168,7 +169,7 @@ class HopfAlgebra(ABC):
         return out
 
     def counit(self, v: GradedVector) -> Coeff:
-        return v.counit(self.mode)
+        return v.counit()
 
     # ------------------------------------------------------------------ antipode
 
@@ -186,10 +187,10 @@ class HopfAlgebra(ABC):
             explicit = self.antipode_generator_explicit(m)
             out = explicit if explicit is not None else self.antipode_recursive(m, variant=1)
         else:
-            # S is multiplicative; word-mode instances override this method
+            # S is multiplicative
             out = GradedVector.of(self.empty())
             for g in m.factors:
-                out = self.product(out, self.antipode_monomial(Monomial.trusted(m.mode, (g,), g.degree)))
+                out = self.product(out, self.antipode_monomial(Monomial.trusted((g,), g.degree)))
         self._antipode_cache[m] = out
         return out
 
@@ -234,7 +235,7 @@ class HopfAlgebra(ABC):
         factors = []
         for part in text.split("*"):
             factors.extend(self.generator_from_text(part).factors)
-        return Monomial(self.mode, tuple(factors))
+        return Monomial(tuple(factors))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

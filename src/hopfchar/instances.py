@@ -8,8 +8,9 @@ Five instances share the interface in :mod:`hopfchar.hopf`:
     root part on the right, computed through the B⁺ cocycle; the antipode
     sums signed edge-subset cuts, collapsed into a dynamic programme.
 ``shuffle:<letters>``
-    Words under the shuffle product with deconcatenation coproduct.  The
-    polynomial generators are the Lyndon words.
+    Words under the shuffle product with deconcatenation coproduct, each
+    word one basis symbol.  The polynomial generators are the Lyndon
+    words.
 ``fdb-a`` / ``fdb-x``
     One generator per positive degree, with the composition-of-series
     coproduct in two normalisations; closed antipode via lattice-path
@@ -29,8 +30,6 @@ from math import comb, factorial
 from typing import Iterator
 
 from .core import (
-    COMMUTATIVE,
-    WORD,
     Coeff,
     Generator,
     GradedVector,
@@ -172,8 +171,6 @@ class ConnesKreimer(HopfAlgebra):
     the coproduct, so it stays an independent check on both recursions.
     """
 
-    mode = COMMUTATIVE
-
     def __init__(self, colours: int = 1):
         super().__init__()
         if colours < 1:
@@ -200,7 +197,7 @@ class ConnesKreimer(HopfAlgebra):
             kids = sorted(forest.factors, key=self._order)
             g = Generator(self.name, tree_text(colour, [k.key for k in kids], self._coloured),
                           forest.degree + 1)
-            m = Monomial.trusted(COMMUTATIVE, (g,), g.degree)
+            m = Monomial.trusted((g,), g.degree)
             self._grafts[(colour, forest)] = m
             self._shapes[g] = (colour, forest)
         return m
@@ -219,8 +216,7 @@ class ConnesKreimer(HopfAlgebra):
         return shape
 
     def tree_monomial(self, t: RootedTree) -> Monomial:
-        forest = Monomial(COMMUTATIVE, tuple(self.tree_monomial(c).factors[0]
-                                             for c in t.children))
+        forest = Monomial(tuple(self.tree_monomial(c).factors[0] for c in t.children))
         return self.graft(t.colour, forest)
 
     def tree_of(self, g: Generator) -> RootedTree:
@@ -307,7 +303,15 @@ class Shuffle(HopfAlgebra):
 
     The vector-space basis in each degree is the full set of words; the
     polynomial generators are the Lyndon words, via the factorisation of
-    every word as a shuffle polynomial in Lyndon words.
+    every word as a shuffle polynomial in Lyndon words (Radford).  Each
+    nonempty word is one basis symbol: a single-factor monomial whose
+    generator key is the word's text and whose degree is its length, and
+    the empty word is the empty monomial.  The instance supplies the
+    shuffle product, so words are never multiplied as monomials, and the
+    generic coproduct, antipode and text paths run on a word as on any
+    single symbol: :meth:`coproduct_generator` deconcatenates it and
+    :meth:`antipode_generator_explicit` reverses it with the sign of its
+    length, both cached by :class:`~hopfchar.hopf.HopfAlgebra`.
 
     A word is coded as an int in base B = |A| + 1 with no zero digit: the
     i-th letter of the alphabet is the digit i + 1, the first letter of the
@@ -324,8 +328,6 @@ class Shuffle(HopfAlgebra):
     the larger degrees read the sub-pairs again.
     """
 
-    mode = WORD
-
     def __init__(self, letters: str):
         super().__init__()
         if not letters:
@@ -334,7 +336,6 @@ class Shuffle(HopfAlgebra):
             raise ValueError(f"repeated letters in alphabet {letters!r}")
         self.letters = "".join(sorted(letters))
         self.name = f"shuffle:{self.letters}"
-        self._gen = {ch: Generator(self.name, ch, 1) for ch in self.letters}
         self._base = len(self.letters) + 1
         self._digits = {ch: i + 1 for i, ch in enumerate(self.letters)}
         self._powers = [1]  # B^L at index L, extended by _shuffle_top
@@ -351,13 +352,13 @@ class Shuffle(HopfAlgebra):
             code = code * self._base + self._digits[ch]
         m = self._monomials.get(code)
         if m is None:
-            m = Monomial(WORD, tuple(self._gen[ch] for ch in w))
+            m = monomial_of(Generator(self.name, "".join(w), len(w))) if w else self.empty()
             self._monomials[code] = m
             self._codes[m] = code
         return m
 
     def word_of(self, m: Monomial) -> Word:
-        return tuple(g.key for g in m.factors)
+        return tuple(m.factors[0].key) if m.factors else ()
 
     def _code_monomial(self, code: int) -> Monomial:
         m = self._monomials.get(code)
@@ -427,7 +428,7 @@ class Shuffle(HopfAlgebra):
     def generator_from_text(self, text: str) -> Monomial:
         w = tuple(text)
         for ch in w:
-            if ch not in self._gen:
+            if ch not in self._digits:
                 raise ValueError(f"letter {ch!r} not in alphabet {self.letters!r}")
         if not is_lyndon(w):
             raise ValueError(f"word {text!r} is not a Lyndon word")
@@ -438,12 +439,9 @@ class Shuffle(HopfAlgebra):
             return self.empty()
         w = tuple(text)
         for ch in w:
-            if ch not in self._gen:
+            if ch not in self._digits:
                 raise ValueError(f"letter {ch!r} not in alphabet {self.letters!r}")
         return self.word_monomial(w)
-
-    def monomial_text(self, m: Monomial) -> str:
-        return "".join(g.key for g in m.factors) if m.factors else "1"
 
     def add_product(self, acc: dict, a: Monomial, b: Monomial, c: Coeff) -> None:
         """acc += c * (a shuffle b) in place."""
@@ -455,22 +453,15 @@ class Shuffle(HopfAlgebra):
             acc[m] = acc.get(m, 0) + c * k
 
     def coproduct_generator(self, g: Monomial) -> TensorVector:
-        return self.coproduct_monomial(g)
+        """Deconcatenation: the sum of u (x) v over the splits w = uv."""
+        return TensorVector.trusted(
+            {(self.word_monomial(u), self.word_monomial(v)): 1
+             for u, v in deconcatenations(self.word_of(g))})
 
-    def coproduct_monomial(self, m: Monomial) -> TensorVector:
-        cached = self._coproduct_cache.get(m)
-        if cached is None:
-            w = self.word_of(m)
-            cached = TensorVector(
-                {(self.word_monomial(u), self.word_monomial(v)): 1
-                 for u, v in deconcatenations(w)}
-            )
-            self._coproduct_cache[m] = cached
-        return cached
-
-    def antipode_monomial(self, m: Monomial) -> GradedVector:
-        sign = -1 if len(m.factors) % 2 else 1
-        return GradedVector.of(self.word_monomial(tuple(reversed(self.word_of(m)))), sign)
+    def antipode_generator_explicit(self, g: Monomial) -> GradedVector:
+        """S(w) = (-1)^|w| times w reversed."""
+        return GradedVector.of(self.word_monomial(tuple(reversed(self.word_of(g)))),
+                               -1 if g.degree % 2 else 1)
 
     def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
         """A triangular solve on the Chen-Fox-Lyndon factors of the word w.
@@ -532,7 +523,6 @@ class Shuffle(HopfAlgebra):
 
 
 class _FaaDiBrunoBase(HopfAlgebra):
-    mode = COMMUTATIVE
     prefix: str
 
     def __init__(self):
@@ -561,7 +551,7 @@ class _FaaDiBrunoBase(HopfAlgebra):
         return self.gen_monomial(n)
 
     def _composition_monomial(self, comp: tuple[int, ...]) -> Monomial:
-        return Monomial(COMMUTATIVE, tuple(self.gen(i) for i in comp))
+        return Monomial(tuple(self.gen(i) for i in comp))
 
     def _antipode_weight(self, n: int, comp: tuple[int, ...]) -> Coeff:
         """Basis factor of the closed antipode's term for `comp`; 1 for a_n."""
@@ -619,7 +609,7 @@ class FaaDiBrunoX(_FaaDiBrunoBase):
         n = g.degree
         terms: dict[tuple[Monomial, Monomial], Coeff] = {}
         empty = self.empty()
-        unit = GradedVector.unit(COMMUTATIVE)
+        unit = GradedVector.unit()
         # argument x_j of the Bell polynomial is X_{j-1}, with X_0 = 1
         args = [unit] + [GradedVector.of(self.gen_monomial(j)) for j in range(1, n + 1)]
         for k in range(n + 1):
@@ -645,7 +635,7 @@ def fdb_a_coproduct_via_bell(H: FaaDiBrunoA, n: int) -> TensorVector:
     """
     terms: dict[tuple[Monomial, Monomial], Coeff] = {}
     empty = H.empty()
-    unit = GradedVector.unit(COMMUTATIVE)
+    unit = GradedVector.unit()
     # x_j = j! a_{j-1} with a_0 = 1
     args = [unit] + [
         GradedVector.of(H.gen_monomial(j - 1), factorial(j)) for j in range(2, n + 2)
@@ -666,7 +656,6 @@ def fdb_a_coproduct_via_bell(H: FaaDiBrunoA, n: int) -> TensorVector:
 class Binomial(HopfAlgebra):
     """Polynomial algebra on one primitive generator X."""
 
-    mode = COMMUTATIVE
     name = "binomial"
 
     def __init__(self):

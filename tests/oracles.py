@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from hopfchar.characters import RationalTarget, TargetAlgebra
-from hopfchar.core import COMMUTATIVE, GradedVector, Monomial, TensorVector
+from hopfchar.core import GradedVector, Monomial, TensorVector
 from hopfchar.instances import Shuffle
 from hopfchar.trees import edge_cuts, root_cuts
 from hopfchar.words import lyndon_rewrite_word
@@ -346,7 +346,7 @@ def generator_factorizations(H, m):
     if isinstance(H, Shuffle):
         return [(coeff, tuple(H.word_monomial(w) for w in multiset))
                 for multiset, coeff in lyndon_rewrite_word(H.word_of(m))]
-    return [(1, tuple(Monomial.trusted(m.mode, (g,), g.degree) for g in m.factors))]
+    return [(1, tuple(Monomial.trusted((g,), g.degree) for g in m.factors))]
 
 
 def character_by_rewrite(phi, m):
@@ -380,7 +380,7 @@ def basis_by_scan(H, n: int) -> tuple:
 
     def extend(prefix: list, start: int, remaining: int) -> None:
         if remaining == 0:
-            out.append(Monomial(COMMUTATIVE, tuple(g for m in prefix for g in m.factors)))
+            out.append(Monomial(tuple(g for m in prefix for g in m.factors)))
             return
         for i in range(start, len(pool)):
             g = pool[i]
@@ -395,7 +395,7 @@ def basis_by_scan(H, n: int) -> tuple:
 
 
 def _forest_monomial(H, forest) -> Monomial:
-    return Monomial(COMMUTATIVE, tuple(H.tree_monomial(t).factors[0] for t in forest))
+    return Monomial(tuple(H.tree_monomial(t).factors[0] for t in forest))
 
 
 def ck_coproduct_by_root_cuts(H, g) -> TensorVector:

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfchar.core import (COMMUTATIVE, WORD, Generator, GradedVector,
-                           Monomial, TensorVector, empty_monomial,
-                           monomial_of, monomial_product, tensor_product,
-                           vector_product)
+from hopfchar.core import (Generator, GradedVector, Monomial, TensorVector,
+                           empty_monomial, monomial_of, monomial_product,
+                           tensor_product, vector_product)
 from hopfchar.growth import builtin
+from hopfchar.instances import Shuffle
 
 A = Generator("demo", "a", 1)
 B = Generator("demo", "b", 2)
@@ -20,7 +20,7 @@ C = Generator("demo", "c", 1)
 
 
 def mono(*gens):
-    return Monomial(COMMUTATIVE, gens)
+    return Monomial(gens)
 
 
 D = Generator("demo", "d", 3)
@@ -28,10 +28,9 @@ E = Generator("demo", "ab", 1)
 OTHER = Generator("other", "a", 1)
 
 rationals = st.fractions(max_denominator=40)
-modes = st.sampled_from([COMMUTATIVE, WORD])
 factor_lists = st.lists(st.sampled_from([A, B, C, D, E]), max_size=5)
 monomials = st.lists(st.sampled_from([A, B, C]), max_size=4).map(
-    lambda gs: Monomial(COMMUTATIVE, tuple(gs)))
+    lambda gs: Monomial(tuple(gs)))
 vectors = st.dictionaries(monomials, rationals, max_size=5).map(GradedVector)
 tensors = st.dictionaries(st.tuples(monomials, monomials), rationals,
                           max_size=5).map(GradedVector)
@@ -48,15 +47,8 @@ def test_commutative_monomials_sort_factors():
     assert mono(B, A).factors == (A, B)
 
 
-def test_word_monomials_keep_order():
-    u = Monomial(WORD, (A, B))
-    v = Monomial(WORD, (B, A))
-    assert u != v
-    assert u.degree == v.degree == 3
-
-
 def test_monomial_degree_and_predicates():
-    assert empty_monomial(COMMUTATIVE).is_empty()
+    assert empty_monomial().is_empty()
     assert mono(A).is_single()
     assert not mono(A, B).is_single()
     assert mono(A, B, C).degree == 4
@@ -68,56 +60,42 @@ def test_monomial_product_concatenates_degrees():
     assert m == mono(A, B, C)
 
 
-@given(modes, factor_lists, factor_lists)
-def test_fast_monomial_product_matches_validating_constructor(mode, fa, fb):
-    a, b = Monomial(mode, tuple(fa)), Monomial(mode, tuple(fb))
+@given(factor_lists, factor_lists)
+def test_fast_monomial_product_matches_validating_constructor(fa, fb):
+    a, b = Monomial(tuple(fa)), Monomial(tuple(fb))
     fast = monomial_product(a, b)
-    assert fast is Monomial(mode, a.factors + b.factors)
+    assert fast is Monomial(a.factors + b.factors)
     assert fast is monomial_product(a, b)
     assert fast.degree == sum(g.degree for g in fa + fb)
 
 
-@given(modes, factor_lists)
-def test_monomial_product_rejects_mixed_alphabets_and_modes(mode, fa):
-    a = Monomial(mode, tuple(fa) + (A,))
-    other_mode = WORD if mode == COMMUTATIVE else COMMUTATIVE
+@given(factor_lists)
+def test_monomial_product_rejects_mixed_alphabets(fa):
+    a = Monomial(tuple(fa) + (A,))
     # a rejected pair is never memoised, so it raises again
     for _ in range(2):
         with pytest.raises(ValueError):
-            monomial_product(a, Monomial(mode, (OTHER,)))
+            monomial_product(a, Monomial((OTHER,)))
         with pytest.raises(ValueError):
-            monomial_product(a, Monomial(other_mode, (B,)))
-        with pytest.raises(ValueError):
-            monomial_product(Monomial(other_mode, ()), a)
-        with pytest.raises(ValueError):
-            monomial_product(a, Monomial(other_mode, ()))
+            monomial_product(Monomial((OTHER,)), a)
 
 
 def test_equal_monomials_are_one_object():
-    for mode in (COMMUTATIVE, WORD):
-        m = Monomial(mode, (A, B))
-        assert Monomial(mode, (A, B)) is m
-        assert Monomial.trusted(mode, (A, B), 3) is m
-        assert monomial_product(Monomial(mode, (A,)), Monomial(mode, (B,))) is m
-        # a content-equal generator made elsewhere finds the same monomial
-        assert Monomial(mode, (Generator("demo", "a", 1), B)) is m
+    m = Monomial((A, B))
+    assert Monomial((A, B)) is m
+    assert Monomial.trusted((A, B), 3) is m
+    assert monomial_product(Monomial((A,)), Monomial((B,))) is m
+    # a content-equal generator made elsewhere finds the same monomial
+    assert Monomial((Generator("demo", "a", 1), B)) is m
     assert mono(B, A) is mono(A, B)
     assert monomial_product(mono(B), mono(A)) is mono(A, B)
 
 
-def test_empty_monomials_of_the_two_modes_are_distinct():
-    one_c, one_w = empty_monomial(COMMUTATIVE), empty_monomial(WORD)
-    assert one_c is not one_w and one_c != one_w
-    assert empty_monomial(COMMUTATIVE) is one_c
-    assert empty_monomial(WORD) is one_w
-    assert Monomial(WORD, (A, B)) is not Monomial(COMMUTATIVE, (A, B))
-
-
 def test_copies_and_pickles_return_the_interned_monomial():
-    m = mono(A, B, C)
-    assert copy.copy(m) is m
-    assert copy.deepcopy(m) is m
-    assert pickle.loads(pickle.dumps(m)) is m
+    for m in (mono(A, B, C), Shuffle("ab").word_monomial(("a", "b", "b"))):
+        assert copy.copy(m) is m
+        assert copy.deepcopy(m) is m
+        assert pickle.loads(pickle.dumps(m)) is m
 
 
 def test_vector_drops_zero_terms():
@@ -152,9 +130,9 @@ def test_vector_product_is_bilinear_on_samples():
 
 
 def test_unit_and_counit():
-    one = GradedVector.unit(COMMUTATIVE)
-    assert one.counit(COMMUTATIVE) == 1
-    assert GradedVector.of(mono(A)).counit(COMMUTATIVE) == 0
+    one = GradedVector.unit()
+    assert one.counit() == 1
+    assert GradedVector.of(mono(A)).counit() == 0
 
 
 def test_l1_norm_uses_family_weights():
@@ -179,14 +157,14 @@ def test_tensor_vector_basics():
 
 
 def test_tensor_product_multiplies_componentwise():
-    t1 = TensorVector.of((mono(A), empty_monomial(COMMUTATIVE)))
+    t1 = TensorVector.of((mono(A), empty_monomial()))
     t2 = TensorVector.of((mono(B), mono(C)))
     p = tensor_product(t1, t2)
     assert p.coefficient((mono(A, B), mono(C))) == 1
 
 
 def test_tensor_repr_and_sorted_terms():
-    one = empty_monomial(COMMUTATIVE)
+    one = empty_monomial()
     t = TensorVector({(mono(A, B), mono(C)): 1, (mono(A), mono(C)): 2,
                       (mono(A), one): Fraction(-1, 2)})
     assert TensorVector is GradedVector

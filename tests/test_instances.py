@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfchar.core import COMMUTATIVE, GradedVector, Monomial, TensorVector
+from hopfchar.core import GradedVector, Monomial, TensorVector
 from hopfchar.instances import (admissible_tuples, bell_partial, compositions,
                                 fdb_a_coproduct_via_bell, instance_by_name,
                                 lambda_coefficient, partitions)
@@ -105,7 +105,7 @@ def _a_to_x(fdb_x, vec: GradedVector) -> GradedVector:
         scale = Fraction(c)
         for g in m.factors:
             scale /= factorial(g.degree + 1)
-        xm = Monomial(COMMUTATIVE, tuple(fdb_x.gen(g.degree) for g in m.factors))
+        xm = Monomial(tuple(fdb_x.gen(g.degree) for g in m.factors))
         out = out + GradedVector.of(xm, scale)
     return out
 
@@ -141,10 +141,10 @@ def test_substitution_transfers_coproduct(fdb_a, fdb_x):
 def test_explicit_antipodes_first_values(fdb_a, fdb_x):
     a1, a2 = fdb_a.gen_monomial(1), fdb_a.gen_monomial(2)
     s2 = fdb_a.antipode_monomial(a2)
-    assert s2.terms == {a2: -1, Monomial(COMMUTATIVE, a1.factors + a1.factors): 2}
+    assert s2.terms == {a2: -1, Monomial(a1.factors + a1.factors): 2}
     x1, x2 = fdb_x.gen_monomial(1), fdb_x.gen_monomial(2)
     t2 = fdb_x.antipode_monomial(x2)
-    assert t2.terms == {x2: -1, Monomial(COMMUTATIVE, x1.factors + x1.factors): 3}
+    assert t2.terms == {x2: -1, Monomial(x1.factors + x1.factors): 3}
 
 
 def test_registry_builds_every_label():

@@ -323,6 +323,20 @@ def test_cli_char_pipeline(tmp_path, ck):
     assert _read(tmp_path / "n.json")["report"]["value"] == "0"
 
 
+def test_cli_char_norm_depends_only_on_the_values(tmp_path):
+    # an absent generator value and one stored as "0" are the same character
+    values = {"absent": [],
+              "stored": [{"generator": "B", "value": "0"}, {"generator": "[B]", "value": "0"}]}
+    got = {}
+    for name, vals in values.items():
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-norm.json"
+        path.write_text(json.dumps({"hopf": "ck", "N": 2, "B": "rational", "kind": "char",
+                                    "values": vals}))
+        assert _run("char", "norm", "--a", str(path), "--out", str(out)) == 0
+        got[name] = _read(out)["report"]["value"]
+    assert got["absent"] == got["stored"] == "0"
+
+
 def test_cli_char_kind_mismatch(tmp_path, ck, capsys):
     phi_doc = reports.character_to_json(
         TruncatedCharacter(ck, 2, RATIONAL, {ck.generator_from_text("B"): 1})
@@ -772,9 +786,9 @@ def _computes_nothing(*args, **kwargs):
     raise AssertionError("computed before refusing an option")
 
 
-# an integer option below its range -> argv and the error it must print;
+# an integer option out of its range -> argv and the error it must print;
 # a new integer option's range check gets a row here
-BELOW_RANGE = {
+OUT_OF_RANGE = {
     "control-check --k1 0": (["control-check", "--hopf", "fdb-a", "--family", "pow",
                               "--k1", "0", "--k2", "2", "--max-degree", "2"],
                              "k1 must be at least 1"),
@@ -786,12 +800,18 @@ BELOW_RANGE = {
                                 "n max must be nonnegative"),
     "growth-check --k2-max 0": (["growth-check", "--family", "pow", "--k2-max", "0"],
                                 "k2 max must be at least 1"),
+    "growth-check --k-max 13": (["growth-check", "--family", "pow", "--k-max", "13"],
+                                "k max 13 exceeds the limit 12"),
+    "growth-check --n-max 65": (["growth-check", "--family", "pow", "--n-max", "65"],
+                                "n max 65 exceeds the limit 64"),
+    "growth-check --k2-max 4097": (["growth-check", "--family", "pow", "--k2-max", "4097"],
+                                   "k2 max 4097 exceeds the limit 4096"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BELOW_RANGE))
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_cli_integer_options_below_range_exit_2(tmp_path, capsys, monkeypatch, case):
-    argv, message = BELOW_RANGE[case]
+    argv, message = OUT_OF_RANGE[case]
     for name in ("coproduct_ratio", "antipode_ratio", "linf_norm", "check_all_axioms"):
         monkeypatch.setattr(cli, name, _computes_nothing)
     paths = _inputs(tmp_path, None)
