@@ -38,6 +38,14 @@ MAX_DEGREE_ENV = "HOPFCHAR_MAX_DEGREE"
 # takes about 4.5 s with all three at their limits (2 vCPUs, Python 3.11)
 GROWTH_GRID_LIMITS = {"k max": 12, "n max": 64, "k2 max": 4096}
 
+# control-check's limits, fixed: a family index, and the bits of the exact
+# weight omega_k at the max degree, for k = k1 and k = k2.  A report prints
+# weights, l1 sums and ratios as decimal integers, which Python refuses past
+# 4300 digits (14,284 bits); the margin is over four times the largest l1
+# mass measured near the safety limits, 65 bits (binomial@64 coproduct)
+CONTROL_K_LIMIT = 4096
+CONTROL_WEIGHT_BITS = 14_000
+
 
 class ConfigError(Exception):
     pass
@@ -149,6 +157,14 @@ def run_control_check(args) -> tuple[bool, dict]:
     _check_least("k1", args.k1, 1)
     if args.k2 < args.k1:
         raise ConfigError("k2 must be at least k1")
+    for what, k in (("k1", args.k1), ("k2", args.k2)):
+        if k > CONTROL_K_LIMIT:
+            raise ConfigError(f"{what} {k} exceeds the limit {CONTROL_K_LIMIT}")
+        bits = fam.eval(k, args.max_degree).bit_length() if fam.is_exact else 0
+        if bits > CONTROL_WEIGHT_BITS:
+            raise ConfigError(f"{fam.name} weight at {what} {k} and degree "
+                              f"{args.max_degree} has {bits} bits, over the limit "
+                              f"{CONTROL_WEIGHT_BITS}")
     op = coproduct_ratio if args.map == "coproduct" else antipode_ratio
     rep = op(H, fam, args.k1, args.k2, args.max_degree)
     if args.csv:

@@ -5,19 +5,19 @@ elements of each degree; a finite truncation cannot certify asymptotics, so
 verdicts distinguish "bounded" (max attained early) from "inconclusive".
 The elementary coproduct, its per-degree l1 mass, and the affine-majorant
 fit quantify how far an instance is from a linearly bounded coproduct.
+Reports and their rows are immutable ``NamedTuple``s, built once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import Coeff, Monomial, TensorVector, json_number
 from .growth import GrowthFamily
 from .hopf import HopfAlgebra
 
 
-@dataclass
-class RatioRow:
+class RatioRow(NamedTuple):
     degree: int
     element: str
     norm: object
@@ -34,15 +34,14 @@ class RatioRow:
         }
 
 
-@dataclass
-class RatioReport:
+class RatioReport(NamedTuple):
     instance: str
     map_name: str
     family: str
     k1: int
     k2: int
     max_degree: int
-    rows: list[RatioRow] = field(default_factory=list)
+    rows: tuple[RatioRow, ...]
 
     @property
     def c_hat(self):
@@ -82,7 +81,7 @@ def _ratio_report(H: HopfAlgebra, family: GrowthFamily, k1: int, k2: int,
                   N: int, map_name: str) -> RatioReport:
     if k2 < k1:
         raise ValueError(f"need k2 >= k1, got k1={k1}, k2={k2}")
-    report = RatioReport(H.name, map_name, family.name, k1, k2, N)
+    rows = []
     for n in range(1, N + 1):
         weight = family.eval(k2, n)
         best: RatioRow | None = None
@@ -95,8 +94,8 @@ def _ratio_report(H: HopfAlgebra, family: GrowthFamily, k1: int, k2: int,
             if best is None or ratio > best.ratio:
                 best = RatioRow(n, H.monomial_text(x), norm, weight, ratio)
         if best is not None:
-            report.rows.append(best)
-    return report
+            rows.append(best)
+    return RatioReport(H.name, map_name, family.name, k1, k2, N, tuple(rows))
 
 
 def coproduct_ratio(H: HopfAlgebra, family: GrowthFamily, k1: int, k2: int,
@@ -121,8 +120,7 @@ def elementary_coproduct(H: HopfAlgebra, m: Monomial) -> TensorVector:
     })
 
 
-@dataclass
-class RlbReport:
+class RlbReport(NamedTuple):
     instance: str
     max_degree: int
     counts: dict[int, Coeff]
@@ -176,8 +174,7 @@ def rlb_check(H: HopfAlgebra, N: int) -> RlbReport:
     return RlbReport(H.name, N, counts, witnesses, a_hat, b_hat, verdict)
 
 
-@dataclass
-class HandednessReport:
+class HandednessReport(NamedTuple):
     instance: str
     max_degree: int
     left_factors_in_span: bool

@@ -11,29 +11,28 @@ Axioms checked (on explicit finite grids; the reports say so):
 The five genuine built-ins are exact (integer-valued); comparisons clear
 denominators and exponents so every verdict on them is an exact integer
 comparison.  The deliberate non-family exp(-n/k) exposes its exact log
-exponent -n/k, so only W3 (which mixes in log 2) needs floats.
+exponent -n/k, so only W3 (which mixes in log 2) needs floats.  A family
+and each check result are immutable records (``NamedTuple``s), built once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 LOG2 = math.log(2.0)
 _W3_FLOAT_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class GrowthFamily:
+class GrowthFamily(NamedTuple):
     name: str
     description: str
-    _eval: Callable[[int, int], object]
+    omega: Callable[[int, int], object]
     is_exact: bool = True
     is_growth_family: bool = True
     # natural-log exponent as an exact rational, for exp-type families
-    _log_eval: Optional[Callable[[int, int], Fraction]] = None
+    log_omega: Optional[Callable[[int, int], Fraction]] = None
     # the witness k2 used in the source analysis of W3, when one is known
     analytic_w3_witness: Optional[Callable[[int], int]] = None
 
@@ -42,12 +41,12 @@ class GrowthFamily:
             raise ValueError(f"family index must be >= 1, got {k}")
         if n < 0:
             raise ValueError(f"degree must be >= 0, got {n}")
-        return self._eval(k, n)
+        return self.omega(k, n)
 
     def log_eval(self, k: int, n: int) -> Fraction:
-        if self._log_eval is None:
+        if self.log_omega is None:
             raise ValueError(f"{self.name} has no exact log form")
-        return self._log_eval(k, n)
+        return self.log_omega(k, n)
 
 
 def _double_index(k: int) -> int:
@@ -82,7 +81,7 @@ BUILTIN_FAMILIES: dict[str, GrowthFamily] = {
         lambda k, n: math.exp(-n / k),
         is_exact=False,
         is_growth_family=False,
-        _log_eval=lambda k, n: Fraction(-n, k),
+        log_omega=lambda k, n: Fraction(-n, k),
     ),
 }
 
@@ -103,25 +102,24 @@ def composed(family: GrowthFamily, phi: Callable[[int], int], phi_name: str) -> 
     return GrowthFamily(
         name=f"{family.name}∘{phi_name}",
         description=f"{family.description} at n={phi_name}",
-        _eval=lambda k, n: family._eval(k, phi(n)),
+        omega=lambda k, n: family.omega(k, phi(n)),
         is_exact=family.is_exact,
         is_growth_family=family.is_growth_family,
-        _log_eval=None
-        if family._log_eval is None
-        else (lambda k, n: family._log_eval(k, phi(n))),
+        log_omega=None
+        if family.log_omega is None
+        else (lambda k, n: family.log_omega(k, phi(n))),
         analytic_w3_witness=family.analytic_w3_witness,
     )
 
 
-@dataclass
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     """Outcome of one axiom on one finite grid."""
 
     family: str
     axiom: str
     grid: dict
     ok: bool
-    witness: dict = field(default_factory=dict)
+    witness: dict
 
     def to_dict(self) -> dict:
         return {
@@ -142,7 +140,7 @@ def check_W1(family: GrowthFamily, k_max: int, n_max: int) -> AxiomCheck:
         for n in range(n_max + 1):
             if _lt(family, (k + 1, n, 1), (k, n, 1)):
                 return AxiomCheck(family.name, "W1", grid, False, {"k": k, "n": n})
-    return AxiomCheck(family.name, "W1", grid, True)
+    return AxiomCheck(family.name, "W1", grid, True, {})
 
 
 def check_W2(family: GrowthFamily, k_max: int, n_max: int) -> AxiomCheck:
@@ -152,7 +150,7 @@ def check_W2(family: GrowthFamily, k_max: int, n_max: int) -> AxiomCheck:
             for m in range(n, n_max + 1 - n):
                 if _product_exceeds(family, k, n, m):
                     return AxiomCheck(family.name, "W2", grid, False, {"k": k, "n": n, "m": m})
-    return AxiomCheck(family.name, "W2", grid, True)
+    return AxiomCheck(family.name, "W2", grid, True, {})
 
 
 def _product_exceeds(family: GrowthFamily, k: int, n: int, m: int) -> bool:

@@ -18,13 +18,13 @@ contains x (x) 1 and 1 (x) x once.
 Sums of products, coproducts and antipodes accumulate in place into one dict
 through :meth:`HopfAlgebra.add_product` and :func:`~hopfchar.core.add_scaled`
 and are normalised once at the end; no returned vector stores a zero
-coefficient.
+coefficient.  Axiom-check results are immutable ``NamedTuple``s, built once.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     Coeff,
@@ -241,8 +241,7 @@ class HopfAlgebra(ABC):
         return f"<{type(self).__name__} {self.name}>"
 
 
-@dataclass
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     instance: str
     degree: int
     element: str
@@ -260,12 +259,11 @@ class AxiomViolation:
         }
 
 
-@dataclass
-class AxiomsReport:
+class AxiomsReport(NamedTuple):
     instance: str
     max_degree: int
-    elements_checked: int = 0
-    violations: list[AxiomViolation] = field(default_factory=list)
+    elements_checked: int
+    violations: tuple[AxiomViolation, ...]
 
     @property
     def ok(self) -> bool:
@@ -288,16 +286,17 @@ def check_hopf_axioms(H: HopfAlgebra, max_degree: int, fail_fast: bool = True) -
     exact rational identities; the report carries the first violation per
     element if any.
     """
-    report = AxiomsReport(H.name, max_degree)
+    checked = 0
+    violations: list[AxiomViolation] = []
     for n in range(1, max_degree + 1):
         for x in H.axiom_domain(n):
-            report.elements_checked += 1
+            checked += 1
             bad = _check_element(H, x, n)
             if bad is not None:
-                report.violations.append(bad)
+                violations.append(bad)
                 if fail_fast:
-                    return report
-    return report
+                    return AxiomsReport(H.name, max_degree, checked, (bad,))
+    return AxiomsReport(H.name, max_degree, checked, tuple(violations))
 
 
 def _check_element(H: HopfAlgebra, x: Monomial, n: int) -> AxiomViolation | None:

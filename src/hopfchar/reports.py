@@ -13,7 +13,6 @@ import io
 import json
 import re
 from fractions import Fraction
-from importlib import resources
 from typing import Mapping, Sequence
 
 from .characters import (DUAL, FLOAT, RATIONAL, TARGETS, TruncatedCharacter,
@@ -241,5 +240,8 @@ def series_csv(orders: Sequence[int], increments: Sequence[float],
 
 
 def load_schema(name: str) -> dict:
+    # imported here: no CLI path reads a schema, and the import is costly
+    from importlib import resources
+
     path = resources.files("hopfchar").joinpath("schemas", f"{name}.schema.json")
     return json.loads(path.read_text(encoding="utf-8"))

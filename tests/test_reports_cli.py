@@ -806,6 +806,20 @@ OUT_OF_RANGE = {
                                 "n max 65 exceeds the limit 64"),
     "growth-check --k2-max 4097": (["growth-check", "--family", "pow", "--k2-max", "4097"],
                                    "k2 max 4097 exceeds the limit 4096"),
+    "control-check --k2 4097": (["control-check", "--hopf", "fdb-a", "--family", "pow",
+                                 "--k1", "1", "--k2", "4097", "--max-degree", "2"],
+                                "k2 4097 exceeds the limit 4096"),
+    # weights of 4,421 and 11,150 digits, past what Python prints as an int
+    "control-check pow-nsq --k2 12": (["control-check", "--hopf", "binomial",
+                                       "--family", "pow-nsq", "--k1", "1", "--k2", "12",
+                                       "--max-degree", "64"],
+                                      "pow-nsq weight at k2 12 and degree 64 has 14685 "
+                                      "bits, over the limit 14000"),
+    "control-check pow-factk --k1 2000": (["control-check", "--hopf", "ck",
+                                           "--family", "pow-factk", "--k1", "2000",
+                                           "--k2", "2000", "--max-degree", "9"],
+                                          "pow-factk weight at k1 2000 and degree 9 has "
+                                          "37037 bits, over the limit 14000"),
 }
 
 

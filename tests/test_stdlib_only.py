@@ -1,8 +1,11 @@
 """The package runs on the standard library alone, as ``pyproject.toml``'s
 empty ``dependencies`` says: every import under ``src/hopfchar`` names a
-standard-library module or ``hopfchar`` itself."""
+standard-library module or ``hopfchar`` itself.  A CLI start also leaves out
+the standard-library machinery no CLI path runs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +29,13 @@ def test_every_import_is_standard_library_or_hopfchar():
     outside = [(path.name, name) for path in modules for name in _imported(path)
                if name != "hopfchar" and name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_start_imports_no_heavy_stdlib_machinery():
+    # -S keeps site's .pth files from importing these first
+    code = ("import sys, hopfchar.cli; print(sorted({'dataclasses', 'inspect', "
+            "'importlib.resources'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
