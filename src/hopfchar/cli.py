@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -32,8 +31,6 @@ from .series import (bseries_order_terms, exact_flow_coefficient, partial_sums,
 SAFETY_LIMITS = {ConnesKreimer: 12, FaaDiBrunoA: 14, FaaDiBrunoX: 14, Shuffle: 10,
                  Binomial: 64}
 
-MAX_DEGREE_ENV = "HOPFCHAR_MAX_DEGREE"
-
 # growth-check's grid limits, fixed; pow-nsq, the slowest built-in family,
 # takes about 4.5 s with all three at their limits (2 vCPUs, Python 3.11)
 GROWTH_GRID_LIMITS = {"k max": 12, "n max": 64, "k2 max": 4096}
@@ -42,9 +39,12 @@ GROWTH_GRID_LIMITS = {"k max": 12, "n max": 64, "k2 max": 4096}
 # weight omega_k at the max degree, for k = k1 and k = k2.  A report prints
 # weights, l1 sums and ratios as decimal integers, which Python refuses past
 # 4300 digits (14,284 bits); the margin is over four times the largest l1
-# mass measured near the safety limits, 65 bits (binomial@64 coproduct)
+# mass measured near the safety limits, 65 bits (binomial@64 coproduct).
+# --csv writes the same numbers as floats, which end below 2^1024, so with
+# --csv a weight may have the same 284-bit margin less than 1,024 bits
 CONTROL_K_LIMIT = 4096
 CONTROL_WEIGHT_BITS = 14_000
+CONTROL_CSV_WEIGHT_BITS = 1024 - 284
 
 
 class ConfigError(Exception):
@@ -53,17 +53,11 @@ class ConfigError(Exception):
 
 def _check_range(what: str, value: int, cls, name: str) -> None:
     """Refuse a degree, order or length above the safety limit of instance
-    class cls (HOPFCHAR_MAX_DEGREE overrides it), or below zero."""
+    class cls, or below zero.  The limits are fixed, like growth-check's
+    grids: no option or setting lifts them."""
     limit = SAFETY_LIMITS[cls]
-    override = os.environ.get(MAX_DEGREE_ENV)
-    if override is not None:
-        try:
-            limit = int(override)
-        except ValueError:
-            raise ConfigError(f"{MAX_DEGREE_ENV} must be an integer, got {override!r}")
     if value > limit:
-        raise ConfigError(f"{what} {value} exceeds the safety limit {limit} for "
-                          f"{name} (override with {MAX_DEGREE_ENV})")
+        raise ConfigError(f"{what} {value} exceeds the safety limit {limit} for {name}")
     _check_least(what, value)
 
 
@@ -157,14 +151,15 @@ def run_control_check(args) -> tuple[bool, dict]:
     _check_least("k1", args.k1, 1)
     if args.k2 < args.k1:
         raise ConfigError("k2 must be at least k1")
+    bits_limit = CONTROL_CSV_WEIGHT_BITS if args.csv else CONTROL_WEIGHT_BITS
     for what, k in (("k1", args.k1), ("k2", args.k2)):
         if k > CONTROL_K_LIMIT:
             raise ConfigError(f"{what} {k} exceeds the limit {CONTROL_K_LIMIT}")
         bits = fam.eval(k, args.max_degree).bit_length() if fam.is_exact else 0
-        if bits > CONTROL_WEIGHT_BITS:
+        if bits > bits_limit:
             raise ConfigError(f"{fam.name} weight at {what} {k} and degree "
                               f"{args.max_degree} has {bits} bits, over the limit "
-                              f"{CONTROL_WEIGHT_BITS}")
+                              f"{bits_limit}{' for --csv' if args.csv else ''}")
     op = coproduct_ratio if args.map == "coproduct" else antipode_ratio
     rep = op(H, fam, args.k1, args.k2, args.max_degree)
     if args.csv:

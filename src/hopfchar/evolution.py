@@ -28,13 +28,15 @@ from .hopf import HopfAlgebra
 
 
 class TimePoly:
-    """Dense univariate polynomial in t over exact rationals.
+    """Dense univariate polynomial in t over exact rationals: a curve's value
+    on one generator.
 
     ``coeffs`` is a tuple of normalised rationals (integral ones as ints),
-    t^0 first, without trailing zeros.  Arithmetic and integration are the
-    flow solver's: each lifts the coefficients to ``characters.RATIONAL_POLY``
-    (integer numerators over one denominator), computes there and lowers the
-    result.
+    t^0 first, without trailing zeros.  A TimePoly is evaluated and compared;
+    polynomial arithmetic is the flow solver's ``characters.RATIONAL_POLY``
+    (integer numerators over one denominator), which ``evolve`` runs on the
+    coefficient tuples.  ``*`` lifts to it, multiplies there and lowers the
+    product; ``perfbench/spans.py`` counts its calls.
     """
 
     __slots__ = ("coeffs",)
@@ -45,21 +47,6 @@ class TimePoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "TimePoly":
-        return cls()
-
-    @classmethod
-    def const(cls, c: Coeff) -> "TimePoly":
-        return cls((c,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimePoly):
             return NotImplemented
@@ -68,24 +55,9 @@ class TimePoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def _lifted(self):
-        return RATIONAL_POLY.lift(self.coeffs)
-
-    def __add__(self, other: "TimePoly") -> "TimePoly":
-        return TimePoly(RATIONAL_POLY.lower(RATIONAL_POLY.add(self._lifted(), other._lifted())))
-
-    def __sub__(self, other: "TimePoly") -> "TimePoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "TimePoly") -> "TimePoly":
-        return TimePoly(RATIONAL_POLY.lower(RATIONAL_POLY.mul(self._lifted(), other._lifted())))
-
-    def scale(self, c: Coeff) -> "TimePoly":
-        return TimePoly(RATIONAL_POLY.lower(RATIONAL_POLY.scale(c, self._lifted())))
-
-    def integrate(self) -> "TimePoly":
-        """The antiderivative vanishing at t = 0."""
-        return TimePoly(RATIONAL_POLY.lower(RATIONAL_POLY.integrate(self._lifted())))
+        P = RATIONAL_POLY
+        return TimePoly(P.lower(P.mul(P.lift(self.coeffs), P.lift(other.coeffs))))
 
     def eval(self, t):
         total = 0
@@ -116,10 +88,10 @@ class TimePolynomialCurve:
     def constant(cls, hopf: HopfAlgebra, N: int,
                  values: Mapping[Monomial, Coeff]) -> "TimePolynomialCurve":
         """A t-independent infinitesimal-character curve."""
-        return cls(hopf, N, {g: TimePoly.const(v) for g, v in values.items()}, "inf")
+        return cls(hopf, N, {g: TimePoly((v,)) for g, v in values.items()}, "inf")
 
     def poly(self, g: Monomial) -> TimePoly:
-        return self.polys.get(g, TimePoly.zero())
+        return self.polys.get(g, TimePoly())
 
     def at(self, t):
         """The (inf) character at time t; exact when t is rational."""

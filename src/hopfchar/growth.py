@@ -138,7 +138,7 @@ def check_W1(family: GrowthFamily, k_max: int, n_max: int) -> AxiomCheck:
             return AxiomCheck(family.name, "W1", grid, False, {"k": k, "n": 0})
     for k in range(1, k_max):
         for n in range(n_max + 1):
-            if _lt(family, (k + 1, n, 1), (k, n, 1)):
+            if _exceeds(family, ((k, n, 1),), ((k + 1, n, 1),)):
                 return AxiomCheck(family.name, "W1", grid, False, {"k": k, "n": n})
     return AxiomCheck(family.name, "W1", grid, True, {})
 
@@ -148,24 +148,20 @@ def check_W2(family: GrowthFamily, k_max: int, n_max: int) -> AxiomCheck:
     for k in range(1, k_max + 1):
         for n in range(n_max + 1):
             for m in range(n, n_max + 1 - n):
-                if _product_exceeds(family, k, n, m):
+                if _exceeds(family, ((k, n, 1), (k, m, 1)), ((k, n + m, 1),)):
                     return AxiomCheck(family.name, "W2", grid, False, {"k": k, "n": n, "m": m})
     return AxiomCheck(family.name, "W2", grid, True, {})
 
 
-def _product_exceeds(family: GrowthFamily, k: int, n: int, m: int) -> bool:
-    # true iff omega_k(n)*omega_k(m) > omega_k(n+m)
+def _exceeds(family: GrowthFamily, lhs, rhs) -> bool:
+    """Whether the product of omega_k(n)^p over the (k, n, p) triples of lhs
+    exceeds that over rhs: compared as integers for an exact family, and by
+    exact log exponents, sums of p * log omega_k(n), for an inexact one."""
     if family.is_exact:
-        return family.eval(k, n) * family.eval(k, m) > family.eval(k, n + m)
-    return family.log_eval(k, n) + family.log_eval(k, m) > family.log_eval(k, n + m)
-
-
-def _lt(family: GrowthFamily, a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-    # omega_{ka}(na)^pa < omega_{kb}(nb)^pb
-    (ka, na, pa), (kb, nb, pb) = a, b
-    if family.is_exact:
-        return family.eval(ka, na) ** pa < family.eval(kb, nb) ** pb
-    return pa * family.log_eval(ka, na) < pb * family.log_eval(kb, nb)
+        return (math.prod(family.eval(k, n) ** p for k, n, p in lhs)
+                > math.prod(family.eval(k, n) ** p for k, n, p in rhs))
+    return (sum(p * family.log_eval(k, n) for k, n, p in lhs)
+            > sum(p * family.log_eval(k, n) for k, n, p in rhs))
 
 
 def w3_holds_at(family: GrowthFamily, k1: int, k2: int, n_max: int) -> bool:
@@ -225,16 +221,7 @@ def check_cW(
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     p, q = alpha.numerator, alpha.denominator
     for n in range(n_max + 1):
-        if family.is_exact:
-            lhs = family.eval(k1, n) ** p * family.eval(k3, n) ** (q - p)
-            rhs = family.eval(k2, n) ** q
-            bad = lhs > rhs
-        else:
-            bad = (
-                p * family.log_eval(k1, n) + (q - p) * family.log_eval(k3, n)
-                > q * family.log_eval(k2, n)
-            )
-        if bad:
+        if _exceeds(family, ((k1, n, p), (k3, n, q - p)), ((k2, n, q),)):
             return AxiomCheck(family.name, "cW", grid, False, {"n": n})
     return AxiomCheck(family.name, "cW", grid, True, {"alpha": str(alpha)})
 

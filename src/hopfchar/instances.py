@@ -38,6 +38,7 @@ from .core import (
     add_scaled,
     monomial_of,
     monomial_product,
+    multisets,
 )
 from .hopf import HopfAlgebra
 from .trees import RootedTree, iter_nodes, parse_tree, tree_text
@@ -64,15 +65,11 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing positive parts summing to n; () is the partition of 0."""
-    if n == 0:
-        yield ()
-        return
-    mp = n if max_part is None else min(max_part, n)
-    for p in range(mp, 0, -1):
-        for rest in partitions(n - p, p):
-            yield (p,) + rest
+def partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
+    """Nonincreasing positive parts summing to n, each at most max_part, in
+    lexicographic order from the largest first part; () is the partition of 0."""
+    parts = range(n if max_part is None else min(max_part, n), 0, -1)
+    return multisets(parts, parts, n)
 
 
 @lru_cache(maxsize=None)

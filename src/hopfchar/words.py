@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from typing import Iterator
 
@@ -154,18 +155,5 @@ def rearrangements(w: Word) -> tuple[Word, ...]:
 
 
 def all_words(alphabet: str, n: int) -> Iterator[Word]:
-    letters = sorted(alphabet)
-    if n == 0:
-        yield ()
-        return
-    for w in _words_rec(tuple(letters), n):
-        yield w
-
-
-def _words_rec(letters: tuple[str, ...], n: int) -> Iterator[Word]:
-    if n == 0:
-        yield ()
-        return
-    for head in letters:
-        for tail in _words_rec(letters, n - 1):
-            yield (head,) + tail
+    """The words of length n, in lexicographic order."""
+    return product(sorted(alphabet), repeat=n)

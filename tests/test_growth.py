@@ -1,15 +1,15 @@
 """Weight families and their axioms."""
 
 from fractions import Fraction
-from math import factorial
+from math import exp, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfchar.growth import (BUILTIN_FAMILIES, builtin, check_all_axioms,
-                             check_cW, check_W1, check_W2, check_W3, composed,
-                             suggest_alpha, w3_holds_at)
+from hopfchar.growth import (BUILTIN_FAMILIES, GrowthFamily, builtin,
+                             check_all_axioms, check_cW, check_W1, check_W2,
+                             check_W3, composed, suggest_alpha, w3_holds_at)
 
 FIVE = ("pow", "pow2", "pow-fact", "pow-nsq", "pow-factk")
 
@@ -85,6 +85,34 @@ def test_w1_monotonicity_failure_detected():
     rep = check_W1(fam, 6, 20)
     assert rep.ok                      # anti is monotone and normalized
     assert check_W2(fam, 6, 20).ok
+
+
+# per axiom, its first witness on the grid below and an omega_k(n) that
+# breaks it and neither of the other two, given exactly and as the integer
+# exponent of a log-form family
+ONE_AXIOM_BROKEN = {
+    "W1": ({"k": 1, "n": 1}, lambda k, n: (10 - k) ** n, lambda k, n: -k * n),
+    "W2": ({"k": 1, "n": 1, "m": 1}, lambda k, n: k**n * (2 if n else 1),
+           lambda k, n: k * n + (1 if n else 0)),
+    "cW": ({"n": 1}, lambda k, n: 2 ** (k * k * n), lambda k, n: k * k * n),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "log-form"])
+@pytest.mark.parametrize("axiom", sorted(ONE_AXIOM_BROKEN))
+def test_w1_w2_cw_report_their_first_failure(axiom, exact):
+    witness, omega, log_omega = ONE_AXIOM_BROKEN[axiom]
+    if exact:
+        fam = GrowthFamily("broken", axiom, omega)
+    else:
+        fam = GrowthFamily("broken", axiom, lambda k, n: exp(log_omega(k, n)),
+                           is_exact=False, is_growth_family=False,
+                           log_omega=lambda k, n: Fraction(log_omega(k, n)))
+    checks = {"W1": check_W1(fam, 3, 4), "W2": check_W2(fam, 3, 4),
+              "cW": check_cW(fam, 1, 2, 3, Fraction(1, 2), 4)}
+    assert {name: rep.ok for name, rep in checks.items()} == {
+        name: name != axiom for name in checks}
+    assert checks[axiom].witness == witness
 
 
 def test_suggest_alpha_interpolates():

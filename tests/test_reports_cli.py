@@ -226,12 +226,13 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
 def test_cli_safety_limit_and_env_override(tmp_path, monkeypatch, capsys):
     assert _run("axioms", "--hopf", "ck", "--max-degree", "13") == 2
     assert "safety limit" in capsys.readouterr().err
-    monkeypatch.setenv(cli.MAX_DEGREE_ENV, "3")
-    assert _run("axioms", "--hopf", "ck", "--max-degree", "5") == 2
-    monkeypatch.setenv(cli.MAX_DEGREE_ENV, "20")
+    # the limit is fixed: the variable that once replaced it changes nothing
+    monkeypatch.setenv("HOPFCHAR_MAX_DEGREE", "20")
     out = tmp_path / "deep.json"
-    assert _run("enumerate", "--hopf", "binomial", "--max-degree", "14",
-                "--out", str(out)) == 0
+    assert _run("axioms", "--hopf", "ck", "--max-degree", "13",
+                "--out", str(out)) == 2
+    assert "safety limit 12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_control_check_with_csv(tmp_path):
@@ -358,8 +359,10 @@ def test_cli_char_refuses_file_past_safety_limit(tmp_path, monkeypatch, capsys):
     assert "safety limit 64" in capsys.readouterr().err
     assert _run("char", "conv", "--a", str(b), "--b", str(a)) == 2
     assert "safety limit 64" in capsys.readouterr().err
-    monkeypatch.setenv(cli.MAX_DEGREE_ENV, "65")
-    assert _run("char", "exp", "--a", str(a), "--out", str(tmp_path / "e.json")) == 0
+    monkeypatch.setenv("HOPFCHAR_MAX_DEGREE", "65")
+    assert _run("char", "exp", "--a", str(a), "--out", str(tmp_path / "e.json")) == 2
+    assert "safety limit 64" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_cli_bseries_exponential(tmp_path):
@@ -766,13 +769,13 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["bseries", "--field", "{field}", "--y", "1", "--max-order", "13"],
-     "max order 13 exceeds the safety limit 12 for ck "),
+     "max order 13 exceeds the safety limit 12 for ck\n"),
     (["pseries", "--system", "{system}", "--p", "1", "--q", "0", "--max-order", "13"],
-     "max order 13 exceeds the safety limit 12 for ck2 "),
+     "max order 13 exceeds the safety limit 12 for ck2\n"),
     (["wordseries", "--system", "{letters}", "--x", "1", "--max-length", "11"],
-     "max length 11 exceeds the safety limit 10 for shuffle:a "),
+     "max length 11 exceeds the safety limit 10 for shuffle:a\n"),
     (["enumerate", "--hopf", "fdb-x", "--max-degree", "15"],
-     "max degree 15 exceeds the safety limit 14 for fdb-x "),
+     "max degree 15 exceeds the safety limit 14 for fdb-x\n"),
     (["enumerate", "--hopf", "shuffle:ab", "--max-degree", "-1"],
      "max degree must be nonnegative"),
 ])
@@ -820,6 +823,12 @@ OUT_OF_RANGE = {
                                            "--k2", "2000", "--max-degree", "9"],
                                           "pow-factk weight at k1 2000 and degree 9 has "
                                           "37037 bits, over the limit 14000"),
+    # a weight of 2^1200, past what a float holds, so --csv could not print it
+    "control-check pow2 --k2 200 --csv": (["control-check", "--hopf", "ck",
+                                           "--family", "pow2", "--k1", "1", "--k2", "200",
+                                           "--max-degree", "6", "--csv", "{csv}"],
+                                          "pow2 weight at k2 200 and degree 6 has 1201 "
+                                          "bits, over the limit 740 for --csv"),
 }
 
 
@@ -828,7 +837,9 @@ def test_cli_integer_options_below_range_exit_2(tmp_path, capsys, monkeypatch, c
     argv, message = OUT_OF_RANGE[case]
     for name in ("coproduct_ratio", "antipode_ratio", "linf_norm", "check_all_axioms"):
         monkeypatch.setattr(cli, name, _computes_nothing)
-    paths = _inputs(tmp_path, None)
+    csv = tmp_path / "out.csv"
+    paths = dict(_inputs(tmp_path, None), csv=str(csv))
     assert _run(*[a.format(**paths) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+    assert not csv.exists()
