@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
 LOG2 = math.log(2.0)
@@ -227,45 +228,30 @@ def check_cW(
 
 
 def check_all_axioms(family: GrowthFamily, k_max: int, n_max: int, k2_max: int = 64) -> list[AxiomCheck]:
-    """W1, W2, W3 for every k1 <= k_max, and cW for every triple in range."""
+    """W1, W2, W3 for every k1 <= k_max, and cW for every triple in range.
+
+    Each summary stops at its first failing k1 or triple and reports it."""
     out = [check_W1(family, k_max, n_max), check_W2(family, k_max, n_max)]
-    w3_all_ok = True
-    w3_fail: dict = {}
-    w3_detail = {}
+    grid = {"k1_max": k_max, "n_max": n_max, "k2_max": k2_max}
+    least = {}
     for k1 in range(1, k_max + 1):
         res = check_W3(family, k1, n_max, k2_max)
-        w3_detail[str(k1)] = res.witness.get("least_k2")
         if not res.ok:
-            w3_all_ok = False
-            w3_fail = res.witness
-    out.append(
-        AxiomCheck(
-            family.name,
-            "W3",
-            {"k1_max": k_max, "n_max": n_max, "k2_max": k2_max},
-            w3_all_ok,
-            w3_fail if not w3_all_ok else {"least_k2_by_k1": w3_detail},
-        )
-    )
-    cw_ok = True
-    cw_fail: dict = {}
+            out.append(AxiomCheck(family.name, "W3", grid, False, res.witness))
+            break
+        least[str(k1)] = res.witness["least_k2"]
+    else:
+        out.append(AxiomCheck(family.name, "W3", grid, True, {"least_k2_by_k1": least}))
+    grid = {"k_max": k_max, "n_max": n_max}
     alphas = {}
-    for k1 in range(1, k_max - 1):
-        for k2 in range(k1 + 1, k_max):
-            for k3 in range(k2 + 1, k_max + 1):
-                alpha = suggest_alpha(k1, k2, k3)
-                res = check_cW(family, k1, k2, k3, alpha, n_max)
-                alphas[f"{k1},{k2},{k3}"] = str(alpha)
-                if not res.ok:
-                    cw_ok = False
-                    cw_fail = {"k1": k1, "k2": k2, "k3": k3, **res.witness}
-    out.append(
-        AxiomCheck(
-            family.name,
-            "cW",
-            {"k_max": k_max, "n_max": n_max},
-            cw_ok,
-            cw_fail if not cw_ok else {"alpha_by_triple": alphas},
-        )
-    )
+    for k1, k2, k3 in combinations(range(1, k_max + 1), 3):
+        alpha = suggest_alpha(k1, k2, k3)
+        res = check_cW(family, k1, k2, k3, alpha, n_max)
+        if not res.ok:
+            out.append(AxiomCheck(family.name, "cW", grid, False,
+                                  {"k1": k1, "k2": k2, "k3": k3, **res.witness}))
+            break
+        alphas[f"{k1},{k2},{k3}"] = str(alpha)
+    else:
+        out.append(AxiomCheck(family.name, "cW", grid, True, {"alpha_by_triple": alphas}))
     return out

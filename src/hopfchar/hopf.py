@@ -224,9 +224,7 @@ class HopfAlgebra(ABC):
     # ------------------------------------------------------------------ misc
 
     def monomial_text(self, m: Monomial) -> str:
-        if m.is_empty():
-            return "1"
-        return "*".join(g.key for g in m.factors)
+        return repr(m)
 
     def monomial_from_text(self, text: str) -> Monomial:
         """Inverse of monomial_text: '*'-separated generator keys, or '1'."""

@@ -295,34 +295,34 @@ class ConnesKreimer(HopfAlgebra):
 # shuffle algebra on words
 
 
+def _text(m: Monomial) -> str:
+    """The text of a word monomial: its generator key, "" for the empty word."""
+    return m.factors[0].key if m.factors else ""
+
+
 class Shuffle(HopfAlgebra):
     """Words over a finite alphabet with the shuffle product.
 
     The vector-space basis in each degree is the full set of words; the
     polynomial generators are the Lyndon words, via the factorisation of
-    every word as a shuffle polynomial in Lyndon words (Radford).  Each
-    nonempty word is one basis symbol: a single-factor monomial whose
-    generator key is the word's text and whose degree is its length, and
-    the empty word is the empty monomial.  The instance supplies the
-    shuffle product, so words are never multiplied as monomials, and the
-    generic coproduct, antipode and text paths run on a word as on any
-    single symbol: :meth:`coproduct_generator` deconcatenates it and
-    :meth:`antipode_generator_explicit` reverses it with the sign of its
-    length, both cached by :class:`~hopfchar.hopf.HopfAlgebra`.
+    every word as a shuffle polynomial in Lyndon words (Radford).  A word is
+    its text: each nonempty word is one basis symbol, a single-factor
+    monomial whose generator key is the word's text and whose degree is its
+    length, and the empty word "" is the empty monomial.  The instance
+    supplies the shuffle product, so words are never multiplied as
+    monomials, and the generic coproduct, antipode and text paths run on a
+    word as on any single symbol: :meth:`coproduct_generator` deconcatenates
+    it and :meth:`antipode_generator_explicit` reverses it with the sign of
+    its length, both cached by :class:`~hopfchar.hopf.HopfAlgebra`.
 
-    A word is coded as an int in base B = |A| + 1 with no zero digit: the
-    i-th letter of the alphabet is the digit i + 1, the first letter of the
-    word the most significant digit and the empty word 0, so a code fixes
-    both the word and its length, and a letter a goes in front of a word w
-    of length L as a·B^L + w.  Products and the triangular solve of
-    :meth:`character_value` go through one per-instance table
-    (u code, v code) -> {w code: count}, filled by the front recursion
-    au ш bv = a(u ш bv) + b(au ш v) in the insertion order of
-    :func:`~hopfchar.words.shuffle_words`, so every sum accumulates in the
-    same order.  The table keeps only the sub-pairs the recursion reaches:
-    the pair a caller asks for is built from its two stored sub-pairs and
-    not kept, as the axiom sweep asks for each such pair at most twice while
-    the larger degrees read the sub-pairs again.
+    Products and the triangular solve of :meth:`character_value` go through
+    one per-instance table (u text, v text) -> {w text: count}, filled by
+    the front recursion au ш bv = a(u ш bv) + b(au ш v) in the insertion
+    order of :func:`~hopfchar.words.shuffle_words`, so every sum accumulates
+    in the same order.  The table keeps only the sub-pairs the recursion
+    reaches: the pair a caller asks for is built from its two stored
+    sub-pairs and not kept, as the axiom sweep asks for each such pair at
+    most twice while the larger degrees read the sub-pairs again.
     """
 
     def __init__(self, letters: str):
@@ -333,72 +333,37 @@ class Shuffle(HopfAlgebra):
             raise ValueError(f"repeated letters in alphabet {letters!r}")
         self.letters = "".join(sorted(letters))
         self.name = f"shuffle:{self.letters}"
-        self._base = len(self.letters) + 1
-        self._digits = {ch: i + 1 for i, ch in enumerate(self.letters)}
-        self._powers = [1]  # B^L at index L, extended by _shuffle_top
-        # word code <-> the one word monomial
-        self._monomials: dict[int, Monomial] = {}
-        self._codes: dict[Monomial, int] = {}
-        self._shuffles: dict[tuple[int, int], dict[int, int]] = {}
+        # word text -> the one word monomial
+        self._monomials: dict[str, Monomial] = {"": self.empty()}
+        self._shuffles: dict[tuple[str, str], dict[str, int]] = {}
         self._solve_rows: dict[Monomial, tuple] = {}
         self._word_classes: dict[Word, tuple[Monomial, ...]] = {}
 
-    def word_monomial(self, w: Word) -> Monomial:
-        code = 0
-        for ch in w:
-            code = code * self._base + self._digits[ch]
-        m = self._monomials.get(code)
+    def word_monomial(self, w: Word | str) -> Monomial:
+        text = "".join(w)
+        m = self._monomials.get(text)
         if m is None:
-            m = monomial_of(Generator(self.name, "".join(w), len(w))) if w else self.empty()
-            self._monomials[code] = m
-            self._codes[m] = code
+            m = self._monomials[text] = monomial_of(Generator(self.name, text, len(text)))
         return m
 
     def word_of(self, m: Monomial) -> Word:
-        return tuple(m.factors[0].key) if m.factors else ()
+        return tuple(_text(m))
 
-    def _code_monomial(self, code: int) -> Monomial:
-        m = self._monomials.get(code)
-        if m is None:
-            digits = []
-            while code:
-                code, d = divmod(code, self._base)
-                digits.append(self.letters[d - 1])
-            m = self.word_monomial(tuple(reversed(digits)))
-        return m
-
-    def _code(self, m: Monomial) -> int:
-        code = self._codes.get(m)
-        if code is None:
-            code = self._codes[self.word_monomial(self.word_of(m))]
-        return code
-
-    def _shuffle_top(self, a: Monomial, b: Monomial) -> dict[int, int]:
-        """a ш b as {w code: count}, in the order of words.shuffle_words."""
-        powers = self._powers
-        while len(powers) <= a.degree + b.degree:
-            powers.append(powers[-1] * self._base)
-        return self._shuffle(self._code(a), a.degree, self._code(b), b.degree, False)
-
-    def _shuffle(self, u: int, lu: int, v: int, lv: int, keep: bool) -> dict[int, int]:
-        """The words coded u and v, of lengths lu and lv, shuffled; stored in
-        the table only when `keep` (a sub-pair of the recursion)."""
-        if not lu:
+    def _shuffle(self, u: str, v: str, keep: bool) -> dict[str, int]:
+        """u ш v as {w: count}, in the order of words.shuffle_words; stored
+        in the table only when `keep` (a sub-pair of the recursion)."""
+        if not u:
             return {v: 1}
-        if not lv:
+        if not v:
             return {u: 1}
         out = self._shuffles.get((u, v))
         if out is not None:
             return out
-        powers = self._powers
-        shift = powers[lu + lv - 1]
-        head, tail = divmod(u, powers[lu - 1])
-        head *= shift
-        out = {head + w: c for w, c in self._shuffle(tail, lu - 1, v, lv, True).items()}
-        head, tail = divmod(v, powers[lv - 1])
-        head *= shift
-        for w, c in self._shuffle(u, lu, tail, lv - 1, True).items():
-            w += head
+        head = u[0]
+        out = {head + w: c for w, c in self._shuffle(u[1:], v, True).items()}
+        head = v[0]
+        for w, c in self._shuffle(u, v[1:], True).items():
+            w = head + w
             out[w] = out.get(w, 0) + c
         if keep:
             self._shuffles[(u, v)] = out
@@ -420,44 +385,43 @@ class Shuffle(HopfAlgebra):
         return self.basis(n)
 
     def is_generator(self, m: Monomial) -> bool:
-        return bool(m.factors) and is_lyndon(self.word_of(m))
+        return is_lyndon(_text(m))
+
+    def _check_letters(self, text: str) -> None:
+        for ch in text:
+            if ch not in self.letters:
+                raise ValueError(f"letter {ch!r} not in alphabet {self.letters!r}")
 
     def generator_from_text(self, text: str) -> Monomial:
-        w = tuple(text)
-        for ch in w:
-            if ch not in self._digits:
-                raise ValueError(f"letter {ch!r} not in alphabet {self.letters!r}")
-        if not is_lyndon(w):
+        self._check_letters(text)
+        if not is_lyndon(text):
             raise ValueError(f"word {text!r} is not a Lyndon word")
-        return self.word_monomial(w)
+        return self.word_monomial(text)
 
     def monomial_from_text(self, text: str) -> Monomial:
         if text in ("1", ""):
             return self.empty()
-        w = tuple(text)
-        for ch in w:
-            if ch not in self._digits:
-                raise ValueError(f"letter {ch!r} not in alphabet {self.letters!r}")
-        return self.word_monomial(w)
+        self._check_letters(text)
+        return self.word_monomial(text)
 
     def add_product(self, acc: dict, a: Monomial, b: Monomial, c: Coeff) -> None:
         """acc += c * (a shuffle b) in place."""
         monomials = self._monomials
-        for w, k in self._shuffle_top(a, b).items():
+        for w, k in self._shuffle(_text(a), _text(b), False).items():
             m = monomials.get(w)
             if m is None:
-                m = self._code_monomial(w)
+                m = self.word_monomial(w)
             acc[m] = acc.get(m, 0) + c * k
 
     def coproduct_generator(self, g: Monomial) -> TensorVector:
         """Deconcatenation: the sum of u (x) v over the splits w = uv."""
         return TensorVector.trusted(
             {(self.word_monomial(u), self.word_monomial(v)): 1
-             for u, v in deconcatenations(self.word_of(g))})
+             for u, v in deconcatenations(_text(g))})
 
     def antipode_generator_explicit(self, g: Monomial) -> GradedVector:
         """S(w) = (-1)^|w| times w reversed."""
-        return GradedVector.of(self.word_monomial(tuple(reversed(self.word_of(g)))),
+        return GradedVector.of(self.word_monomial(_text(g)[::-1]),
                                -1 if g.degree % 2 else 1)
 
     def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
@@ -495,7 +459,7 @@ class Shuffle(HopfAlgebra):
         and their coefficients c_u, the words with the same letters in
         lexicographic order, and the position of m among them).  The factors
         are shuffled together left to right through :meth:`add_product`."""
-        w = self.word_of(m)
+        w = _text(m)
         if is_lyndon(w):
             return ()
         factors = tuple(self.word_monomial(f) for f in chen_fox_lyndon(w))

@@ -1,6 +1,8 @@
 """Words, shuffles and Lyndon machinery.
 
-A word is a tuple of single-character letters.  Lyndon words are generated by
+A word is a tuple of single-character letters; ``is_lyndon``,
+``chen_fox_lyndon``, ``deconcatenations`` and ``rearrangements`` take its
+text as well and give the same sequences.  Lyndon words are generated by
 Duval's algorithm, factorizations by Duval's Chen-Fox-Lyndon algorithm, and
 ``lyndon_rewrite_word`` expresses any word as a polynomial (under the shuffle
 product) in Lyndon words by triangular elimination: the shuffle of the CFL
@@ -8,7 +10,7 @@ factors of w equals (product of multiplicities factorial) * w plus lexicographic
 smaller words of the same length.
 
 The library does not multiply words here.  Products go through the
-``Shuffle`` instance's table of shuffles on integer word codes, and so do
+``Shuffle`` instance's table of shuffles on the words' texts, and so do
 the characters, the exp/log/evolve solver's included: the instance solves
 the same triangular system numerically, word by word, with its own products
 (see ``Shuffle.character_value``).  ``shuffle_words``, ``shuffle_many`` and

@@ -115,6 +115,17 @@ def test_w1_w2_cw_report_their_first_failure(axiom, exact):
     assert checks[axiom].witness == witness
 
 
+def test_all_axiom_summaries_report_their_first_failure():
+    # anti passes W3 at k1 = 1 and fails at every k1 from 2 on
+    w3 = check_all_axioms(builtin("anti"), 6, 40)[2]
+    assert (w3.axiom, w3.ok, w3.witness) == ("W3", False, {"k1": 2})
+    # 2^(k^2 n) breaks cW at every triple up to k_max 4, first at (1, 2, 3)
+    fam = GrowthFamily("broken", "cW", ONE_AXIOM_BROKEN["cW"][1])
+    assert not check_cW(fam, 2, 3, 4, suggest_alpha(2, 3, 4), 3).ok
+    cw = check_all_axioms(fam, 4, 3)[3]
+    assert (cw.axiom, cw.ok, cw.witness) == ("cW", False, {"k1": 1, "k2": 2, "k3": 3, "n": 1})
+
+
 def test_suggest_alpha_interpolates():
     a = suggest_alpha(1, 2, 4)
     assert a == Fraction(2, 3)

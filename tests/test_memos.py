@@ -1,4 +1,4 @@
-"""What the structure memos hold: shuffles on word codes, and CK cut states.
+"""What the structure memos hold: shuffles on word texts, and CK cut states.
 
 The shuffle table of a ``Shuffle`` instance must reproduce the oracle
 ``words.shuffle_words`` dict for dict and in insertion order, and keep only
@@ -33,7 +33,7 @@ def test_code_shuffle_matches_the_oracle_in_order(letters, total):
                 continue
             a, b = H.word_monomial(u), H.word_monomial(v)
             want = list(shuffle_words(u, v).items())
-            got = [(H.word_of(H._code_monomial(w)), k) for w, k in H._shuffle_top(a, b).items()]
+            got = [(tuple(w), k) for w, k in H._shuffle("".join(u), "".join(v), False).items()]
             assert got == want, (u, v)
             assert list(H.product_monomials(a, b).terms.items()) == [
                 (H.word_monomial(w), k) for w, k in want], (u, v)
@@ -57,7 +57,7 @@ def test_shuffle_table_keeps_only_sub_pairs_and_leaves_the_oracle_cold():
     shuffle_words.cache_clear()
     H = Shuffle("ab")
     assert check_hopf_axioms(H, 7).ok
-    totals = {H._code_monomial(u).degree + H._code_monomial(v).degree for u, v in H._shuffles}
+    totals = {len(u) + len(v) for u, v in H._shuffles}
     assert max(totals) == 6
     assert shuffle_words.cache_info().currsize == 0
 
