@@ -517,9 +517,9 @@ class TruncatedLinearMap(_BaseMap):
         return self.table.get(m, self.target.zero)
 
 
-def counit_character(hopf: HopfAlgebra, N: int,
-                     target: TargetAlgebra = RATIONAL) -> TruncatedCharacter:
-    return TruncatedCharacter(hopf, N, target, {})
+def counit_character(hopf: HopfAlgebra, N: int) -> TruncatedCharacter:
+    """The counit, the group's unit, as an exact character truncated at N."""
+    return TruncatedCharacter(hopf, N, RATIONAL, {})
 
 
 # --------------------------------------------------------------------------
@@ -559,20 +559,17 @@ def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
     return TruncatedCharacter(H, phi.N, phi.target, values)
 
 
-def linf_norm(phi, family: GrowthFamily, k: int, N: int | None = None,
-              over: str = "generators"):
-    """Finite-degree sup of ||phi(m)|| / omega_k(|m|), an exact rational
+def linf_norm(phi, family: GrowthFamily, k: int, over: str = "generators"):
+    """Sup of ||phi(m)|| / omega_k(|m|) up to phi's degree N, an exact rational
     when both the norm and the weight are, so it depends only on the values.
 
     A truncation cannot certify the supremum over all degrees; treat the
     result as a finite-degree proxy.
     """
-    if N is None:
-        N = phi.N
     if over == "generators":
-        domain = phi.hopf.generators_upto(N)
+        domain = phi.hopf.generators_upto(phi.N)
     elif over == "monomials":
-        domain = phi.hopf.basis_upto(N)
+        domain = phi.hopf.basis_upto(phi.N)
     else:
         raise ValueError("over must be 'generators' or 'monomials'")
     best = None
@@ -587,13 +584,12 @@ def linf_norm(phi, family: GrowthFamily, k: int, N: int | None = None,
     return 0 if best is None else best
 
 
-def controlled_witness(phi, family: GrowthFamily, radius=1, k_max: int = 64,
-                       over: str = "generators") -> dict:
-    """Least k whose finite-degree norm is <= radius; a truncation proxy."""
+def controlled_witness(phi, family: GrowthFamily) -> dict:
+    """Least k <= 64 with generator norm <= 1 (see linf_norm); a truncation proxy."""
     guard = 1e-12 if not family.is_exact or phi.target is FLOAT else 0
-    for k in range(1, k_max + 1):
-        norm = linf_norm(phi, family, k, over=over)
-        if norm <= radius + guard:
+    for k in range(1, 65):
+        norm = linf_norm(phi, family, k)
+        if norm <= 1 + guard:
             return {"witness_k": k, "norm": json_number(norm),
                     "note": "finite-degree proxy"}
     return {"witness_k": None, "norm": None, "note": "finite-degree proxy"}
@@ -655,36 +651,26 @@ def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
     return gamma.values, solved
 
 
-def _truncation(f, N: int | None) -> int:
-    if N is None:
-        return f.N
-    if N > f.N:
-        raise ValueError(f"truncation {N} exceeds N={f.N} for {f.kind}")
-    return N
-
-
-def exp_infchar(eta: TruncatedInfChar, N: int | None = None) -> TruncatedCharacter:
+def exp_infchar(eta: TruncatedInfChar) -> TruncatedCharacter:
     """exp(eta), the time-1 value of gamma' = gamma * eta, gamma(0) = counit.
 
-    Solved exactly on generators, degree by degree (see ``_solve_flow``);
-    exp(eta)(g) is the sum of the coefficients of the t-polynomial gamma_t(g).
+    Solved exactly on the generators up to eta's N, degree by degree (see
+    ``_solve_flow``); exp(eta)(g) is the sum of gamma_t(g)'s coefficients.
     """
-    N = _truncation(eta, N)
-    H, B = eta.hopf, eta.target
+    H, N, B = eta.hopf, eta.N, eta.target
     gamma, _ = _solve_flow(H, N, B, {g: (v,) for g, v in eta.values.items()})
     P = _flow_target(B)
     return TruncatedCharacter(H, N, B, {g: P.at_one(p) for g, p in gamma.items()})
 
 
-def log_character(phi: TruncatedCharacter, N: int | None = None) -> TruncatedInfChar:
-    """The infinitesimal character eta with exp(eta) = phi.
+def log_character(phi: TruncatedCharacter) -> TruncatedInfChar:
+    """The infinitesimal character eta with exp(eta) = phi, up to phi's N.
 
     Runs the exp recursion while solving for eta degree by degree: the t^1
     coefficient of gamma_t(g) is eta(g) and the higher ones depend only on
     lower degrees, so eta(g) = phi(g) - sum_{k >= 2} gamma_t(g)_k.
     """
-    N = _truncation(phi, N)
-    H, B = phi.hopf, phi.target
+    H, N, B = phi.hopf, phi.N, phi.target
     _, eta = _solve_flow(H, N, B, {}, phi)
     return TruncatedInfChar(H, N, B, eta)
 

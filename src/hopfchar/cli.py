@@ -100,9 +100,17 @@ def _load(path: str, decode, *args):
         raise ConfigError(f"bad input file {path}: {exc}")
 
 
-def _load_character(path: str):
+def _load_character(path: str, instance: str | None = None, what: str = "",
+                    order: int = 0):
+    """A character file within its safety limit.  A series also passes the
+    instance it needs and the order or length it sums to, at most N."""
     phi = _load(path, reports.character_from_json)
     _check_range("truncation N", phi.N, type(phi.hopf), phi.hopf.name)
+    if order > phi.N:
+        raise ConfigError(f"{what} {order} exceeds the coefficient file's "
+                          f"truncation N={phi.N}")
+    if instance is not None and phi.hopf.name != instance:
+        raise ConfigError(f"coefficient file must be a {instance} character")
     return phi
 
 
@@ -264,9 +272,7 @@ def _tree_series(args, colours: int, dim: int, start, terms_of) -> tuple[dict, t
     if args.coeffs == "exact-flow":
         a = exact_flow_coefficient
     else:
-        phi = _load_character(args.coeffs)
-        if phi.hopf.name != expected:
-            raise ConfigError(f"coefficient file must be a {expected} character")
+        phi = _load_character(args.coeffs, expected, "max order", args.max_order)
         a = {phi.hopf.tree_of(g.factors[0]): v for g, v in phi.values.items()}
     table, final = partial_sums(terms_of(a), start, h)
     payload = {"series": args.subcommand, "dim": dim, "h": str(h),
@@ -316,12 +322,7 @@ def run_wordseries(args) -> tuple[bool, dict]:
         def delta(w):
             return Fraction(1, factorial(len(w)))
     else:
-        phi = _load_character(args.coeffs)
-        if args.max_length > phi.N:
-            raise ConfigError(f"max length {args.max_length} exceeds the coefficient "
-                              f"file's truncation N={phi.N}")
-        if phi.hopf.name != expected:
-            raise ConfigError(f"coefficient file must be a {expected} character")
+        phi = _load_character(args.coeffs, expected, "max length", args.max_length)
 
         def delta(w, _phi=phi):
             return _phi.evaluate(_phi.hopf.word_monomial(w))

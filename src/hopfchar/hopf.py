@@ -1,14 +1,14 @@
 """The combinatorial Hopf algebra interface and instance-independent machinery.
 
-An instance provides its graded alphabet of basis symbols, the coproduct
-on a single symbol, and optionally an explicit antipode on one.  Everything
-else -- multiplicative extension, counit, reduced coproduct, the two
-recursive antipode formulas, and the exact Hopf-axiom checker -- is
-generic.  Every basis element is a :class:`~hopfchar.core.Monomial` of the
-one commutative monoid.  Most instances take the Hopf generators as the
-symbols.  The shuffle algebra takes every nonempty word as one symbol and
-supplies its own product, so its coproduct and antipode are given on each
-word directly, and a symbol is a generator only when
+Every instance provides its graded alphabet of basis symbols, the coproduct
+on a single symbol, and a closed-form antipode on one.  Everything else --
+multiplicative extension, counit, reduced coproduct, the two recursive
+antipode formulas, and the exact Hopf-axiom checker -- is generic.  Every
+basis element is a :class:`~hopfchar.core.Monomial` of the one commutative
+monoid.  Most instances take the Hopf generators as the symbols.  The
+shuffle algebra takes every nonempty word as one symbol and supplies its
+own product, so its coproduct and antipode are given on each word
+directly, and a symbol is a generator only when
 :meth:`HopfAlgebra.is_generator` says so (a Lyndon word).
 
 Conventions: the basis of degree 0 is the empty monomial alone (connected),
@@ -173,9 +173,9 @@ class HopfAlgebra(ABC):
 
     # ------------------------------------------------------------------ antipode
 
-    def antipode_generator_explicit(self, g: Monomial) -> GradedVector | None:
-        """Closed-form antipode on a generator, when the instance has one."""
-        return None
+    @abstractmethod
+    def antipode_generator_explicit(self, g: Monomial) -> GradedVector:
+        """Closed-form antipode on a single symbol."""
 
     def antipode_monomial(self, m: Monomial) -> GradedVector:
         cached = self._antipode_cache.get(m)
@@ -184,8 +184,7 @@ class HopfAlgebra(ABC):
         if m.is_empty():
             out = GradedVector.of(m)
         elif m.is_single():
-            explicit = self.antipode_generator_explicit(m)
-            out = explicit if explicit is not None else self.antipode_recursive(m, variant=1)
+            out = self.antipode_generator_explicit(m)
         else:
             # S is multiplicative
             out = GradedVector.of(self.empty())
@@ -194,8 +193,8 @@ class HopfAlgebra(ABC):
         self._antipode_cache[m] = out
         return out
 
-    def antipode_recursive(self, m: Monomial, variant: int = 1) -> GradedVector:
-        """S from the connected-grading recursion.
+    def antipode_recursive(self, m: Monomial, variant: int) -> GradedVector:
+        """S from the connected-grading recursion; cross-checks the closed form.
 
         variant 1: S(x) = -x - sum S(x') x'';  variant 2: S(x) = -x - sum x' S(x'').
         Both recurse on strictly smaller degree, with no reference to an

@@ -73,37 +73,13 @@ def partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def admissible_tuples(r: int) -> tuple[tuple[int, ...], ...]:
-    """Tuples (m_1..m_r) of nonnegative integers with sum r and every
-    proper prefix sum m_1+..+m_h >= h.  There are Catalan(r) of them."""
-    if r == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], total: int) -> None:
-        h = len(prefix)
-        if h == r - 1:
-            last = r - total
-            if last >= 0:
-                out.append(tuple(prefix) + (last,))
-            return
-        for m in range(r - total + 1):
-            if total + m >= h + 1:
-                prefix.append(m)
-                rec(prefix, total + m)
-                prefix.pop()
-
-    rec([], 0)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def lambda_coefficient(parts: tuple[int, ...]) -> int:
     """Lattice-path weight used by the closed substitution antipodes.
 
-    The sum over admissible_tuples(r) of prod C(n_i + 1, m_i), by dynamic
-    programming over (prefix length h, prefix sum s) in O(r^3): ways[s] is
-    the weighted count of admissible prefixes of length h summing to s.
+    The sum of prod C(n_i + 1, m_i) over the Catalan(r) admissible tuples
+    (m_1..m_r) of integers m_i >= 0 with sum r and every proper prefix sum
+    m_1+..+m_h >= h, by dynamic programming over (prefix length h, prefix
+    sum s) in O(r^3): ways[s] weights the admissible h-prefixes summing to s.
     """
     r = len(parts)
     ways = [1] + [0] * r
@@ -331,6 +307,8 @@ class Shuffle(HopfAlgebra):
             raise ValueError("shuffle alphabet must be nonempty")
         if len(set(letters)) != len(letters):
             raise ValueError(f"repeated letters in alphabet {letters!r}")
+        if "1" in letters:
+            raise ValueError("'1' is the empty word's text and cannot be a letter")
         self.letters = "".join(sorted(letters))
         self.name = f"shuffle:{self.letters}"
         # word text -> the one word monomial
@@ -345,9 +323,6 @@ class Shuffle(HopfAlgebra):
         if m is None:
             m = self._monomials[text] = monomial_of(Generator(self.name, text, len(text)))
         return m
-
-    def word_of(self, m: Monomial) -> Word:
-        return tuple(_text(m))
 
     def _shuffle(self, u: str, v: str, keep: bool) -> dict[str, int]:
         """u ш v as {w: count}, in the order of words.shuffle_words; stored
@@ -586,28 +561,6 @@ class FaaDiBrunoX(_FaaDiBrunoBase):
         for i in comp:
             den *= factorial(i + 1)
         return Fraction(factorial(n + 1), den)
-
-
-def fdb_a_coproduct_via_bell(H: FaaDiBrunoA, n: int) -> TensorVector:
-    """The a-basis coproduct assembled from partial Bell polynomials.
-
-    Independent of :meth:`FaaDiBrunoA.coproduct_generator`; the two must
-    agree, which the tests assert.
-    """
-    terms: dict[tuple[Monomial, Monomial], Coeff] = {}
-    empty = H.empty()
-    unit = GradedVector.unit()
-    # x_j = j! a_{j-1} with a_0 = 1
-    args = [unit] + [
-        GradedVector.of(H.gen_monomial(j - 1), factorial(j)) for j in range(2, n + 2)
-    ]
-    for r in range(n + 1):
-        left = empty if r == 0 else H.gen_monomial(r)
-        vec = bell_partial(n + 1, r + 1, args[: n - r + 1])
-        scale = Fraction(factorial(r + 1), factorial(n + 1))
-        for m, c in vec.scale(scale).terms.items():
-            terms[(left, m)] = c
-    return TensorVector(terms)
 
 
 # --------------------------------------------------------------------------

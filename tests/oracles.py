@@ -7,17 +7,21 @@ an instance's coproduct and basis, but none of the library's solvers; the
 Connes-Kreimer cut sums use the cut enumerators of ``hopfchar.trees``, which
 the instance itself no longer calls, and the shuffle character values use the
 symbolic Lyndon rewrite of ``hopfchar.words``, which characters no longer call.
+The Bell oracle assembles the fdb-a coproduct from the library's
+``bell_partial`` (which ``FaaDiBrunoX`` runs), not from the a-basis
+coproduct it is compared with.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from hopfchar.characters import RationalTarget, TargetAlgebra
-from hopfchar.core import GradedVector, Monomial, TensorVector
-from hopfchar.instances import Shuffle
+from hopfchar.core import Coeff, GradedVector, Monomial, TensorVector
+from hopfchar.instances import FaaDiBrunoA, Shuffle, bell_partial
 from hopfchar.trees import edge_cuts, root_cuts
 from hopfchar.words import lyndon_rewrite_word
 
@@ -122,6 +126,31 @@ def catalan(r: int) -> int:
     return comb(2 * r, r) // (r + 1)
 
 
+@lru_cache(maxsize=None)
+def admissible_tuples(r: int) -> tuple[tuple[int, ...], ...]:
+    """Tuples (m_1..m_r) of nonnegative integers with sum r and every
+    proper prefix sum m_1+..+m_h >= h.  There are Catalan(r) of them."""
+    if r == 0:
+        return ((),)
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], total: int) -> None:
+        h = len(prefix)
+        if h == r - 1:
+            last = r - total
+            if last >= 0:
+                out.append(tuple(prefix) + (last,))
+            return
+        for m in range(r - total + 1):
+            if total + m >= h + 1:
+                prefix.append(m)
+                rec(prefix, total + m)
+                prefix.pop()
+
+    rec([], 0)
+    return tuple(out)
+
+
 def bell_partial_recurrence(n: int, k: int, xs):
     """Partial Bell polynomial B_{n,k}(x_1,...) via the standard recurrence."""
     if n == 0 and k == 0:
@@ -133,6 +162,28 @@ def bell_partial_recurrence(n: int, k: int, xs):
         if i <= len(xs):
             total += comb(n - 1, i - 1) * xs[i - 1] * bell_partial_recurrence(n - i, k - 1, xs)
     return total
+
+
+def fdb_a_coproduct_via_bell(H: FaaDiBrunoA, n: int) -> TensorVector:
+    """The a-basis coproduct assembled from partial Bell polynomials.
+
+    Independent of :meth:`FaaDiBrunoA.coproduct_generator`; the two must
+    agree, which the tests assert.
+    """
+    terms: dict[tuple[Monomial, Monomial], Coeff] = {}
+    empty = H.empty()
+    unit = GradedVector.unit()
+    # x_j = j! a_{j-1} with a_0 = 1
+    args = [unit] + [
+        GradedVector.of(H.gen_monomial(j - 1), factorial(j)) for j in range(2, n + 2)
+    ]
+    for r in range(n + 1):
+        left = empty if r == 0 else H.gen_monomial(r)
+        vec = bell_partial(n + 1, r + 1, args[: n - r + 1])
+        scale = Fraction(factorial(r + 1), factorial(n + 1))
+        for m, c in vec.scale(scale).terms.items():
+            terms[(left, m)] = c
+    return TensorVector(terms)
 
 
 def brute_shuffle(u: tuple, v: tuple) -> dict:
@@ -339,13 +390,18 @@ def word_series_by_jacobian(delta, sys, x, max_length: int) -> list:
     return terms
 
 
+def word_of(m: Monomial) -> tuple:
+    """The letters of a shuffle word monomial, whose generator key is its text."""
+    return tuple(m.factors[0].key if m.factors else "")
+
+
 def generator_factorizations(H, m):
     """m as a combination of algebra products of generators: the Lyndon
     polynomial of the word on a shuffle instance, the literal factors
     otherwise."""
     if isinstance(H, Shuffle):
         return [(coeff, tuple(H.word_monomial(w) for w in multiset))
-                for multiset, coeff in lyndon_rewrite_word(H.word_of(m))]
+                for multiset, coeff in lyndon_rewrite_word(word_of(m))]
     return [(1, tuple(Monomial.trusted((g,), g.degree) for g in m.factors))]
 
 

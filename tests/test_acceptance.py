@@ -21,16 +21,15 @@ from hopfchar.fields import (ColouredPolySystem, Poly, PolyMap,
                              PolyVectorField, WordSystem)
 from hopfchar.growth import builtin, check_W3, check_all_axioms
 from hopfchar.hopf import check_hopf_axioms
-from hopfchar.instances import (admissible_tuples, bell_partial,
-                                instance_by_name)
+from hopfchar.instances import bell_partial, instance_by_name
 from hopfchar.series import (bseries_order_terms, bseries_partial,
                              exact_flow_character, flow_taylor_coefficients,
                              pseries_partial, wordseries_partial)
 from hopfchar.trees import edge_cuts, root_cuts, trees_of_order
 from hopfchar.words import (all_words, lyndon_rewrite_word, lyndon_words,
                             shuffle_many)
-from oracles import (brute_force_tree_count, necklace_lyndon_count,
-                     seeded_rational_values)
+from oracles import (admissible_tuples, brute_force_tree_count,
+                     necklace_lyndon_count, seeded_rational_values)
 
 AXIOM_RANGES = (("ck", 8), ("ck2", 7), ("shuffle:ab", 7),
                 ("fdb-a", 8), ("fdb-x", 8), ("binomial", 12))

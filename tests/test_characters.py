@@ -139,19 +139,18 @@ def _agrees(B, got, want):
 def test_exp_log_match_power_series(label, N):
     H = instance_by_name(label)
     for B in (RATIONAL, DUAL, FLOAT):
-        eta = TruncatedInfChar(H, N, B, _target_values(H, N, B, 40))
-        phi = TruncatedCharacter(H, N, B, _target_values(H, N, B, 50))
+        eta_values, phi_values = _target_values(H, N, B, 40), _target_values(H, N, B, 50)
         for n in (N, N - 2):
-            got, want = exp_infchar(eta, n), exp_by_series(eta, n)
+            eta = TruncatedInfChar(H, n, B, {g: v for g, v in eta_values.items()
+                                             if g.degree <= n})
+            phi = TruncatedCharacter(H, n, B, {g: v for g, v in phi_values.items()
+                                               if g.degree <= n})
+            got, want = exp_infchar(eta), exp_by_series(eta, n)
             assert got.N == n
             assert all(_agrees(B, got.evaluate(m), want[m]) for m in H.basis_upto(n)), (B, n)
-            got, want = log_character(phi, n), log_by_series(phi, n)
+            got, want = log_character(phi), log_by_series(phi, n)
             assert got.N == n
             assert all(_agrees(B, got.evaluate(m), want[m]) for m in H.basis_upto(n)), (B, n)
-        with pytest.raises(ValueError):
-            exp_infchar(eta, N + 1)
-        with pytest.raises(ValueError):
-            log_character(phi, N + 1)
 
 
 @pytest.mark.parametrize("kind", [TruncatedCharacter, TruncatedInfChar])

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfchar.core import GradedVector, monomial_product
-from hopfchar.hopf import check_hopf_axioms
-from hopfchar.instances import instance_by_name
+from hopfchar.hopf import HopfAlgebra, check_hopf_axioms
+from hopfchar.instances import Shuffle, instance_by_name
 from hopfchar.trees import parse_tree, trees_of_order
 from oracles import basis_by_scan, ck_antipode_by_edge_cuts, ck_coproduct_by_root_cuts
 
@@ -138,6 +138,24 @@ def test_axiom_checker_reports_violations(ck):
     assert any(v.degree == 2 for v in rep.violations)
 
 
+def test_instance_without_closed_antipode_cannot_be_made():
+    # every instance supplies a closed antipode; the recursions only check it
+    class NoClosedAntipode(HopfAlgebra):
+        name = "no-closed-antipode"
+
+        def generators(self, n):
+            return ()
+
+        def generator_from_text(self, text):
+            raise ValueError(text)
+
+        def coproduct_generator(self, g):
+            raise AssertionError("unreachable")
+
+    with pytest.raises(TypeError, match="antipode_generator_explicit"):
+        NoClosedAntipode()
+
+
 # ---------------------------------------------------------------- antipode recursions
 
 
@@ -220,6 +238,16 @@ def test_generator_text_round_trip(ck, fdb_a, shuffle_ab):
         for text in texts:
             g = H.generator_from_text(text)
             assert H.monomial_text(g) == text
+
+
+def test_shuffle_refuses_the_empty_word_text_as_a_letter():
+    # the one-letter word "1" would have the empty word's text "1"
+    for letters in ("1", "01", "a1b"):
+        with pytest.raises(ValueError, match="empty word"):
+            Shuffle(letters)
+    H = Shuffle("0a")
+    for w in H.basis(1) + H.basis(2):
+        assert H.monomial_from_text(H.monomial_text(w)) is w
 
 
 def test_generator_from_text_rejects_garbage(ck, fdb_a, shuffle_ab, ck2):

@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfchar.core import GradedVector, Monomial, TensorVector
-from hopfchar.instances import (admissible_tuples, bell_partial, compositions,
-                                fdb_a_coproduct_via_bell, instance_by_name,
+from hopfchar.instances import (bell_partial, compositions, instance_by_name,
                                 lambda_coefficient, partitions)
-from oracles import bell_partial_recurrence, catalan, lambda_by_enumeration
+from oracles import (admissible_tuples, bell_partial_recurrence, catalan,
+                     fdb_a_coproduct_via_bell, lambda_by_enumeration)
 
 
 def test_bell_partial_matches_recurrence_oracle():

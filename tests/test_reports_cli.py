@@ -503,6 +503,10 @@ def test_cli_growth_check_exit_codes(tmp_path):
 def test_cli_bad_inputs(tmp_path, capsys):
     assert _run("enumerate", "--hopf", "nope") == 2
     assert "unknown instance" in capsys.readouterr().err
+    assert _run("enumerate", "--hopf", "shuffle:1a") == 2
+    captured = capsys.readouterr()
+    assert "'1' is the empty word's text and cannot be a letter" in captured.err
+    assert captured.out == ""
     field_path = tmp_path / "f.json"
     field_path.write_text(json.dumps(FIELD_LINEAR))
     assert _run("bseries", "--field", str(field_path), "--coeffs", "exact-flow",
@@ -615,6 +619,52 @@ def _inputs(tmp_path, bad_doc):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     return {name: str(p) for name, p in paths.items()}
+
+
+# series -> (a coefficient file truncated below the order, argv, the message)
+TRUNCATED_COEFFS = {
+    "bseries": (dict(GOOD_INPUTS["ck"], N=2),
+                ["bseries", "--field", "{field}", "--y", "1", "--max-order", "5"],
+                "max order 5 exceeds the coefficient file's truncation N=2"),
+    "pseries": (dict(GOOD_INPUTS["ck2"], N=1),
+                ["pseries", "--system", "{system}", "--p", "1", "--q", "0",
+                 "--max-order", "4"],
+                "max order 4 exceeds the coefficient file's truncation N=1"),
+}
+
+
+@pytest.mark.parametrize("series", sorted(TRUNCATED_COEFFS))
+def test_cli_tree_series_refuse_order_above_coefficient_truncation(tmp_path, capsys,
+                                                                   monkeypatch, series):
+    # the trees past N have no coefficient in the file; read as 0 they would pass
+    doc, argv, message = TRUNCATED_COEFFS[series]
+
+    def no_pass(*args):
+        raise AssertionError("the tree pass ran")
+
+    monkeypatch.setattr(cli, "bseries_order_terms", no_pass)
+    monkeypatch.setattr(cli, "pseries_order_terms", no_pass)
+    paths = _inputs(tmp_path, doc)
+    assert _run(*[a.format(**paths) for a in argv], "--coeffs", paths["bad"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+# series option -> (a coefficient file of another instance, the instance it needs)
+WRONG_INSTANCE_COEFFS = {"bseries --coeffs": ("ck2", "ck"),
+                         "pseries --coeffs": ("ck", "ck2"),
+                         "wordseries --coeffs": ("ck", "shuffle:a")}
+
+
+@pytest.mark.parametrize("option", sorted(WRONG_INSTANCE_COEFFS))
+def test_cli_series_refuse_a_coefficient_file_of_another_instance(tmp_path, capsys, option):
+    wrong, expected = WRONG_INSTANCE_COEFFS[option]
+    paths = _inputs(tmp_path, GOOD_INPUTS[wrong])
+    assert _run(*[a.format(**paths) for a in FILE_OPTIONS[option][2]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: coefficient file must be a {expected} character\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("defect", ["none", "top-level list", "no payload", "payload 5"])
