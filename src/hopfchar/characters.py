@@ -18,7 +18,8 @@ and bracket go through ``sum_products``, which sums integer numerators per
 denominator.  A Fraction is built only where a value leaves a pass, with the
 type (int or Fraction) the Fraction-by-Fraction fold gives; the solver's
 polynomials carry it in their length.  The float and dual targets keep that
-fold and its order of operations.
+fold and its order of operations.  A rational q enters a target as
+``scale(q, one)``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .core import Coeff, GradedVector, Monomial, json_number, normalize_coeff
+from .core import Coeff, GradedVector, Monomial, normalize_coeff
 from .growth import GrowthFamily, builtin
 from .hopf import HopfAlgebra
 
@@ -38,7 +39,11 @@ from .hopf import HopfAlgebra
 
 
 class TargetAlgebra(ABC):
-    """Commutative unital algebra with a submultiplicative norm, ||1|| = 1."""
+    """Commutative unital algebra with a submultiplicative norm, ||1|| = 1.
+
+    add, mul and norm default to the arithmetic of Python numbers, which the
+    scalar targets RATIONAL and FLOAT use as it is.
+    """
 
     name: str
 
@@ -50,56 +55,34 @@ class TargetAlgebra(ABC):
     @abstractmethod
     def zero(self): ...
 
-    @abstractmethod
-    def add(self, a, b): ...
+    def add(self, a, b):
+        return a + b
 
-    @abstractmethod
-    def mul(self, a, b): ...
+    def mul(self, a, b):
+        return a * b
 
     @abstractmethod
     def scale(self, q: Coeff, a): ...
 
-    @abstractmethod
-    def norm(self, a): ...
-
-    @abstractmethod
-    def from_rational(self, q: Coeff): ...
-
-    def neg(self, a):
-        return self.scale(-1, a)
+    def norm(self, a):
+        return abs(a)
 
     def sum_products(self, terms):
-        """The sum of c (x y - x' y') over terms (c, x, y, x', y'), with c a
-        rational; a term (c, x, y) stands for c x y and (c, x) for c x.
+        """The sum of c x y over terms (c, x, y), with c a rational; a term
+        (c, x) stands for c x.
 
-        This default is a left fold through add, mul, scale and neg, in that
+        This default is a left fold through add, mul and scale, in that
         order of operations, so float results keep their last bits.
         """
         total = self.zero
-        for c, *factors in terms:
-            v = factors[0]
-            if len(factors) > 1:
-                v = self.mul(v, factors[1])
-            if len(factors) > 2:
-                v = self.add(v, self.neg(self.mul(factors[2], factors[3])))
-            total = self.add(total, self.scale(c, v))
+        for c, x, *y in terms:
+            if y:
+                x = self.mul(x, y[0])
+            total = self.add(total, self.scale(c, x))
         return total
 
     def __repr__(self) -> str:
         return f"<target {self.name}>"
-
-
-def _products(terms):
-    """The products of ``sum_products`` terms, each a tuple whose first factor
-    is the rational c: (c, x, y, x', y') gives (c, x, y) and (-c, x', y'),
-    and a shorter term is one product."""
-    for term in terms:
-        if len(term) == 5:
-            c, x, y, x2, y2 = term
-            yield c, x, y
-            yield -c, x2, y2
-        else:
-            yield term
 
 
 class RationalTarget(TargetAlgebra):
@@ -109,20 +92,8 @@ class RationalTarget(TargetAlgebra):
     one = 1
     zero = 0
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
     def scale(self, q, a):
         return q * a
-
-    def norm(self, a):
-        return abs(a)
-
-    def from_rational(self, q):
-        return q
 
     def sum_products(self, terms):
         """The exact sum on integers: each product's numerator is added to the
@@ -132,7 +103,7 @@ class RationalTarget(TargetAlgebra):
         gives it."""
         sums: dict[int, int] = {}
         fraction = False
-        for product in _products(terms):
+        for product in terms:
             num = den = 1
             for x in product:
                 if type(x) is int:
@@ -155,20 +126,8 @@ class FloatTarget(TargetAlgebra):
     one = 1.0
     zero = 0.0
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
     def scale(self, q, a):
         return float(q) * a
-
-    def norm(self, a):
-        return abs(a)
-
-    def from_rational(self, q):
-        return float(q)
 
 
 class DualTarget(TargetAlgebra):
@@ -189,9 +148,6 @@ class DualTarget(TargetAlgebra):
 
     def norm(self, a):
         return abs(a[0]) + abs(a[1])
-
-    def from_rational(self, q):
-        return (q, 0)
 
 
 class PolyTarget(TargetAlgebra):
@@ -246,9 +202,6 @@ class PolyTarget(TargetAlgebra):
 
     def norm(self, p):
         return sum(self.base.norm(a) for a in p)
-
-    def from_rational(self, q):
-        return (self.base.from_rational(q),)
 
     def at_one(self, p):
         """The value p(1), the sum of the coefficients."""
@@ -359,9 +312,6 @@ class RationalPolyTarget(PolyTarget):
         den, nums = p
         return normalize_coeff(Fraction(sum(map(abs, nums)), den))
 
-    def from_rational(self, q):
-        return self.lift((q,))
-
     def at_one(self, p):
         """p(1); of the generic type only on polynomials from ``integrate``
         (a Fraction over two or more slots, else the int 0).  Elsewhere only
@@ -389,7 +339,7 @@ class RationalPolyTarget(PolyTarget):
         other product, a zero one too, keeps its slots, so the sum is () only
         when every product is ()."""
         sums: dict[int, list] = {}
-        for c, *polys in _products(terms):
+        for c, *polys in terms:
             if not all(polys):
                 continue
             den, nums = polys[0]
@@ -447,9 +397,6 @@ class _BaseMap:
     def on_vector(self, v: GradedVector):
         """Linear extension to a vector of monomials."""
         return self.target.sum_products((c, self.evaluate(m)) for m, c in v.terms.items())
-
-    def evaluate(self, m: Monomial):  # pragma: no cover - overridden
-        raise NotImplementedError
 
 
 def _clean_generator_values(hopf: HopfAlgebra, N: int,
@@ -584,17 +531,6 @@ def linf_norm(phi, family: GrowthFamily, k: int, over: str = "generators"):
     return 0 if best is None else best
 
 
-def controlled_witness(phi, family: GrowthFamily) -> dict:
-    """Least k <= 64 with generator norm <= 1 (see linf_norm); a truncation proxy."""
-    guard = 1e-12 if not family.is_exact or phi.target is FLOAT else 0
-    for k in range(1, 65):
-        norm = linf_norm(phi, family, k)
-        if norm <= 1 + guard:
-            return {"witness_k": k, "norm": json_number(norm),
-                    "note": "finite-degree proxy"}
-    return {"witness_k": None, "norm": None, "note": "finite-degree proxy"}
-
-
 # --------------------------------------------------------------------------
 # exp / log / bracket through one flow solver
 
@@ -644,7 +580,7 @@ def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
         for g in H.generators(n):
             p = P.integrate(P.sum_products(integrand_terms(g)))
             if phi is not None:
-                value = solved[g] = B.add(phi.evaluate(g), B.neg(P.at_one(p)))
+                value = solved[g] = B.add(phi.evaluate(g), B.scale(-1, P.at_one(p)))
                 inf.values[g] = P.lift((value,))
                 p = P.add(p, P.lift((B.zero, value)))  # + eta(g) t
             gamma.values[g] = p
@@ -683,41 +619,14 @@ def bracket(eta1: TruncatedInfChar, eta2: TruncatedInfChar) -> TruncatedInfChar:
     """
     _check_compatible(eta1, eta2)
     H, N, B = eta1.hopf, eta1.N, eta1.target
-    values = {g: B.sum_products((c, eta1.evaluate(mu), eta2.evaluate(sigma),
-                                 eta2.evaluate(mu), eta1.evaluate(sigma))
-                                for (mu, sigma), c
-                                in H.reduced_coproduct_monomial(g).terms.items())
-              for g in H.generators_upto(N)}
+
+    def terms(g):
+        for (mu, sigma), c in H.reduced_coproduct_monomial(g).terms.items():
+            yield c, eta1.evaluate(mu), eta2.evaluate(sigma)
+            yield -c, eta2.evaluate(mu), eta1.evaluate(sigma)
+
+    values = {g: B.sum_products(terms(g)) for g in H.generators_upto(N)}
     return TruncatedInfChar(H, N, B, values)
-
-
-# --------------------------------------------------------------------------
-# law-verification helpers (used by tests and reports)
-
-
-def check_multiplicative(phi: TruncatedCharacter,
-                         pairs) -> tuple[bool, str | None]:
-    """phi(m1 . m2) == phi(m1) phi(m2) under the instance product."""
-    H, B = phi.hopf, phi.target
-    for m1, m2 in pairs:
-        lhs = phi.on_vector(H.product_monomials(m1, m2))
-        rhs = B.mul(phi.evaluate(m1), phi.evaluate(m2))
-        if lhs != rhs:
-            return False, f"{H.monomial_text(m1)} . {H.monomial_text(m2)}"
-    return True, None
-
-
-def check_derivation(eta: TruncatedInfChar, pairs) -> tuple[bool, str | None]:
-    """eta(m1 . m2) == eps(m1) eta(m2) + eta(m1) eps(m2) for nonempty mi."""
-    H, B = eta.hopf, eta.target
-    for m1, m2 in pairs:
-        lhs = eta.on_vector(H.product_monomials(m1, m2))
-        e1 = B.one if m1.is_empty() else B.zero
-        e2 = B.one if m2.is_empty() else B.zero
-        rhs = B.add(B.mul(e1, eta.evaluate(m2)), B.mul(eta.evaluate(m1), e2))
-        if lhs != rhs:
-            return False, f"{H.monomial_text(m1)} . {H.monomial_text(m2)}"
-    return True, None
 
 
 # --------------------------------------------------------------------------

@@ -123,6 +123,15 @@ def _write(path: str, data: bytes) -> None:
         raise ConfigError(f"cannot write {path}: {exc}")
 
 
+def _render(doc) -> bytes:
+    """The one way a report or an --emit file is rendered: a float that
+    overflowed has no JSON form, so it is an error (exit 2), not output."""
+    try:
+        return reports.render_report(doc)
+    except ValueError as exc:
+        raise ConfigError(f"cannot write the result as JSON: {exc}")
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -202,7 +211,7 @@ def run_evolve(args) -> tuple[bool, dict]:
     gamma = evolve(H, eta, args.max_degree)
     gamma_doc = reports.curve_to_json(gamma)
     if args.emit:
-        _write(args.emit, reports.render_report(gamma_doc))
+        _write(args.emit, _render(gamma_doc))
     payload = {"instance": H.name, "max_degree": args.max_degree, "gamma": gamma_doc}
     if args.at is not None:
         t = _parse_rational(args.at)
@@ -248,7 +257,7 @@ def run_char(args) -> tuple[bool, dict]:
         out_doc = reports.character_to_json(result)
         payload["character"] = out_doc
         if args.emit:
-            _write(args.emit, reports.render_report(out_doc))
+            _write(args.emit, _render(out_doc))
     return True, payload
 
 
@@ -488,7 +497,7 @@ def main(argv=None) -> int:
     workflow = WORKFLOWS[args.subcommand]
     try:
         ok, payload = workflow(args)
-        data = reports.render_report({
+        data = _render({
             "tool": "hopfchar",
             "subcommand": args.subcommand,
             "seed": args.seed,

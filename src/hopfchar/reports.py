@@ -3,7 +3,8 @@
 All artifacts are UTF-8 JSON with sorted keys and fixed layout, so a rerun
 with the same configuration and seed produces byte-identical output.  Exact
 rationals travel as strings ("3/4", "-5"), floats as JSON numbers, dual
-numbers as two-element arrays.
+numbers as two-element arrays.  JSON has no NaN or infinity, so a float
+that is not finite is refused on the way in and on the way out.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from math import isfinite
 from typing import Mapping, Sequence
 
 from .characters import (DUAL, FLOAT, RATIONAL, TARGETS, TruncatedCharacter,
@@ -65,6 +67,13 @@ def _decode_list(v, what: str) -> list:
     return v
 
 
+def _decode_float(v) -> float:
+    x = float(v)
+    if not isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
+
+
 def encode_scalar(target, x):
     if target is RATIONAL:
         return encode_rational(x)
@@ -83,14 +92,14 @@ def decode_scalar(target, v):
     if target is RATIONAL:
         return decode_rational(v)
     if target is FLOAT:
-        return float(v)
+        return _decode_float(v)
     if target is DUAL:
         if not isinstance(v, list) or len(v) != 2:
             raise ValueError(f"a dual value must be a two-element array, got {v!r}")
         a, b = v
 
         def part(u):
-            return decode_rational(u) if isinstance(u, (str, int)) else float(u)
+            return decode_rational(u) if isinstance(u, (str, int)) else _decode_float(u)
 
         return (part(a), part(b))
     raise ValueError(f"unknown target {target!r}")
@@ -219,7 +228,9 @@ def word_system_from_json(doc: Mapping) -> WordSystem:
 
 
 def render_report(doc: Mapping) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """The canonical bytes of doc; a float that is not finite is a ValueError."""
+    return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False,
+                       allow_nan=False) + "\n").encode("utf-8")
 
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:

@@ -19,8 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from hopfchar.characters import RationalTarget, TargetAlgebra
-from hopfchar.core import Coeff, GradedVector, Monomial, TensorVector
+from hopfchar.characters import (FLOAT, RationalTarget, TargetAlgebra,
+                                 TruncatedCharacter, TruncatedInfChar, linf_norm)
+from hopfchar.core import Coeff, GradedVector, Monomial, TensorVector, json_number
+from hopfchar.growth import GrowthFamily
 from hopfchar.instances import FaaDiBrunoA, Shuffle, bell_partial
 from hopfchar.trees import edge_cuts, root_cuts
 from hopfchar.words import lyndon_rewrite_word
@@ -286,6 +288,42 @@ def log_by_series(phi, N: int) -> dict:
         for m in basis:
             acc[m] = B.add(acc[m], B.scale(c, power[m]))
     return acc
+
+
+def check_multiplicative(phi: TruncatedCharacter,
+                         pairs) -> tuple[bool, str | None]:
+    """phi(m1 . m2) == phi(m1) phi(m2) under the instance product."""
+    H, B = phi.hopf, phi.target
+    for m1, m2 in pairs:
+        lhs = phi.on_vector(H.product_monomials(m1, m2))
+        rhs = B.mul(phi.evaluate(m1), phi.evaluate(m2))
+        if lhs != rhs:
+            return False, f"{H.monomial_text(m1)} . {H.monomial_text(m2)}"
+    return True, None
+
+
+def check_derivation(eta: TruncatedInfChar, pairs) -> tuple[bool, str | None]:
+    """eta(m1 . m2) == eps(m1) eta(m2) + eta(m1) eps(m2) for nonempty mi."""
+    H, B = eta.hopf, eta.target
+    for m1, m2 in pairs:
+        lhs = eta.on_vector(H.product_monomials(m1, m2))
+        e1 = B.one if m1.is_empty() else B.zero
+        e2 = B.one if m2.is_empty() else B.zero
+        rhs = B.add(B.mul(e1, eta.evaluate(m2)), B.mul(eta.evaluate(m1), e2))
+        if lhs != rhs:
+            return False, f"{H.monomial_text(m1)} . {H.monomial_text(m2)}"
+    return True, None
+
+
+def controlled_witness(phi, family: GrowthFamily) -> dict:
+    """Least k <= 64 with generator norm <= 1 (see linf_norm); a truncation proxy."""
+    guard = 1e-12 if not family.is_exact or phi.target is FLOAT else 0
+    for k in range(1, 65):
+        norm = linf_norm(phi, family, k)
+        if norm <= 1 + guard:
+            return {"witness_k": k, "norm": json_number(norm),
+                    "note": "finite-degree proxy"}
+    return {"witness_k": None, "norm": None, "note": "finite-degree proxy"}
 
 
 def forests_by_scan(pool: list, n: int) -> tuple:

@@ -10,16 +10,16 @@ import pytest
 
 from hopfchar.characters import (DUAL, FLOAT, RATIONAL, PolyTarget,
                                  RationalTarget, TruncatedCharacter,
-                                 TruncatedInfChar, bracket, check_derivation,
-                                 check_multiplicative, controlled_witness,
-                                 convolve, counit_character,
-                                 counterexample_demo, exp_infchar, inverse,
-                                 linf_norm, log_character)
+                                 TruncatedInfChar, bracket, convolve,
+                                 counit_character, counterexample_demo,
+                                 exp_infchar, inverse, linf_norm,
+                                 log_character)
 from hopfchar.control import coproduct_ratio
 from hopfchar.growth import builtin
 from hopfchar.instances import instance_by_name
-from oracles import (character_by_rewrite, exp_by_series, log_by_series,
-                     seeded_rational_values)
+from oracles import (character_by_rewrite, check_derivation,
+                     check_multiplicative, controlled_witness, exp_by_series,
+                     log_by_series, seeded_rational_values)
 
 
 def _char(H, N, seed):
@@ -124,7 +124,7 @@ def _target_values(H, N, B, seed):
     if B is DUAL:
         tangent = seeded_rational_values(H, N, random.Random(seed + 1))
         return {g: (v, tangent[g]) for g, v in vals.items()}
-    return {g: B.from_rational(v) for g, v in vals.items()}
+    return {g: B.scale(v, B.one) for g, v in vals.items()}
 
 
 def _agrees(B, got, want):
@@ -164,7 +164,7 @@ def test_shuffle_evaluation_matches_lyndon_rewrite(letters, N, target, kind):
     if target is DUAL:
         values = {g: (v, second[g]) for g, v in first.items()}
     else:
-        values = {g: target.from_rational(v) for g, v in first.items()}
+        values = {g: target.scale(v, target.one) for g, v in first.items()}
     phi = kind(H, N, target, values)
     # largest words first, so that each value is reached by the solve's own fill
     for n in range(N, 0, -1):
@@ -245,6 +245,25 @@ def test_bracket_is_inf_char_and_antisymmetric(ck):
     assert ok
 
 
+@pytest.mark.parametrize("label", ["ck", "shuffle:ab"])
+def test_bracket_off_rational_agrees_with_the_exact_bracket(label):
+    # DUAL and FLOAT bracket through the generic fold, RATIONAL on integers
+    H = instance_by_name(label)
+
+    def bracket_over(B):
+        e1, e2 = (TruncatedInfChar(H, 5, B, _target_values(H, 5, B, seed))
+                  for seed in (60, 70))
+        return bracket(e1, e2)
+
+    exact, dual, flt = (bracket_over(B) for B in (RATIONAL, DUAL, FLOAT))
+    for g in H.generators_upto(5):
+        want = exact.evaluate(g)
+        assert dual.evaluate(g)[0] == want, H.monomial_text(g)
+        # abs_tol for the brackets that cancel to an exact 0
+        assert isclose(flt.evaluate(g), want, rel_tol=1e-12, abs_tol=1e-12), \
+            H.monomial_text(g)
+
+
 def test_dual_target_tracks_directional_part(binomial):
     X = binomial.generators(1)[0]
     phi = TruncatedCharacter(binomial, 4, DUAL, {X: (Fraction(1, 2), 1)})
@@ -263,7 +282,7 @@ def _seeded_poly(B, rng):
         if roll < 0.2:
             return B.zero
         if roll < 0.3:
-            return B.from_rational(Fraction(0))
+            return B.scale(Fraction(0), B.one)
         den = rng.randint(1, 6)
         q = Fraction(rng.randint(-3 * den, 3 * den), den)
         return (q, Fraction(rng.randint(-6, 6), den)) if B is DUAL else q
@@ -286,12 +305,13 @@ def test_polynomial_target_is_a_commutative_normed_algebra(base):
         assert P.add(P.zero, p) == p == P.add(p, P.zero)
         assert P.mul(P.zero, p) == P.zero == P.mul(p, P.zero)
         assert P.mul(P.one, p) == p == P.mul(p, P.one)
-        assert P.scale(-1, P.add(p, q)) == P.add(P.neg(p), P.neg(q))
+        assert P.scale(-1, P.add(p, q)) == P.add(P.scale(-1, p), P.scale(-1, q))
         assert P.at_one(P.mul(p, q)) == base.mul(P.at_one(p), P.at_one(q))
         assert P.at_one(P.add(p, q)) == base.add(P.at_one(p), P.at_one(q))
         assert P.norm(P.mul(p, q)) <= P.norm(p) * P.norm(q)
         assert P.norm(P.add(p, q)) <= P.norm(p) + P.norm(q)
-    c = base.from_rational
+    def c(q):
+        return base.scale(q, base.one)
     assert P.add((c(1), c(2)), (c(3),)) == (c(4), c(2))
     assert P.mul((c(1), c(1)), (c(1), c(-1))) == (c(1), c(0), c(-1))
     assert P.at_one((c(1), c(Fraction(1, 2)), c(3))) == c(Fraction(9, 2))

@@ -1,14 +1,17 @@
 """Hopf structure: coproducts, antipodes, and the axiom checker."""
 
+import json
 from fractions import Fraction
 
+import jsonschema
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfchar import cli, reports
 from hopfchar.core import GradedVector, monomial_product
 from hopfchar.hopf import HopfAlgebra, check_hopf_axioms
-from hopfchar.instances import Shuffle, instance_by_name
+from hopfchar.instances import ConnesKreimer, Shuffle, instance_by_name
 from hopfchar.trees import parse_tree, trees_of_order
 from oracles import basis_by_scan, ck_antipode_by_edge_cuts, ck_coproduct_by_root_cuts
 
@@ -124,18 +127,32 @@ def test_axioms_hold(name, degree):
     assert rep.elements_checked > 0
 
 
-def test_axiom_checker_reports_violations(ck):
-    # sabotage a coproduct via a wrapper class to prove the checker can fail
-    class Broken(type(ck)):
-        def coproduct_generator(self, g):
-            out = super().coproduct_generator(g)
-            if g.degree == 2:
-                return out.scale(2)
-            return out
+class _BrokenCK(ConnesKreimer):
+    """ck with its degree-2 coproduct doubled, so the checker must fail."""
 
-    rep = check_hopf_axioms(Broken(), 3, fail_fast=False)
+    def coproduct_generator(self, g):
+        out = super().coproduct_generator(g)
+        if g.degree == 2:
+            return out.scale(2)
+        return out
+
+
+def test_axiom_checker_reports_violations():
+    rep = check_hopf_axioms(_BrokenCK(), 3, fail_fast=False)
     assert not rep.ok
     assert any(v.degree == 2 for v in rep.violations)
+
+
+def test_cli_axioms_writes_a_failing_report(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "instance_by_name", lambda name: _BrokenCK())
+    monkeypatch.setitem(cli.SAFETY_LIMITS, _BrokenCK, cli.SAFETY_LIMITS[ConnesKreimer])
+    assert cli.main(["axioms", "--hopf", "ck", "--max-degree", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, reports.load_schema("report-axioms"))
+    assert doc["status"] == doc["report"]["status"] == "fail"
+    first = doc["report"]["violations"][0]
+    assert (first["check"], first["degree"], first["generator"]) == (
+        "connected-primitive-terms", 2, "[B]")
 
 
 def test_instance_without_closed_antipode_cannot_be_made():

