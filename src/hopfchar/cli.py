@@ -5,6 +5,10 @@ when all checks in the run pass, 1 when a check fails (the report carries a
 witness), and 2 for configuration errors.  Reports depend only on the
 configuration and seed, never on wall-clock or filesystem state, so reruns
 are byte-identical.
+
+A workflow returns its report and writes nothing.  An --emit or --csv file
+is a projection of that report, and `main` renders the report and the side
+file before it writes either, so a run that cannot finish leaves no file.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ import sys
 from fractions import Fraction
 
 from . import reports
-from .characters import (TruncatedCharacter, TruncatedInfChar, convolve,
-                         counterexample_demo, exp_infchar, inverse, linf_norm,
-                         log_character)
+from .characters import (TruncatedCharacter, TruncatedInfChar, _check_compatible,
+                         convolve, counterexample_demo, exp_infchar, inverse,
+                         linf_norm, log_character)
 from .control import (antipode_ratio, coproduct_ratio, rlb_check,
                       right_handed_check)
 from .evolution import evolve
@@ -115,7 +119,7 @@ def _load_character(path: str, instance: str | None = None, what: str = "",
 
 
 def _write(path: str, data: bytes) -> None:
-    """The one way an output file goes out: --out, --emit and --csv."""
+    """The one way an output file goes out (--out, --emit, --csv), from main."""
     try:
         with open(path, "wb") as fh:
             fh.write(data)
@@ -179,11 +183,6 @@ def run_control_check(args) -> tuple[bool, dict]:
                               f"{bits_limit}{' for --csv' if args.csv else ''}")
     op = coproduct_ratio if args.map == "coproduct" else antipode_ratio
     rep = op(H, fam, args.k1, args.k2, args.max_degree)
-    if args.csv:
-        rows = [[r.degree, r.element, repr(float(r.norm)), repr(float(r.weight)),
-                 repr(float(r.ratio))] for r in rep.rows]
-        _write(args.csv, reports.render_csv(["degree", "element", "norm", "weight",
-                                             "ratio"], rows))
     return rep.verdict == "bounded", rep.to_dict()
 
 
@@ -209,10 +208,8 @@ def run_evolve(args) -> tuple[bool, dict]:
     if args.max_degree > eta.N:
         raise ConfigError(f"max degree {args.max_degree} exceeds the eta file's N={eta.N}")
     gamma = evolve(H, eta, args.max_degree)
-    gamma_doc = reports.curve_to_json(gamma)
-    if args.emit:
-        _write(args.emit, _render(gamma_doc))
-    payload = {"instance": H.name, "max_degree": args.max_degree, "gamma": gamma_doc}
+    payload = {"instance": H.name, "max_degree": args.max_degree,
+               "gamma": reports.curve_to_json(gamma)}
     if args.at is not None:
         t = _parse_rational(args.at)
         payload["at"] = {"t": str(t),
@@ -225,48 +222,37 @@ def run_char(args) -> tuple[bool, dict]:
     phi = _load_character(args.a)
     payload: dict = {"op": args.op, "instance": phi.hopf.name, "N": phi.N}
     result = None
-    try:
-        if args.op == "conv":
-            if not args.b:
-                raise ConfigError("conv needs --b")
-            psi = _load_character(args.b)
-            if not isinstance(phi, TruncatedCharacter) or not isinstance(psi, TruncatedCharacter):
-                raise ConfigError("conv expects two multiplicative characters")
-            result = convolve(phi, psi)
-        elif args.op == "inv":
-            if not isinstance(phi, TruncatedCharacter):
-                raise ConfigError("inv expects a multiplicative character")
-            result = inverse(phi)
-        elif args.op == "exp":
-            if not isinstance(phi, TruncatedInfChar):
-                raise ConfigError("exp expects an infinitesimal character file (kind inf)")
-            result = exp_infchar(phi)
-        elif args.op == "log":
-            if not isinstance(phi, TruncatedCharacter):
-                raise ConfigError("log expects a multiplicative character")
-            result = log_character(phi)
-        else:  # norm
-            fam = _load_family(args.family)
-            val = linf_norm(phi, fam, args.k, over=args.over)
-            enc = reports.encode_rational(val) if isinstance(val, (int, Fraction)) else float(val)
-            payload.update({"family": fam.name, "k": args.k, "over": args.over,
-                            "value": enc})
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if args.op == "conv":
+        if not args.b:
+            raise ConfigError("conv needs --b")
+        psi = _load_character(args.b)
+        if not isinstance(phi, TruncatedCharacter) or not isinstance(psi, TruncatedCharacter):
+            raise ConfigError("conv expects two multiplicative characters")
+        try:
+            _check_compatible(phi, psi)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        result = convolve(phi, psi)
+    elif args.op == "inv":
+        if not isinstance(phi, TruncatedCharacter):
+            raise ConfigError("inv expects a multiplicative character")
+        result = inverse(phi)
+    elif args.op == "exp":
+        if not isinstance(phi, TruncatedInfChar):
+            raise ConfigError("exp expects an infinitesimal character file (kind inf)")
+        result = exp_infchar(phi)
+    elif args.op == "log":
+        if not isinstance(phi, TruncatedCharacter):
+            raise ConfigError("log expects a multiplicative character")
+        result = log_character(phi)
+    else:  # norm
+        fam = _load_family(args.family)
+        val = linf_norm(phi, fam, args.k, over=args.over)
+        enc = reports.encode_rational(val) if isinstance(val, (int, Fraction)) else float(val)
+        payload.update({"family": fam.name, "k": args.k, "over": args.over,
+                        "value": enc})
     if result is not None:
-        out_doc = reports.character_to_json(result)
-        payload["character"] = out_doc
-        if args.emit:
-            _write(args.emit, _render(out_doc))
-    return True, payload
-
-
-def _emit_series(args, payload):
-    if args.csv:
-        rows = payload["rows"]
-        _write(args.csv, reports.series_csv([r["order"] for r in rows],
-                                            [r["increment"] for r in rows],
-                                            [r["partial"] for r in rows]))
+        payload["character"] = reports.character_to_json(result)
     return True, payload
 
 
@@ -298,7 +284,7 @@ def run_bseries(args) -> tuple[bool, dict]:
     payload, final = _tree_series(
         args, 1, f.dim, y0, lambda a: bseries_order_terms(a, f, y0, args.max_order))
     payload["final"] = [float(v) for v in final]
-    return _emit_series(args, payload)
+    return True, payload
 
 
 def run_pseries(args) -> tuple[bool, dict]:
@@ -313,7 +299,7 @@ def run_pseries(args) -> tuple[bool, dict]:
                                                              args.max_order)])
     payload["final_p"] = [float(v) for v in final[:system.dim]]
     payload["final_q"] = [float(v) for v in final[system.dim:]]
-    return _emit_series(args, payload)
+    return True, payload
 
 
 def run_wordseries(args) -> tuple[bool, dict]:
@@ -341,7 +327,7 @@ def run_wordseries(args) -> tuple[bool, dict]:
     payload = {"series": "wordseries", "dim": system.dim,
                "max_length": args.max_length, "coefficients": args.coeffs,
                "rows": series_rows(table), "final": [float(v) for v in final]}
-    return _emit_series(args, payload)
+    return True, payload
 
 
 def run_counterexample(args) -> tuple[bool, dict]:
@@ -485,6 +471,26 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _side_file(args, payload: dict) -> tuple[str, bytes] | None:
+    """The --emit or --csv file, a projection of the payload: its character or
+    gamma curve, or as CSV its control-check table or series rows."""
+    if getattr(args, "emit", None):
+        doc = payload.get("character", payload.get("gamma"))
+        return None if doc is None else (args.emit, _render(doc))
+    if not getattr(args, "csv", None):
+        return None
+    if "table" in payload:
+        return args.csv, reports.render_csv(
+            ["degree", "element", "norm", "weight", "ratio"],
+            [[r["degree"], r["max_element"]]
+             + [repr(float(r[k])) for k in ("l1_norm", "weight", "ratio")]
+             for r in payload["table"]])
+    return args.csv, reports.render_csv(
+        ["order", "increment", "partial_value"],
+        [[r["order"], repr(r["increment"]), ";".join(map(repr, r["partial"]))]
+         for r in payload["rows"]])
+
+
 def _config_dict(args) -> dict:
     skip = {"subcommand", "out", "seed"}
     return {k: v for k, v in sorted(vars(args).items())
@@ -505,6 +511,8 @@ def main(argv=None) -> int:
             "status": "pass" if ok else "fail",
             "report": payload,
         })
+        if side := _side_file(args, payload):
+            _write(*side)
         if args.out:
             _write(args.out, data)
         else:

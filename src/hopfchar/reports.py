@@ -242,14 +242,6 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def series_csv(orders: Sequence[int], increments: Sequence[float],
-               partials: Sequence[Sequence[float]]) -> bytes:
-    rows = []
-    for n, inc, part in zip(orders, increments, partials):
-        rows.append([n, repr(float(inc)), ";".join(repr(float(v)) for v in part)])
-    return render_csv(["order", "increment", "partial_value"], rows)
-
-
 def load_schema(name: str) -> dict:
     # imported here: no CLI path reads a schema, and the import is costly
     from importlib import resources

@@ -1,5 +1,6 @@
 """File formats, report rendering, and the command-line workflows."""
 
+import ast
 import json
 import os
 import random
@@ -145,7 +146,12 @@ def test_render_report_is_canonical():
 
 
 def test_series_csv_layout():
-    data = reports.series_csv([1, 2], [0.5, 0.25], [[1.5], [1.75, 2.0]])
+    rows = [{"order": 1, "increment": 0.5, "partial": [1.5]},
+            {"order": 2, "increment": 0.25, "partial": [1.75, 2.0]}]
+    args = cli.build_parser().parse_args(["wordseries", "--system", "s.json", "--x", "1",
+                                          "--csv", "rows.csv"])
+    path, data = cli._side_file(args, {"rows": rows})
+    assert path == "rows.csv"
     lines = data.decode().splitlines()
     assert lines[0] == "order,increment,partial_value"
     assert lines[1] == "1,0.5,1.5"
@@ -364,6 +370,36 @@ def test_cli_char_refuses_a_result_that_overflows(tmp_path, capsys):
     assert _run("char", "exp", "--a", str(path), "--emit", str(emit)) == 2
     assert "cannot write the result as JSON" in capsys.readouterr().err
     assert not emit.exists()
+
+
+def test_cli_char_lets_an_error_while_computing_through(tmp_path, monkeypatch):
+    # only reading inputs is exit 2; a fault in the calculus is not bad input
+    def broken(eta):
+        raise ValueError("fault inside exp")
+
+    monkeypatch.setattr(cli, "exp_infchar", broken)
+    paths = _inputs(tmp_path, None)
+    with pytest.raises(ValueError, match="fault inside exp"):
+        _run("char", "exp", "--a", paths["inf"])
+
+
+# a second conv input that does not match the first -> the error it must print
+CONV_MISMATCHES = {
+    "instance": ({"hopf": "ck2"}, "instances differ: ck vs ck2"),
+    "truncation": ({"N": 2}, "truncations differ: 3 vs 2"),
+    "target": ({"B": "float"}, "target algebras differ"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_MISMATCHES))
+def test_cli_conv_refuses_mismatched_characters(tmp_path, capsys, case):
+    change, message = CONV_MISMATCHES[case]
+    paths = _inputs(tmp_path, dict(GOOD_INPUTS["ck"], **change))
+    out = tmp_path / "conv.json"
+    assert _run("char", "conv", "--a", paths["ck"], "--b", paths["bad"],
+                "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_char_norm_depends_only_on_the_values(tmp_path):
@@ -857,6 +893,48 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, argv):
     target = tmp_path / "no-such-dir" / "out"
     assert _run(*[a.format(**paths) for a in argv], str(target)) == 2
     assert f"cannot write {target}" in capsys.readouterr().err
+
+
+def test_only_main_writes_a_file():
+    # a workflow returns its report; main renders every output, then writes
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    callers = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, set()).add(top.name)
+    assert callers["_write"] == {"main"}
+    assert callers["open"] == {"_load", "_write"}
+
+
+# a float coefficient file whose series overflows: series -> (file, argv)
+OVERFLOWING_SERIES = {
+    "bseries": ({"hopf": "ck", "N": 3, "B": "float", "kind": "char",
+                 "values": [{"generator": g, "value": 1e308}
+                            for g in ("B", "[B]", "[B,B]", "[[B]]")]},
+                ["bseries", "--field", "{square}", "--y", "1000", "--h", "1",
+                 "--max-order", "3"]),
+    "wordseries": ({"hopf": "shuffle:a", "N": 3, "B": "float", "kind": "char",
+                    "values": [{"generator": "a", "value": 1e308}]},
+                   ["wordseries", "--system", "{letters}", "--x", "1",
+                    "--max-length", "3"]),
+}
+
+
+@pytest.mark.parametrize("series", sorted(OVERFLOWING_SERIES))
+def test_cli_series_that_overflows_writes_nothing(tmp_path, capsys, series):
+    doc, argv = OVERFLOWING_SERIES[series]
+    paths = _inputs(tmp_path, doc)
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(
+        {"dim": 1, "components": [[{"monomial": [2], "coeff": "1000"}]]}))
+    csv = tmp_path / "rows.csv"
+    assert _run(*[a.format(square=square, **paths) for a in argv],
+                "--coeffs", paths["bad"], "--csv", str(csv)) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write the result as JSON")
+    assert out == "" and not csv.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

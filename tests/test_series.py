@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfchar.characters import RATIONAL, TruncatedInfChar, exp_infchar
 from hopfchar.fields import (ColouredPolySystem, Poly, PolyMap,
                              PolyVectorField, WordSystem)
 from hopfchar.series import (bseries_order_terms, bseries_partial,
@@ -19,6 +20,7 @@ from hopfchar.series import (bseries_order_terms, bseries_partial,
                              pseries_order_terms, pseries_partial, sigma, word_basis_function,
                              wordseries_partial)
 from hopfchar import series
+from hopfchar.instances import instance_by_name
 from hopfchar.trees import parse_tree, trees_of_order
 from hopfchar.words import all_words
 from oracles import (automorphism_count, bseries_terms_by_recursion,
@@ -332,6 +334,18 @@ def test_exact_flow_character_values():
         for child in t.children:
             prod *= a[child]
         assert v == prod
+
+
+@pytest.mark.parametrize("name, N, count", [("ck", 6, 37), ("ck2", 4, 72)])
+def test_exp_of_the_one_node_character_is_the_exact_flow(name, N, count):
+    # two independent paths: the flow solver behind exp, and the tree factorial
+    H = instance_by_name(name)
+    eta = TruncatedInfChar(H, N, RATIONAL, {g: 1 for g in H.generators(1)})
+    phi = exp_infchar(eta)
+    generators = H.generators_upto(N)
+    assert len(generators) == count
+    for g in generators:
+        assert phi.evaluate(g) == exact_flow_coefficient(H.tree_of(g.factors[0]))
 
 
 def test_exact_flow_bseries_matches_symbolic_taylor():
