@@ -25,10 +25,8 @@ from .hopf import AxiomsReport, HopfAlgebra, check_hopf_axioms
 from .instances import (Binomial, ConnesKreimer, FaaDiBrunoA, FaaDiBrunoX,
                         Shuffle, instance_by_name)
 from .series import (bseries_partial, convergence_probe,
-                     elementary_differential, exact_flow_character,
-                     exact_flow_coefficient, flow_taylor_coefficients,
-                     pseries_partial, sigma, word_basis_function,
-                     wordseries_partial)
+                     exact_flow_character, exact_flow_coefficient,
+                     pseries_partial, sigma, wordseries_partial)
 from .trees import RootedTree, parse_tree, trees_of_order
 from .words import chen_fox_lyndon, is_lyndon, lyndon_words
 
@@ -45,12 +43,11 @@ __all__ = [
     "bseries_partial", "builtin", "check_all_axioms", "check_hopf_axioms",
     "chen_fox_lyndon", "convergence_probe", "convolve", "coproduct_ratio",
     "counit_character", "counterexample_demo", "elementary_coproduct",
-    "elementary_differential", "evolve", "exact_flow_character",
-    "exact_flow_coefficient", "exp_infchar", "flow_taylor_coefficients",
-    "gronwall_bound", "instance_by_name", "inverse", "is_lyndon",
+    "evolve", "exact_flow_character", "exact_flow_coefficient",
+    "exp_infchar", "gronwall_bound", "instance_by_name", "inverse", "is_lyndon",
     "linf_norm", "log_character", "lyndon_words", "monomial_of",
     "parse_tree", "pseries_partial",
     "right_handed_check", "rlb_check", "semiregularity_check", "sigma",
     "tensor_product", "trees_of_order", "vector_product",
-    "word_basis_function", "wordseries_partial",
+    "wordseries_partial",
 ]

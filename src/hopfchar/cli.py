@@ -29,8 +29,9 @@ from .growth import BUILTIN_FAMILIES, builtin, check_all_axioms
 from .hopf import check_hopf_axioms
 from .instances import (INSTANCE_NAMES, Binomial, ConnesKreimer, FaaDiBrunoA,
                         FaaDiBrunoX, Shuffle, instance_by_name)
-from .series import (bseries_order_terms, exact_flow_coefficient, partial_sums,
-                     pseries_order_terms, series_rows, wordseries_order_terms)
+from .series import (as_float, bseries_order_terms, exact_flow_coefficient,
+                     partial_sums, pseries_order_terms, series_rows,
+                     wordseries_order_terms)
 
 SAFETY_LIMITS = {ConnesKreimer: 12, FaaDiBrunoA: 14, FaaDiBrunoX: 14, Shuffle: 10,
                  Binomial: 64}
@@ -137,9 +138,10 @@ def _render(doc) -> bytes:
 
 
 def _parse_rational(text: str) -> Fraction:
+    """An option's rational, by the file rule: p or p/q."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return reports.decode_rational(text)
+    except ValueError:
         raise ConfigError(f"not a rational number: {text!r}")
 
 
@@ -219,6 +221,10 @@ def run_evolve(args) -> tuple[bool, dict]:
 
 def run_char(args) -> tuple[bool, dict]:
     _check_least("k", args.k, 1)
+    if args.b and args.op != "conv":
+        raise ConfigError(f"--b is the second character of conv; {args.op} takes one")
+    if args.emit and args.op == "norm":
+        raise ConfigError("norm gives a number, not a character: it has no --emit file")
     phi = _load_character(args.a)
     payload: dict = {"op": args.op, "instance": phi.hopf.name, "N": phi.N}
     result = None
@@ -283,7 +289,7 @@ def run_bseries(args) -> tuple[bool, dict]:
         raise ConfigError(f"initial point has {len(y0)} components, field has {f.dim}")
     payload, final = _tree_series(
         args, 1, f.dim, y0, lambda a: bseries_order_terms(a, f, y0, args.max_order))
-    payload["final"] = [float(v) for v in final]
+    payload["final"] = [as_float(v) for v in final]
     return True, payload
 
 
@@ -297,8 +303,8 @@ def run_pseries(args) -> tuple[bool, dict]:
         args, 2, system.dim, p0 + q0,
         lambda a: [tp + tq for tp, tq in pseries_order_terms(a, system, p0, q0,
                                                              args.max_order)])
-    payload["final_p"] = [float(v) for v in final[:system.dim]]
-    payload["final_q"] = [float(v) for v in final[system.dim:]]
+    payload["final_p"] = [as_float(v) for v in final[:system.dim]]
+    payload["final_q"] = [as_float(v) for v in final[system.dim:]]
     return True, payload
 
 
@@ -326,7 +332,7 @@ def run_wordseries(args) -> tuple[bool, dict]:
     table, final = partial_sums(terms, [delta(()) * v for v in x0])
     payload = {"series": "wordseries", "dim": system.dim,
                "max_length": args.max_length, "coefficients": args.coeffs,
-               "rows": series_rows(table), "final": [float(v) for v in final]}
+               "rows": series_rows(table), "final": [as_float(v) for v in final]}
     return True, payload
 
 

@@ -241,10 +241,6 @@ class ColouredPolySystem:
     def q_slot(self) -> tuple:
         return tuple(range(self.dim, 2 * self.dim))
 
-    def combined_field(self) -> PolyVectorField:
-        """The flat field on R^{2d} driving (p, q) jointly."""
-        return PolyVectorField(self.f.comps + self.g.comps)
-
 
 class WordSystem:
     """One polynomial field per letter, all on the same R^d."""

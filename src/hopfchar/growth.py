@@ -31,7 +31,6 @@ class GrowthFamily(NamedTuple):
     description: str
     omega: Callable[[int, int], object]
     is_exact: bool = True
-    is_growth_family: bool = True
     # natural-log exponent as an exact rational, for exp-type families
     log_omega: Optional[Callable[[int, int], Fraction]] = None
     # the witness k2 used in the source analysis of W3, when one is known
@@ -81,7 +80,6 @@ BUILTIN_FAMILIES: dict[str, GrowthFamily] = {
         "exp(-n/k), fails W3",
         lambda k, n: math.exp(-n / k),
         is_exact=False,
-        is_growth_family=False,
         log_omega=lambda k, n: Fraction(-n, k),
     ),
 }
@@ -94,23 +92,6 @@ def builtin(name: str) -> GrowthFamily:
         raise ValueError(
             f"unknown growth family {name!r}; available: {', '.join(sorted(BUILTIN_FAMILIES))}"
         ) from None
-
-
-def composed(family: GrowthFamily, phi: Callable[[int], int], phi_name: str) -> GrowthFamily:
-    """The reindexed family (k, n) -> omega_k(phi(n)); phi must map 0 to 0."""
-    if phi(0) != 0:
-        raise ValueError("degree reindexing must fix 0, else W1 breaks")
-    return GrowthFamily(
-        name=f"{family.name}∘{phi_name}",
-        description=f"{family.description} at n={phi_name}",
-        omega=lambda k, n: family.omega(k, phi(n)),
-        is_exact=family.is_exact,
-        is_growth_family=family.is_growth_family,
-        log_omega=None
-        if family.log_omega is None
-        else (lambda k, n: family.log_omega(k, phi(n))),
-        analytic_w3_witness=family.analytic_w3_witness,
-    )
 
 
 class AxiomCheck(NamedTuple):

@@ -225,15 +225,6 @@ class HopfAlgebra(ABC):
     def monomial_text(self, m: Monomial) -> str:
         return repr(m)
 
-    def monomial_from_text(self, text: str) -> Monomial:
-        """Inverse of monomial_text: '*'-separated generator keys, or '1'."""
-        if text in ("1", ""):
-            return self.empty()
-        factors = []
-        for part in text.split("*"):
-            factors.extend(self.generator_from_text(part).factors)
-        return Monomial(tuple(factors))
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 

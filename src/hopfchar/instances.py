@@ -362,21 +362,12 @@ class Shuffle(HopfAlgebra):
     def is_generator(self, m: Monomial) -> bool:
         return is_lyndon(_text(m))
 
-    def _check_letters(self, text: str) -> None:
+    def generator_from_text(self, text: str) -> Monomial:
         for ch in text:
             if ch not in self.letters:
                 raise ValueError(f"letter {ch!r} not in alphabet {self.letters!r}")
-
-    def generator_from_text(self, text: str) -> Monomial:
-        self._check_letters(text)
         if not is_lyndon(text):
             raise ValueError(f"word {text!r} is not a Lyndon word")
-        return self.word_monomial(text)
-
-    def monomial_from_text(self, text: str) -> Monomial:
-        if text in ("1", ""):
-            return self.empty()
-        self._check_letters(text)
         return self.word_monomial(text)
 
     def add_product(self, acc: dict, a: Monomial, b: Monomial, c: Coeff) -> None:

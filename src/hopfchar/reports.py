@@ -167,15 +167,6 @@ def curve_from_json(doc: Mapping, hopf: HopfAlgebra | None = None) -> TimePolyno
 # ---------------------------------------------------------------- vector fields
 
 
-def _components_to_json(comps: Sequence[Poly]) -> list:
-    out = []
-    for p in comps:
-        rows = [{"monomial": list(e), "coeff": encode_rational(c)}
-                for e, c in sorted(p.terms.items())]
-        out.append(rows)
-    return out
-
-
 def _components_from_json(rows: Sequence, nvars: int) -> list:
     comps = []
     for comp in _decode_list(rows, "components"):
@@ -188,10 +179,6 @@ def _components_from_json(rows: Sequence, nvars: int) -> list:
             terms[e] = terms.get(e, 0) + decode_rational(_key(cell, "coeff"))
         comps.append(Poly(nvars, terms))
     return comps
-
-
-def field_to_json(f: PolyVectorField) -> dict:
-    return {"dim": f.dim, "components": _components_to_json(f.comps)}
 
 
 def field_from_json(doc: Mapping) -> PolyVectorField:

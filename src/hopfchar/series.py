@@ -4,11 +4,12 @@ Coefficients are supplied per tree (or per word) and the evaluators build
 exact order-by-order increments, so identity checks downstream can demand
 rational equality rather than tolerances.
 
-A B-series is the one-colour P-series: one elementary-differential
-recursion and one tree pass serve both, with a map and a variable block per
-colour.  One partial-sum table turns the increments of any of the three
-series into the exact partial sums and the rows the CLI and
-:func:`convergence_probe` report.
+A B-series is the one-colour P-series: one tree pass serves both, with a
+map and a variable block per colour.  One partial-sum table turns the
+increments of any of the three series into the exact partial sums and the
+rows the CLI and :func:`convergence_probe` report.  Those rows, and the
+CLI's final points, are the one place an exact value becomes a float: one
+past the float range becomes +-inf, which a report refuses to render.
 
 The tree pass builds only the live trees, those whose elementary
 differential F(t) at the point is not the zero vector; every other tree adds
@@ -83,33 +84,19 @@ def partial_sums(terms: Sequence[Sequence], start: Sequence, h: Coeff = 1) -> tu
     return table, partial
 
 
+def as_float(v) -> float:
+    """v as a float for a report, +-inf when it is past the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return float("inf") if v > 0 else float("-inf")
+
+
 def series_rows(table: Sequence) -> list:
     """A partial-sum table as report rows, in floats."""
-    return [{"order": n, "increment": float(inc), "partial": [float(v) for v in partial]}
+    return [{"order": n, "increment": as_float(inc),
+             "partial": [as_float(v) for v in partial]}
             for n, (inc, partial) in enumerate(table, start=1)]
-
-
-def elementary_differential(f: PolyVectorField, t: RootedTree, y: Sequence) -> tuple:
-    """F(t)(y): the m-linear derivative of f at y fed the child values."""
-    return _elementary((f,), (range(f.nvars),), t, y)
-
-
-def coloured_elementary_differential(system: ColouredPolySystem, t: RootedTree,
-                                     point: Sequence) -> tuple:
-    """Partitioned-system variant: root colour picks the map (0 -> f, 1 -> g),
-    each child's colour picks which variable block its derivative ranges over."""
-    return _elementary((system.f, system.g), (system.p_slot, system.q_slot), t, point)
-
-
-def _elementary(maps: Sequence[PolyMap], slots: Sequence[Sequence[int]], t: RootedTree,
-                point: Sequence) -> tuple:
-    """F(t)(point) with maps[c] at a root of colour c and slots[c] the
-    variables a child of colour c ranges over."""
-    fmap = maps[t.colour]
-    if not t.children:
-        return fmap.evaluate(point)
-    vectors = [_elementary(maps, slots, c, point) for c in t.children]
-    return fmap.deriv_apply(point, vectors, [slots[c.colour] for c in t.children])
 
 
 def _coefficient(a, key):
@@ -194,22 +181,6 @@ def exact_flow_character(max_order: int, colours: int = 1) -> dict:
     """:func:`exact_flow_coefficient` on every tree up to max_order nodes."""
     return {t: exact_flow_coefficient(t)
             for n in range(1, max_order + 1) for t in trees_of_order(n, colours)}
-
-
-def flow_taylor_coefficients(f: PolyVectorField, y0: Sequence, max_order: int) -> list:
-    """Taylor coefficients of the flow of y' = f(y): entry j is y^(j)(0)/j!.
-
-    Independent of any tree machinery: g_1 = f and g_{j+1} = Dg_j . f,
-    assembled symbolically, then evaluated at y0.
-    """
-    coeffs = [tuple(y0)]
-    g = f
-    for j in range(1, max_order + 1):
-        coeffs.append(tuple(Fraction(v, factorial(j)) if isinstance(v, int)
-                            else v / factorial(j) for v in g.evaluate(y0)))
-        if j < max_order:
-            g = g.jacobian_times(f)
-    return coeffs
 
 
 def pseries_order_terms(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
@@ -319,15 +290,6 @@ class _WordJets:
                         acc[k] = acc.get(k, 0) + da * b
             out.append({k: v for k, v in acc.items() if v})
         return tuple(out) if any(out) else None
-
-
-def word_basis_function(sys: WordSystem, w: Sequence[str], x: Sequence) -> tuple:
-    """f_w(x) for a nonempty word: f_c for a letter c, Df_s . f_c for w = c s."""
-    w = tuple(w)
-    if not w:
-        raise ValueError("word must be nonempty")
-    value = _WordJets(sys, x, len(w)).value(w)
-    return (0,) * sys.dim if value is None else value
 
 
 def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequence,

@@ -9,7 +9,9 @@ the instance itself no longer calls, and the shuffle character values use the
 symbolic Lyndon rewrite of ``hopfchar.words``, which characters no longer call.
 The Bell oracle assembles the fdb-a coproduct from the library's
 ``bell_partial`` (which ``FaaDiBrunoX`` runs), not from the a-basis
-coproduct it is compared with.
+coproduct it is compared with.  The flow-Taylor oracle differentiates the
+field symbolically, with no trees, and ``field_to_json`` writes the field
+files the CLI only reads.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Sequence
 
 from hopfchar.characters import (FLOAT, RationalTarget, TargetAlgebra,
                                  TruncatedCharacter, TruncatedInfChar, linf_norm)
 from hopfchar.core import Coeff, GradedVector, Monomial, TensorVector, json_number
+from hopfchar.fields import Poly, PolyVectorField
 from hopfchar.growth import GrowthFamily
 from hopfchar.instances import FaaDiBrunoA, Shuffle, bell_partial
+from hopfchar.reports import encode_rational
 from hopfchar.trees import edge_cuts, root_cuts
 from hopfchar.words import lyndon_rewrite_word
 
@@ -352,6 +357,22 @@ def forests_by_scan(pool: list, n: int) -> tuple:
     return tuple(out)
 
 
+def flow_taylor_coefficients(f: PolyVectorField, y0: Sequence, max_order: int) -> list:
+    """Taylor coefficients of the flow of y' = f(y): entry j is y^(j)(0)/j!.
+
+    Independent of any tree machinery: g_1 = f and g_{j+1} = Dg_j . f,
+    assembled symbolically, then evaluated at y0.
+    """
+    coeffs = [tuple(y0)]
+    g = f
+    for j in range(1, max_order + 1):
+        coeffs.append(tuple(Fraction(v, factorial(j)) if isinstance(v, int)
+                            else v / factorial(j) for v in g.evaluate(y0)))
+        if j < max_order:
+            g = g.jacobian_times(f)
+    return coeffs
+
+
 def plain_differential(f, t, y) -> tuple:
     """F(t)(y) recomputed at every node: no memo."""
     if not t.children:
@@ -426,6 +447,19 @@ def word_series_by_jacobian(delta, sys, x, max_length: int) -> list:
                 acc = [u + c * v for u, v in zip(acc, word_map(w).evaluate(x))]
         terms.append(tuple(acc))
     return terms
+
+
+def _components_to_json(comps: Sequence[Poly]) -> list:
+    out = []
+    for p in comps:
+        rows = [{"monomial": list(e), "coeff": encode_rational(c)}
+                for e, c in sorted(p.terms.items())]
+        out.append(rows)
+    return out
+
+
+def field_to_json(f: PolyVectorField) -> dict:
+    return {"dim": f.dim, "components": _components_to_json(f.comps)}
 
 
 def word_of(m: Monomial) -> tuple:

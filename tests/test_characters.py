@@ -194,7 +194,7 @@ def test_shuffle_solve_nests_one_level():
             depth[0] -= 1
 
     phi.evaluate = tracked
-    w = H.monomial_from_text("bbbbaaaa")
+    w = H.word_monomial("bbbbaaaa")
     assert tracked(w) == character_by_rewrite(phi, w)
     # the word, a smaller word being solved, and the cached words below that one
     assert depth[1] == 3

@@ -1,7 +1,7 @@
 """Weight families and their axioms."""
 
 from fractions import Fraction
-from math import exp, factorial
+from math import exp
 
 import pytest
 from hypothesis import given
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hopfchar.growth import (BUILTIN_FAMILIES, GrowthFamily, builtin,
                              check_all_axioms, check_cW, check_W1, check_W2,
-                             check_W3, composed, suggest_alpha, w3_holds_at)
+                             check_W3, suggest_alpha, w3_holds_at)
 
 FIVE = ("pow", "pow2", "pow-fact", "pow-nsq", "pow-factk")
 
@@ -34,7 +34,6 @@ def test_exactness_flags():
     for name in FIVE:
         assert builtin(name).is_exact
     assert not builtin("anti").is_exact
-    assert not builtin("anti").is_growth_family
 
 
 def test_unknown_family_raises():
@@ -106,7 +105,7 @@ def test_w1_w2_cw_report_their_first_failure(axiom, exact):
         fam = GrowthFamily("broken", axiom, omega)
     else:
         fam = GrowthFamily("broken", axiom, lambda k, n: exp(log_omega(k, n)),
-                           is_exact=False, is_growth_family=False,
+                           is_exact=False,
                            log_omega=lambda k, n: Fraction(log_omega(k, n)))
     checks = {"W1": check_W1(fam, 3, 4), "W2": check_W2(fam, 3, 4),
               "cW": check_cW(fam, 1, 2, 3, Fraction(1, 2), 4)}
@@ -148,14 +147,6 @@ def test_cw_with_suggested_alpha():
         for (k1, k2, k3) in [(1, 2, 4), (2, 3, 6), (1, 3, 4)]:
             rep = check_cW(fam, k1, k2, k3, suggest_alpha(k1, k2, k3), grid)
             assert rep.ok, (name, k1, k2, k3)
-
-
-def test_composed_wrapper():
-    base = builtin("pow")
-    fam = composed(base, lambda n: 2 * n, "double")
-    assert fam.eval(3, 2) == 3 ** 4
-    checks = check_all_axioms(fam, 4, 16)
-    assert all(c.ok for c in checks)
 
 
 def test_report_dicts_have_status():

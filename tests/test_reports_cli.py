@@ -19,7 +19,7 @@ from hopfchar.characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
 from hopfchar.evolution import TimePoly, TimePolynomialCurve
 from hopfchar.fields import Poly, PolyVectorField
 from hopfchar.series import exact_flow_character
-from oracles import seeded_rational_values
+from oracles import field_to_json, seeded_rational_values
 
 
 def _run(*argv):
@@ -111,7 +111,7 @@ def test_field_json_round_trip():
         Poly(2, {(1, 0): Fraction(2, 3), (0, 2): -1}),
         Poly(2, {(1, 1): 1, (0, 0): Fraction(1, 7)}),
     ])
-    doc = _validated(reports.field_to_json(f), "file-field")
+    doc = _validated(field_to_json(f), "file-field")
     back = reports.field_from_json(doc)
     pt = (Fraction(1, 2), Fraction(3))
     for a, b in zip(back.comps, f.comps):
@@ -857,7 +857,7 @@ def test_written_files_pass_schema_and_decoder(tmp_path, binomial):
             TimePolynomialCurve(binomial, 3, {X: TimePoly((0, half))}, "inf"))),
         ("file-curve", reports.curve_from_json, reports.curve_to_json(
             TimePolynomialCurve(binomial, 3, {X: TimePoly((1, half))}, "char"))),
-        ("file-field", reports.field_from_json, reports.field_to_json(PolyVectorField([
+        ("file-field", reports.field_from_json, field_to_json(PolyVectorField([
             Poly(2, {(0, 0): 1, (2, 1): Fraction(-2, 3)}), Poly(2, {(1, 0): 3})]))),
     ]
     for i, (schema, decode, doc) in enumerate(written):
@@ -908,17 +908,33 @@ def test_only_main_writes_a_file():
     assert callers["open"] == {"_load", "_write"}
 
 
-# a float coefficient file whose series overflows: series -> (file, argv)
+# a series that leaves the float range, from a float coefficient file or from
+# exact values past it: series -> (the coefficient file or None, argv)
 OVERFLOWING_SERIES = {
     "bseries": ({"hopf": "ck", "N": 3, "B": "float", "kind": "char",
                  "values": [{"generator": g, "value": 1e308}
                             for g in ("B", "[B]", "[B,B]", "[[B]]")]},
                 ["bseries", "--field", "{square}", "--y", "1000", "--h", "1",
-                 "--max-order", "3"]),
+                 "--max-order", "3", "--coeffs", "{bad}"]),
     "wordseries": ({"hopf": "shuffle:a", "N": 3, "B": "float", "kind": "char",
                     "values": [{"generator": "a", "value": 1e308}]},
                    ["wordseries", "--system", "{letters}", "--x", "1",
-                    "--max-length", "3"]),
+                    "--max-length", "3", "--coeffs", "{bad}"]),
+    "bseries-exact": (None, ["bseries", "--field", "{unit_square}", "--y", str(10 ** 30),
+                             "--h", "1", "--max-order", "11"]),
+    "pseries-exact": (None, ["pseries", "--system", "{squares}", "--p", str(10 ** 30),
+                             "--q", str(10 ** 30), "--h", "1", "--max-order", "11"]),
+    "wordseries-exact": (None, ["wordseries", "--system", "{square_letter}",
+                                "--x", str(10 ** 39), "--max-length", "8"]),
+}
+
+# y' = 1000 y^2; y' = y^2; p' = q^2 and q' = p^2; the letter a -> x^2
+OVERFLOW_INPUTS = {
+    "square": {"dim": 1, "components": [[{"monomial": [2], "coeff": "1000"}]]},
+    "unit_square": FIELD_SQUARE,
+    "squares": {"dim": 1, "f": [[{"monomial": [0, 2], "coeff": "1"}]],
+                "g": [[{"monomial": [2, 0], "coeff": "1"}]]},
+    "square_letter": {"dim": 1, "letters": {"a": FIELD_SQUARE["components"]}},
 }
 
 
@@ -926,12 +942,11 @@ OVERFLOWING_SERIES = {
 def test_cli_series_that_overflows_writes_nothing(tmp_path, capsys, series):
     doc, argv = OVERFLOWING_SERIES[series]
     paths = _inputs(tmp_path, doc)
-    square = tmp_path / "square.json"
-    square.write_text(json.dumps(
-        {"dim": 1, "components": [[{"monomial": [2], "coeff": "1000"}]]}))
+    for name, input_doc in OVERFLOW_INPUTS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(input_doc))
     csv = tmp_path / "rows.csv"
-    assert _run(*[a.format(square=square, **paths) for a in argv],
-                "--coeffs", paths["bad"], "--csv", str(csv)) == 2
+    assert _run(*[a.format(**paths) for a in argv], "--csv", str(csv)) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: cannot write the result as JSON")
     assert out == "" and not csv.exists()
@@ -1013,3 +1028,44 @@ def test_cli_integer_options_below_range_exit_2(tmp_path, capsys, monkeypatch, c
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
     assert not csv.exists()
+
+
+# a rational option that is not p or p/q, the rule of the input files -> argv;
+# 1e5000 has no decimal text a report can print
+NOT_RATIONAL = {
+    "bseries --h 1e5000": ["bseries", "--field", "{field}", "--y", "1", "--h", "1e5000"],
+    "bseries --y 0.5": ["bseries", "--field", "{field}", "--y", "0.5"],
+    "evolve --at 1e5000": ["evolve", "--hopf", "binomial", "--max-degree", "3",
+                           "--eta", "{curve}", "--at", "1e5000"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_RATIONAL))
+def test_cli_rational_options_take_p_or_p_over_q(tmp_path, capsys, case):
+    out = tmp_path / "report.json"
+    paths = _inputs(tmp_path, None)
+    assert _run(*[a.format(**paths) for a in NOT_RATIONAL[case]], "--out", str(out)) == 2
+    text = case.split()[-1]
+    assert capsys.readouterr() == ("", f"error: not a rational number: {text!r}\n")
+    assert not out.exists()
+
+
+# a char option that its op does not read -> argv and the error; refused before
+# any file is read, so --a and --b name a file that does not exist
+CHAR_UNREAD_OPTIONS = {
+    **{f"{op} --b": (["char", op, "--a", "{missing}", "--b", "{missing}"],
+                     f"--b is the second character of conv; {op} takes one")
+       for op in ("inv", "exp", "log", "norm")},
+    "norm --emit": (["char", "norm", "--a", "{missing}", "--emit", "{emit}"],
+                    "norm gives a number, not a character: it has no --emit file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAR_UNREAD_OPTIONS))
+def test_cli_char_refuses_an_option_its_op_does_not_read(tmp_path, capsys, case):
+    argv, message = CHAR_UNREAD_OPTIONS[case]
+    emit = tmp_path / "emit.json"
+    paths = {"missing": str(tmp_path / "missing.json"), "emit": str(emit)}
+    assert _run(*[a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not emit.exists()

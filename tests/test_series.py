@@ -13,19 +13,18 @@ from hopfchar.characters import RATIONAL, TruncatedInfChar, exp_infchar
 from hopfchar.fields import (ColouredPolySystem, Poly, PolyMap,
                              PolyVectorField, WordSystem)
 from hopfchar.series import (bseries_order_terms, bseries_partial,
-                             coloured_elementary_differential,
-                             convergence_probe, elementary_differential,
-                             exact_flow_character, exact_flow_coefficient,
-                             flow_taylor_coefficients,
-                             pseries_order_terms, pseries_partial, sigma, word_basis_function,
+                             convergence_probe, exact_flow_character,
+                             exact_flow_coefficient, pseries_order_terms,
+                             pseries_partial, sigma, wordseries_order_terms,
                              wordseries_partial)
 from hopfchar import series
 from hopfchar.instances import instance_by_name
 from hopfchar.trees import parse_tree, trees_of_order
 from hopfchar.words import all_words
 from oracles import (automorphism_count, bseries_terms_by_recursion,
-                     plain_coloured_differential, plain_differential,
-                     pseries_terms_by_recursion, word_series_by_jacobian)
+                     flow_taylor_coefficients, plain_coloured_differential,
+                     plain_differential, pseries_terms_by_recursion,
+                     word_series_by_jacobian)
 
 
 def _linear_field():
@@ -96,6 +95,11 @@ def _rest_point_system():
     return ColouredPolySystem(f, g)
 
 
+def _flat_field(system):
+    # the field on R^{2d} driving (p, q) jointly
+    return PolyVectorField(system.f.comps + system.g.comps)
+
+
 def test_sigma_known_values():
     assert sigma(parse_tree("B")) == 1
     assert sigma(parse_tree("[B]")) == 1
@@ -115,24 +119,30 @@ def test_sigma_matches_automorphism_oracle():
             assert sigma(t) == automorphism_count(t)
 
 
+def _differential(f, t, y):
+    """F(t)(y) from the live pass: the order-|t| term with a(t) = sigma(t) on
+    t alone, the zero vector when t is not live."""
+    return bseries_order_terms({t: sigma(t)}, f, y, t.order)[-1]
+
+
 def test_elementary_differential_linear_field_chains_only():
     f = _linear_field()
     y = (Fraction(3, 2),)
     chain = "B"
     for _ in range(5):
-        assert elementary_differential(f, parse_tree(chain), y) == y
+        assert _differential(f, parse_tree(chain), y) == y
         chain = f"[{chain}]"
     # any branching kills the value: f'' = 0
-    assert elementary_differential(f, parse_tree("[B,B]"), y) == (0,)
-    assert elementary_differential(f, parse_tree("[[B],B]"), y) == (0,)
+    assert _differential(f, parse_tree("[B,B]"), y) == (0,)
+    assert _differential(f, parse_tree("[[B],B]"), y) == (0,)
 
 
 def test_elementary_differential_square_field_values():
     f = _square_field()
     y = (1,)
-    assert elementary_differential(f, parse_tree("B"), y) == (1,)
-    assert elementary_differential(f, parse_tree("[B]"), y) == (2,)
-    assert elementary_differential(f, parse_tree("[B,B]"), y) == (2,)
+    assert _differential(f, parse_tree("B"), y) == (1,)
+    assert _differential(f, parse_tree("[B]"), y) == (2,)
+    assert _differential(f, parse_tree("[B,B]"), y) == (2,)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=3))
@@ -142,8 +152,8 @@ def test_elementary_differential_scales_by_order(n, c):
     scaled = PolyVectorField([p.scale(c) for p in f.comps])
     y = (Fraction(1, 2),)
     for t in trees_of_order(n):
-        assert elementary_differential(scaled, t, y) == tuple(
-            c ** t.order * v for v in elementary_differential(f, t, y)
+        assert _differential(scaled, t, y) == tuple(
+            c ** t.order * v for v in _differential(f, t, y)
         )
 
 
@@ -206,7 +216,7 @@ def _degree(fmap):
 def test_series_pass_differentiates_once_per_distinct_tree(monkeypatch):
     calls = _count_derivatives(monkeypatch)
     fields = [(_seeded_field(2, 3), (1, 2), False),
-              (_rest_point_system().combined_field(), (1, 1), False),
+              (_flat_field(_rest_point_system()), (1, 1), False),
               (_dense_field(1, 7), (1,), True)]
     for f, y, dense in fields:
         trees_by_order = [trees_of_order(n) for n in range(2, 8)]
@@ -241,9 +251,9 @@ def _partial_coefficients(trees_by_order):
 
 _B_CASES = {
     "dense": (_dense_field(2, 6), (Fraction(1, 2), Fraction(2, 3))),
-    "pendulum": (_pendulum_system().combined_field(), (Fraction(1, 2), Fraction(-2, 3))),
+    "pendulum": (_flat_field(_pendulum_system()), (Fraction(1, 2), Fraction(-2, 3))),
     "zero-field": (PolyVectorField([Poly.zero(2), Poly.zero(2)]), (1, 2)),
-    "rest-point": (_rest_point_system().combined_field(), (1, 1)),
+    "rest-point": (_flat_field(_rest_point_system()), (1, 1)),
 }
 
 
@@ -443,18 +453,28 @@ def test_pseries_rotation_matches_cosine_taylor():
 
 def test_coloured_elementary_differential_roots():
     sys = _rotation_system()
-    point = (Fraction(1, 2), Fraction(1, 3))
+    p, q = (Fraction(1, 2),), (Fraction(1, 3),)
+
+    def differential(t):
+        # the root colour's block of the order-|t| term, a(t) = sigma(t) on t alone
+        return pseries_order_terms({t: sigma(t)}, sys, p, q, t.order)[-1][t.colour]
+
     white = parse_tree("B:0", coloured=True)
     black = parse_tree("B:1", coloured=True)
-    assert coloured_elementary_differential(sys, white, point) == (Fraction(1, 3),)
-    assert coloured_elementary_differential(sys, black, point) == (Fraction(-1, 2),)
+    assert differential(white) == (Fraction(1, 3),)
+    assert differential(black) == (Fraction(-1, 2),)
     # child colour selects the p or q derivative slot
     wb = parse_tree("[B:1]:0", coloured=True)
-    assert coloured_elementary_differential(sys, wb, point) == (Fraction(-1, 2),)
+    assert differential(wb) == (Fraction(-1, 2),)
 
 
 def _single_letter_system():
     return WordSystem({"a": _square_field()})
+
+
+def _word_value(sys, w, x):
+    """f_w(x) from the word pass: the length-|w| term with delta = 1 on w alone."""
+    return wordseries_order_terms({w: 1}, sys, x, len(w))[-1]
 
 
 def test_word_basis_matches_taylor_derivatives():
@@ -464,7 +484,7 @@ def test_word_basis_matches_taylor_derivatives():
     g = f
     for n in range(1, 6):
         w = ("a",) * n
-        assert word_basis_function(sys, w, x) == g.evaluate(x)
+        assert _word_value(sys, w, x) == g.evaluate(x)
         g = g.jacobian_times(f)
 
 
@@ -474,9 +494,9 @@ def test_word_basis_two_letters():
     sys = WordSystem({"a": fa, "b": fb})
     x = (Fraction(3),)
     # f_{ba} = (D f_a) f_b = 2x * x
-    assert word_basis_function(sys, ("b", "a"), x) == (18,)
+    assert _word_value(sys, ("b", "a"), x) == (18,)
     # f_{ab} = (D f_b) f_a = x^2
-    assert word_basis_function(sys, ("a", "b"), x) == (9,)
+    assert _word_value(sys, ("a", "b"), x) == (9,)
 
 
 def test_wordseries_single_letter_exponential():
@@ -584,12 +604,10 @@ def test_word_basis_function_matches_symbolic_word_maps():
     sys, x, _ = _word_case("abc-constant-linear-cubic-2d", 6)
     for w in [("c",), ("b", "c"), ("a", "c", "c"), ("c", "a"), ("c", "b", "a", "c")]:
         want = word_series_by_jacobian({w: 1}, sys, x, len(w))[-1]
-        assert word_basis_function(sys, w, x) == want
-    assert word_basis_function(sys, ("c", "a"), x) == (0, 0)
+        assert _word_value(sys, w, x) == want
+    assert _word_value(sys, ("c", "a"), x) == (0, 0)
     with pytest.raises(ValueError):
-        word_basis_function(sys, (), x)
-    with pytest.raises(ValueError):
-        word_basis_function(sys, ("z",), x)
+        sys.field("z")
 
 
 def test_word_pass_never_builds_symbolic_word_maps(monkeypatch):

@@ -2,7 +2,8 @@
 empty ``dependencies`` says: every import under ``src/hopfchar`` names a
 standard-library module or ``hopfchar`` itself.  A CLI start also leaves out
 the standard-library machinery no CLI path runs, and no module reads or sets
-an environment variable: the package has no global switch."""
+an environment variable: the package has no global switch.  Every name that
+``__all__`` exports is bound, and listed once."""
 
 import ast
 import os
@@ -56,3 +57,10 @@ def test_cli_start_imports_no_heavy_stdlib_machinery():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_star_import_binds_every_export_once():
+    namespace = {}
+    exec("from hopfchar import *", namespace)
+    assert [name for name in hopfchar.__all__ if name not in namespace] == []
+    assert len(set(hopfchar.__all__)) == len(hopfchar.__all__)
