@@ -2,9 +2,10 @@
 
 Every subcommand emits one JSON report (stdout or --out).  Exit status is 0
 when all checks in the run pass, 1 when a check fails (the report carries a
-witness), and 2 for configuration errors.  Reports depend only on the
-configuration and seed, never on wall-clock or filesystem state, so reruns
-are byte-identical.
+witness), and 2 for configuration errors and for a result that has no
+JSON text (a float past the float range, or an exact number past Python's
+int-to-text digit limit).  Reports depend only on the configuration and
+seed, never on wall-clock or filesystem state, so reruns are byte-identical.
 
 A workflow returns its report and writes nothing.  An --emit or --csv file
 is a projection of that report, and `main` renders the report and the side
@@ -41,12 +42,13 @@ SAFETY_LIMITS = {ConnesKreimer: 12, FaaDiBrunoA: 14, FaaDiBrunoX: 14, Shuffle: 1
 GROWTH_GRID_LIMITS = {"k max": 12, "n max": 64, "k2 max": 4096}
 
 # control-check's limits, fixed: a family index, and the bits of the exact
-# weight omega_k at the max degree, for k = k1 and k = k2.  A report prints
-# weights, l1 sums and ratios as decimal integers, which Python refuses past
-# 4300 digits (14,284 bits); the margin is over four times the largest l1
-# mass measured near the safety limits, 65 bits (binomial@64 coproduct).
-# --csv writes the same numbers as floats, which end below 2^1024, so with
-# --csv a weight may have the same 284-bit margin less than 1,024 bits
+# weight omega_k at the max degree, for k = k1 and k = k2; char norm's too,
+# for its k at the file's degree N.  A report prints weights, l1 sums and
+# ratios as decimal integers, which Python refuses past 4300 digits (14,284
+# bits); the margin is over four times the largest l1 mass measured near the
+# safety limits, 65 bits (binomial@64 coproduct).  --csv writes the same
+# numbers as floats, which end below 2^1024, so with --csv a weight may have
+# the same 284-bit margin less than 1,024 bits
 CONTROL_K_LIMIT = 4096
 CONTROL_WEIGHT_BITS = 14_000
 CONTROL_CSV_WEIGHT_BITS = 1024 - 284
@@ -90,6 +92,20 @@ def _load_family(name: str):
         raise ConfigError(str(exc))
 
 
+def _check_weight(fam, what: str, k: int, degree: int, csv: bool = False) -> None:
+    """Refuse, before anything is computed, a family index k above
+    CONTROL_K_LIMIT, or one whose exact weight at this degree has more bits
+    than a report (or, with csv, a CSV float) can hold."""
+    if k > CONTROL_K_LIMIT:
+        raise ConfigError(f"{what} {k} exceeds the limit {CONTROL_K_LIMIT}")
+    bits_limit = CONTROL_CSV_WEIGHT_BITS if csv else CONTROL_WEIGHT_BITS
+    bits = fam.eval(k, degree).bit_length() if fam.is_exact else 0
+    if bits > bits_limit:
+        raise ConfigError(f"{fam.name} weight at {what} {k} and degree {degree} has "
+                          f"{bits} bits, over the limit {bits_limit}"
+                          f"{' for --csv' if csv else ''}")
+
+
 def _load(path: str, decode, *args):
     """The one way an input file comes in: read its JSON and decode it with
     one `reports` decoder.  A file that cannot be read or decoded is bad
@@ -126,15 +142,6 @@ def _write(path: str, data: bytes) -> None:
             fh.write(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
-
-
-def _render(doc) -> bytes:
-    """The one way a report or an --emit file is rendered: a float that
-    overflowed has no JSON form, so it is an error (exit 2), not output."""
-    try:
-        return reports.render_report(doc)
-    except ValueError as exc:
-        raise ConfigError(f"cannot write the result as JSON: {exc}")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -174,15 +181,8 @@ def run_control_check(args) -> tuple[bool, dict]:
     _check_least("k1", args.k1, 1)
     if args.k2 < args.k1:
         raise ConfigError("k2 must be at least k1")
-    bits_limit = CONTROL_CSV_WEIGHT_BITS if args.csv else CONTROL_WEIGHT_BITS
     for what, k in (("k1", args.k1), ("k2", args.k2)):
-        if k > CONTROL_K_LIMIT:
-            raise ConfigError(f"{what} {k} exceeds the limit {CONTROL_K_LIMIT}")
-        bits = fam.eval(k, args.max_degree).bit_length() if fam.is_exact else 0
-        if bits > bits_limit:
-            raise ConfigError(f"{fam.name} weight at {what} {k} and degree "
-                              f"{args.max_degree} has {bits} bits, over the limit "
-                              f"{bits_limit}{' for --csv' if args.csv else ''}")
+        _check_weight(fam, what, k, args.max_degree, bool(args.csv))
     op = coproduct_ratio if args.map == "coproduct" else antipode_ratio
     rep = op(H, fam, args.k1, args.k2, args.max_degree)
     return rep.verdict == "bounded", rep.to_dict()
@@ -214,7 +214,7 @@ def run_evolve(args) -> tuple[bool, dict]:
                "gamma": reports.curve_to_json(gamma)}
     if args.at is not None:
         t = _parse_rational(args.at)
-        payload["at"] = {"t": str(t),
+        payload["at"] = {"t": reports.encode_rational(t),
                          "character": reports.character_to_json(gamma.at(t))}
     return True, payload
 
@@ -253,6 +253,7 @@ def run_char(args) -> tuple[bool, dict]:
         result = log_character(phi)
     else:  # norm
         fam = _load_family(args.family)
+        _check_weight(fam, "k", args.k, phi.N)
         val = linf_norm(phi, fam, args.k, over=args.over)
         enc = reports.encode_rational(val) if isinstance(val, (int, Fraction)) else float(val)
         payload.update({"family": fam.name, "k": args.k, "over": args.over,
@@ -264,9 +265,9 @@ def run_char(args) -> tuple[bool, dict]:
 
 def _tree_series(args, colours: int, dim: int, start, terms_of) -> tuple[dict, tuple]:
     """What bseries (one colour, ck) and pseries (two, ck2) share: the order
-    limit, the step size, the coefficients (exact flow or a character file)
-    and the rows.  terms_of(a) gives the flat per-order terms for
-    coefficients a."""
+    limit, the step size, the coefficient function (the exact flow, or a
+    character file's character at each tree) and the rows.  terms_of(a)
+    gives the per-order terms for coefficients a."""
     expected = "ck" if colours == 1 else "ck2"
     _check_range("max order", args.max_order, ConnesKreimer, expected)
     h = _parse_rational(args.h)
@@ -274,9 +275,12 @@ def _tree_series(args, colours: int, dim: int, start, terms_of) -> tuple[dict, t
         a = exact_flow_coefficient
     else:
         phi = _load_character(args.coeffs, expected, "max order", args.max_order)
-        a = {phi.hopf.tree_of(g.factors[0]): v for g, v in phi.values.items()}
+
+        def a(t):
+            return phi.evaluate(phi.hopf.tree_monomial(t))
+
     table, final = partial_sums(terms_of(a), start, h)
-    payload = {"series": args.subcommand, "dim": dim, "h": str(h),
+    payload = {"series": args.subcommand, "dim": dim, "h": reports.encode_rational(h),
                "max_order": args.max_order, "coefficients": args.coeffs,
                "rows": series_rows(table)}
     return payload, final
@@ -301,8 +305,7 @@ def run_pseries(args) -> tuple[bool, dict]:
         raise ConfigError("p and q must each have dim components")
     payload, final = _tree_series(
         args, 2, system.dim, p0 + q0,
-        lambda a: [tp + tq for tp, tq in pseries_order_terms(a, system, p0, q0,
-                                                             args.max_order)])
+        lambda a: pseries_order_terms(a, system, p0, q0, args.max_order))
     payload["final_p"] = [as_float(v) for v in final[:system.dim]]
     payload["final_q"] = [as_float(v) for v in final[system.dim:]]
     return True, payload
@@ -325,11 +328,11 @@ def run_wordseries(args) -> tuple[bool, dict]:
     else:
         phi = _load_character(args.coeffs, expected, "max length", args.max_length)
 
-        def delta(w, _phi=phi):
-            return _phi.evaluate(_phi.hopf.word_monomial(w))
+        def delta(w):
+            return phi.evaluate(phi.hopf.word_monomial(w))
 
     terms = wordseries_order_terms(delta, system, x0, args.max_length)
-    table, final = partial_sums(terms, [delta(()) * v for v in x0])
+    table, final = partial_sums(terms, [delta("") * v for v in x0])
     payload = {"series": "wordseries", "dim": system.dim,
                "max_length": args.max_length, "coefficients": args.coeffs,
                "rows": series_rows(table), "final": [as_float(v) for v in final]}
@@ -482,7 +485,7 @@ def _side_file(args, payload: dict) -> tuple[str, bytes] | None:
     gamma curve, or as CSV its control-check table or series rows."""
     if getattr(args, "emit", None):
         doc = payload.get("character", payload.get("gamma"))
-        return None if doc is None else (args.emit, _render(doc))
+        return None if doc is None else (args.emit, reports.render_report(doc))
     if not getattr(args, "csv", None):
         return None
     if "table" in payload:
@@ -509,7 +512,7 @@ def main(argv=None) -> int:
     workflow = WORKFLOWS[args.subcommand]
     try:
         ok, payload = workflow(args)
-        data = _render({
+        data = reports.render_report({
             "tool": "hopfchar",
             "subcommand": args.subcommand,
             "seed": args.seed,
@@ -523,7 +526,7 @@ def main(argv=None) -> int:
             _write(args.out, data)
         else:
             sys.stdout.write(data.decode("utf-8"))
-    except ConfigError as exc:
+    except (ConfigError, reports.UnwritableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

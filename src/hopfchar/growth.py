@@ -33,8 +33,6 @@ class GrowthFamily(NamedTuple):
     is_exact: bool = True
     # natural-log exponent as an exact rational, for exp-type families
     log_omega: Optional[Callable[[int, int], Fraction]] = None
-    # the witness k2 used in the source analysis of W3, when one is known
-    analytic_w3_witness: Optional[Callable[[int], int]] = None
 
     def eval(self, k: int, n: int):
         if k < 1:
@@ -49,31 +47,13 @@ class GrowthFamily(NamedTuple):
         return self.log_omega(k, n)
 
 
-def _double_index(k: int) -> int:
-    return 2 * k
-
-
 BUILTIN_FAMILIES: dict[str, GrowthFamily] = {
-    "pow": GrowthFamily(
-        "pow", "k^n", lambda k, n: k**n, analytic_w3_witness=_double_index
-    ),
-    "pow2": GrowthFamily(
-        "pow2", "2^(k*n)", lambda k, n: 2 ** (k * n), analytic_w3_witness=_double_index
-    ),
-    "pow-fact": GrowthFamily(
-        "pow-fact",
-        "k^n * n!",
-        lambda k, n: k**n * math.factorial(n),
-        analytic_w3_witness=_double_index,
-    ),
-    "pow-nsq": GrowthFamily(
-        "pow-nsq", "k^(n^2)", lambda k, n: k ** (n * n), analytic_w3_witness=_double_index
-    ),
+    "pow": GrowthFamily("pow", "k^n", lambda k, n: k**n),
+    "pow2": GrowthFamily("pow2", "2^(k*n)", lambda k, n: 2 ** (k * n)),
+    "pow-fact": GrowthFamily("pow-fact", "k^n * n!", lambda k, n: k**n * math.factorial(n)),
+    "pow-nsq": GrowthFamily("pow-nsq", "k^(n^2)", lambda k, n: k ** (n * n)),
     "pow-factk": GrowthFamily(
-        "pow-factk",
-        "k^n * (n!)^k",
-        lambda k, n: k**n * math.factorial(n) ** k,
-        analytic_w3_witness=_double_index,
+        "pow-factk", "k^n * (n!)^k", lambda k, n: k**n * math.factorial(n) ** k
     ),
     "anti": GrowthFamily(
         "anti",
@@ -161,7 +141,9 @@ def w3_holds_at(family: GrowthFamily, k1: int, k2: int, n_max: int) -> bool:
 
 
 def check_W3(family: GrowthFamily, k1: int, n_max: int, k2_max: int = 64) -> AxiomCheck:
-    """Search the least verified k2 <= k2_max; report the analytic witness too."""
+    """Search the least verified k2 <= k2_max; for an exact family, report the
+    analytic witness k2 = 2 k1 too (omega_{2k}(n) >= 2^n omega_k(n) holds for
+    every exact built-in)."""
     grid = {"k1": k1, "n_max": n_max, "k2_max": k2_max}
     least = None
     for k2 in range(k1, k2_max + 1):
@@ -169,8 +151,8 @@ def check_W3(family: GrowthFamily, k1: int, n_max: int, k2_max: int = 64) -> Axi
             least = k2
             break
     witness: dict = {}
-    if family.analytic_w3_witness is not None:
-        ak2 = family.analytic_w3_witness(k1)
+    if family.is_exact:
+        ak2 = 2 * k1
         witness["analytic_k2"] = ak2
         if ak2 <= k2_max:
             witness["analytic_k2_verified"] = w3_holds_at(family, k1, ak2, n_max)

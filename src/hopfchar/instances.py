@@ -43,7 +43,6 @@ from .core import (
 from .hopf import HopfAlgebra
 from .trees import RootedTree, iter_nodes, parse_tree, tree_text
 from .words import (
-    Word,
     all_words,
     chen_fox_lyndon,
     deconcatenations,
@@ -315,13 +314,12 @@ class Shuffle(HopfAlgebra):
         self._monomials: dict[str, Monomial] = {"": self.empty()}
         self._shuffles: dict[tuple[str, str], dict[str, int]] = {}
         self._solve_rows: dict[Monomial, tuple] = {}
-        self._word_classes: dict[Word, tuple[Monomial, ...]] = {}
+        self._word_classes: dict[str, tuple[Monomial, ...]] = {}
 
-    def word_monomial(self, w: Word | str) -> Monomial:
-        text = "".join(w)
-        m = self._monomials.get(text)
+    def word_monomial(self, w: str) -> Monomial:
+        m = self._monomials.get(w)
         if m is None:
-            m = self._monomials[text] = monomial_of(Generator(self.name, text, len(text)))
+            m = self._monomials[w] = monomial_of(Generator(self.name, w, len(w)))
         return m
 
     def _shuffle(self, u: str, v: str, keep: bool) -> dict[str, int]:
@@ -436,7 +434,7 @@ class Shuffle(HopfAlgebra):
                 self.add_product(acc, prev, f, c)
             expansion = acc
         lead = expansion.pop(m)
-        key = tuple(sorted(w))
+        key = "".join(sorted(w))
         same_letters = self._word_classes.get(key)
         if same_letters is None:
             same_letters = self._word_classes[key] = tuple(

@@ -4,7 +4,9 @@ All artifacts are UTF-8 JSON with sorted keys and fixed layout, so a rerun
 with the same configuration and seed produces byte-identical output.  Exact
 rationals travel as strings ("3/4", "-5"), floats as JSON numbers, dual
 numbers as two-element arrays.  JSON has no NaN or infinity, so a float
-that is not finite is refused on the way in and on the way out.
+that is not finite is refused on the way in and on the way out; so is an
+exact number past Python's int-to-text digit limit (4,300 by default) on
+the way out, as :class:`UnwritableError`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,19 @@ from .instances import instance_by_name
 # ---------------------------------------------------------------- scalars
 
 
+class UnwritableError(ValueError):
+    """A result with no JSON text: a float that is not finite, or an exact
+    number with more digits than Python will write."""
+
+
 def encode_rational(x: Coeff) -> str:
-    return str(Fraction(x))
+    """x as "p" or "p/q", the one way an exact rational becomes text."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise UnwritableError("cannot write the result as JSON: an exact number "
+                              "has more digits than Python writes") from None
 
 
 # the file schemas' pattern for a rational string, with a nonzero denominator
@@ -215,9 +228,14 @@ def word_system_from_json(doc: Mapping) -> WordSystem:
 
 
 def render_report(doc: Mapping) -> bytes:
-    """The canonical bytes of doc; a float that is not finite is a ValueError."""
-    return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False,
-                       allow_nan=False) + "\n").encode("utf-8")
+    """The canonical bytes of doc; a float that is not finite, or an integer
+    too long to write, is an :class:`UnwritableError`."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise UnwritableError(f"cannot write the result as JSON: {exc}") from None
+    return (text + "\n").encode("utf-8")
 
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:

@@ -1,8 +1,8 @@
 """B-series, P-series, and word-series evaluation over polynomial fields.
 
-Coefficients are supplied per tree (or per word) and the evaluators build
-exact order-by-order increments, so identity checks downstream can demand
-rational equality rather than tolerances.
+A coefficient is a function of the tree or word (its text) it weighs, and
+each pass returns one flat vector of exact increments per order, so identity
+checks downstream can demand rational equality rather than tolerances.
 
 A B-series is the one-colour P-series: one tree pass serves both, with a
 map and a variable block per colour.  One partial-sum table turns the
@@ -45,7 +45,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .core import Coeff, multisets
 from .fields import ColouredPolySystem, Poly, PolyMap, PolyVectorField, WordSystem
@@ -99,17 +99,10 @@ def series_rows(table: Sequence) -> list:
             for n, (inc, partial) in enumerate(table, start=1)]
 
 
-def _coefficient(a, key):
-    """a(key) for a callable, a.get(key, 0) for a mapping."""
-    if callable(a):
-        return a(key)
-    return a.get(key, 0)
-
-
 def _tree_terms(a, maps: Sequence[PolyMap], slots: Sequence[Sequence[int]],
                 point: Sequence, max_order: int) -> list:
-    """Per order n, one vector per root colour c: the sum over the live trees
-    t with n nodes and root colour c of a(t)/sigma(t) * F(t)(point)."""
+    """Per order n, one flat vector whose colour-c block sums a(t)/sigma(t) *
+    F(t)(point) over the live trees t with n nodes and root colour c."""
     dim = maps[0].dim
     degrees = [fmap.degree() for fmap in maps]
     # live[t] = (F(t)(point), sigma(t)); pool lists the live trees of the
@@ -134,13 +127,13 @@ def _tree_terms(a, maps: Sequence[PolyMap], slots: Sequence[Sequence[int]],
         born.sort(key=_sort_key)
         accs = [[0] * dim for _ in maps]
         for t in born:
-            c = _coefficient(a, t)
+            c = a(t)
             if not c:
                 continue
             vec, s = live[t]
             c = Fraction(c, s) if isinstance(c, int) else c / s
             accs[t.colour] = [u + c * v for u, v in zip(accs[t.colour], vec)]
-        terms.append(tuple(tuple(acc) for acc in accs))
+        terms.append(tuple(v for acc in accs for v in acc))
         pool = sorted(pool + born, key=_sort_key)
     return terms
 
@@ -151,7 +144,7 @@ def bseries_order_terms(a, f: PolyVectorField, y: Sequence, max_order: int) -> l
     The series partial sum is then y + sum h^n T_n; keeping the h-free terms
     lets callers probe several step sizes from one symbolic pass.
     """
-    return [term for (term,) in _tree_terms(a, (f,), (range(f.nvars),), y, max_order)]
+    return _tree_terms(a, (f,), (range(f.nvars),), y, max_order)
 
 
 def bseries_partial(a, f: PolyVectorField, y: Sequence, h: Coeff,
@@ -185,10 +178,10 @@ def exact_flow_character(max_order: int, colours: int = 1) -> dict:
 
 def pseries_order_terms(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
                         max_order: int) -> list:
-    """Per-order pairs (P_n, Q_n) over two-coloured trees.
+    """Per-order vectors P_n + Q_n over two-coloured trees, one flat vector each.
 
-    Trees rooted at colour 0 contribute to the first block, colour 1 to the
-    second, each weighted a(t)/sigma(t).
+    Trees rooted at colour 0 contribute to the first dim components, colour 1
+    to the last dim, each weighted a(t)/sigma(t).
     """
     return _tree_terms(a, (system.f, system.g), (system.p_slot, system.q_slot),
                        tuple(p) + tuple(q), max_order)
@@ -196,8 +189,8 @@ def pseries_order_terms(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
 
 def pseries_partial(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
                     h: Coeff, max_order: int) -> tuple:
-    terms = [tp + tq for tp, tq in pseries_order_terms(a, system, p, q, max_order)]
-    final = partial_sums(terms, tuple(p) + tuple(q), h)[1]
+    final = partial_sums(pseries_order_terms(a, system, p, q, max_order),
+                         tuple(p) + tuple(q), h)[1]
     return final[:system.dim], final[system.dim:]
 
 
@@ -221,20 +214,20 @@ class _WordJets:
         self.units = [self.base ** i for i in range(sys.dim)]
         self.top = self.base ** sys.dim
         self._letters: dict[str, list] = {}
-        self._jets: dict[tuple, tuple | None] = {}
+        self._jets: dict[str, tuple | None] = {}
 
-    def value(self, w: tuple) -> tuple | None:
+    def value(self, w: str) -> tuple | None:
         """f_w(x), or None when the jet of f_w is zero."""
         jet = self.jet(w)
         return None if jet is None else tuple(comp.get(0, 0) for comp in jet)
 
-    def jet(self, w: tuple) -> tuple | None:
+    def jet(self, w: str) -> tuple | None:
         """The jet of f_w truncated at total degree max_length - |w|; the
         jets of words shorter than max_length are memoised."""
         if w in self._jets:
             return self._jets[w]
         if len(w) == 1:
-            comps = tuple(dict(factor) for factor in self._letter(w[0]))
+            comps = tuple(dict(factor) for factor in self._letter(w))
             out = comps if any(comps) else None
         else:
             suffix = self.jet(w[1:])
@@ -292,7 +285,7 @@ class _WordJets:
         return tuple(out) if any(out) else None
 
 
-def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequence,
+def wordseries_order_terms(delta: Callable, sys: WordSystem, x: Sequence,
                            max_length: int) -> list:
     """Per-length vectors: sum of delta(w) f_w(x) over words of each length."""
     jets = _WordJets(sys, x, max_length)
@@ -300,7 +293,7 @@ def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequen
     for n in range(1, max_length + 1):
         acc = [0] * sys.dim
         for w in all_words(sys.alphabet, n):
-            c = _coefficient(delta, w)
+            c = delta(w)
             if not c:
                 continue
             vec = jets.value(w)
@@ -311,10 +304,10 @@ def wordseries_order_terms(delta: Callable | Mapping, sys: WordSystem, x: Sequen
     return terms
 
 
-def wordseries_partial(delta: Callable | Mapping, sys: WordSystem, x: Sequence,
+def wordseries_partial(delta: Callable, sys: WordSystem, x: Sequence,
                        max_length: int) -> tuple:
-    """delta(empty) * x plus sum of delta(w) f_w(x) over 1 <= |w| <= max_length."""
-    start = [_coefficient(delta, ()) * v for v in x]
+    """delta("") * x plus sum of delta(w) f_w(x) over 1 <= |w| <= max_length."""
+    start = [delta("") * v for v in x]
     return partial_sums(wordseries_order_terms(delta, sys, x, max_length), start)[1]
 
 

@@ -68,10 +68,6 @@ def _sort_key(t: RootedTree) -> tuple:
 LEAF = RootedTree()
 
 
-def tree(*children: RootedTree, colour: int = 0) -> RootedTree:
-    return RootedTree(tuple(children), colour)
-
-
 def parse_tree(text: str, coloured: bool = False) -> RootedTree:
     """Inverse of :meth:`RootedTree.encode`; missing colour suffixes mean 0."""
     t, pos = _parse_node(text, 0)

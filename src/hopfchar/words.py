@@ -1,9 +1,8 @@
 """Words, shuffles and Lyndon machinery.
 
-A word is a tuple of single-character letters; ``is_lyndon``,
-``chen_fox_lyndon``, ``deconcatenations`` and ``rearrangements`` take its
-text as well and give the same sequences.  Lyndon words are generated by
-Duval's algorithm, factorizations by Duval's Chen-Fox-Lyndon algorithm, and
+A word is its text, a string of single-character letters, and the empty
+word is "".  Lyndon words are generated by Duval's algorithm,
+factorizations by Duval's Chen-Fox-Lyndon algorithm, and
 ``lyndon_rewrite_word`` expresses any word as a polynomial (under the shuffle
 product) in Lyndon words by triangular elimination: the shuffle of the CFL
 factors of w equals (product of multiplicities factorial) * w plus lexicographically
@@ -26,17 +25,15 @@ from itertools import product
 from math import factorial
 from typing import Iterator
 
-Word = tuple[str, ...]
 
-
-def is_lyndon(w: Word) -> bool:
+def is_lyndon(w: str) -> bool:
     """Nonempty and strictly smaller than each of its proper suffixes."""
     if not w:
         return False
     return all(w < w[i:] for i in range(1, len(w)))
 
 
-def lyndon_words(alphabet: str, maxlen: int) -> list[Word]:
+def lyndon_words(alphabet: str, maxlen: int) -> list[str]:
     """All Lyndon words of length <= maxlen, in lexicographic order (Duval)."""
     letters = sorted(alphabet)
     if not letters:
@@ -46,10 +43,10 @@ def lyndon_words(alphabet: str, maxlen: int) -> list[Word]:
     if maxlen < 1:
         return []
     k = len(letters)
-    out: list[Word] = []
+    out: list[str] = []
     w = [0]
     while w:
-        out.append(tuple(letters[i] for i in w))
+        out.append("".join(letters[i] for i in w))
         m = len(w)
         w = [w[i % m] for i in range(maxlen)]
         while w and w[-1] == k - 1:
@@ -59,9 +56,9 @@ def lyndon_words(alphabet: str, maxlen: int) -> list[Word]:
     return out
 
 
-def chen_fox_lyndon(w: Word) -> list[Word]:
+def chen_fox_lyndon(w: str) -> list[str]:
     """The unique factorization into a nonincreasing product of Lyndon words."""
-    out: list[Word] = []
+    out: list[str] = []
     i, n = 0, len(w)
     while i < n:
         j, k = i + 1, i
@@ -75,26 +72,26 @@ def chen_fox_lyndon(w: Word) -> list[Word]:
 
 
 @lru_cache(maxsize=None)
-def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
+def shuffle_words(u: str, v: str) -> dict[str, int]:
     """Interleaving counts of u and v; total mass binom(|u|+|v|, |u|)."""
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
-    out: dict[Word, int] = {}
+    out: dict[str, int] = {}
     for w, c in shuffle_words(u[1:], v).items():
-        key = (u[0],) + w
+        key = u[0] + w
         out[key] = out.get(key, 0) + c
     for w, c in shuffle_words(u, v[1:]).items():
-        key = (v[0],) + w
+        key = v[0] + w
         out[key] = out.get(key, 0) + c
     return out
 
 
-def shuffle_many(ws: list[Word]) -> dict[Word, int]:
-    acc: dict[Word, int] = {(): 1}
+def shuffle_many(ws: list[str]) -> dict[str, int]:
+    acc: dict[str, int] = {"": 1}
     for w in ws:
-        nxt: dict[Word, int] = {}
+        nxt: dict[str, int] = {}
         for prev, c in acc.items():
             for mixed, k in shuffle_words(prev, w).items():
                 nxt[mixed] = nxt.get(mixed, 0) + c * k
@@ -102,12 +99,12 @@ def shuffle_many(ws: list[Word]) -> dict[Word, int]:
     return acc
 
 
-def deconcatenations(w: Word) -> list[tuple[Word, Word]]:
+def deconcatenations(w: str) -> list[tuple[str, str]]:
     return [(w[:i], w[i:]) for i in range(len(w) + 1)]
 
 
 @lru_cache(maxsize=None)
-def lyndon_rewrite_word(w: Word) -> tuple[tuple[tuple[Word, ...], Fraction], ...]:
+def lyndon_rewrite_word(w: str) -> tuple[tuple[tuple[str, ...], Fraction], ...]:
     """Express the word w as a shuffle polynomial in Lyndon words.
 
     Returns ((lyndon multiset, coefficient), ...) with each multiset given as
@@ -123,7 +120,7 @@ def lyndon_rewrite_word(w: Word) -> tuple[tuple[tuple[Word, ...], Fraction], ...
     expansion = shuffle_many(factors)
     if expansion.get(w) != lead:
         raise AssertionError(f"triangularity failed for {w!r}")
-    acc: dict[tuple[Word, ...], Fraction] = {tuple(sorted(factors)): Fraction(1, lead)}
+    acc: dict[tuple[str, ...], Fraction] = {tuple(sorted(factors)): Fraction(1, lead)}
     for u, c in expansion.items():
         if u == w:
             continue
@@ -137,10 +134,10 @@ def lyndon_rewrite_word(w: Word) -> tuple[tuple[tuple[Word, ...], Fraction], ...
     return tuple(sorted(acc.items()))
 
 
-def rearrangements(w: Word) -> tuple[Word, ...]:
+def rearrangements(w: str) -> tuple[str, ...]:
     """The distinct words with the letters of w, in lexicographic order."""
     a = sorted(w)
-    out = [tuple(a)]
+    out = ["".join(a)]
     while True:
         # next permutation: the longest nonincreasing tail, then the pivot before it
         i = len(a) - 2
@@ -153,9 +150,9 @@ def rearrangements(w: Word) -> tuple[Word, ...]:
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = reversed(a[i + 1:])
-        out.append(tuple(a))
+        out.append("".join(a))
 
 
-def all_words(alphabet: str, n: int) -> Iterator[Word]:
+def all_words(alphabet: str, n: int) -> Iterator[str]:
     """The words of length n, in lexicographic order."""
-    return product(sorted(alphabet), repeat=n)
+    return map("".join, product(sorted(alphabet), repeat=n))

@@ -193,9 +193,9 @@ def fdb_a_coproduct_via_bell(H: FaaDiBrunoA, n: int) -> TensorVector:
     return TensorVector(terms)
 
 
-def brute_shuffle(u: tuple, v: tuple) -> dict:
+def brute_shuffle(u: str, v: str) -> dict:
     """All interleavings of u and v with multiplicity, by position choice."""
-    out: dict[tuple, int] = {}
+    out: dict[str, int] = {}
     n, m = len(u), len(v)
     for positions in itertools.combinations(range(n + m), n):
         word = [None] * (n + m)
@@ -205,7 +205,7 @@ def brute_shuffle(u: tuple, v: tuple) -> dict:
         for i in range(n + m):
             if word[i] is None:
                 word[i] = next(rest)
-        w = tuple(word)
+        w = "".join(word)
         out[w] = out.get(w, 0) + 1
     return out
 
@@ -389,7 +389,7 @@ def plain_coloured_differential(system, t, point) -> tuple:
     return fmap.deriv_apply(point, vectors, slots)
 
 
-def bseries_terms_by_recursion(a: dict, f, y, trees_by_order) -> list:
+def bseries_terms_by_recursion(a, f, y, trees_by_order) -> list:
     """Per-order sums of a(t)/|Aut t| * F(t)(y), with F(t) recomputed per node.
 
     trees_by_order[n - 1] lists the trees with n nodes; the symmetry weight
@@ -399,25 +399,25 @@ def bseries_terms_by_recursion(a: dict, f, y, trees_by_order) -> list:
     for trees in trees_by_order:
         acc = [0] * f.dim
         for t in trees:
-            c = Fraction(a.get(t, 0), automorphism_count(t))
+            c = Fraction(a(t), automorphism_count(t))
             vec = plain_differential(f, t, y)
             acc = [u + c * v for u, v in zip(acc, vec)]
         terms.append(tuple(acc))
     return terms
 
 
-def pseries_terms_by_recursion(a: dict, system, p, q, trees_by_order) -> list:
-    """Per-order pairs (P_n, Q_n) of the partitioned series, as above: trees
+def pseries_terms_by_recursion(a, system, p, q, trees_by_order) -> list:
+    """Per-order vectors P_n + Q_n of the partitioned series, as above: trees
     rooted at colour 0 feed P_n and colour 1 feed Q_n."""
     point = tuple(p) + tuple(q)
     terms = []
     for trees in trees_by_order:
         acc = ([0] * system.dim, [0] * system.dim)
         for t in trees:
-            c = Fraction(a.get(t, 0), automorphism_count(t))
+            c = Fraction(a(t), automorphism_count(t))
             vec = plain_coloured_differential(system, t, point)
             acc[t.colour][:] = [u + c * v for u, v in zip(acc[t.colour], vec)]
-        terms.append((tuple(acc[0]), tuple(acc[1])))
+        terms.append(tuple(acc[0] + acc[1]))
     return terms
 
 
@@ -441,8 +441,8 @@ def word_series_by_jacobian(delta, sys, x, max_length: int) -> list:
     terms = []
     for n in range(1, max_length + 1):
         acc = [0] * sys.dim
-        for w in itertools.product(sorted(sys.alphabet), repeat=n):
-            c = delta(w) if callable(delta) else delta.get(w, 0)
+        for w in map("".join, itertools.product(sorted(sys.alphabet), repeat=n)):
+            c = delta(w)
             if c:
                 acc = [u + c * v for u, v in zip(acc, word_map(w).evaluate(x))]
         terms.append(tuple(acc))
@@ -462,9 +462,9 @@ def field_to_json(f: PolyVectorField) -> dict:
     return {"dim": f.dim, "components": _components_to_json(f.comps)}
 
 
-def word_of(m: Monomial) -> tuple:
-    """The letters of a shuffle word monomial, whose generator key is its text."""
-    return tuple(m.factors[0].key if m.factors else "")
+def word_of(m: Monomial) -> str:
+    """The text of a shuffle word monomial: its generator key, "" for the empty word."""
+    return m.factors[0].key if m.factors else ""
 
 
 def generator_factorizations(H, m):

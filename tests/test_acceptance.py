@@ -23,7 +23,7 @@ from hopfchar.growth import builtin, check_W3, check_all_axioms
 from hopfchar.hopf import check_hopf_axioms
 from hopfchar.instances import bell_partial, instance_by_name
 from hopfchar.series import (bseries_order_terms, bseries_partial,
-                             exact_flow_character, pseries_partial,
+                             exact_flow_coefficient, pseries_partial,
                              wordseries_partial)
 from hopfchar.trees import edge_cuts, root_cuts, trees_of_order
 from hopfchar.words import (all_words, lyndon_rewrite_word, lyndon_words,
@@ -306,11 +306,10 @@ def _seeded_field(dim, seed, max_deg=2):
 def test_criterion_12_series_evaluators():
     def body():
         lin = PolyVectorField([Poly.variable(1, 0)])
-        val = bseries_partial(exact_flow_character(8), lin, (1,), Fraction(1, 2), 8)
+        val = bseries_partial(exact_flow_coefficient, lin, (1,), Fraction(1, 2), 8)
         err_e = abs(float(val[0]) - exp(0.5))
         assert err_e < 1e-6, err_e
 
-        a6 = exact_flow_character(6)
         cases = [(_seeded_field(1, 41), (Fraction(1, 2),)),
                  (_seeded_field(2, 42), (Fraction(1, 2), Fraction(-1, 3))),
                  (_seeded_field(2, 43), (1, 1)),
@@ -318,14 +317,14 @@ def test_criterion_12_series_evaluators():
                  (_seeded_field(2, 45), (0, Fraction(-3, 4)))]
         for f, y0 in cases:
             taylor = flow_taylor_coefficients(f, y0, 6)
-            terms = bseries_order_terms(a6, f, y0, 6)
+            terms = bseries_order_terms(exact_flow_coefficient, f, y0, 6)
             for n in range(1, 7):
                 assert tuple(terms[n - 1]) == taylor[n], (y0, n)
 
         N = 4
         sq = PolyVectorField([Poly(1, {(2,): 1})])
-        aN = exact_flow_character(N)
-        errs = [abs(float(1 / (1 - h) - bseries_partial(aN, sq, (1,), h, N)[0]))
+        errs = [abs(float(1 / (1 - h)
+                          - bseries_partial(exact_flow_coefficient, sq, (1,), h, N)[0]))
                 for h in (Fraction(1, 2 ** j) for j in range(3, 8))]
         slopes = [log2(errs[i]) - log2(errs[i + 1]) for i in range(len(errs) - 1)]
         slope = sum(slopes) / len(slopes)
@@ -338,9 +337,8 @@ def test_criterion_12_series_evaluators():
 
         rot = ColouredPolySystem(PolyMap(2, [Poly.variable(2, 1)]),
                                  PolyMap(2, [Poly.variable(2, 0).scale(-1)]))
-        a8 = exact_flow_character(8, colours=2)
         h = Fraction(1, 3)
-        (p,), (q,) = pseries_partial(a8, rot, (1,), (0,), h, 8)
+        (p,), (q,) = pseries_partial(exact_flow_coefficient, rot, (1,), (0,), h, 8)
         taylor = flow_taylor_coefficients(PolyVectorField(rot.f.comps + rot.g.comps),
                                           (1, 0), 8)
         assert p == sum(c[0] * h ** j for j, c in enumerate(taylor))

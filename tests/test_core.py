@@ -92,7 +92,7 @@ def test_equal_monomials_are_one_object():
 
 
 def test_copies_and_pickles_return_the_interned_monomial():
-    for m in (mono(A, B, C), Shuffle("ab").word_monomial(("a", "b", "b"))):
+    for m in (mono(A, B, C), Shuffle("ab").word_monomial("abb")):
         assert copy.copy(m) is m
         assert copy.deepcopy(m) is m
         assert pickle.loads(pickle.dumps(m)) is m

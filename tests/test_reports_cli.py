@@ -659,6 +659,8 @@ GOOD_INPUTS = {
             "values": [{"generator": "B", "value": "1"}]},
     "ck": {"hopf": "ck", "N": 3, "B": "rational", "kind": "char", "values": []},
     "ck2": {"hopf": "ck2", "N": 3, "B": "rational", "kind": "char", "values": []},
+    "ck6": {"hopf": "ck", "N": 6, "B": "rational", "kind": "char",
+            "values": [{"generator": "[[[[[B]]]]]", "value": "1"}]},
     "shuffle": {"hopf": "shuffle:a", "N": 3, "B": "rational", "kind": "char",
                 "values": [{"generator": "a", "value": "1"}]},
     "curve": {"hopf": "binomial", "N": 3, "kind": "inf-curve",
@@ -1014,6 +1016,13 @@ OUT_OF_RANGE = {
                                            "--max-degree", "6", "--csv", "{csv}"],
                                           "pow2 weight at k2 200 and degree 6 has 1201 "
                                           "bits, over the limit 740 for --csv"),
+    # char norm takes control-check's limits, at the file's degree N = 6
+    "char norm pow-factk --k 2000": (["char", "norm", "--a", "{ck6}", "--family",
+                                      "pow-factk", "--k", "2000"],
+                                     "pow-factk weight at k 2000 and degree 6 has 19050 "
+                                     "bits, over the limit 14000"),
+    "char norm --k 100000000": (["char", "norm", "--a", "{ck6}", "--k", "100000000"],
+                                "k 100000000 exceeds the limit 4096"),
 }
 
 
@@ -1048,6 +1057,44 @@ def test_cli_rational_options_take_p_or_p_over_q(tmp_path, capsys, case):
     text = case.split()[-1]
     assert capsys.readouterr() == ("", f"error: not a rational number: {text!r}\n")
     assert not out.exists()
+
+
+# a result with more digits than Python writes as text (4,300) -> argv; each
+# file value has 3000 digits, so a product of two has about 6000
+LONG = "7" * 3000
+TOO_LONG_RESULTS = {
+    "char conv": ["char", "conv", "--a", "{long_ck}", "--b", "{long_ck}",
+                  "--emit", "{emit}"],
+    "char norm --over monomials": ["char", "norm", "--a", "{long_binomial}",
+                                   "--over", "monomials"],
+    "evolve": ["evolve", "--hopf", "ck", "--max-degree", "2", "--eta", "{long_curve}",
+               "--emit", "{emit}"],
+    "evolve --at": ["evolve", "--hopf", "ck", "--max-degree", "3", "--eta", "{unit_curve}",
+                    "--at", LONG, "--emit", "{emit}"],
+}
+TOO_LONG_INPUTS = {
+    "long_ck": {"hopf": "ck", "N": 2, "B": "rational", "kind": "char",
+                "values": [{"generator": "B", "value": LONG}]},
+    "long_binomial": {"hopf": "binomial", "N": 2, "B": "rational", "kind": "char",
+                      "values": [{"generator": "X", "value": LONG}]},
+    "long_curve": {"hopf": "ck", "N": 2, "kind": "inf-curve",
+                   "values": [{"generator": "B", "coeffs": [LONG]}]},
+    "unit_curve": {"hopf": "ck", "N": 3, "kind": "inf-curve",
+                   "values": [{"generator": "B", "coeffs": ["1"]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LONG_RESULTS))
+def test_cli_result_too_long_to_write_exits_2(tmp_path, capsys, case):
+    out, emit = tmp_path / "report.json", tmp_path / "emit.json"
+    paths = {"emit": str(emit)}
+    for name, doc in TOO_LONG_INPUTS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    assert _run(*[a.format(**paths) for a in TOO_LONG_RESULTS[case]], "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write the result as JSON")
+    assert captured.out == "" and not out.exists() and not emit.exists()
 
 
 # a char option that its op does not read -> argv and the error; refused before

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hopfchar.trees import (LEAF, RootedTree, _sort_key, edge_cuts,
                             forests_of_order, iter_nodes, parse_tree, root_cuts,
-                            tree, trees_of_order)
+                            trees_of_order)
 from oracles import brute_force_tree_count, forests_by_scan, tree_text_by_recursion
 
 TREE_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115)
@@ -65,8 +65,8 @@ def test_trees_are_distinct_and_canonical():
 
 
 def test_children_order_is_immaterial():
-    a = tree(tree(), tree(tree()))
-    b = tree(tree(tree()), tree())
+    a = RootedTree((LEAF, RootedTree((LEAF,))))
+    b = RootedTree((RootedTree((LEAF,)), LEAF))
     assert a == b
     assert hash(a) == hash(b)
 
@@ -76,7 +76,7 @@ def test_shuffled_children_encode_identically(n, data):
     ts = trees_of_order(n)
     t = data.draw(st.sampled_from(ts))
     perm = data.draw(st.permutations(t.children))
-    assert tree(*perm, colour=t.colour) == t
+    assert RootedTree(tuple(perm), t.colour) == t
 
 
 def test_parse_round_trip():

@@ -12,17 +12,17 @@ from hopfchar.words import (all_words, chen_fox_lyndon, deconcatenations,
                             rearrangements, shuffle_many, shuffle_words)
 from oracles import brute_shuffle, necklace_lyndon_count
 
-words_ab = st.lists(st.sampled_from("ab"), min_size=0, max_size=6).map(tuple)
+words_ab = st.lists(st.sampled_from("ab"), min_size=0, max_size=6).map("".join)
 
 
 def test_is_lyndon_examples():
-    assert is_lyndon(("a",))
-    assert is_lyndon(("a", "b"))
-    assert is_lyndon(("a", "a", "b"))
-    assert not is_lyndon(("b", "a"))
-    assert not is_lyndon(("a", "a"))
-    assert not is_lyndon(("a", "b", "a", "b"))
-    assert not is_lyndon(())
+    assert is_lyndon("a")
+    assert is_lyndon("ab")
+    assert is_lyndon("aab")
+    assert not is_lyndon("ba")
+    assert not is_lyndon("aa")
+    assert not is_lyndon("abab")
+    assert not is_lyndon("")
 
 
 def test_lyndon_counts_match_necklace_oracle():
@@ -36,47 +36,45 @@ def test_lyndon_counts_match_necklace_oracle():
 
 
 def test_chen_fox_lyndon_factorization():
-    assert chen_fox_lyndon(("b", "a", "b")) == [("b",), ("a", "b")]
-    assert chen_fox_lyndon(("a", "b", "a", "b")) == [("a", "b"), ("a", "b")]
-    assert chen_fox_lyndon(("b", "a", "a", "b")) == [("b",), ("a", "a", "b")]
-    assert chen_fox_lyndon(("a", "a", "b", "a", "b")) == [("a", "a", "b", "a", "b")]
+    assert chen_fox_lyndon("bab") == ["b", "ab"]
+    assert chen_fox_lyndon("abab") == ["ab", "ab"]
+    assert chen_fox_lyndon("baab") == ["b", "aab"]
+    assert chen_fox_lyndon("aabab") == ["aabab"]
 
 
 @given(words_ab)
 def test_cfl_round_trip_and_ordering(w):
     factors = chen_fox_lyndon(w)
-    assert sum(factors, ()) == w
+    assert "".join(factors) == w
     assert all(is_lyndon(f) for f in factors)
     assert all(factors[i] >= factors[i + 1] for i in range(len(factors) - 1))
 
 
 def test_shuffle_examples():
-    assert shuffle_words(("a",), ("b",)) == {("a", "b"): 1, ("b", "a"): 1}
-    got = shuffle_words(("a", "b"), ("a", "b"))
-    assert got == {("a", "b", "a", "b"): 2, ("a", "a", "b", "b"): 4}
+    assert shuffle_words("a", "b") == {"ab": 1, "ba": 1}
+    got = shuffle_words("ab", "ab")
+    assert got == {"abab": 2, "aabb": 4}
 
 
-@given(st.lists(st.sampled_from("ab"), max_size=4).map(tuple),
-       st.lists(st.sampled_from("ab"), max_size=4).map(tuple))
+@given(st.lists(st.sampled_from("ab"), max_size=4).map("".join),
+       st.lists(st.sampled_from("ab"), max_size=4).map("".join))
 def test_shuffle_matches_interleaving_oracle(u, v):
     assert shuffle_words(u, v) == brute_shuffle(u, v)
 
 
-@given(st.lists(st.sampled_from("ab"), max_size=3).map(tuple),
-       st.lists(st.sampled_from("ab"), max_size=3).map(tuple))
+@given(st.lists(st.sampled_from("ab"), max_size=3).map("".join),
+       st.lists(st.sampled_from("ab"), max_size=3).map("".join))
 def test_shuffle_is_commutative(u, v):
     assert shuffle_words(u, v) == shuffle_words(v, u)
 
 
 def test_shuffle_many_is_order_independent():
-    ws = [("a",), ("b",), ("a", "b")]
+    ws = ["a", "b", "ab"]
     assert shuffle_many(ws) == shuffle_many(list(reversed(ws)))
 
 
 def test_deconcatenations():
-    assert deconcatenations(("a", "b")) == [((), ("a", "b")),
-                                            (("a",), ("b",)),
-                                            (("a", "b"), ())]
+    assert deconcatenations("ab") == [("", "ab"), ("a", "b"), ("ab", "")]
 
 
 def test_rewrite_of_lyndon_word_is_itself():
@@ -85,8 +83,8 @@ def test_rewrite_of_lyndon_word_is_itself():
 
 
 def test_rewrite_example():
-    got = dict(lyndon_rewrite_word(("b", "a")))
-    assert got == {(("a",), ("b",)): Fraction(1), (("a", "b"),): Fraction(-1)}
+    got = dict(lyndon_rewrite_word("ba"))
+    assert got == {("a", "b"): Fraction(1), ("ab",): Fraction(-1)}
 
 
 def _expand(combo):
@@ -106,9 +104,9 @@ def test_rewrite_round_trips_for_short_words():
                 assert acc == {w: 1}, (w, acc)
 
 
-@given(st.lists(st.sampled_from("abc"), max_size=6).map(tuple))
+@given(st.lists(st.sampled_from("abc"), max_size=6).map("".join))
 def test_rearrangements_are_the_sorted_distinct_permutations(w):
-    assert rearrangements(w) == tuple(sorted(set(permutations(w))))
+    assert rearrangements(w) == tuple(sorted(set(map("".join, permutations(w)))))
 
 
 def test_all_words_count():
