@@ -9,9 +9,9 @@ reports for every check.
 """
 
 from .characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
-                         TruncatedInfChar, TruncatedLinearMap, bracket,
-                         convolve, counit_character, counterexample_demo,
-                         exp_infchar, inverse, linf_norm, log_character)
+                         TruncatedInfChar, bracket, convolve,
+                         counit_character, counterexample_demo, exp_infchar,
+                         inverse, linf_norm, log_character)
 from .control import (antipode_ratio, coproduct_ratio, elementary_coproduct,
                       right_handed_check, rlb_check)
 from .core import (Generator, GradedVector, Monomial, TensorVector,
@@ -39,7 +39,7 @@ __all__ = [
     "HopfAlgebra", "Monomial", "Poly", "PolyMap", "PolyVectorField",
     "RATIONAL", "RootedTree", "Shuffle", "TensorVector", "TimePoly",
     "TimePolynomialCurve", "TruncatedCharacter", "TruncatedInfChar",
-    "TruncatedLinearMap", "WordSystem", "antipode_ratio", "bracket",
+    "WordSystem", "antipode_ratio", "bracket",
     "bseries_partial", "builtin", "check_all_axioms", "check_hopf_axioms",
     "chen_fox_lyndon", "convergence_probe", "convolve", "coproduct_ratio",
     "counit_character", "counterexample_demo", "elementary_coproduct",

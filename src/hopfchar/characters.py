@@ -1,15 +1,16 @@
 """Truncated characters and infinitesimal characters into a target algebra.
 
-A character is stored by its values on generators only; evaluation extends
-multiplicatively through the instance's ``character_value`` hook (a
-triangular solve where the basis is not the generator monoid).  Convolution
-of two characters therefore needs only generator coproducts.  exp, log and
-the evolution equation share one exact solver of gamma' = gamma * eta that
-works degree by degree on generators, exp(eta) being the time-1 value: gamma
-and eta are a character and an infinitesimal character over B[t], the
-polynomials in t over the target B, and evaluate through the same hook.  No
-full monomial table is built.  A full table appears only as the result of
-convolving maps that are not both characters.
+These are the only truncated maps.  Each is stored by its values on
+generators only, every key a generator of degree at most N; evaluation
+extends multiplicatively (or as a derivation) through the instance's
+``character_value`` hook (a triangular solve where the basis is not the
+generator monoid).  Convolution is the group law: it takes two characters
+and needs only generator coproducts.  exp, log and the evolution equation
+share one exact solver of gamma' = gamma * eta that works degree by degree
+on generators, exp(eta) being the time-1 value: gamma and eta are a
+character and an infinitesimal character over B[t], the polynomials in t
+over the target B, and evaluate through the same hook.  No full monomial
+table is built.
 
 Over RATIONAL the inner loops run on Python ints: the solver's polynomials
 are integer numerators over one denominator (``RationalPolyTarget``), slot
@@ -377,26 +378,7 @@ RATIONAL_POLY = RationalPolyTarget()
 
 
 # --------------------------------------------------------------------------
-# the three map containers
-
-
-class _BaseMap:
-    kind: str
-
-    def __init__(self, hopf: HopfAlgebra, N: int, target: TargetAlgebra):
-        self.hopf = hopf
-        self.N = N
-        self.target = target
-        self._cache: dict[Monomial, object] = {}
-
-    def _guard(self, m: Monomial) -> None:
-        if m.degree > self.N:
-            raise ValueError(
-                f"degree {m.degree} exceeds truncation N={self.N} for {self.kind}")
-
-    def on_vector(self, v: GradedVector):
-        """Linear extension to a vector of monomials."""
-        return self.target.sum_products((c, self.evaluate(m)) for m, c in v.terms.items())
+# the two map containers
 
 
 def _clean_generator_values(hopf: HopfAlgebra, N: int,
@@ -411,14 +393,19 @@ def _clean_generator_values(hopf: HopfAlgebra, N: int,
     return out
 
 
-class _GeneratorMap(_BaseMap):
+class _GeneratorMap:
     """A map stored by its values on generators; absent means zero."""
 
+    kind: str
     infinitesimal: bool
 
-    def __init__(self, hopf, N, target, values: Mapping[Monomial, object]):
-        super().__init__(hopf, N, target)
+    def __init__(self, hopf: HopfAlgebra, N: int, target: TargetAlgebra,
+                 values: Mapping[Monomial, object]):
+        self.hopf = hopf
+        self.N = N
+        self.target = target
         self.values = _clean_generator_values(hopf, N, values)
+        self._cache: dict[Monomial, object] = {}
 
     def _value(self, g: Monomial):
         return self.values.get(g, self.target.zero)
@@ -427,13 +414,19 @@ class _GeneratorMap(_BaseMap):
         cached = self._cache.get(m)  # holds only nonempty m within the truncation
         if cached is not None:
             return cached
-        self._guard(m)
+        if m.degree > self.N:
+            raise ValueError(
+                f"degree {m.degree} exceeds truncation N={self.N} for {self.kind}")
         if m.is_empty():
             return self.target.zero if self.infinitesimal else self.target.one
         total = self.hopf.character_value(m, self._value, self.evaluate, self.target,
                                           self.infinitesimal)
         self._cache[m] = total
         return total
+
+    def on_vector(self, v: GradedVector):
+        """Linear extension to a vector of monomials."""
+        return self.target.sum_products((c, self.evaluate(m)) for m, c in v.terms.items())
 
 
 class TruncatedCharacter(_GeneratorMap):
@@ -448,20 +441,6 @@ class TruncatedInfChar(_GeneratorMap):
 
     kind = "infinitesimal character"
     infinitesimal = True
-
-
-class TruncatedLinearMap(_BaseMap):
-    """Plain table on all monomials of degree <= N; no algebraic law."""
-
-    kind = "linear map"
-
-    def __init__(self, hopf, N, target, table: Mapping[Monomial, object]):
-        super().__init__(hopf, N, target)
-        self.table = dict(table)
-
-    def evaluate(self, m: Monomial):
-        self._guard(m)
-        return self.table.get(m, self.target.zero)
 
 
 def counit_character(hopf: HopfAlgebra, N: int) -> TruncatedCharacter:
@@ -488,15 +467,14 @@ def _convolve_on(phi, psi, m: Monomial):
         for (mu, sigma), c in phi.hopf.coproduct_monomial(m).terms.items())
 
 
-def convolve(phi, psi):
-    """phi * psi through the coproduct; character inputs give a character."""
+def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedCharacter:
+    """phi * psi through the coproduct, the group law on characters."""
+    if not (isinstance(phi, TruncatedCharacter) and isinstance(psi, TruncatedCharacter)):
+        raise ValueError("convolve takes two characters")
     _check_compatible(phi, psi)
     H, N, B = phi.hopf, phi.N, phi.target
-    if isinstance(phi, TruncatedCharacter) and isinstance(psi, TruncatedCharacter):
-        values = {g: _convolve_on(phi, psi, g) for g in H.generators_upto(N)}
-        return TruncatedCharacter(H, N, B, values)
-    table = {m: _convolve_on(phi, psi, m) for m in H.basis_upto(N)}
-    return TruncatedLinearMap(H, N, B, table)
+    values = {g: _convolve_on(phi, psi, g) for g in H.generators_upto(N)}
+    return TruncatedCharacter(H, N, B, values)
 
 
 def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:

@@ -53,6 +53,9 @@ CONTROL_K_LIMIT = 4096
 CONTROL_WEIGHT_BITS = 14_000
 CONTROL_CSV_WEIGHT_BITS = 1024 - 284
 
+# char's norm options and their defaults; the other ops read none of them
+CHAR_NORM_DEFAULTS = {"family": "pow", "k": 1, "over": "generators"}
+
 
 class ConfigError(Exception):
     pass
@@ -124,7 +127,8 @@ def _load(path: str, decode, *args):
 def _load_character(path: str, instance: str | None = None, what: str = "",
                     order: int = 0):
     """A character file within its safety limit.  A series also passes the
-    instance it needs and the order or length it sums to, at most N."""
+    instance it needs and the order or length it sums to, at most N; its
+    coefficients are rational or float, as a series sums plain numbers."""
     phi = _load(path, reports.character_from_json)
     _check_range("truncation N", phi.N, type(phi.hopf), phi.hopf.name)
     if order > phi.N:
@@ -132,6 +136,9 @@ def _load_character(path: str, instance: str | None = None, what: str = "",
                           f"truncation N={phi.N}")
     if instance is not None and phi.hopf.name != instance:
         raise ConfigError(f"coefficient file must be a {instance} character")
+    if instance is not None and phi.target.name not in ("rational", "float"):
+        raise ConfigError(f"coefficient file must be rational or float, "
+                          f"not {phi.target.name}")
     return phi
 
 
@@ -225,6 +232,9 @@ def run_char(args) -> tuple[bool, dict]:
         raise ConfigError(f"--b is the second character of conv; {args.op} takes one")
     if args.emit and args.op == "norm":
         raise ConfigError("norm gives a number, not a character: it has no --emit file")
+    for option, default in CHAR_NORM_DEFAULTS.items():
+        if args.op != "norm" and getattr(args, option) != default:
+            raise ConfigError(f"--{option} is an option of norm; {args.op} does not read it")
     phi = _load_character(args.a)
     payload: dict = {"op": args.op, "instance": phi.hopf.name, "N": phi.N}
     result = None
@@ -428,10 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["conv", "inv", "exp", "log", "norm"])
     p.add_argument("--a", required=True, help="first character file")
     p.add_argument("--b", help="second character file (conv)")
-    p.add_argument("--family", default="pow", help="growth family (norm)")
-    p.add_argument("--k", type=int, default=1, help="weight index (norm)")
+    p.add_argument("--family", default=CHAR_NORM_DEFAULTS["family"],
+                   help="growth family (norm)")
+    p.add_argument("--k", type=int, default=CHAR_NORM_DEFAULTS["k"],
+                   help="weight index (norm)")
     p.add_argument("--over", choices=["generators", "monomials"],
-                   default="generators", help="norm domain")
+                   default=CHAR_NORM_DEFAULTS["over"], help="norm domain")
     p.add_argument("--emit", help="write the resulting character file here")
     common(p)
 

@@ -19,6 +19,7 @@ from .characters import (
     RATIONAL_POLY,
     TruncatedCharacter,
     TruncatedInfChar,
+    _clean_generator_values,
     _flow_target,
     _solve_flow,
 )
@@ -81,7 +82,7 @@ class TimePolynomialCurve:
             raise ValueError("kind must be 'inf' or 'char'")
         self.hopf = hopf
         self.N = N
-        self.polys = dict(polys)
+        self.polys = _clean_generator_values(hopf, N, polys)
         self.kind = kind
 
     @classmethod

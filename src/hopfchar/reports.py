@@ -6,7 +6,10 @@ rationals travel as strings ("3/4", "-5"), floats as JSON numbers, dual
 numbers as two-element arrays.  JSON has no NaN or infinity, so a float
 that is not finite is refused on the way in and on the way out; so is an
 exact number past Python's int-to-text digit limit (4,300 by default) on
-the way out, as :class:`UnwritableError`.
+the way out, as :class:`UnwritableError`.  A character or curve file lists
+each generator once, and the containers refuse a key that is not a
+generator of degree at most N.  A character file names its own instance; a
+curve is read for the instance the caller passes, and must name it.
 """
 
 from __future__ import annotations
@@ -131,11 +134,8 @@ def character_to_json(phi) -> dict:
             "kind": kind, "values": values}
 
 
-def character_from_json(doc: Mapping, hopf: HopfAlgebra | None = None):
-    name = _key(doc, "hopf")
-    H = hopf if hopf is not None else instance_by_name(name)
-    if H.name != name:
-        raise ValueError(f"character file is for {name!r}, not {H.name!r}")
+def character_from_json(doc: Mapping):
+    H = instance_by_name(_key(doc, "hopf"))
     B = _key(doc, "B")
     target = TARGETS.get(B)
     if target is None:
@@ -143,6 +143,8 @@ def character_from_json(doc: Mapping, hopf: HopfAlgebra | None = None):
     values = {}
     for row in _decode_list(_key(doc, "values"), "values"):
         g = H.generator_from_text(_key(row, "generator"))
+        if g in values:
+            raise ValueError(f"generator {H.monomial_text(g)} is listed twice")
         values[g] = decode_scalar(target, _key(row, "value"))
     kind = doc.get("kind", "char")
     if kind not in ("char", "inf"):
@@ -160,20 +162,21 @@ def curve_to_json(curve: TimePolynomialCurve) -> dict:
             "values": values}
 
 
-def curve_from_json(doc: Mapping, hopf: HopfAlgebra | None = None) -> TimePolynomialCurve:
+def curve_from_json(doc: Mapping, hopf: HopfAlgebra) -> TimePolynomialCurve:
     name = _key(doc, "hopf")
-    H = hopf if hopf is not None else instance_by_name(name)
-    if H.name != name:
-        raise ValueError(f"curve file is for {name!r}, not {H.name!r}")
+    if hopf.name != name:
+        raise ValueError(f"curve file is for {name!r}, not {hopf.name!r}")
     kind = _key(doc, "kind")
     if kind not in ("inf-curve", "char-curve"):
         raise ValueError(f"not a curve file: kind={kind!r}")
     polys = {}
     for row in _decode_list(_key(doc, "values"), "values"):
-        g = H.generator_from_text(_key(row, "generator"))
+        g = hopf.generator_from_text(_key(row, "generator"))
+        if g in polys:
+            raise ValueError(f"generator {hopf.monomial_text(g)} is listed twice")
         polys[g] = TimePoly(tuple(decode_rational(c)
                                   for c in _decode_list(_key(row, "coeffs"), "coeffs")))
-    return TimePolynomialCurve(H, _decode_integer(_key(doc, "N"), "N"), polys,
+    return TimePolynomialCurve(hopf, _decode_integer(_key(doc, "N"), "N"), polys,
                                kind=kind[:-len("-curve")])
 
 

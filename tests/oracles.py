@@ -295,6 +295,20 @@ def log_by_series(phi, N: int) -> dict:
     return acc
 
 
+class TableMap:
+    """A linear map given by its table on monomials, absent meaning zero; it
+    obeys no algebraic law, so the law checkers below can be seen to fail."""
+
+    def __init__(self, hopf, target: TargetAlgebra, table: dict):
+        self.hopf, self.target, self.table = hopf, target, table
+
+    def evaluate(self, m: Monomial):
+        return self.table.get(m, self.target.zero)
+
+    def on_vector(self, v: GradedVector):
+        return self.target.sum_products((c, self.evaluate(m)) for m, c in v.terms.items())
+
+
 def check_multiplicative(phi: TruncatedCharacter,
                          pairs) -> tuple[bool, str | None]:
     """phi(m1 . m2) == phi(m1) phi(m2) under the instance product."""

@@ -17,7 +17,7 @@ from hopfchar.characters import (DUAL, FLOAT, RATIONAL, PolyTarget,
 from hopfchar.control import coproduct_ratio
 from hopfchar.growth import builtin
 from hopfchar.instances import instance_by_name
-from oracles import (character_by_rewrite, check_derivation,
+from oracles import (TableMap, character_by_rewrite, check_derivation,
                      check_multiplicative, controlled_witness, exp_by_series,
                      log_by_series, seeded_rational_values)
 
@@ -66,6 +66,14 @@ def test_counit_is_convolution_unit(ck):
     phi = _char(ck, 5, 3)
     assert _same_on_basis(convolve(eps, phi), phi, 5)
     assert _same_on_basis(convolve(phi, eps), phi, 5)
+
+
+def test_convolve_is_the_group_law_on_characters(ck):
+    # a character and an infinitesimal character have no product in the group
+    phi, eta = _char(ck, 3, 3), _inf(ck, 3, 4)
+    for pair in ((phi, eta), (eta, phi), (eta, eta)):
+        with pytest.raises(ValueError, match="convolve takes two characters"):
+            convolve(*pair)
 
 
 def test_inverse_via_antipode(ck, fdb_a, shuffle_ab):
@@ -361,14 +369,12 @@ def test_counterexample_square_escapes_every_weight():
 
 
 def test_multiplicativity_checker_detects_violation(ck):
-    from hopfchar.characters import TruncatedLinearMap
-
     table = {m: Fraction(1) for m in ck.basis_upto(4)}
     node = ck.generator_from_text("B")
     table[ck.product_monomials(node, node).terms and list(
         ck.product_monomials(node, node).terms
     )[0]] = Fraction(3)
-    broken = TruncatedLinearMap(ck, 4, RATIONAL, table)
+    broken = TableMap(ck, RATIONAL, table)
     ok, witness = check_multiplicative(broken, [(node, node)])
     assert not ok
     assert witness == "B . B"

@@ -86,12 +86,12 @@ def test_dual_character_json_round_trip(binomial):
     assert back.evaluate(X) == (Fraction(1, 2), Fraction(-2, 3))
 
 
-def test_character_json_instance_guard(ck, fdb_a):
-    doc = reports.character_to_json(
-        TruncatedCharacter(fdb_a, 2, RATIONAL, {fdb_a.gen_monomial(1): 1})
+def test_curve_json_instance_guard(ck, fdb_a):
+    doc = reports.curve_to_json(
+        TimePolynomialCurve(fdb_a, 2, {fdb_a.gen_monomial(1): TimePoly((1,))}, "inf")
     )
     with pytest.raises(ValueError):
-        reports.character_from_json(doc, hopf=ck)
+        reports.curve_from_json(doc, hopf=ck)
 
 
 def test_curve_json_round_trip(binomial):
@@ -101,7 +101,7 @@ def test_curve_json_round_trip(binomial):
     )
     doc = _validated(reports.curve_to_json(curve), "file-curve")
     assert doc["kind"] == "inf-curve"
-    back = reports.curve_from_json(doc)
+    back = reports.curve_from_json(doc, binomial)
     assert back.poly(X) == TimePoly((0, Fraction(1, 2)))
     assert back.kind == "inf" and back.N == 3
 
@@ -286,7 +286,7 @@ def test_cli_rlb_and_right_handed(tmp_path):
     assert env2["report"]["generator_slot"] == "neither"
 
 
-def test_cli_evolve_emit_and_at(tmp_path):
+def test_cli_evolve_emit_and_at(tmp_path, binomial):
     eta_path = tmp_path / "eta.json"
     eta_path.write_text(json.dumps({
         "hopf": "binomial", "N": 4, "kind": "inf-curve",
@@ -300,7 +300,7 @@ def test_cli_evolve_emit_and_at(tmp_path):
     env = _validated(out, "report-evolve")
     at = env["report"]["at"]
     assert at["character"]["values"][0] == {"generator": "X", "value": "1/2"}
-    curve = reports.curve_from_json(_validated(emitted, "file-curve"))
+    curve = reports.curve_from_json(_validated(emitted, "file-curve"), binomial)
     assert curve.kind == "char"
     X = curve.hopf.generators(1)[0]
     assert curve.poly(X) == TimePoly((0, 1))
@@ -747,6 +747,26 @@ def test_cli_series_refuse_a_coefficient_file_of_another_instance(tmp_path, caps
     assert captured.out == ""
 
 
+# series option -> a dual coefficient file of the instance it needs; a series
+# sums plain numbers, so its coefficients are rational or float
+DUAL_COEFFS = {"bseries --coeffs": ("ck", "B"), "pseries --coeffs": ("ck2", "B:0"),
+               "wordseries --coeffs": ("shuffle", "a")}
+
+
+@pytest.mark.parametrize("option", sorted(DUAL_COEFFS))
+def test_cli_series_refuse_dual_coefficients(tmp_path, capsys, monkeypatch, option):
+    good, generator = DUAL_COEFFS[option]
+    doc = dict(GOOD_INPUTS[good], B="dual",
+               values=[{"generator": generator, "value": ["1", "2"]}])
+    for name in ("bseries_order_terms", "pseries_order_terms", "wordseries_order_terms"):
+        monkeypatch.setattr(cli, name, _computes_nothing)
+    paths = _inputs(tmp_path, doc)
+    assert _run(*[a.format(**paths) for a in FILE_OPTIONS[option][2]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: coefficient file must be rational or float, not dual\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("defect", ["none", "top-level list", "no payload", "payload 5"])
 @pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
 def test_cli_malformed_input_files_exit_2(tmp_path, capsys, option, defect):
@@ -845,9 +865,49 @@ def test_a_missing_key_is_named(tmp_path, capsys, argv, doc, key):
     assert f"bad input file {path}: missing key {key!r}" in capsys.readouterr().err
 
 
+# a generator table that breaks the one rule for characters and curves (each
+# key a generator of the instance, of degree at most N, listed once) -> the
+# file, argv and the error after "bad input file PATH: "
+GENERATOR_RULE = {
+    "char exp --a, B twice": (
+        dict(GOOD_INPUTS["inf"], values=[{"generator": "B", "value": "1"},
+                                         {"generator": "B", "value": "2"}]),
+        ["char", "exp", "--a", "{bad}"], "generator B is listed twice"),
+    "evolve --eta, B twice": (
+        {"hopf": "ck", "N": 2, "kind": "inf-curve",
+         "values": [{"generator": "B", "coeffs": ["1"]},
+                    {"generator": "B", "coeffs": ["2"]}]},
+        ["evolve", "--hopf", "ck", "--max-degree", "2", "--eta", "{bad}"],
+        "generator B is listed twice"),
+    "evolve --eta, [B] past N": (
+        {"hopf": "ck", "N": 1, "kind": "inf-curve",
+         "values": [{"generator": "[B]", "coeffs": ["1"]}]},
+        ["evolve", "--hopf", "ck", "--max-degree", "1", "--eta", "{bad}"],
+        "generator [B] exceeds N=1"),
+    "wordseries --coeffs, a twice": (
+        dict(GOOD_INPUTS["shuffle"], values=[{"generator": "a", "value": "1"},
+                                             {"generator": "a", "value": "2"}]),
+        FILE_OPTIONS["wordseries --coeffs"][2], "generator a is listed twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_RULE))
+def test_cli_one_generator_rule_for_characters_and_curves(tmp_path, capsys, case):
+    doc, argv, message = GENERATOR_RULE[case]
+    paths = _inputs(tmp_path, doc)
+    out = tmp_path / "out.json"
+    assert _run(*[a.format(**paths) for a in argv], "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: bad input file {paths['bad']}: {message}\n")
+    assert not out.exists()
+
+
 def test_written_files_pass_schema_and_decoder(tmp_path, binomial):
     X = binomial.generators(1)[0]
     half = Fraction(1, 2)
+
+    def curve_from_json(doc):
+        return reports.curve_from_json(doc, binomial)
+
     written = [
         ("file-character", reports.character_from_json, reports.character_to_json(
             TruncatedCharacter(binomial, 3, RATIONAL, {X: half}))),
@@ -855,9 +915,9 @@ def test_written_files_pass_schema_and_decoder(tmp_path, binomial):
             TruncatedInfChar(binomial, 3, FLOAT, {X: 0.25}))),
         ("file-character", reports.character_from_json, reports.character_to_json(
             TruncatedCharacter(binomial, 3, DUAL, {X: (half, -3)}))),
-        ("file-curve", reports.curve_from_json, reports.curve_to_json(
+        ("file-curve", curve_from_json, reports.curve_to_json(
             TimePolynomialCurve(binomial, 3, {X: TimePoly((0, half))}, "inf"))),
-        ("file-curve", reports.curve_from_json, reports.curve_to_json(
+        ("file-curve", curve_from_json, reports.curve_to_json(
             TimePolynomialCurve(binomial, 3, {X: TimePoly((1, half))}, "char"))),
         ("file-field", reports.field_from_json, field_to_json(PolyVectorField([
             Poly(2, {(0, 0): 1, (2, 1): Fraction(-2, 3)}), Poly(2, {(1, 0): 3})]))),
@@ -1105,6 +1165,13 @@ CHAR_UNREAD_OPTIONS = {
        for op in ("inv", "exp", "log", "norm")},
     "norm --emit": (["char", "norm", "--a", "{missing}", "--emit", "{emit}"],
                     "norm gives a number, not a character: it has no --emit file"),
+    "exp --k": (["char", "exp", "--a", "{missing}", "--k", "2"],
+                "--k is an option of norm; exp does not read it"),
+    "inv --family": (["char", "inv", "--a", "{missing}", "--family", "pow2"],
+                     "--family is an option of norm; inv does not read it"),
+    "conv --over": (["char", "conv", "--a", "{missing}", "--b", "{missing}",
+                     "--over", "monomials"],
+                    "--over is an option of norm; conv does not read it"),
 }
 
 
