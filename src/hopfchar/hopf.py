@@ -119,7 +119,8 @@ class HopfAlgebra(ABC):
         infinitesimal, of an infinitesimal character) stored on generators.
 
         gen_value(g) reads the stored value of a generator g, and value_of(u)
-        the map's own value at another basis element u of the same degree.
+        the map's own value at another basis element u of the same or a
+        lower degree.
         Here m is the product of its factors: a character multiplies their
         values, and an infinitesimal character, zero on products, gives the
         value of a single generator and zero otherwise.

@@ -297,7 +297,9 @@ class Shuffle(HopfAlgebra):
     in the same order.  The table keeps only the sub-pairs the recursion
     reaches: the pair a caller asks for is built from its two stored
     sub-pairs and not kept, as the axiom sweep asks for each such pair at
-    most twice while the larger degrees read the sub-pairs again.
+    most twice while the larger degrees read the sub-pairs again.  The solve
+    row of a word w is one such pair, its first Lyndon factor shuffled with
+    the rest of w, and not the shuffle of all its factors.
     """
 
     def __init__(self, letters: str):
@@ -389,57 +391,60 @@ class Shuffle(HopfAlgebra):
                                -1 if g.degree % 2 else 1)
 
     def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
-        """A triangular solve on the Chen-Fox-Lyndon factors of the word w.
+        """A triangular solve on the first Chen-Fox-Lyndon factor of the word w.
 
-        A Lyndon word is a generator.  Otherwise its factors l_1 >= ... >= l_k
-        shuffle to lead * w + sum c_u u, every u a lexicographically smaller
-        word with the same letters, so
-        phi(w) = (phi(l_1) ... phi(l_k) - sum c_u phi(u)) / lead, the product
-        being 0 for an infinitesimal character (k >= 2).  The smaller words
-        with the same letters are valued first, in increasing order, so each
-        value_of(u) finds the words below u already valued and never
-        recurses further.
+        A Lyndon word is a generator.  Otherwise w has factors
+        l_1 >= ... >= l_k, i_1 of them equal to l_1, and the tail
+        t = l_2 ... l_k.  The shuffle l_1 ш t is i_1 w + sum c_u u, every u
+        a lexicographically smaller word with the same letters, so
+        phi(w) = (phi(l_1) phi(t) - sum c_u phi(u)) / i_1, the product being 0
+        for an infinitesimal character (both factors are nonempty); the sum
+        goes through ``B.sum_products`` and is then scaled by 1 / i_1.  The
+        smaller words with the same letters are valued first, in increasing
+        order, and then a character's tails l_k, l_{k-1} l_k, ..., t,
+        shortest first, so each value_of finds the words below it already
+        valued and the recursion depth does not grow with the word's length.
         """
         row = self._solve_rows.get(m)
         if row is None:
             row = self._solve_rows[m] = self._solve_row(m)
         if not row:
             return gen_value(m)
-        inv, factors, words, coeffs, same_letters, index = row
+        inv, head, tails, words, coeffs, same_letters, index = row
         for i in range(index):
             value_of(same_letters[i])
-        if infinitesimal:
-            total = B.zero
-        else:
-            total = gen_value(factors[0])
-            for f in factors[1:]:
-                total = B.mul(total, gen_value(f))
-        for u, c in zip(words, coeffs):
-            total = B.add(total, B.scale(-c, value_of(u)))
-        return B.scale(inv, total)
+        terms = []
+        if not infinitesimal:
+            tail = [value_of(t) for t in tails][-1]
+            terms.append((1, gen_value(head), tail))
+        terms += [(c, value_of(u)) for u, c in zip(words, coeffs)]
+        return B.scale(inv, B.sum_products(terms))
 
     def _solve_row(self, m: Monomial) -> tuple:
-        """() for a Lyndon word; else (1/lead, factor generators, the words u
-        and their coefficients c_u, the words with the same letters in
-        lexicographic order, and the position of m among them).  The factors
-        are shuffled together left to right through :meth:`add_product`."""
+        """() for a Lyndon word; else (1/i_1, the generator l_1, the tails of
+        w shortest first, the words u and their coefficients -c_u, the
+        words with the same letters in lexicographic order, and the position
+        of m among them).  l_1 ш t is one :meth:`_shuffle`."""
         w = _text(m)
         if is_lyndon(w):
             return ()
-        factors = tuple(self.word_monomial(f) for f in chen_fox_lyndon(w))
-        expansion = {self.empty(): 1}
-        for f in factors:
-            acc: dict[Monomial, int] = {}
-            for prev, c in expansion.items():
-                self.add_product(acc, prev, f, c)
-            expansion = acc
-        lead = expansion.pop(m)
+        factors = chen_fox_lyndon(w)
+        head = factors[0]
+        expansion = dict(self._shuffle(head, w[len(head):], False))
+        lead = expansion.pop(w)
+        tails = []
+        start = len(w)
+        for f in reversed(factors[1:]):
+            start -= len(f)
+            tails.append(self.word_monomial(w[start:]))
         key = "".join(sorted(w))
         same_letters = self._word_classes.get(key)
         if same_letters is None:
             same_letters = self._word_classes[key] = tuple(
                 self.word_monomial(u) for u in rearrangements(w))
-        return (Fraction(1, lead), factors, tuple(expansion), tuple(expansion.values()),
+        return (Fraction(1, lead), self.word_monomial(head), tuple(tails),
+                tuple(map(self.word_monomial, expansion)),
+                tuple(-c for c in expansion.values()),
                 same_letters, same_letters.index(m))
 
 

@@ -36,7 +36,9 @@ L - |s| - 1, with no error.  f_w(x) is the constant term of w's jet.  Jets
 are built on demand from their suffix's jet and memoised for one call; delta
 is still read for every word, by length and then in ``all_words`` order.  A
 jet that comes out zero is dropped, and every word ending in that suffix
-adds nothing.
+adds nothing.  At a rational point with rational fields a jet is integer
+numerators over one denominator, and a Fraction is built only for f_w(x);
+a float point or coefficient keeps the float arithmetic.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Callable, Sequence
 
-from .core import Coeff, multisets
+from .core import Coeff, multisets, normalize_coeff
 from .fields import ColouredPolySystem, Poly, PolyMap, PolyVectorField, WordSystem
 from .trees import RootedTree, _sort_key, trees_of_order
 from .words import all_words
@@ -198,10 +200,17 @@ class _WordJets:
     """Truncated Taylor jets at x of the word maps f_w, for words of length at
     most max_length, each built once from its suffix's jet.
 
-    A jet is one dict per component from a packed exponent code to a Taylor
-    coefficient in z = y - x.  The code of z^e is sum e_i base^i plus |e|
+    A jet is a pair (den, comps): one dict per component from a packed
+    exponent code to the numerator of a Taylor coefficient in z = y - x over
+    the common denominator den.  The code of z^e is sum e_i base^i plus |e|
     base^nvars, so multiplying monomials adds codes and a code below
     (k + 1) base^nvars has total degree at most k.  A zero jet is None.
+
+    When the point and every field coefficient are rational, each letter's
+    jet is scaled once by the lcm of its denominators, so an extension
+    multiplies Python ints and then reduces by one gcd per jet; ``value``
+    builds the Fractions.  A float point or coefficient keeps den = 1 and the
+    float arithmetic as it is, in the same order of operations.
     """
 
     def __init__(self, sys: WordSystem, x: Sequence, max_length: int):
@@ -213,13 +222,21 @@ class _WordJets:
         self.base = max_length + 1
         self.units = [self.base ** i for i in range(sys.dim)]
         self.top = self.base ** sys.dim
-        self._letters: dict[str, list] = {}
+        self.exact = all(isinstance(v, (int, Fraction)) for v in self.x) and all(
+            isinstance(a, (int, Fraction)) for field in sys.fields.values()
+            for p in field.comps for a in p.terms.values())
+        self._letters: dict[str, tuple] = {}
         self._jets: dict[str, tuple | None] = {}
 
     def value(self, w: str) -> tuple | None:
         """f_w(x), or None when the jet of f_w is zero."""
         jet = self.jet(w)
-        return None if jet is None else tuple(comp.get(0, 0) for comp in jet)
+        if jet is None:
+            return None
+        den, comps = jet
+        if den == 1:
+            return tuple(comp.get(0, 0) for comp in comps)
+        return tuple(normalize_coeff(Fraction(comp.get(0, 0), den)) for comp in comps)
 
     def jet(self, w: str) -> tuple | None:
         """The jet of f_w truncated at total degree max_length - |w|; the
@@ -227,8 +244,9 @@ class _WordJets:
         if w in self._jets:
             return self._jets[w]
         if len(w) == 1:
-            comps = tuple(dict(factor) for factor in self._letter(w))
-            out = comps if any(comps) else None
+            den, letter = self._letter(w)
+            comps = tuple(dict(factor) for factor in letter)
+            out = (den, comps) if any(comps) else None
         else:
             suffix = self.jet(w[1:])
             out = None if suffix is None else self._extend(suffix, w[0],
@@ -237,13 +255,19 @@ class _WordJets:
             self._jets[w] = out
         return out
 
-    def _letter(self, c: str) -> list:
-        """The jet of f_c truncated at max_length - 1: per component, its
-        (code, coefficient) pairs in increasing code order."""
+    def _letter(self, c: str) -> tuple:
+        """The jet of f_c truncated at max_length - 1 as (den, per component
+        its (code, numerator) pairs in increasing code order)."""
         got = self._letters.get(c)
         if got is None:
-            got = self._letters[c] = [sorted(self._shift(p, self.max_length - 1).items())
-                                      for p in self.sys.field(c).comps]
+            comps = [self._shift(p, self.max_length - 1) for p in self.sys.field(c).comps]
+            if self.exact:
+                den = lcm(*(a.denominator for comp in comps for a in comp.values()))
+                comps = [{code: a.numerator * (den // a.denominator)
+                          for code, a in comp.items()} for comp in comps]
+            else:
+                den = 1
+            got = self._letters[c] = (den, [sorted(comp.items()) for comp in comps])
         return got
 
     def _shift(self, p: Poly, order: int) -> dict:
@@ -265,9 +289,10 @@ class _WordJets:
         """The jet of D f_s . f_c truncated at total degree order, from the jet
         of f_s truncated at order + 1."""
         limit = (order + 1) * self.top
-        letter = self._letter(c)
+        den, comps = suffix
+        letter_den, letter = self._letter(c)
         out = []
-        for comp in suffix:
+        for comp in comps:
             acc: dict[int, Coeff] = {}
             for code, a in comp.items():
                 for unit, factor in zip(self.units, letter):
@@ -282,7 +307,15 @@ class _WordJets:
                             break
                         acc[k] = acc.get(k, 0) + da * b
             out.append({k: v for k, v in acc.items() if v})
-        return tuple(out) if any(out) else None
+        if not any(out):
+            return None
+        den *= letter_den
+        if self.exact:
+            g = gcd(den, *(v for comp in out for v in comp.values()))
+            if g != 1:
+                den //= g
+                out = [{k: v // g for k, v in comp.items()} for comp in out]
+        return den, tuple(out)
 
 
 def wordseries_order_terms(delta: Callable, sys: WordSystem, x: Sequence,

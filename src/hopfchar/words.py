@@ -10,10 +10,14 @@ smaller words of the same length.
 
 The library does not multiply words here.  Products go through the
 ``Shuffle`` instance's table of shuffles on the words' texts, and so do
-the characters, the exp/log/evolve solver's included: the instance solves
-the same triangular system numerically, word by word, with its own products
-(see ``Shuffle.character_value``).  ``shuffle_words``, ``shuffle_many`` and
-``lyndon_rewrite_word`` are the oracle the tests compare against.
+the characters, the exp/log/evolve solver's included.  The instance solves
+a shorter triangular system numerically, word by word: it shuffles only the
+first CFL factor l_1 of w with the rest of w, which gives the multiplicity
+of l_1 times w plus smaller words with the same letters, and it values the
+rest of w as a shorter word (see ``Shuffle.character_value``).
+``shuffle_words``, ``shuffle_many`` and ``lyndon_rewrite_word`` are the
+oracle the tests compare against; the k-fold rewrite stays independent of
+the two-factor solve.
 """
 
 from __future__ import annotations

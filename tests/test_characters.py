@@ -184,10 +184,10 @@ def test_shuffle_evaluation_matches_lyndon_rewrite(letters, N, target, kind):
                 assert got == want, H.monomial_text(m)
 
 
-def test_shuffle_solve_nests_one_level():
-    # valuing the largest word of a letter class first must not recurse once
-    # per smaller word of the class: the solve fills the class in order
-    H = instance_by_name("shuffle:ab")
+def _solve_depth(letters, word):
+    """The value of a word cold, the oracle's value, and the deepest nesting
+    of evaluate calls the value took."""
+    H = instance_by_name(f"shuffle:{letters}")
     phi = TruncatedCharacter(H, 8, RATIONAL,
                              seeded_rational_values(H, 8, random.Random(5)))
     depth = [0, 0]
@@ -202,10 +202,41 @@ def test_shuffle_solve_nests_one_level():
             depth[0] -= 1
 
     phi.evaluate = tracked
-    w = H.word_monomial("bbbbaaaa")
-    assert tracked(w) == character_by_rewrite(phi, w)
-    # the word, a smaller word being solved, and the cached words below that one
-    assert depth[1] == 3
+    w = H.word_monomial(word)
+    return tracked(w), character_by_rewrite(phi, w), depth[1]
+
+
+def test_shuffle_solve_nests_one_level():
+    # valuing the largest word of a letter class first must not recurse once
+    # per smaller word of the class: the solve fills the class in order, and
+    # then the chain of tails shortest first
+    got, want, depth = _solve_depth("ab", "bbbbaaaa")
+    assert got == want
+    # the word, a smaller word being solved, a tail of that one, and the
+    # cached words below the tail
+    assert depth == 4
+    # the 210 words with the letters of cccbbaa nest no deeper than the 70
+    # with those of bbbbaaaa
+    got, want, depth = _solve_depth("abc", "cccbbaa")
+    assert got == want
+    assert depth == 4
+
+
+@pytest.mark.parametrize("kind", [TruncatedCharacter, TruncatedInfChar])
+@pytest.mark.parametrize("target", [RATIONAL, DUAL], ids=lambda B: B.name)
+def test_shuffle_values_in_series_order_match_lyndon_rewrite(target, kind):
+    # shortest words first, as the word series reads them: each solve then
+    # finds its class and its tails partly valued already
+    H = instance_by_name("shuffle:abc")
+    rng = random.Random(f"series-order:{target.name}")
+    first = seeded_rational_values(H, 6, rng)
+    if target is DUAL:
+        second = seeded_rational_values(H, 6, rng)
+        first = {g: (v, second[g]) for g, v in first.items()}
+    phi = kind(H, 6, target, first)
+    for n in range(1, 7):
+        for m in H.basis(n):
+            assert phi.evaluate(m) == character_by_rewrite(phi, m), H.monomial_text(m)
 
 
 def test_exp_of_single_seed_on_chain(ck):

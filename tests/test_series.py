@@ -648,6 +648,44 @@ def test_word_pass_drops_vanishing_jets(monkeypatch):
     assert read == [w for n in range(1, 7) for w in all_words("ab", n)]
 
 
+def test_word_pass_drops_jets_that_cancel(monkeypatch):
+    # f_a = (y1 y2 / 2, 0) and f_b = (y1 / 3, -y2 / 3): f_ba = Df_a . f_b =
+    # (y1 y2 / 6 - y1 y2 / 6, 0) cancels to zero through two non-constant
+    # letters, while aa, ab and bb live; a word is extended only from a live
+    # suffix, so no word ending in ba is extended
+    sys = WordSystem({
+        "a": PolyVectorField([Poly(2, {(1, 1): Fraction(1, 2)}), Poly(2)]),
+        "b": PolyVectorField([Poly(2, {(1, 0): Fraction(1, 3)}),
+                              Poly(2, {(0, 1): Fraction(-1, 3)})])})
+    x = (Fraction(1, 2), Fraction(2, 3))
+    calls = []
+    extend = series._WordJets._extend
+    monkeypatch.setattr(series._WordJets, "_extend",
+                        lambda self, *args: calls.append(args) or extend(self, *args))
+    jets = series._WordJets(sys, x, 5)
+    assert jets.jet("ba") is None
+    assert all(jets.jet(w) is not None for w in ("aa", "ab", "bb"))
+    words = [w for n in range(2, 6) for w in all_words("ab", n)]
+    for w in words:
+        jets.value(w)
+    assert len(calls) == sum(jets.jet(w[1:]) is not None for w in words)
+    assert all(jets.value(w) is None for w in words if w.endswith("ba"))
+    delta = _word_delta("callable", sys, 5, 0)
+    assert series.wordseries_order_terms(delta, sys, x, 5) \
+        == word_series_by_jacobian(delta, sys, x, 5)
+
+
+@pytest.mark.parametrize("case", sorted(_WORD_CASES))
+def test_word_terms_at_a_float_point_are_floats(case):
+    # the integer jets run only where the point and the fields are rational:
+    # a float point keeps the float arithmetic, and every component is a float
+    sys, x, max_length = _word_case(case, 5)
+    xf = tuple(float(v) + 0.125 for v in x)
+    delta = _word_delta("callable", sys, max_length, 5)
+    terms = series.wordseries_order_terms(delta, sys, xf, max_length)
+    assert all(type(v) is float for term in terms for v in term)
+
+
 def test_demo_word_series_matches_symbolic_word_maps():
     # demos/04: y' = y, exp-single coefficients, x = 1, length 10
     sys = WordSystem({"a": _linear_field()})

@@ -127,3 +127,22 @@ def test_lyndon_words_of_no_length_are_none():
 def test_lyndon_words_rejects_an_empty_alphabet():
     with pytest.raises(ValueError):
         lyndon_words("", 2)
+
+
+@pytest.mark.parametrize("alphabet, maxlen", [("ab", 10), ("abc", 7), ("abcd", 5)])
+def test_first_factor_shuffled_with_the_tail_leads_with_the_word(alphabet, maxlen):
+    # the two-factor solve of Shuffle.character_value rests on this: for a
+    # word w with Chen-Fox-Lyndon factors l_1 >= ... >= l_k, the largest word
+    # of l_1 ш l_2...l_k is w, with the number of factors equal to l_1
+    try:
+        for n in range(2, maxlen + 1):
+            for w in all_words(alphabet, n):
+                factors = chen_fox_lyndon(w)
+                if len(factors) == 1:
+                    continue
+                head = factors[0]
+                expansion = shuffle_words(head, w[len(head):])
+                assert max(expansion) == w, w
+                assert expansion[w] == factors.count(head), w
+    finally:
+        shuffle_words.cache_clear()
