@@ -61,10 +61,26 @@ class TimePoly:
         return TimePoly(P.lower(P.mul(P.lift(self.coeffs), P.lift(other.coeffs))))
 
     def eval(self, t):
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * t + c
-        return total
+        """The value at t.  At an int or Fraction t it is summed on integer
+        numerators over one denominator and has Horner's type: a Fraction
+        when t or a coefficient is one, else an int.  At a float t, Horner."""
+        cs = self.coeffs
+        if not isinstance(t, (int, Fraction)):
+            total = 0
+            for c in reversed(cs):
+                total = total * t + c
+            return total
+        if not cs:
+            return 0
+        den, nums = RATIONAL_POLY.lift(cs)
+        p, q = t.numerator, t.denominator
+        num, q_power = 0, 1
+        for c in reversed(nums):
+            num = num * p + c * q_power
+            q_power *= q
+        if den == 1 and not isinstance(t, Fraction):
+            return num
+        return Fraction(num, den * q_power // q)
 
     def __repr__(self) -> str:
         if not self.coeffs:

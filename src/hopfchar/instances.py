@@ -13,8 +13,8 @@ Five instances share the interface in :mod:`hopfchar.hopf`:
     words.
 ``fdb-a`` / ``fdb-x``
     One generator per positive degree, with the composition-of-series
-    coproduct in two normalisations; closed antipode via lattice-path
-    coefficients.
+    coproduct in two normalisations; closed antipode by Lagrange inversion,
+    one term per partition of the degree.
 ``binomial``
     One primitive generator; the smallest instance and the standard
     source of counterexamples.
@@ -22,12 +22,9 @@ Five instances share the interface in :mod:`hopfchar.hopf`:
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
-from typing import Iterator
+from math import factorial
 
 from .core import (
     Coeff,
@@ -55,41 +52,11 @@ from .words import (
 # small combinatorial helpers
 
 
-def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of `parts` positive integers summing to n."""
-    if parts < 1 or n < parts:
-        return
-    for cuts in itertools.combinations(range(1, n), parts - 1):
-        bounds = (0,) + cuts + (n,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
-
-
 def partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
     """Nonincreasing positive parts summing to n, each at most max_part, in
     lexicographic order from the largest first part; () is the partition of 0."""
     parts = range(n if max_part is None else min(max_part, n), 0, -1)
     return multisets(parts, parts, n)
-
-
-@lru_cache(maxsize=None)
-def lambda_coefficient(parts: tuple[int, ...]) -> int:
-    """Lattice-path weight used by the closed substitution antipodes.
-
-    The sum of prod C(n_i + 1, m_i) over the Catalan(r) admissible tuples
-    (m_1..m_r) of integers m_i >= 0 with sum r and every proper prefix sum
-    m_1+..+m_h >= h, by dynamic programming over (prefix length h, prefix
-    sum s) in O(r^3): ways[s] weights the admissible h-prefixes summing to s.
-    """
-    r = len(parts)
-    ways = [1] + [0] * r
-    for h, n_i in enumerate(parts, start=1):
-        # a prefix of length h sums to at least h (and to at most r, as m_i >= 0)
-        binom = [comb(n_i + 1, m) for m in range(r + 1)]
-        ways = [
-            sum(ways[s - m] * binom[m] for m in range(s + 1)) if s >= h else 0
-            for s in range(r + 1)
-        ]
-    return ways[r]
 
 
 def bell_partial(n: int, k: int, args):
@@ -483,22 +450,30 @@ class _FaaDiBrunoBase(HopfAlgebra):
     def _composition_monomial(self, comp: tuple[int, ...]) -> Monomial:
         return Monomial(tuple(self.gen(i) for i in comp))
 
-    def _antipode_weight(self, n: int, comp: tuple[int, ...]) -> Coeff:
-        """Basis factor of the closed antipode's term for `comp`; 1 for a_n."""
+    def _antipode_weight(self, n: int, part: tuple[int, ...]) -> Coeff:
+        """Basis factor of the closed antipode's term for the partition `part`
+        of n: 1 in the a-basis of f(x) = x + sum a_n x^{n+1}."""
         return 1
 
     def antipode_generator_explicit(self, g: Monomial) -> GradedVector:
-        """Sum over compositions of n, weighted by lattice paths and the basis."""
+        """S(a_n) by Lagrange inversion, one term per partition lambda of n:
+
+            S(a_n) = sum (-1)^l (n+l)! / ((n+1)! prod_j m_j!) w(lambda) a^lambda
+
+        with l the number of parts, m_j the multiplicity of part j and w the
+        basis factor ``_antipode_weight``; the quotient of factorials is an
+        integer.  The terms come in order of their number of parts, then
+        lexicographically on the ascending parts."""
         n = g.degree
-        terms: dict[Monomial, Coeff] = {self.gen_monomial(n): -1}
-        for r in range(1, n):
-            sign = 1 if r % 2 else -1  # -(-1)^r
-            for comp in compositions(n, r + 1):
-                lam = lambda_coefficient(comp[:r])
-                if not lam:
-                    continue
-                m = self._composition_monomial(comp)
-                terms[m] = terms.get(m, 0) + sign * lam * self._antipode_weight(n, comp)
+        top = factorial(n + 1)
+        terms: dict[Monomial, Coeff] = {}
+        for part in sorted(partitions(n), key=lambda p: (len(p), p[::-1])):
+            den = top
+            for m in Counter(part).values():
+                den *= factorial(m)
+            c = factorial(n + len(part)) // den
+            terms[self._composition_monomial(part)] = (
+                (-c if len(part) % 2 else c) * self._antipode_weight(n, part))
         return GradedVector(terms)
 
 
@@ -549,10 +524,11 @@ class FaaDiBrunoX(_FaaDiBrunoBase):
                 terms[(left, m)] = c
         return TensorVector(terms)
 
-    def _antipode_weight(self, n: int, comp: tuple[int, ...]) -> Coeff:
-        """(n+1)! / prod (i+1)!, from X_i = (i+1)! a_i."""
+    def _antipode_weight(self, n: int, part: tuple[int, ...]) -> Coeff:
+        """(n+1)! / prod (i+1)! over the parts i of the partition `part` of n,
+        from X_i = (i+1)! a_i."""
         den = 1
-        for i in comp:
+        for i in part:
             den *= factorial(i + 1)
         return Fraction(factorial(n + 1), den)
 

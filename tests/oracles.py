@@ -9,9 +9,11 @@ the instance itself no longer calls, and the shuffle character values use the
 symbolic Lyndon rewrite of ``hopfchar.words``, which characters no longer call.
 The Bell oracle assembles the fdb-a coproduct from the library's
 ``bell_partial`` (which ``FaaDiBrunoX`` runs), not from the a-basis
-coproduct it is compared with.  The flow-Taylor oracle differentiates the
-field symbolically, with no trees, and ``field_to_json`` writes the field
-files the CLI only reads.
+coproduct it is compared with.  The lattice-path fdb antipode sums over
+compositions, not over the partitions of the library's Lagrange-inversion
+closed form.  The flow-Taylor oracle differentiates the field symbolically,
+with no trees, and ``field_to_json`` writes the field files the CLI only
+reads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from hopfchar.characters import (FLOAT, RationalTarget, TargetAlgebra,
                                  TruncatedCharacter, TruncatedInfChar, linf_norm)
@@ -247,6 +249,59 @@ def lambda_by_enumeration(parts: tuple, tuples) -> int:
             p *= comb(n_i + 1, m_i)
         total += p
     return total
+
+
+def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of `parts` positive integers summing to n."""
+    if parts < 1 or n < parts:
+        return
+    for cuts in itertools.combinations(range(1, n), parts - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
+
+
+@lru_cache(maxsize=None)
+def lambda_coefficient(parts: tuple[int, ...]) -> int:
+    """Lattice-path weight used by the closed substitution antipodes.
+
+    The sum of prod C(n_i + 1, m_i) over the Catalan(r) admissible tuples
+    (m_1..m_r) of integers m_i >= 0 with sum r and every proper prefix sum
+    m_1+..+m_h >= h, by dynamic programming over (prefix length h, prefix
+    sum s) in O(r^3): ways[s] weights the admissible h-prefixes summing to s.
+    """
+    r = len(parts)
+    ways = [1] + [0] * r
+    for h, n_i in enumerate(parts, start=1):
+        # a prefix of length h sums to at least h (and to at most r, as m_i >= 0)
+        binom = [comb(n_i + 1, m) for m in range(r + 1)]
+        ways = [
+            sum(ways[s - m] * binom[m] for m in range(s + 1)) if s >= h else 0
+            for s in range(r + 1)
+        ]
+    return ways[r]
+
+
+def fdb_antipode_by_lattice_paths(H, n: int) -> GradedVector:
+    """S(a_n) of ``fdb-a`` or S(X_n) of ``fdb-x`` as a sum over the
+    compositions of n, each weighted by the lattice-path coefficient of all
+    its parts but the last, folded onto the monomials in first-seen order.
+    In the X-basis a composition also carries (n+1)! / prod (i+1)!."""
+    terms: dict[Monomial, Coeff] = {H.gen_monomial(n): -1}
+    for r in range(1, n):
+        sign = 1 if r % 2 else -1  # -(-1)^r
+        for comp in compositions(n, r + 1):
+            lam = lambda_coefficient(comp[:r])
+            if not lam:
+                continue
+            weight: Coeff = 1
+            if H.name == "fdb-x":
+                den = 1
+                for i in comp:
+                    den *= factorial(i + 1)
+                weight = Fraction(factorial(n + 1), den)
+            m = Monomial(tuple(H.gen(i) for i in comp))
+            terms[m] = terms.get(m, 0) + sign * lam * weight
+    return GradedVector(terms)
 
 
 def _table_convolve(H, B, t1: dict, t2: dict) -> dict:

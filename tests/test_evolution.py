@@ -36,6 +36,30 @@ def test_timepoly_eval_horner_matches_monomial_sum():
     assert p.eval(t) == Fraction(3, 7) - 2 * t + Fraction(5, 3) * t * t
 
 
+def _horner(coeffs, t):
+    total = 0
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
+
+
+@pytest.mark.parametrize("t", [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7)])
+@pytest.mark.parametrize("coeffs", [
+    (), (5,), (1, -2, 3), (0, 0, 4), (Fraction(3, 7),), (Fraction(1, 2), 2),
+    (1, Fraction(-5, 6), 0, Fraction(2, 9)), (Fraction(1, 2), Fraction(1, 2)),
+])
+def test_timepoly_eval_has_horners_value_and_type(coeffs, t):
+    p = TimePoly(coeffs)
+    got, want = p.eval(t), _horner(p.coeffs, t)
+    assert got == want and type(got) is type(want)
+
+
+def test_timepoly_eval_at_a_float_is_horner():
+    p = TimePoly((Fraction(1, 3), -2, Fraction(5, 7)))
+    assert p.eval(0.3) == _horner(p.coeffs, 0.3)
+    assert type(p.eval(0.3)) is float
+
+
 def test_curve_at_picks_target(binomial):
     X = binomial.generators(1)[0]
     curve = TimePolynomialCurve(binomial, 3, {X: TimePoly((0, 1))}, "inf")

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfchar.characters import RATIONAL, TruncatedCharacter, inverse
 from hopfchar.core import GradedVector, Monomial, TensorVector
-from hopfchar.instances import (bell_partial, compositions, instance_by_name,
-                                lambda_coefficient, partitions)
+from hopfchar.instances import bell_partial, instance_by_name, partitions
 from oracles import (admissible_tuples, bell_partial_recurrence, catalan,
-                     fdb_a_coproduct_via_bell, lambda_by_enumeration)
+                     compositions, fdb_a_coproduct_via_bell,
+                     fdb_antipode_by_lattice_paths, lambda_by_enumeration,
+                     lambda_coefficient, seeded_rational_values)
 
 
 def test_bell_partial_matches_recurrence_oracle():
@@ -69,7 +71,7 @@ def test_lambda_coefficient_single_part():
 
 
 def test_lambda_coefficient_matches_admissible_tuple_sum():
-    # every prefix comp[:r] the closed fdb antipodes look up through degree 12
+    # every prefix comp[:r] the lattice-path oracle looks up through degree 12
     expected: dict[tuple[int, ...], int] = {}
     checked = 0
     for n in range(1, 13):
@@ -145,6 +147,58 @@ def test_explicit_antipodes_first_values(fdb_a, fdb_x):
     x1, x2 = fdb_x.gen_monomial(1), fdb_x.gen_monomial(2)
     t2 = fdb_x.antipode_monomial(x2)
     assert t2.terms == {x2: -1, Monomial(x1.factors + x1.factors): 3}
+
+
+def test_closed_antipodes_match_lattice_path_oracle(fdb_a, fdb_x):
+    # same keys in the same order (inverse over FLOAT folds S(a_n) in it)
+    # and the same int/Fraction coefficient types
+    for H in (fdb_a, fdb_x):
+        for n in range(1, 13):
+            got = H.antipode_generator_explicit(H.gen_monomial(n)).terms
+            want = fdb_antipode_by_lattice_paths(H, n).terms
+            assert list(got.items()) == list(want.items()), (H.name, n)
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+def test_closed_antipodes_have_one_term_per_partition(fdb_a, fdb_x):
+    # p(n) for n = 0..14, through the safety limit of 14
+    p = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135)
+    for H in (fdb_a, fdb_x):
+        for n in range(1, 15):
+            terms = H.antipode_generator_explicit(H.gen_monomial(n)).terms
+            assert len(terms) == p[n], (H.name, n)
+            assert all(m.degree == n and c for m, c in terms.items())
+
+
+def _compose(f: list, g: list) -> list:
+    """f(g(x)) truncated to len(f) coefficients, x^0 first, for f(0) = g(0) = 0."""
+    out = [Fraction(0)] * len(f)
+    power = [Fraction(0)] * len(f)
+    power[0] = Fraction(1)
+    for k in range(1, len(f)):
+        power = [sum(power[i] * g[d - i] for i in range(d + 1)) for d in range(len(f))]
+        for d in range(len(f)):
+            out[d] += f[k] * power[d]
+    return out
+
+
+def test_inverse_is_compositional_inverse(fdb_a, fdb_x):
+    # f(x) = x + sum phi(a_n) x^{n+1} and g from inverse(phi): f(g(x)) = g(f(x)) = x
+    # mod x^12; in the X-basis a_n = X_n / (n+1)!
+    N = 10
+    identity = [Fraction(0), Fraction(1)] + [Fraction(0)] * N
+    for H, seed in ((fdb_a, 21), (fdb_x, 22)):
+        phi = TruncatedCharacter(H, N, RATIONAL,
+                                 seeded_rational_values(H, N, random.Random(seed)))
+        psi = inverse(phi)
+        f, g = identity[:], identity[:]
+        for n in range(1, N + 1):
+            scale = factorial(n + 1) if H is fdb_x else 1
+            f[n + 1] = Fraction(phi.evaluate(H.gen_monomial(n))) / scale
+            g[n + 1] = Fraction(psi.evaluate(H.gen_monomial(n))) / scale
+        assert _compose(f, g) == identity
+        assert _compose(g, f) == identity
+        assert _compose(f, f) != identity
 
 
 def test_registry_builds_every_label():
