@@ -443,11 +443,6 @@ class TruncatedInfChar(_GeneratorMap):
     infinitesimal = True
 
 
-def counit_character(hopf: HopfAlgebra, N: int) -> TruncatedCharacter:
-    """The counit, the group's unit, as an exact character truncated at N."""
-    return TruncatedCharacter(hopf, N, RATIONAL, {})
-
-
 # --------------------------------------------------------------------------
 # convolution and the group operations
 

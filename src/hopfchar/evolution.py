@@ -10,7 +10,6 @@ by integrating already-known lower-degree data; no ODE stepping is involved.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import exp
 from typing import Mapping
 
 from .characters import (
@@ -24,7 +23,6 @@ from .characters import (
     _solve_flow,
 )
 from .core import Coeff, Monomial, normalize_coeff
-from .growth import GrowthFamily
 from .hopf import HopfAlgebra
 
 
@@ -138,76 +136,3 @@ def evolve(H: HopfAlgebra, eta: TimePolynomialCurve, N: int) -> TimePolynomialCu
     return TimePolynomialCurve(H, N, {g: TimePoly(P.lower(p)) for g, p in gamma.items()},
                                "char")
 
-
-def gronwall_bound(A, B, t) -> float:
-    """The closed-form majorant A e^{tB} for h <= A + B * integral of h."""
-    if A < 0 or B < 0:
-        raise ValueError("need A, B >= 0")
-    if not 0 <= t <= 1:
-        raise ValueError("t must lie in [0, 1]")
-    return float(A) * exp(float(t) * float(B))
-
-
-def semiregularity_check(H: HopfAlgebra, eta: TimePolynomialCurve,
-                         family: GrowthFamily, k: int, ab, N: int,
-                         t_samples) -> dict:
-    """Check h_n(t) = sup_{|tau| <= n} |gamma(t)(tau)| / omega_k(|tau|)
-    against the bound e^{(a n + b) t}, with a 2^-40 relative guard.
-
-    Also reports whether the driving curve satisfies the norm precondition
-    ||eta(t)|_Sigma|| <= 1 at each sample.
-    """
-    a, b = ab
-    guard = 2.0 ** -40
-    gamma = evolve(H, eta, N)
-    gens = [(g, float(family.eval(k, g.degree))) for g in H.generators_upto(N)]
-
-    precondition = []
-    table = []
-    violations = []
-    for t in t_samples:
-        tf = float(t)
-        eta_norm = 0.0
-        for g, w in gens:
-            v = abs(float(eta.poly(g).eval(tf)))
-            if v / w > eta_norm:
-                eta_norm = v / w
-        precondition.append({
-            "t": tf,
-            "eta_sup_norm": eta_norm,
-            "ok": eta_norm <= 1.0 + guard,
-        })
-        running = 0.0
-        best_gen = ""
-        by_degree: dict[int, float] = {}
-        witness: dict[int, str] = {}
-        for g, w in gens:
-            v = abs(float(gamma.polys[g].eval(tf))) / w
-            if v > running:
-                running, best_gen = v, H.monomial_text(g)
-            d = g.degree
-            if running >= by_degree.get(d, -1.0):
-                by_degree[d] = running
-                witness[d] = best_gen
-        h = 0.0
-        for n in range(1, N + 1):
-            h = max(h, by_degree.get(n, 0.0))
-            bound = exp((float(a) * n + float(b)) * tf)
-            ok = h <= bound * (1.0 + guard)
-            table.append({"t": tf, "n": n, "h_n": h, "bound": bound, "ok": ok})
-            if not ok:
-                violations.append({"t": tf, "n": n, "h_n": h, "bound": bound,
-                                   "witness": witness.get(n, "")})
-    status = "pass" if (not violations and all(p["ok"] for p in precondition)) else "fail"
-    return {
-        "instance": H.name,
-        "family": family.name,
-        "k": k,
-        "a": float(a),
-        "b": float(b),
-        "max_degree": N,
-        "precondition": precondition,
-        "table": table,
-        "violations": violations,
-        "status": status,
-    }

@@ -2,8 +2,8 @@
 
 Every instance provides its graded alphabet of basis symbols, the coproduct
 on a single symbol, and a closed-form antipode on one.  Everything else --
-multiplicative extension, counit, reduced coproduct, the two recursive
-antipode formulas, and the exact Hopf-axiom checker -- is generic.  Every
+multiplicative extension, reduced coproduct, the two recursive antipode
+formulas, and the exact Hopf-axiom checker -- is generic.  Every
 basis element is a :class:`~hopfchar.core.Monomial` of the one commutative
 monoid.  Most instances take the Hopf generators as the symbols.  The
 shuffle algebra takes every nonempty word as one symbol and supplies its
@@ -67,8 +67,9 @@ class HopfAlgebra(ABC):
         """Decode one generator from its canonical text key."""
 
     def is_generator(self, m: Monomial) -> bool:
-        """Whether m is a Hopf generator: any single symbol by default."""
-        return m.is_single()
+        """Whether m is a Hopf generator of this instance: by default any
+        single symbol of its alphabet, which is named after the instance."""
+        return m.is_single() and m.factors[0].alphabet == self.name
 
     def empty(self) -> Monomial:
         return empty_monomial()
@@ -100,12 +101,6 @@ class HopfAlgebra(ABC):
         """acc += c * (a . b) in place; the monoid product by default."""
         m = monomial_product(a, b)
         acc[m] = acc.get(m, 0) + c
-
-    def product_monomials(self, a: Monomial, b: Monomial) -> GradedVector:
-        """Algebra product of two basis elements."""
-        acc: dict[Monomial, Coeff] = {}
-        self.add_product(acc, a, b, 1)
-        return GradedVector(acc)
 
     def product(self, u: GradedVector, v: GradedVector) -> GradedVector:
         acc: dict[Monomial, Coeff] = {}
@@ -168,9 +163,6 @@ class HopfAlgebra(ABC):
              if p[0].factors and p[1].factors})
         self._reduced_cache[m] = out
         return out
-
-    def counit(self, v: GradedVector) -> Coeff:
-        return v.counit()
 
     # ------------------------------------------------------------------ antipode
 

@@ -327,7 +327,7 @@ class Shuffle(HopfAlgebra):
         return self.basis(n)
 
     def is_generator(self, m: Monomial) -> bool:
-        return is_lyndon(_text(m))
+        return super().is_generator(m) and is_lyndon(_text(m))
 
     def generator_from_text(self, text: str) -> Monomial:
         for ch in text:

@@ -7,9 +7,9 @@ checks downstream can demand rational equality rather than tolerances.
 A B-series is the one-colour P-series: one tree pass serves both, with a
 map and a variable block per colour.  One partial-sum table turns the
 increments of any of the three series into the exact partial sums and the
-rows the CLI and :func:`convergence_probe` report.  Those rows, and the
-CLI's final points, are the one place an exact value becomes a float: one
-past the float range becomes +-inf, which a report refuses to render.
+rows the CLI reports.  Those rows, and the CLI's final points, are the one
+place an exact value becomes a float: one past the float range becomes
++-inf, which a report refuses to render.
 
 The tree pass builds only the live trees, those whose elementary
 differential F(t) at the point is not the zero vector; every other tree adds
@@ -53,19 +53,6 @@ from .core import Coeff, multisets, normalize_coeff
 from .fields import ColouredPolySystem, Poly, PolyMap, PolyVectorField, WordSystem
 from .trees import RootedTree, _sort_key, trees_of_order
 from .words import all_words
-
-
-def sigma(t: RootedTree) -> int:
-    """Symmetry coefficient: product over child multiplicities m of m!*sigma^m."""
-    return _symmetry(t.children, sigma)
-
-
-def _symmetry(children: Sequence[RootedTree], sigma_of: Callable) -> int:
-    """sigma of a tree with these children, sigma_of giving each child's."""
-    out = 1
-    for child, mult in Counter(children).items():
-        out *= factorial(mult) * sigma_of(child) ** mult
-    return out
 
 
 def partial_sums(terms: Sequence[Sequence], start: Sequence, h: Coeff = 1) -> tuple:
@@ -123,8 +110,13 @@ def _tree_terms(a, maps: Sequence[PolyMap], slots: Sequence[Sequence[int]],
                 else:
                     vec = fmap.evaluate(point)
                 if any(vec):
+                    # sigma(t): the product over child multiplicities m of
+                    # m! sigma(child)^m
+                    s = 1
+                    for kid, mult in Counter(kids).items():
+                        s *= factorial(mult) * live[kid][1] ** mult
                     t = RootedTree.trusted(kids, colour)
-                    live[t] = (vec, _symmetry(kids, lambda k: live[k][1]))
+                    live[t] = (vec, s)
                     born.append(t)
         born.sort(key=_sort_key)
         accs = [[0] * dim for _ in maps]
@@ -147,11 +139,6 @@ def bseries_order_terms(a, f: PolyVectorField, y: Sequence, max_order: int) -> l
     lets callers probe several step sizes from one symbolic pass.
     """
     return _tree_terms(a, (f,), (range(f.nvars),), y, max_order)
-
-
-def bseries_partial(a, f: PolyVectorField, y: Sequence, h: Coeff,
-                    max_order: int) -> tuple:
-    return partial_sums(bseries_order_terms(a, f, y, max_order), y, h)[1]
 
 
 def exact_flow_coefficient(t: RootedTree) -> Fraction:
@@ -187,13 +174,6 @@ def pseries_order_terms(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
     """
     return _tree_terms(a, (system.f, system.g), (system.p_slot, system.q_slot),
                        tuple(p) + tuple(q), max_order)
-
-
-def pseries_partial(a, system: ColouredPolySystem, p: Sequence, q: Sequence,
-                    h: Coeff, max_order: int) -> tuple:
-    final = partial_sums(pseries_order_terms(a, system, p, q, max_order),
-                         tuple(p) + tuple(q), h)[1]
-    return final[:system.dim], final[system.dim:]
 
 
 class _WordJets:
@@ -336,31 +316,3 @@ def wordseries_order_terms(delta: Callable, sys: WordSystem, x: Sequence,
         terms.append(tuple(acc))
     return terms
 
-
-def wordseries_partial(delta: Callable, sys: WordSystem, x: Sequence,
-                       max_length: int) -> tuple:
-    """delta("") * x plus sum of delta(w) f_w(x) over 1 <= |w| <= max_length."""
-    start = [delta("") * v for v in x]
-    return partial_sums(wordseries_order_terms(delta, sys, x, max_length), start)[1]
-
-
-def convergence_probe(a, f: PolyVectorField, y: Sequence, h_list: Sequence,
-                      max_order: int) -> dict:
-    """Order-by-order increment magnitudes of the series at each step size.
-
-    Verdict per h is "contracting" when the increments decay over the last
-    four orders (all consecutive ratios < 1, zeros allowed), else
-    "not-contracting".
-    """
-    terms = bseries_order_terms(a, f, y, max_order)
-    results = []
-    for h in h_list:
-        table, _ = partial_sums(terms, y, h)
-        tail = [inc for inc, _ in table[-4:]]
-        ok = all(b < a_ for a_, b in zip(tail, tail[1:]) if a_ or b) \
-            if len(tail) >= 2 else False
-        if tail and all(v == 0 for v in tail):
-            ok = True
-        results.append({"h": float(h), "rows": series_rows(table),
-                        "verdict": "contracting" if ok else "not-contracting"})
-    return {"max_order": max_order, "tables": results}

@@ -13,7 +13,10 @@ coproduct it is compared with.  The lattice-path fdb antipode sums over
 compositions, not over the partitions of the library's Lagrange-inversion
 closed form.  The flow-Taylor oracle differentiates the field symbolically,
 with no trees, and ``field_to_json`` writes the field files the CLI only
-reads.
+reads.  ``sigma`` is the tree symmetry coefficient by its recursion over
+children, which the library's tree pass folds into its own loop.
+``semiregularity_check`` is the paper's regularity estimate for the exact
+``evolve``, in floats with a relative guard, which no CLI report runs.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, exp, factorial
 from typing import Iterator, Sequence
 
 from hopfchar.characters import (FLOAT, RationalTarget, TargetAlgebra,
                                  TruncatedCharacter, TruncatedInfChar, linf_norm)
 from hopfchar.core import Coeff, GradedVector, Monomial, TensorVector, json_number
+from hopfchar.evolution import TimePolynomialCurve, evolve
 from hopfchar.fields import Poly, PolyVectorField
 from hopfchar.growth import GrowthFamily
 from hopfchar.instances import FaaDiBrunoA, Shuffle, bell_partial
@@ -116,6 +120,16 @@ def automorphism_count(tree) -> int:
                 break
         count += ok
     return count
+
+
+def sigma(tree) -> int:
+    """The symmetry coefficient: the product over the distinct children c,
+    each appearing m times, of m! sigma(c)^m."""
+    out = 1
+    for child in set(tree.children):
+        m = tree.children.count(child)
+        out *= factorial(m) * sigma(child) ** m
+    return out
 
 
 def tree_text_by_recursion(tree, coloured: bool) -> str:
@@ -369,7 +383,7 @@ def check_multiplicative(phi: TruncatedCharacter,
     """phi(m1 . m2) == phi(m1) phi(m2) under the instance product."""
     H, B = phi.hopf, phi.target
     for m1, m2 in pairs:
-        lhs = phi.on_vector(H.product_monomials(m1, m2))
+        lhs = phi.on_vector(H.product(GradedVector.of(m1), GradedVector.of(m2)))
         rhs = B.mul(phi.evaluate(m1), phi.evaluate(m2))
         if lhs != rhs:
             return False, f"{H.monomial_text(m1)} . {H.monomial_text(m2)}"
@@ -380,7 +394,7 @@ def check_derivation(eta: TruncatedInfChar, pairs) -> tuple[bool, str | None]:
     """eta(m1 . m2) == eps(m1) eta(m2) + eta(m1) eps(m2) for nonempty mi."""
     H, B = eta.hopf, eta.target
     for m1, m2 in pairs:
-        lhs = eta.on_vector(H.product_monomials(m1, m2))
+        lhs = eta.on_vector(H.product(GradedVector.of(m1), GradedVector.of(m2)))
         e1 = B.one if m1.is_empty() else B.zero
         e2 = B.one if m2.is_empty() else B.zero
         rhs = B.add(B.mul(e1, eta.evaluate(m2)), B.mul(eta.evaluate(m1), e2))
@@ -398,6 +412,71 @@ def controlled_witness(phi, family: GrowthFamily) -> dict:
             return {"witness_k": k, "norm": json_number(norm),
                     "note": "finite-degree proxy"}
     return {"witness_k": None, "norm": None, "note": "finite-degree proxy"}
+
+
+def semiregularity_check(H, eta: TimePolynomialCurve,
+                         family: GrowthFamily, k: int, ab, N: int,
+                         t_samples) -> dict:
+    """Check h_n(t) = sup_{|tau| <= n} |gamma(t)(tau)| / omega_k(|tau|)
+    against the bound e^{(a n + b) t}, with a 2^-40 relative guard.
+
+    Also reports whether the driving curve satisfies the norm precondition
+    ||eta(t)|_Sigma|| <= 1 at each sample.
+    """
+    a, b = ab
+    guard = 2.0 ** -40
+    gamma = evolve(H, eta, N)
+    gens = [(g, float(family.eval(k, g.degree))) for g in H.generators_upto(N)]
+
+    precondition = []
+    table = []
+    violations = []
+    for t in t_samples:
+        tf = float(t)
+        eta_norm = 0.0
+        for g, w in gens:
+            v = abs(float(eta.poly(g).eval(tf)))
+            if v / w > eta_norm:
+                eta_norm = v / w
+        precondition.append({
+            "t": tf,
+            "eta_sup_norm": eta_norm,
+            "ok": eta_norm <= 1.0 + guard,
+        })
+        running = 0.0
+        best_gen = ""
+        by_degree: dict[int, float] = {}
+        witness: dict[int, str] = {}
+        for g, w in gens:
+            v = abs(float(gamma.polys[g].eval(tf))) / w
+            if v > running:
+                running, best_gen = v, H.monomial_text(g)
+            d = g.degree
+            if running >= by_degree.get(d, -1.0):
+                by_degree[d] = running
+                witness[d] = best_gen
+        h = 0.0
+        for n in range(1, N + 1):
+            h = max(h, by_degree.get(n, 0.0))
+            bound = exp((float(a) * n + float(b)) * tf)
+            ok = h <= bound * (1.0 + guard)
+            table.append({"t": tf, "n": n, "h_n": h, "bound": bound, "ok": ok})
+            if not ok:
+                violations.append({"t": tf, "n": n, "h_n": h, "bound": bound,
+                                   "witness": witness.get(n, "")})
+    status = "pass" if (not violations and all(p["ok"] for p in precondition)) else "fail"
+    return {
+        "instance": H.name,
+        "family": family.name,
+        "k": k,
+        "a": float(a),
+        "b": float(b),
+        "max_degree": N,
+        "precondition": precondition,
+        "table": table,
+        "violations": violations,
+        "status": status,
+    }
 
 
 def forests_by_scan(pool: list, n: int) -> tuple:

@@ -11,10 +11,10 @@ import pytest
 from hopfchar.characters import (DUAL, FLOAT, RATIONAL, PolyTarget,
                                  RationalTarget, TruncatedCharacter,
                                  TruncatedInfChar, bracket, convolve,
-                                 counit_character, counterexample_demo,
-                                 exp_infchar, inverse, linf_norm,
-                                 log_character)
+                                 counterexample_demo, exp_infchar, inverse,
+                                 linf_norm, log_character)
 from hopfchar.control import coproduct_ratio
+from hopfchar.core import GradedVector
 from hopfchar.growth import builtin
 from hopfchar.instances import instance_by_name
 from oracles import (TableMap, character_by_rewrite, check_derivation,
@@ -61,8 +61,15 @@ def test_convolution_associative_seeded(ck, fdb_a):
             assert _same_on_basis(lhs, rhs, 5)
 
 
+def test_maps_refuse_another_instances_generators(ck, binomial, shuffle_ab):
+    with pytest.raises(ValueError, match="not a generator of ck"):
+        TruncatedCharacter(ck, 3, RATIONAL, {binomial.generators(1)[0]: 5})
+    with pytest.raises(ValueError, match="not a generator of shuffle:ab"):
+        TruncatedInfChar(shuffle_ab, 3, RATIONAL, {ck.generator_from_text("B"): 5})
+
+
 def test_counit_is_convolution_unit(ck):
-    eps = counit_character(ck, 5)
+    eps = TruncatedCharacter(ck, 5, RATIONAL, {})
     phi = _char(ck, 5, 3)
     assert _same_on_basis(convolve(eps, phi), phi, 5)
     assert _same_on_basis(convolve(phi, eps), phi, 5)
@@ -79,7 +86,7 @@ def test_convolve_is_the_group_law_on_characters(ck):
 def test_inverse_via_antipode(ck, fdb_a, shuffle_ab):
     for H, seed in ((ck, 4), (fdb_a, 5), (shuffle_ab, 6)):
         phi = _char(H, 5, seed)
-        eps = counit_character(H, 5)
+        eps = TruncatedCharacter(H, 5, RATIONAL, {})
         assert _same_on_basis(convolve(phi, inverse(phi)), eps, 5)
         assert _same_on_basis(convolve(inverse(phi), phi), eps, 5)
 
@@ -258,14 +265,14 @@ def test_exp_result_is_multiplicative(ck):
 
 
 def test_log_of_counit_vanishes(fdb_a):
-    eta = log_character(counit_character(fdb_a, 6))
+    eta = log_character(TruncatedCharacter(fdb_a, 6, RATIONAL, {}))
     assert all(eta.evaluate(g) == 0 for g in fdb_a.generators_upto(6))
 
 
 def test_inf_char_vanishes_on_products(fdb_a):
     eta = _inf(fdb_a, 6, 14)
     a1 = fdb_a.gen_monomial(1)
-    sq = fdb_a.product_monomials(a1, a1)
+    sq = fdb_a.product(GradedVector.of(a1), GradedVector.of(a1))
     assert eta.on_vector(sq) == 0
     pairs = [(m1, m2) for m1 in fdb_a.basis_upto(3) for m2 in fdb_a.basis_upto(2)]
     ok, _ = check_derivation(eta, pairs)
@@ -306,7 +313,7 @@ def test_bracket_off_rational_agrees_with_the_exact_bracket(label):
 def test_dual_target_tracks_directional_part(binomial):
     X = binomial.generators(1)[0]
     phi = TruncatedCharacter(binomial, 4, DUAL, {X: (Fraction(1, 2), 1)})
-    sq = binomial.product_monomials(X, X)
+    sq = binomial.product(GradedVector.of(X), GradedVector.of(X))
     # (a + eps b)^2 = a^2 + eps 2ab
     assert phi.on_vector(sq) == (Fraction(1, 4), 1)
     assert DUAL.mul((0, 1), (0, 1)) == (0, 0)
@@ -373,7 +380,7 @@ def test_polynomial_product_skips_zero_coefficients():
 
 
 def test_linf_norm_on_counit(ck):
-    eps = counit_character(ck, 6)
+    eps = TruncatedCharacter(ck, 6, RATIONAL, {})
     assert linf_norm(eps, builtin("pow"), 1) == 0
     assert linf_norm(eps, builtin("pow"), 1, over="monomials") == 1
     with pytest.raises(ValueError):
@@ -402,9 +409,8 @@ def test_counterexample_square_escapes_every_weight():
 def test_multiplicativity_checker_detects_violation(ck):
     table = {m: Fraction(1) for m in ck.basis_upto(4)}
     node = ck.generator_from_text("B")
-    table[ck.product_monomials(node, node).terms and list(
-        ck.product_monomials(node, node).terms
-    )[0]] = Fraction(3)
+    square = ck.product(GradedVector.of(node), GradedVector.of(node))
+    table[next(iter(square.terms))] = Fraction(3)
     broken = TableMap(ck, RATIONAL, table)
     ok, witness = check_multiplicative(broken, [(node, node)])
     assert not ok

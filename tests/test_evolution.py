@@ -7,10 +7,9 @@ import pytest
 
 from hopfchar.characters import (RATIONAL, TruncatedInfChar, convolve,
                                  exp_infchar)
-from hopfchar.evolution import (TimePoly, TimePolynomialCurve, evolve,
-                                gronwall_bound, semiregularity_check)
+from hopfchar.evolution import TimePoly, TimePolynomialCurve, evolve
 from hopfchar.growth import builtin
-from oracles import seeded_rational_values
+from oracles import seeded_rational_values, semiregularity_check
 
 
 def _unit_ball_values(H, N, seed):
@@ -121,6 +120,13 @@ def test_evolve_rejects_overdeep_truncation(binomial):
         evolve(binomial, eta, 4)
 
 
+def test_evolve_refuses_a_curve_of_another_instance(ck, binomial):
+    X = binomial.generators(1)[0]
+    eta = TimePolynomialCurve.constant(binomial, 4, {X: 1})
+    with pytest.raises(ValueError, match="not a generator of ck"):
+        evolve(ck, eta, 4)
+
+
 def test_curve_kind_validation(binomial):
     with pytest.raises(ValueError):
         TimePolynomialCurve(binomial, 2, {}, "group")
@@ -154,13 +160,3 @@ def test_semiregularity_flags_oversized_curve(binomial):
     assert any(not p["ok"] for p in rep["precondition"])
     assert rep["violations"]
     assert rep["violations"][0]["witness"] == "X"
-
-
-def test_gronwall_bound_closed_form():
-    assert gronwall_bound(2, 0, 1) == 2.0
-    assert abs(gronwall_bound(1, 1, 1) - 2.718281828459045) < 1e-15
-    assert gronwall_bound(1, 3, Fraction(1, 2)) < gronwall_bound(1, 3, 1)
-    with pytest.raises(ValueError):
-        gronwall_bound(-1, 0, 0)
-    with pytest.raises(ValueError):
-        gronwall_bound(1, 1, 2)

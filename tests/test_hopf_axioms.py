@@ -96,9 +96,19 @@ def test_shuffle_antipode_is_signed_reversal(shuffle_ab):
     assert text_terms(shuffle_ab, shuffle_ab.antipode_monomial(m2)) == {"ba": 1}
 
 
+def test_is_generator_reads_the_alphabet(ck, shuffle_ab, binomial):
+    B = ck.generator_from_text("B")
+    assert not shuffle_ab.is_generator(monomial_product(B, B))
+    assert not shuffle_ab.is_generator(B)
+    assert not ck.is_generator(binomial.generators(1)[0])
+    assert ck.is_generator(B)
+    assert shuffle_ab.is_generator(shuffle_ab.word_monomial("ab"))
+    assert not shuffle_ab.is_generator(shuffle_ab.word_monomial("ba"))
+
+
 def test_shuffle_product_is_shuffle(shuffle_ab):
     u = shuffle_ab.word_monomial("ab")
-    prod = shuffle_ab.product_monomials(u, u)
+    prod = shuffle_ab.product(GradedVector.of(u), GradedVector.of(u))
     assert text_terms(shuffle_ab, prod) == {"abab": 2, "aabb": 4}
 
 
@@ -231,7 +241,7 @@ def test_coproduct_preserves_degree(fdb_a, data):
 def test_counit_picks_empty_coefficient(ck):
     v = GradedVector({ck.empty(): Fraction(5, 2),
                       ck.generator_from_text("B"): 7})
-    assert ck.counit(v) == Fraction(5, 2)
+    assert v.counit() == Fraction(5, 2)
 
 
 def test_basis_counts(ck, fdb_a, shuffle_ab, binomial):

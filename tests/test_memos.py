@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfchar.core import GradedVector
 from hopfchar.hopf import check_hopf_axioms
 from hopfchar.instances import ConnesKreimer, Shuffle
 from hopfchar.words import all_words, chen_fox_lyndon, is_lyndon, shuffle_words
@@ -34,7 +35,8 @@ def test_code_shuffle_matches_the_oracle_in_order(letters, total):
             want = list(shuffle_words(u, v).items())
             got = list(H._shuffle(u, v, False).items())
             assert got == want, (u, v)
-            assert list(H.product_monomials(a, b).terms.items()) == [
+            prod = H.product(GradedVector.of(a), GradedVector.of(b))
+            assert list(prod.terms.items()) == [
                 (H.word_monomial(w), k) for w, k in want], (u, v)
 
 

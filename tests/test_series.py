@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 from hopfchar.characters import RATIONAL, TruncatedInfChar, exp_infchar
 from hopfchar.fields import (ColouredPolySystem, Poly, PolyMap,
                              PolyVectorField, WordSystem)
-from hopfchar.series import (bseries_order_terms, bseries_partial,
-                             convergence_probe, exact_flow_character,
-                             exact_flow_coefficient, pseries_order_terms,
-                             pseries_partial, sigma, wordseries_order_terms,
-                             wordseries_partial)
+from hopfchar.series import (bseries_order_terms, exact_flow_character,
+                             exact_flow_coefficient, partial_sums,
+                             pseries_order_terms, wordseries_order_terms)
 from hopfchar import series
 from hopfchar.instances import instance_by_name
 from hopfchar.trees import parse_tree, trees_of_order
 from hopfchar.words import all_words
 from oracles import (automorphism_count, bseries_terms_by_recursion,
                      flow_taylor_coefficients, plain_coloured_differential,
-                     plain_differential, pseries_terms_by_recursion,
+                     plain_differential, pseries_terms_by_recursion, sigma,
                      word_series_by_jacobian)
 
 
@@ -378,13 +376,15 @@ def test_exact_flow_bseries_matches_symbolic_taylor():
 
 
 def test_bseries_exponential_at_half():
-    val = bseries_partial(exact_flow_coefficient, _linear_field(), (1,), Fraction(1, 2), 8)
+    terms = bseries_order_terms(exact_flow_coefficient, _linear_field(), (1,), 8)
+    val = partial_sums(terms, (1,), Fraction(1, 2))[1]
     assert abs(float(val[0]) - exp(0.5)) < 1e-6
 
 
 def test_bseries_geometric_flow_is_exact_partial_sum():
     h = Fraction(1, 4)
-    val = bseries_partial(exact_flow_coefficient, _square_field(), (1,), h, 6)
+    terms = bseries_order_terms(exact_flow_coefficient, _square_field(), (1,), 6)
+    val = partial_sums(terms, (1,), h)[1]
     assert val[0] == sum(h ** n for n in range(7))
 
 
@@ -393,8 +393,9 @@ def test_measured_convergence_order_near_truncation():
     f = _square_field()
     errs = []
     hs = [Fraction(1, 2 ** j) for j in range(3, 8)]
+    terms = bseries_order_terms(exact_flow_coefficient, f, (1,), N)
     for h in hs:
-        got = bseries_partial(exact_flow_coefficient, f, (1,), h, N)[0]
+        got = partial_sums(terms, (1,), h)[1][0]
         exact = 1 / (1 - h)
         errs.append(abs(float(exact - got)))
     slopes = [
@@ -402,34 +403,6 @@ def test_measured_convergence_order_near_truncation():
     ]
     mean_slope = sum(slopes) / len(slopes)
     assert abs(mean_slope - (N + 1)) <= 0.1 * (N + 1)
-
-
-def test_probe_detects_growth_only_at_large_steps():
-    # coefficients growing like n! look convergent at tiny h
-    fact = lambda t: Fraction(factorial(t.order))
-    probe = convergence_probe(
-        fact, _linear_field(), (1,), [1, Fraction(1, 4), Fraction(1, 100)], 8
-    )
-    assert probe["max_order"] == 8
-    verdicts = [tb["verdict"] for tb in probe["tables"]]
-    assert verdicts == ["not-contracting", "not-contracting", "contracting"]
-
-
-def test_probe_flags_constant_increments():
-    probe = convergence_probe(exact_flow_coefficient, _square_field(), (1,),
-                              [1, Fraction(1, 2)], 8)
-    t1, t2 = probe["tables"]
-    assert t1["h"] == 1.0 and t1["verdict"] == "not-contracting"
-    assert t2["verdict"] == "contracting"
-    rows = t2["rows"]
-    assert [r["order"] for r in rows] == list(range(1, 9))
-    assert all(rows[i]["increment"] > rows[i + 1]["increment"] for i in range(4, 7))
-
-
-def test_probe_zero_field_contracts():
-    zero = PolyVectorField([Poly.zero(1)])
-    probe = convergence_probe(exact_flow_coefficient, zero, (1,), [1], 6)
-    assert probe["tables"][0]["verdict"] == "contracting"
 
 
 def _rotation_system():
@@ -442,7 +415,8 @@ def _rotation_system():
 def test_pseries_rotation_matches_cosine_taylor():
     sys = _rotation_system()
     h = Fraction(1, 3)
-    (p,), (q,) = pseries_partial(exact_flow_coefficient, sys, (1,), (0,), h, 8)
+    terms = pseries_order_terms(exact_flow_coefficient, sys, (1,), (0,), 8)
+    p, q = partial_sums(terms, (1, 0), h)[1]
     cos_partial = sum((-1) ** (j // 2) * h ** j / factorial(j) for j in range(0, 9, 2))
     sin_partial = sum((-1) ** ((j - 1) // 2) * h ** j / factorial(j) for j in range(1, 9, 2))
     assert p == cos_partial
@@ -504,7 +478,8 @@ def test_word_basis_two_letters():
 def test_wordseries_single_letter_exponential():
     sys = WordSystem({"a": _linear_field()})
     delta = lambda w: Fraction(1, factorial(len(w)))
-    val = wordseries_partial(delta, sys, (1,), 8)
+    val = partial_sums(wordseries_order_terms(delta, sys, (1,), 8),
+                       [delta("") * v for v in (1,)])[1]
     assert abs(float(val[0]) - e) < 1e-4
 
 
@@ -513,8 +488,9 @@ def test_wordseries_agrees_with_bseries_truncation():
     sys = WordSystem({"a": f})
     delta = lambda w: Fraction(1, factorial(len(w)))
     x = (Fraction(1, 3),)
-    got = wordseries_partial(delta, sys, x, 6)
-    want = bseries_partial(exact_flow_coefficient, f, x, 1, 6)
+    got = partial_sums(wordseries_order_terms(delta, sys, x, 6),
+                       [delta("") * v for v in x])[1]
+    want = partial_sums(bseries_order_terms(exact_flow_coefficient, f, x, 6), x)[1]
     assert got == want
 
 
@@ -525,7 +501,8 @@ def test_wordseries_dict_coefficients_pick_single_words():
     delta = {"": 1, "a": Fraction(2), "ba": Fraction(1, 2)}
     x = (Fraction(5),)
     # f_a = x, f_{ba} = (D f_a) f_b = 1
-    assert wordseries_partial(lambda w: delta.get(w, 0), sys, x, 3) == (5 + 10 + Fraction(1, 2),)
+    terms = wordseries_order_terms(lambda w: delta.get(w, 0), sys, x, 3)
+    assert partial_sums(terms, [delta[""] * v for v in x])[1] == (5 + 10 + Fraction(1, 2),)
 
 
 def _letter_field(dim, seed, degree):
@@ -626,7 +603,7 @@ def test_word_pass_never_builds_symbolic_word_maps(monkeypatch):
 
     monkeypatch.setattr(PolyMap, "jacobian_times", refuse)
     monkeypatch.setattr(Poly, "eval", refuse)
-    assert wordseries_partial(delta, sys, x, 8) == want
+    assert partial_sums(wordseries_order_terms(delta, sys, x, 8), start)[1] == want
     assert vars(sys) == before
 
 

@@ -3,10 +3,13 @@ empty ``dependencies`` says: every import under ``src/hopfchar`` names a
 standard-library module or ``hopfchar`` itself.  A CLI start also leaves out
 the standard-library machinery no CLI path runs, and no module reads or sets
 an environment variable: the package has no global switch.  Every name that
-``__all__`` exports is bound, and listed once."""
+``__all__`` exports is bound, and listed once, and every export and public
+module-level function is run by the package, the benchmark or a demo, not
+only by tests."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import hopfchar
 
 PACKAGE = Path(hopfchar.__file__).parent
+ROOT = PACKAGE.parents[1]
 
 
 def _imported(path: Path):
@@ -64,3 +68,49 @@ def test_star_import_binds_every_export_once():
     exec("from hopfchar import *", namespace)
     assert [name for name in hopfchar.__all__ if name not in namespace] == []
     assert len(set(hopfchar.__all__)) == len(hopfchar.__all__)
+
+
+# names with no caller in the package, the benchmark or a demo, and why each stays
+UNREFERENCED = {
+    "load_schema": "README's file-format section gives it as the way to read "
+                   "the shipped schemas",
+}
+
+
+def _referenced(tree) -> set:
+    """The names an AST refers to: Names, Attribute names and imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(part for alias in node.names for part in alias.name.split("."))
+    return out
+
+
+def test_every_export_has_a_caller_outside_tests():
+    """An AST scan: each export and public module-level function is named in
+    the package (outside ``__init__.py`` and outside its own definition), in
+    ``perfbench/`` (a span-target string counts) or in a demo's Python."""
+    public, elsewhere = set(hopfchar.__all__), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, ast.FunctionDef) and not own.startswith("_"):
+                public.add(own)
+            elsewhere |= _referenced(node) - {own}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        elsewhere |= _referenced(tree)
+        elsewhere.update(part for node in ast.walk(tree)
+                         if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                         for part in node.value.split("."))
+    for path in sorted((ROOT / "demos").glob("*.sh")):
+        for code in re.findall(r'python3 -c "(.*?)"\n', path.read_text(encoding="utf-8"),
+                               re.S):
+            elsewhere |= _referenced(ast.parse(code))
+    assert sorted(public - elsewhere) == sorted(UNREFERENCED)
