@@ -14,7 +14,7 @@ from .characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
                          log_character)
 from .control import (antipode_ratio, coproduct_ratio, elementary_coproduct,
                       right_handed_check, rlb_check)
-from .core import (Generator, GradedVector, Monomial, TensorVector,
+from .core import (Generator, GradedVector, Monomial, Refused, TensorVector,
                    monomial_of, tensor_product, vector_product)
 from .evolution import TimePoly, TimePolynomialCurve, evolve
 from .fields import (ColouredPolySystem, Poly, PolyMap, PolyVectorField,
@@ -34,7 +34,7 @@ __all__ = [
     "ConnesKreimer", "DUAL", "FLOAT", "FaaDiBrunoA",
     "FaaDiBrunoX", "Generator", "GradedVector", "GrowthFamily",
     "HopfAlgebra", "Monomial", "Poly", "PolyMap", "PolyVectorField",
-    "RATIONAL", "RootedTree", "Shuffle", "TensorVector", "TimePoly",
+    "RATIONAL", "Refused", "RootedTree", "Shuffle", "TensorVector", "TimePoly",
     "TimePolynomialCurve", "TruncatedCharacter", "TruncatedInfChar",
     "WordSystem", "antipode_ratio", "bracket", "builtin", "check_all_axioms",
     "check_hopf_axioms", "chen_fox_lyndon", "convolve", "coproduct_ratio",

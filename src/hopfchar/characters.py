@@ -4,7 +4,10 @@ These are the only truncated maps.  Each is stored by its values on
 generators only, every key a generator of degree at most N; evaluation
 extends multiplicatively (or as a derivation) through the instance's
 ``character_value`` hook (a triangular solve where the basis is not the
-generator monoid).  Convolution is the group law: it takes two characters
+generator monoid).  Characters form a group and infinitesimal characters
+its Lie algebra: ``convolve``, ``inverse`` and ``log_character`` take
+characters, ``exp_infchar`` and ``bracket`` infinitesimal ones, and each
+refuses another kind with ``core.Refused``.  Convolution is the group law
 and needs only generator coproducts.  exp, log and the evolution equation
 share one exact solver of gamma' = gamma * eta that works degree by degree
 on generators, exp(eta) being the time-1 value: gamma and eta are a
@@ -30,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .core import Coeff, GradedVector, Monomial, normalize_coeff
+from .core import Coeff, GradedVector, Monomial, Refused, normalize_coeff
 from .growth import GrowthFamily, builtin
 from .hopf import HopfAlgebra
 
@@ -447,13 +450,21 @@ class TruncatedInfChar(_GeneratorMap):
 # convolution and the group operations
 
 
-def _check_compatible(phi, psi) -> None:
-    if phi.hopf.name != psi.hopf.name:
-        raise ValueError(f"instances differ: {phi.hopf.name} vs {psi.hopf.name}")
-    if phi.N != psi.N:
-        raise ValueError(f"truncations differ: {phi.N} vs {psi.N}")
-    if phi.target is not psi.target:
-        raise ValueError("target algebras differ")
+def _check_maps(op: str, cls, *maps) -> None:
+    """Refuse maps not all of class cls, and two that differ in instance,
+    truncation or target algebra."""
+    if not all(isinstance(m, cls) for m in maps):
+        what = (f"two {cls.kind}s" if len(maps) == 2
+                else f"{'an' if cls.infinitesimal else 'a'} {cls.kind}")
+        raise Refused(f"{op} takes {what}")
+    phi, *others = maps
+    for psi in others:
+        if phi.hopf.name != psi.hopf.name:
+            raise Refused(f"instances differ: {phi.hopf.name} vs {psi.hopf.name}")
+        if phi.N != psi.N:
+            raise Refused(f"truncations differ: {phi.N} vs {psi.N}")
+        if phi.target is not psi.target:
+            raise Refused("target algebras differ")
 
 
 def _convolve_on(phi, psi, m: Monomial):
@@ -464,9 +475,7 @@ def _convolve_on(phi, psi, m: Monomial):
 
 def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedCharacter:
     """phi * psi through the coproduct, the group law on characters."""
-    if not (isinstance(phi, TruncatedCharacter) and isinstance(psi, TruncatedCharacter)):
-        raise ValueError("convolve takes two characters")
-    _check_compatible(phi, psi)
+    _check_maps("convolve", TruncatedCharacter, phi, psi)
     H, N, B = phi.hopf, phi.N, phi.target
     values = {g: _convolve_on(phi, psi, g) for g in H.generators_upto(N)}
     return TruncatedCharacter(H, N, B, values)
@@ -474,6 +483,7 @@ def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedChara
 
 def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
     """Convolution inverse: composition with the antipode."""
+    _check_maps("inverse", TruncatedCharacter, phi)
     H = phi.hopf
     values = {g: phi.on_vector(H.antipode_monomial(g)) for g in H.generators_upto(phi.N)}
     return TruncatedCharacter(H, phi.N, phi.target, values)
@@ -566,6 +576,7 @@ def exp_infchar(eta: TruncatedInfChar) -> TruncatedCharacter:
     Solved exactly on the generators up to eta's N, degree by degree (see
     ``_solve_flow``); exp(eta)(g) is the sum of gamma_t(g)'s coefficients.
     """
+    _check_maps("exp", TruncatedInfChar, eta)
     H, N, B = eta.hopf, eta.N, eta.target
     gamma, _ = _solve_flow(H, N, B, {g: (v,) for g, v in eta.values.items()})
     P = _flow_target(B)
@@ -579,6 +590,7 @@ def log_character(phi: TruncatedCharacter) -> TruncatedInfChar:
     coefficient of gamma_t(g) is eta(g) and the higher ones depend only on
     lower degrees, so eta(g) = phi(g) - sum_{k >= 2} gamma_t(g)_k.
     """
+    _check_maps("log", TruncatedCharacter, phi)
     H, N, B = phi.hopf, phi.N, phi.target
     _, eta = _solve_flow(H, N, B, {}, phi)
     return TruncatedInfChar(H, N, B, eta)
@@ -590,7 +602,7 @@ def bracket(eta1: TruncatedInfChar, eta2: TruncatedInfChar) -> TruncatedInfChar:
     One pass over the reduced coproduct: the primitive terms vanish because
     eta(1) = 0.
     """
-    _check_compatible(eta1, eta2)
+    _check_maps("bracket", TruncatedInfChar, eta1, eta2)
     H, N, B = eta1.hopf, eta1.N, eta1.target
 
     def terms(g):

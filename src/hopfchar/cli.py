@@ -2,7 +2,7 @@
 
 Every subcommand emits one JSON report (stdout or --out).  Exit status is 0
 when all checks in the run pass, 1 when a check fails (the report carries a
-witness), and 2 for configuration errors and for a result that has no
+witness), and 2 for a `Refused` input, which includes a result that has no
 JSON text (a float past the float range, or an exact number past Python's
 int-to-text digit limit).  Reports depend only on the configuration and
 seed, never on wall-clock or filesystem state, so reruns are byte-identical.
@@ -20,11 +20,11 @@ import sys
 from fractions import Fraction
 
 from . import reports
-from .characters import (TruncatedCharacter, TruncatedInfChar, _check_compatible,
-                         convolve, counterexample_demo, exp_infchar, inverse,
+from .characters import (convolve, counterexample_demo, exp_infchar, inverse,
                          linf_norm, log_character)
 from .control import (antipode_ratio, coproduct_ratio, rlb_check,
                       right_handed_check)
+from .core import Refused
 from .evolution import evolve
 from .growth import BUILTIN_FAMILIES, builtin, check_all_axioms
 from .hopf import check_hopf_axioms
@@ -53,12 +53,8 @@ CONTROL_K_LIMIT = 4096
 CONTROL_WEIGHT_BITS = 14_000
 CONTROL_CSV_WEIGHT_BITS = 1024 - 284
 
-# char's norm options and their defaults; the other ops read none of them
+# char's norm options and the defaults norm applies; the other ops refuse them
 CHAR_NORM_DEFAULTS = {"family": "pow", "k": 1, "over": "generators"}
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _check_range(what: str, value: int, cls, name: str) -> None:
@@ -67,7 +63,7 @@ def _check_range(what: str, value: int, cls, name: str) -> None:
     grids: no option or setting lifts them."""
     limit = SAFETY_LIMITS[cls]
     if value > limit:
-        raise ConfigError(f"{what} {value} exceeds the safety limit {limit} for {name}")
+        raise Refused(f"{what} {value} exceeds the safety limit {limit} for {name}")
     _check_least(what, value)
 
 
@@ -75,24 +71,14 @@ def _check_least(what: str, value: int, least: int = 0) -> None:
     """Refuse an integer option below its least value: 0 for a degree, order,
     length or count, 1 for a family index."""
     if value < least:
-        raise ConfigError(f"{what} must be nonnegative" if least == 0
-                          else f"{what} must be at least {least}")
+        raise Refused(f"{what} must be nonnegative" if least == 0
+                      else f"{what} must be at least {least}")
 
 
 def _load_instance(name: str, max_degree: int):
-    try:
-        H = instance_by_name(name)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc))
+    H = instance_by_name(name)
     _check_range("max degree", max_degree, type(H), H.name)
     return H
-
-
-def _load_family(name: str):
-    try:
-        return builtin(name)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc))
 
 
 def _check_weight(fam, what: str, k: int, degree: int, csv: bool = False) -> None:
@@ -100,13 +86,13 @@ def _check_weight(fam, what: str, k: int, degree: int, csv: bool = False) -> Non
     CONTROL_K_LIMIT, or one whose exact weight at this degree has more bits
     than a report (or, with csv, a CSV float) can hold."""
     if k > CONTROL_K_LIMIT:
-        raise ConfigError(f"{what} {k} exceeds the limit {CONTROL_K_LIMIT}")
+        raise Refused(f"{what} {k} exceeds the limit {CONTROL_K_LIMIT}")
     bits_limit = CONTROL_CSV_WEIGHT_BITS if csv else CONTROL_WEIGHT_BITS
     bits = fam.eval(k, degree).bit_length() if fam.is_exact else 0
     if bits > bits_limit:
-        raise ConfigError(f"{fam.name} weight at {what} {k} and degree {degree} has "
-                          f"{bits} bits, over the limit {bits_limit}"
-                          f"{' for --csv' if csv else ''}")
+        raise Refused(f"{fam.name} weight at {what} {k} and degree {degree} has "
+                      f"{bits} bits, over the limit {bits_limit}"
+                      f"{' for --csv' if csv else ''}")
 
 
 def _load(path: str, decode, *args):
@@ -117,11 +103,11 @@ def _load(path: str, decode, *args):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
+        raise Refused(f"cannot read {path}: {exc}")
     try:
         return decode(doc, *args)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"bad input file {path}: {exc}")
+        raise Refused(f"bad input file {path}: {exc}")
 
 
 def _load_character(path: str, instance: str | None = None, what: str = "",
@@ -132,13 +118,13 @@ def _load_character(path: str, instance: str | None = None, what: str = "",
     phi = _load(path, reports.character_from_json)
     _check_range("truncation N", phi.N, type(phi.hopf), phi.hopf.name)
     if order > phi.N:
-        raise ConfigError(f"{what} {order} exceeds the coefficient file's "
-                          f"truncation N={phi.N}")
+        raise Refused(f"{what} {order} exceeds the coefficient file's "
+                      f"truncation N={phi.N}")
     if instance is not None and phi.hopf.name != instance:
-        raise ConfigError(f"coefficient file must be a {instance} character")
+        raise Refused(f"coefficient file must be a {instance} character")
     if instance is not None and phi.target.name not in ("rational", "float"):
-        raise ConfigError(f"coefficient file must be rational or float, "
-                          f"not {phi.target.name}")
+        raise Refused(f"coefficient file must be rational or float, "
+                      f"not {phi.target.name}")
     return phi
 
 
@@ -148,7 +134,7 @@ def _write(path: str, data: bytes) -> None:
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}")
+        raise Refused(f"cannot write {path}: {exc}")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -156,7 +142,7 @@ def _parse_rational(text: str) -> Fraction:
     try:
         return reports.decode_rational(text)
     except ValueError:
-        raise ConfigError(f"not a rational number: {text!r}")
+        raise Refused(f"not a rational number: {text!r}")
 
 
 def _parse_point(text: str) -> tuple:
@@ -184,10 +170,8 @@ def run_axioms(args) -> tuple[bool, dict]:
 
 def run_control_check(args) -> tuple[bool, dict]:
     H = _load_instance(args.hopf, args.max_degree)
-    fam = _load_family(args.family)
+    fam = builtin(args.family)
     _check_least("k1", args.k1, 1)
-    if args.k2 < args.k1:
-        raise ConfigError("k2 must be at least k1")
     for what, k in (("k1", args.k1), ("k2", args.k2)):
         _check_weight(fam, what, k, args.max_degree, bool(args.csv))
     op = coproduct_ratio if args.map == "coproduct" else antipode_ratio
@@ -197,8 +181,6 @@ def run_control_check(args) -> tuple[bool, dict]:
 
 def run_rlb_check(args) -> tuple[bool, dict]:
     H = _load_instance(args.hopf, args.max_degree)
-    if args.max_degree < 2:
-        raise ConfigError("rlb-check needs max degree >= 2")
     rep = rlb_check(H, args.max_degree)
     return True, rep.to_dict()
 
@@ -212,10 +194,6 @@ def run_right_handed(args) -> tuple[bool, dict]:
 def run_evolve(args) -> tuple[bool, dict]:
     H = _load_instance(args.hopf, args.max_degree)
     eta = _load(args.eta, reports.curve_from_json, H)
-    if eta.kind != "inf":
-        raise ConfigError("evolve expects an infinitesimal curve file (kind inf-curve)")
-    if args.max_degree > eta.N:
-        raise ConfigError(f"max degree {args.max_degree} exceeds the eta file's N={eta.N}")
     gamma = evolve(H, eta, args.max_degree)
     payload = {"instance": H.name, "max_degree": args.max_degree,
                "gamma": reports.curve_to_json(gamma)}
@@ -227,42 +205,31 @@ def run_evolve(args) -> tuple[bool, dict]:
 
 
 def run_char(args) -> tuple[bool, dict]:
-    _check_least("k", args.k, 1)
     if args.b and args.op != "conv":
-        raise ConfigError(f"--b is the second character of conv; {args.op} takes one")
+        raise Refused(f"--b is the second character of conv; {args.op} takes one")
+    if args.op == "conv" and not args.b:
+        raise Refused("conv needs --b")
     if args.emit and args.op == "norm":
-        raise ConfigError("norm gives a number, not a character: it has no --emit file")
-    for option, default in CHAR_NORM_DEFAULTS.items():
-        if args.op != "norm" and getattr(args, option) != default:
-            raise ConfigError(f"--{option} is an option of norm; {args.op} does not read it")
+        raise Refused("norm gives a number, not a character: it has no --emit file")
+    if args.op == "norm":  # norm applies the defaults, and the config records them
+        vars(args).update((option, default) for option, default in CHAR_NORM_DEFAULTS.items()
+                          if getattr(args, option) is None)
+        _check_least("k", args.k, 1)
+    elif given := [option for option in CHAR_NORM_DEFAULTS if getattr(args, option) is not None]:
+        raise Refused(f"--{given[0]} is an option of norm; {args.op} does not read it")
     phi = _load_character(args.a)
     payload: dict = {"op": args.op, "instance": phi.hopf.name, "N": phi.N}
     result = None
     if args.op == "conv":
-        if not args.b:
-            raise ConfigError("conv needs --b")
-        psi = _load_character(args.b)
-        if not isinstance(phi, TruncatedCharacter) or not isinstance(psi, TruncatedCharacter):
-            raise ConfigError("conv expects two multiplicative characters")
-        try:
-            _check_compatible(phi, psi)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        result = convolve(phi, psi)
+        result = convolve(phi, _load_character(args.b))
     elif args.op == "inv":
-        if not isinstance(phi, TruncatedCharacter):
-            raise ConfigError("inv expects a multiplicative character")
         result = inverse(phi)
     elif args.op == "exp":
-        if not isinstance(phi, TruncatedInfChar):
-            raise ConfigError("exp expects an infinitesimal character file (kind inf)")
         result = exp_infchar(phi)
     elif args.op == "log":
-        if not isinstance(phi, TruncatedCharacter):
-            raise ConfigError("log expects a multiplicative character")
         result = log_character(phi)
     else:  # norm
-        fam = _load_family(args.family)
+        fam = builtin(args.family)
         _check_weight(fam, "k", args.k, phi.N)
         val = linf_norm(phi, fam, args.k, over=args.over)
         enc = reports.encode_rational(val) if isinstance(val, (int, Fraction)) else float(val)
@@ -300,7 +267,7 @@ def run_bseries(args) -> tuple[bool, dict]:
     f = _load(args.field, reports.field_from_json)
     y0 = _parse_point(args.y)
     if len(y0) != f.dim:
-        raise ConfigError(f"initial point has {len(y0)} components, field has {f.dim}")
+        raise Refused(f"initial point has {len(y0)} components, field has {f.dim}")
     payload, final = _tree_series(
         args, 1, f.dim, y0, lambda a: bseries_order_terms(a, f, y0, args.max_order))
     payload["final"] = [as_float(v) for v in final]
@@ -312,7 +279,7 @@ def run_pseries(args) -> tuple[bool, dict]:
     p0 = _parse_point(args.p)
     q0 = _parse_point(args.q)
     if len(p0) != system.dim or len(q0) != system.dim:
-        raise ConfigError("p and q must each have dim components")
+        raise Refused("p and q must each have dim components")
     payload, final = _tree_series(
         args, 2, system.dim, p0 + q0,
         lambda a: pseries_order_terms(a, system, p0, q0, args.max_order))
@@ -327,10 +294,10 @@ def run_wordseries(args) -> tuple[bool, dict]:
     _check_range("max length", args.max_length, Shuffle, expected)
     x0 = _parse_point(args.x)
     if len(x0) != system.dim:
-        raise ConfigError(f"point has {len(x0)} components, fields have {system.dim}")
+        raise Refused(f"point has {len(x0)} components, fields have {system.dim}")
     if args.coeffs == "exp-single":
         if len(system.alphabet) != 1:
-            raise ConfigError("exp-single coefficients need a one-letter alphabet")
+            raise Refused("exp-single coefficients need a one-letter alphabet")
         from math import factorial
 
         def delta(w):
@@ -355,12 +322,12 @@ def run_counterexample(args) -> tuple[bool, dict]:
 
 
 def run_growth_check(args) -> tuple[bool, dict]:
-    fam = _load_family(args.family)
+    fam = builtin(args.family)
     for what, value, least in (("k max", args.k_max, 1), ("n max", args.n_max, 0),
                                ("k2 max", args.k2_max, 1)):
         _check_least(what, value, least)
         if value > GROWTH_GRID_LIMITS[what]:
-            raise ConfigError(f"{what} {value} exceeds the limit {GROWTH_GRID_LIMITS[what]}")
+            raise Refused(f"{what} {value} exceeds the limit {GROWTH_GRID_LIMITS[what]}")
     checks = check_all_axioms(fam, args.k_max, args.n_max, args.k2_max)
     ok = all(c.ok for c in checks)
     return ok, {"family": fam.name, "k_max": args.k_max, "n_max": args.n_max,
@@ -438,12 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["conv", "inv", "exp", "log", "norm"])
     p.add_argument("--a", required=True, help="first character file")
     p.add_argument("--b", help="second character file (conv)")
-    p.add_argument("--family", default=CHAR_NORM_DEFAULTS["family"],
-                   help="growth family (norm)")
-    p.add_argument("--k", type=int, default=CHAR_NORM_DEFAULTS["k"],
-                   help="weight index (norm)")
+    p.add_argument("--family", help="growth family (norm, default pow)")
+    p.add_argument("--k", type=int, help="weight index (norm, default 1)")
     p.add_argument("--over", choices=["generators", "monomials"],
-                   default=CHAR_NORM_DEFAULTS["over"], help="norm domain")
+                   help="norm domain (default generators)")
     p.add_argument("--emit", help="write the resulting character file here")
     common(p)
 
@@ -538,7 +503,7 @@ def main(argv=None) -> int:
             _write(args.out, data)
         else:
             sys.stdout.write(data.decode("utf-8"))
-    except (ConfigError, reports.UnwritableError) as exc:
+    except Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Coeff, Monomial, TensorVector, json_number
+from .core import Coeff, Monomial, Refused, TensorVector, json_number
 from .growth import GrowthFamily
 from .hopf import HopfAlgebra
 
@@ -80,7 +80,7 @@ class RatioReport(NamedTuple):
 def _ratio_report(H: HopfAlgebra, family: GrowthFamily, k1: int, k2: int,
                   N: int, map_name: str) -> RatioReport:
     if k2 < k1:
-        raise ValueError(f"need k2 >= k1, got k1={k1}, k2={k2}")
+        raise Refused(f"k2 must be at least k1, got k1={k1}, k2={k2}")
     rows = []
     for n in range(1, N + 1):
         weight = family.eval(k2, n)
@@ -153,7 +153,7 @@ def rlb_check(H: HopfAlgebra, N: int) -> RlbReport:
     verdict comes from the second differences of e.
     """
     if N < 2:
-        raise ValueError("rlb_check needs N >= 2")
+        raise Refused(f"max degree must be at least 2, got {N}")
     counts: dict[int, Coeff] = {}
     witnesses: dict[int, str] = {}
     for n in range(1, N + 1):

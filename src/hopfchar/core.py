@@ -61,6 +61,11 @@ def json_number(x):
     return x
 
 
+class Refused(ValueError):
+    """An argument that breaks a rule of the operation reading it, raised
+    where it is read, before anything is computed; the CLI exits 2 on it."""
+
+
 class Generator:
     """A graded alphabet element with a canonical text key.
 

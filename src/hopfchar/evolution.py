@@ -22,7 +22,7 @@ from .characters import (
     _flow_target,
     _solve_flow,
 )
-from .core import Coeff, Monomial, normalize_coeff
+from .core import Coeff, Monomial, Refused, normalize_coeff
 from .hopf import HopfAlgebra
 
 
@@ -129,8 +129,10 @@ def evolve(H: HopfAlgebra, eta: TimePolynomialCurve, N: int) -> TimePolynomialCu
     polynomial, which is exact.  This is the solver behind ``exp_infchar``
     and ``log_character`` too, run here on the curve's coefficient tuples.
     """
+    if eta.kind != "inf":
+        raise Refused("evolve takes an infinitesimal curve (kind inf-curve)")
     if N > eta.N:
-        raise ValueError(f"truncation {N} exceeds the curve's degree bound {eta.N}")
+        raise Refused(f"truncation {N} exceeds the curve's degree bound {eta.N}")
     gamma, _ = _solve_flow(H, N, RATIONAL, {g: p.coeffs for g, p in eta.polys.items()})
     P = _flow_target(RATIONAL)
     return TimePolynomialCurve(H, N, {g: TimePoly(P.lower(p)) for g, p in gamma.items()},

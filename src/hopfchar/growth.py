@@ -22,6 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
+from .core import Refused
+
 LOG2 = math.log(2.0)
 _W3_FLOAT_GUARD = 1e-12
 
@@ -36,9 +38,9 @@ class GrowthFamily(NamedTuple):
 
     def eval(self, k: int, n: int):
         if k < 1:
-            raise ValueError(f"family index must be >= 1, got {k}")
+            raise Refused(f"family index must be >= 1, got {k}")
         if n < 0:
-            raise ValueError(f"degree must be >= 0, got {n}")
+            raise Refused(f"degree must be >= 0, got {n}")
         return self.omega(k, n)
 
     def log_eval(self, k: int, n: int) -> Fraction:
@@ -69,7 +71,7 @@ def builtin(name: str) -> GrowthFamily:
     try:
         return BUILTIN_FAMILIES[name]
     except KeyError:
-        raise ValueError(
+        raise Refused(
             f"unknown growth family {name!r}; available: {', '.join(sorted(BUILTIN_FAMILIES))}"
         ) from None
 

@@ -31,6 +31,7 @@ from .core import (
     Generator,
     GradedVector,
     Monomial,
+    Refused,
     TensorVector,
     add_scaled,
     monomial_of,
@@ -272,11 +273,11 @@ class Shuffle(HopfAlgebra):
     def __init__(self, letters: str):
         super().__init__()
         if not letters:
-            raise ValueError("shuffle alphabet must be nonempty")
+            raise Refused("shuffle alphabet must be nonempty")
         if len(set(letters)) != len(letters):
-            raise ValueError(f"repeated letters in alphabet {letters!r}")
+            raise Refused(f"repeated letters in alphabet {letters!r}")
         if "1" in letters:
-            raise ValueError("'1' is the empty word's text and cannot be a letter")
+            raise Refused("'1' is the empty word's text and cannot be a letter")
         self.letters = "".join(sorted(letters))
         self.name = f"shuffle:{self.letters}"
         # word text -> the one word monomial
@@ -585,4 +586,4 @@ def instance_by_name(label: str) -> HopfAlgebra:
         return Binomial()
     if label.startswith("shuffle:"):
         return Shuffle(label.split(":", 1)[1])
-    raise ValueError(f"unknown instance {label!r}; known: {', '.join(INSTANCE_NAMES)}")
+    raise Refused(f"unknown instance {label!r}; known: {', '.join(INSTANCE_NAMES)}")

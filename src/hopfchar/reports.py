@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .characters import (DUAL, FLOAT, RATIONAL, TARGETS, TruncatedCharacter,
                          TruncatedInfChar)
-from .core import Coeff
+from .core import Coeff, Refused
 from .evolution import TimePoly, TimePolynomialCurve
 from .fields import ColouredPolySystem, Poly, PolyMap, PolyVectorField, WordSystem
 from .hopf import HopfAlgebra
@@ -33,7 +33,7 @@ from .instances import instance_by_name
 # ---------------------------------------------------------------- scalars
 
 
-class UnwritableError(ValueError):
+class UnwritableError(Refused):
     """A result with no JSON text: a float that is not finite, or an exact
     number with more digits than Python will write."""
 

@@ -14,7 +14,7 @@ from hopfchar.characters import (DUAL, FLOAT, RATIONAL, PolyTarget,
                                  counterexample_demo, exp_infchar, inverse,
                                  linf_norm, log_character)
 from hopfchar.control import coproduct_ratio
-from hopfchar.core import GradedVector
+from hopfchar.core import GradedVector, Refused
 from hopfchar.growth import builtin
 from hopfchar.instances import instance_by_name
 from oracles import (TableMap, character_by_rewrite, check_derivation,
@@ -79,8 +79,41 @@ def test_convolve_is_the_group_law_on_characters(ck):
     # a character and an infinitesimal character have no product in the group
     phi, eta = _char(ck, 3, 3), _inf(ck, 3, 4)
     for pair in ((phi, eta), (eta, phi), (eta, eta)):
-        with pytest.raises(ValueError, match="convolve takes two characters"):
+        with pytest.raises(Refused, match="convolve takes two characters"):
             convolve(*pair)
+
+
+# an operation given the kind of map it does not take -> the refusal it gives;
+# characters are the group, infinitesimal characters its Lie algebra
+OTHER_KIND = {
+    "inverse of an infinitesimal character": (
+        lambda phi, eta: inverse(eta), "inverse takes a character"),
+    "exp of a character": (
+        lambda phi, eta: exp_infchar(phi), "exp takes an infinitesimal character"),
+    "log of an infinitesimal character": (
+        lambda phi, eta: log_character(eta), "log takes a character"),
+    "bracket of two characters": (
+        lambda phi, eta: bracket(phi, phi), "bracket takes two infinitesimal characters"),
+    "bracket of mixed kinds": (
+        lambda phi, eta: bracket(eta, phi), "bracket takes two infinitesimal characters"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_KIND))
+def test_each_operation_refuses_the_other_kind(ck, case):
+    call, message = OTHER_KIND[case]
+    with pytest.raises(Refused) as refused:
+        call(_char(ck, 3, 3), _inf(ck, 3, 4))
+    assert str(refused.value) == message
+    assert isinstance(refused.value, ValueError)
+
+
+def test_bracket_refuses_maps_that_differ(ck, fdb_a):
+    eta = _inf(ck, 3, 4)
+    with pytest.raises(Refused, match="^instances differ: ck vs fdb-a$"):
+        bracket(eta, _inf(fdb_a, 3, 5))
+    with pytest.raises(Refused, match="^truncations differ: 3 vs 2$"):
+        bracket(eta, _inf(ck, 2, 5))
 
 
 def test_inverse_via_antipode(ck, fdb_a, shuffle_ab):

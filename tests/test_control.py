@@ -6,6 +6,7 @@ import pytest
 from hopfchar.control import (antipode_ratio, coproduct_ratio,
                               elementary_coproduct, right_handed_check,
                               rlb_check)
+from hopfchar.core import Refused
 from hopfchar.growth import builtin
 from hopfchar.instances import instance_by_name
 
@@ -59,7 +60,7 @@ def test_verdict_inconclusive_when_max_is_late(fdb_a):
 
 
 def test_ratio_rejects_smaller_target_index(ck):
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="k2 must be at least k1, got k1=3, k2=2"):
         coproduct_ratio(ck, builtin("pow"), 3, 2, 4)
 
 
@@ -109,7 +110,7 @@ def test_rlb_binomial(binomial):
 
 
 def test_rlb_requires_two_degrees(ck):
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="max degree must be at least 2, got 1"):
         rlb_check(ck, 1)
 
 

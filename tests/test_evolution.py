@@ -7,6 +7,7 @@ import pytest
 
 from hopfchar.characters import (RATIONAL, TruncatedInfChar, convolve,
                                  exp_infchar)
+from hopfchar.core import Refused
 from hopfchar.evolution import TimePoly, TimePolynomialCurve, evolve
 from hopfchar.growth import builtin
 from oracles import seeded_rational_values, semiregularity_check
@@ -116,8 +117,16 @@ def test_cocycle_property_at_rational_samples(ck):
 def test_evolve_rejects_overdeep_truncation(binomial):
     X = binomial.generators(1)[0]
     eta = TimePolynomialCurve.constant(binomial, 3, {X: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="truncation 4 exceeds the curve's degree bound 3"):
         evolve(binomial, eta, 4)
+
+
+def test_evolve_refuses_a_character_curve(binomial):
+    # evolution is driven by a Lie-algebra-valued curve, not a group-valued one
+    X = binomial.generators(1)[0]
+    gamma = TimePolynomialCurve(binomial, 3, {X: TimePoly((1, 1))}, "char")
+    with pytest.raises(Refused, match="kind inf-curve"):
+        evolve(binomial, gamma, 3)
 
 
 def test_evolve_refuses_a_curve_of_another_instance(ck, binomial):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfchar.core import Refused
 from hopfchar.growth import (BUILTIN_FAMILIES, GrowthFamily, builtin,
                              check_all_axioms, check_cW, check_W1, check_W2,
                              check_W3, suggest_alpha, w3_holds_at)
@@ -37,8 +38,13 @@ def test_exactness_flags():
 
 
 def test_unknown_family_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="unknown growth family 'nope'"):
         builtin("nope")
+
+
+def test_family_index_below_one_is_refused():
+    with pytest.raises(Refused, match="family index must be >= 1, got 0"):
+        builtin("pow").eval(0, 3)
 
 
 def test_five_builtins_pass_all_axioms():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfchar.characters import RATIONAL, TruncatedCharacter, inverse
-from hopfchar.core import GradedVector, Monomial, TensorVector
+from hopfchar.core import GradedVector, Monomial, Refused, TensorVector
 from hopfchar.instances import bell_partial, instance_by_name, partitions
 from oracles import (admissible_tuples, bell_partial_recurrence, catalan,
                      compositions, fdb_a_coproduct_via_bell,
@@ -206,9 +206,9 @@ def test_registry_builds_every_label():
         H = instance_by_name(label)
         assert H.name == label if not label.startswith("shuffle") else True
     assert instance_by_name("shuffle:ba").name == "shuffle:ab"
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="unknown instance 'nope'"):
         instance_by_name("nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="alphabet must be nonempty"):
         instance_by_name("shuffle:")
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="repeated letters"):
         instance_by_name("shuffle:aa")

@@ -16,6 +16,7 @@ import pytest
 from hopfchar import cli, reports
 from hopfchar.characters import (DUAL, FLOAT, RATIONAL, TruncatedCharacter,
                                  TruncatedInfChar)
+from hopfchar.core import Refused
 from hopfchar.evolution import TimePoly, TimePolynomialCurve
 from hopfchar.fields import Poly, PolyVectorField
 from hopfchar.series import exact_flow_character
@@ -414,6 +415,18 @@ def test_cli_char_norm_depends_only_on_the_values(tmp_path):
         assert _run("char", "norm", "--a", str(path), "--out", str(out)) == 0
         got[name] = _read(out)["report"]["value"]
     assert got["absent"] == got["stored"] == "0"
+
+
+def test_cli_char_config_records_norm_options_for_norm_only(tmp_path):
+    # norm applies and records its defaults; the other ops read no norm option
+    paths = _inputs(tmp_path, None)
+    out = tmp_path / "out.json"
+    assert _run("char", "norm", "--a", paths["ck"], "--out", str(out)) == 0
+    config = _read(out)["config"]
+    assert {option: config[option] for option in ("family", "k", "over")} == {
+        "family": "pow", "k": 1, "over": "generators"}
+    assert _run("char", "inv", "--a", paths["ck"], "--out", str(out)) == 0
+    assert _read(out)["config"] == {"a": paths["ck"], "op": "inv"}
 
 
 def test_cli_char_kind_mismatch(tmp_path, ck, capsys):
@@ -970,6 +983,17 @@ def test_only_main_writes_a_file():
     assert callers["open"] == {"_load", "_write"}
 
 
+def test_main_maps_only_refused_to_exit_2():
+    # a rule refuses where it is read; any other error is not bad input
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h.type) for h in handlers] == ["Refused"]
+    assert issubclass(reports.UnwritableError, Refused)
+    assert issubclass(Refused, ValueError)
+
+
 # a series that leaves the float range, from a float coefficient file or from
 # exact values past it: series -> (the coefficient file or None, argv)
 OVERFLOWING_SERIES = {
@@ -1169,6 +1193,8 @@ CHAR_UNREAD_OPTIONS = {
                 "--k is an option of norm; exp does not read it"),
     "inv --family": (["char", "inv", "--a", "{missing}", "--family", "pow2"],
                      "--family is an option of norm; inv does not read it"),
+    "inv --family pow": (["char", "inv", "--a", "{missing}", "--family", "pow"],
+                         "--family is an option of norm; inv does not read it"),
     "conv --over": (["char", "conv", "--a", "{missing}", "--b", "{missing}",
                      "--over", "monomials"],
                     "--over is an option of norm; conv does not read it"),

@@ -5,7 +5,7 @@ the standard-library machinery no CLI path runs, and no module reads or sets
 an environment variable: the package has no global switch.  Every name that
 ``__all__`` exports is bound, and listed once, and every export and public
 module-level function is run by the package, the benchmark or a demo, not
-only by tests."""
+only by tests.  ``cli.py`` restates no rule of the library."""
 
 import ast
 import os
@@ -61,6 +61,22 @@ def test_cli_start_imports_no_heavy_stdlib_machinery():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_restates_no_rule_of_the_library():
+    """cli.py defines no exception class of its own and imports no private
+    name from another hopfchar module: a rule refuses where it is read, with
+    ``core.Refused``, and the CLI does not wrap or repeat it."""
+    path = PACKAGE / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ClassDef):
+            found.append(f"class {node.name}")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "hopfchar"
+                                                   or node.module.startswith("hopfchar.")):
+            found += [f"import {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_star_import_binds_every_export_once():
