@@ -19,8 +19,9 @@ Over RATIONAL the inner loops run on Python ints: the solver's polynomials
 are integer numerators over one denominator (``RationalPolyTarget``), slot
 for slot the tuples of ``PolyTarget(RATIONAL)``, and convolution, inverse
 and bracket go through ``sum_products``, which sums integer numerators per
-denominator.  A Fraction is built only where a value leaves a pass, with the
-type (int or Fraction) the Fraction-by-Fraction fold gives; the solver's
+denominator; the solver's step is one multiply-add per coproduct term and
+slot.  A Fraction is built only where a value leaves a pass, with the type
+(int or Fraction) the Fraction-by-Fraction fold gives; the solver's
 polynomials carry it in their length.  The float and dual targets keep that
 fold and its order of operations.  A rational q enters a target as
 ``scale(q, one)``.
@@ -226,6 +227,20 @@ class PolyTarget(TargetAlgebra):
     def lower(self, p):
         return p
 
+    def _flow_integral(self, lead, terms, gamma, eta):
+        """The flow solver's step: the antiderivative of lead + sum c
+        gamma(alpha) eta(beta) over terms ((alpha, beta), c), a term whose
+        eta(beta) is zero left out.  Here the fold of ``sum_products``."""
+        return self.integrate(self.sum_products(
+            [(1, lead)] + [(c, gamma.evaluate(alpha), e) for (alpha, beta), c in terms
+                           if (e := eta.evaluate(beta))]))
+
+    def _plus_t(self, p, x):
+        """log's step: e = x - p(1), the constant e, and p + e t, x at t = 1."""
+        B = self.base
+        e = B.add(x, B.scale(-1, self.at_one(p)))
+        return e, self.lift((e,)), self.add(p, self.lift((B.zero, e)))
+
 
 def _reduced(den: int, nums: list):
     """The polynomial nums / den in lowest terms, every slot kept."""
@@ -371,6 +386,43 @@ class RationalPolyTarget(PolyTarget):
                 out[i] += n * f
         return _reduced(den, out)
 
+    def _flow_integral(self, lead, terms, gamma, eta):
+        """The generic step as one loop on integer numerators over a running
+        denominator, read off both maps' caches; a constant eta(beta), as in
+        exp and log, scales gamma(alpha), which is never (), by a number."""
+        den, acc = (lead[0], list(lead[1])) if lead else (1, [])
+        gamma_cache, eta_cache = gamma._cache, eta._cache
+        for (alpha, beta), c in terms:
+            e = eta_cache.get(beta)
+            if e is None:
+                e = eta.evaluate(beta)
+            if not e:
+                continue
+            (d, nums), (de, b) = gamma_cache.get(alpha) or gamma.evaluate(alpha), e
+            d *= de * c.denominator
+            c = c.numerator
+            if len(b) == 1:  # eta(beta) is constant in t
+                c *= b[0]
+            else:
+                nums = _times(nums, b)
+            if den % d:  # raise den to lcm(den, d)
+                f = d // gcd(den, d)
+                acc = [n * f for n in acc]
+                den *= f
+            c *= den // d
+            acc.extend([0] * (len(nums) - len(acc)))
+            for i, n in enumerate(nums):
+                acc[i] += c * n
+        return self.integrate((den, acc))
+
+    def _plus_t(self, p, x):
+        """The generic step; p = integrate(()) is 0, and there e is x itself."""
+        den, nums = p
+        e = x if len(nums) == 1 else Fraction(x.numerator * den - x.denominator * sum(nums),
+                                              x.denominator * den)
+        n, d = e.numerator, e.denominator
+        return e, (d, (n,)), self.add(p, (d, (0, n)))
+
 
 RATIONAL = RationalTarget()
 FLOAT = FloatTarget()
@@ -389,9 +441,9 @@ def _clean_generator_values(hopf: HopfAlgebra, N: int,
     out: dict[Monomial, object] = {}
     for m, v in values.items():
         if not hopf.is_generator(m):
-            raise ValueError(f"{hopf.monomial_text(m)} is not a generator of {hopf.name}")
+            raise Refused(f"{hopf.monomial_text(m)} is not a generator of {hopf.name}")
         if m.degree > N:
-            raise ValueError(f"generator {hopf.monomial_text(m)} exceeds N={N}")
+            raise Refused(f"generator {hopf.monomial_text(m)} exceeds N={N}")
         out[m] = v
     return out
 
@@ -418,7 +470,7 @@ class _GeneratorMap:
         if cached is not None:
             return cached
         if m.degree > self.N:
-            raise ValueError(
+            raise Refused(
                 f"degree {m.degree} exceeds truncation N={self.N} for {self.kind}")
         if m.is_empty():
             return self.target.zero if self.infinitesimal else self.target.one
@@ -501,10 +553,11 @@ def linf_norm(phi, family: GrowthFamily, k: int, over: str = "generators"):
     elif over == "monomials":
         domain = phi.hopf.basis_upto(phi.N)
     else:
-        raise ValueError("over must be 'generators' or 'monomials'")
+        raise Refused("over must be 'generators' or 'monomials'")
     best = None
     for m in domain:
-        norm, weight = phi.target.norm(phi.evaluate(m)), family.eval(k, m.degree)
+        weight = family.eval(k, m.degree)  # refuses a bad k before phi computes
+        norm = phi.target.norm(phi.evaluate(m))
         if isinstance(norm, (int, Fraction)) and isinstance(weight, (int, Fraction)):
             ratio = Fraction(norm, weight)
         else:
@@ -537,35 +590,25 @@ def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
     eta(g) = eta(g) and gamma(g) eta(1) = 0.  alpha and beta have lower
     degree, so both evaluate, through the instance's ``character_value``
     hook, from generator values already solved.  Integration is exact over
-    an exact B.
+    an exact B.  The step is the target's ``_flow_integral``, one integer
+    loop in ``RationalPolyTarget``.
 
     With phi, eta is the unknown instead: a constant infinitesimal character
     with gamma(1) = phi, solved generator by generator.  Since gamma(alpha)
     vanishes at t = 0, eta(g) enters gamma(g) only as the t^1 term eta(g) t,
     and the higher coefficients do not depend on it, so solved maps g to
-    the B-value eta(g) = phi(g) - sum_{k >= 2} gamma(g)_k.
+    the B-value eta(g) = phi(g) - sum_{k >= 2} gamma(g)_k (``_plus_t``).
     """
     P = _flow_target(B)
-    eta = {g: p for g, p in eta.items() if g.degree <= N}
     gamma = TruncatedCharacter(H, N, P, {})
-    inf = TruncatedInfChar(H, N, P, {g: P.lift(p) for g, p in eta.items()})
+    inf = TruncatedInfChar(H, N, P, {g: P.lift(p) for g, p in eta.items() if g.degree <= N})
     solved = {}
-
-    def integrand_terms(g):
-        if phi is None:
-            yield 1, inf._value(g)
-        for (alpha, beta), c in H.reduced_coproduct_monomial(g).terms.items():
-            e = inf.evaluate(beta)
-            if e:
-                yield c, gamma.evaluate(alpha), e
-
     for n in range(1, N + 1):
         for g in H.generators(n):
-            p = P.integrate(P.sum_products(integrand_terms(g)))
+            p = P._flow_integral(inf._value(g), H.reduced_coproduct_monomial(g).terms.items(),
+                                 gamma, inf)
             if phi is not None:
-                value = solved[g] = B.add(phi.evaluate(g), B.scale(-1, P.at_one(p)))
-                inf.values[g] = P.lift((value,))
-                p = P.add(p, P.lift((B.zero, value)))  # + eta(g) t
+                solved[g], inf.values[g], p = P._plus_t(p, phi.evaluate(g))
             gamma.values[g] = p
     return gamma.values, solved
 

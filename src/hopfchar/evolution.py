@@ -35,16 +35,31 @@ class TimePoly:
     polynomial arithmetic is the flow solver's ``characters.RATIONAL_POLY``
     (integer numerators over one denominator), which ``evolve`` runs on the
     coefficient tuples.  ``*`` lifts to it, multiplies there and lowers the
-    product; ``perfbench/spans.py`` counts its calls.
+    product; ``perfbench/spans.py`` counts its calls.  ``evolve``'s TimePolys
+    keep the solver's form for ``eval``, lowered only when coeffs are read.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs", "_ints")
 
     def __init__(self, coeffs=()):
         cs = [normalize_coeff(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
+        self._ints = None
+
+    @classmethod
+    def _solved(cls, p) -> "TimePoly":
+        """The TimePoly of a ``RATIONAL_POLY`` polynomial, () if it is zero."""
+        out = cls.__new__(cls)
+        out._coeffs, out._ints = None, p if any(p[1]) else ()
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = TimePoly(RATIONAL_POLY.lower(self._ints))._coeffs
+        return self._coeffs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimePoly):
@@ -62,15 +77,16 @@ class TimePoly:
         """The value at t.  At an int or Fraction t it is summed on integer
         numerators over one denominator and has Horner's type: a Fraction
         when t or a coefficient is one, else an int.  At a float t, Horner."""
-        cs = self.coeffs
         if not isinstance(t, (int, Fraction)):
             total = 0
-            for c in reversed(cs):
+            for c in reversed(self.coeffs):
                 total = total * t + c
             return total
-        if not cs:
+        if self._ints is None:
+            self._ints = RATIONAL_POLY.lift(self._coeffs)
+        if not self._ints:
             return 0
-        den, nums = RATIONAL_POLY.lift(cs)
+        den, nums = self._ints
         p, q = t.numerator, t.denominator
         num, q_power = 0, 1
         for c in reversed(nums):
@@ -93,7 +109,7 @@ class TimePolynomialCurve:
     def __init__(self, hopf: HopfAlgebra, N: int,
                  polys: Mapping[Monomial, TimePoly], kind: str):
         if kind not in ("inf", "char"):
-            raise ValueError("kind must be 'inf' or 'char'")
+            raise Refused("kind must be 'inf' or 'char'")
         self.hopf = hopf
         self.N = N
         self.polys = _clean_generator_values(hopf, N, polys)
@@ -134,7 +150,7 @@ def evolve(H: HopfAlgebra, eta: TimePolynomialCurve, N: int) -> TimePolynomialCu
     if N > eta.N:
         raise Refused(f"truncation {N} exceeds the curve's degree bound {eta.N}")
     gamma, _ = _solve_flow(H, N, RATIONAL, {g: p.coeffs for g, p in eta.polys.items()})
-    P = _flow_target(RATIONAL)
-    return TimePolynomialCurve(H, N, {g: TimePoly(P.lower(p)) for g, p in gamma.items()},
-                               "char")
+    P = _flow_target(RATIONAL)  # RATIONAL_POLY, unless a reference target stands in
+    poly = TimePoly._solved if P is RATIONAL_POLY else lambda p: TimePoly(P.lower(p))
+    return TimePolynomialCurve(H, N, {g: poly(p) for g, p in gamma.items()}, "char")
 

@@ -170,7 +170,7 @@ def suggest_alpha(k1: int, k2: int, k3: int) -> Fraction:
     k1^alpha * k3^(1-alpha) <= k2, so it works for every built-in family.
     """
     if not k1 < k2 < k3:
-        raise ValueError(f"need k1 < k2 < k3, got {(k1, k2, k3)}")
+        raise Refused(f"need k1 < k2 < k3, got {(k1, k2, k3)}")
     return Fraction(k3 - k2, k3 - k1)
 
 
@@ -184,7 +184,7 @@ def check_cW(
 ) -> AxiomCheck:
     grid = {"k1": k1, "k2": k2, "k3": k3, "alpha": str(alpha), "n_max": n_max}
     if not (0 < alpha < 1):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+        raise Refused(f"alpha must lie in (0,1), got {alpha}")
     p, q = alpha.numerator, alpha.denominator
     for n in range(n_max + 1):
         if _exceeds(family, ((k1, n, p), (k3, n, q - p)), ((k2, n, q),)):

@@ -62,9 +62,9 @@ def test_convolution_associative_seeded(ck, fdb_a):
 
 
 def test_maps_refuse_another_instances_generators(ck, binomial, shuffle_ab):
-    with pytest.raises(ValueError, match="not a generator of ck"):
+    with pytest.raises(Refused, match="not a generator of ck"):
         TruncatedCharacter(ck, 3, RATIONAL, {binomial.generators(1)[0]: 5})
-    with pytest.raises(ValueError, match="not a generator of shuffle:ab"):
+    with pytest.raises(Refused, match="not a generator of shuffle:ab"):
         TruncatedInfChar(shuffle_ab, 3, RATIONAL, {ck.generator_from_text("B"): 5})
 
 
@@ -416,8 +416,22 @@ def test_linf_norm_on_counit(ck):
     eps = TruncatedCharacter(ck, 6, RATIONAL, {})
     assert linf_norm(eps, builtin("pow"), 1) == 0
     assert linf_norm(eps, builtin("pow"), 1, over="monomials") == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="^over must be 'generators' or 'monomials'$"):
         linf_norm(eps, builtin("pow"), 1, over="words")
+
+
+def test_a_map_refuses_degrees_past_its_truncation(ck):
+    with pytest.raises(Refused, match=r"^generator \[B,B\] exceeds N=2$"):
+        TruncatedInfChar(ck, 2, RATIONAL, {ck.generators(3)[0]: 1})
+    with pytest.raises(Refused, match="^degree 4 exceeds truncation N=3 for character$"):
+        _char(ck, 3, 3).evaluate(ck.basis(4)[0])
+
+
+def test_linf_norm_refuses_before_it_evaluates(ck):
+    phi = _char(ck, 3, 3)
+    with pytest.raises(Refused, match="family index must be >= 1, got 0"):
+        linf_norm(phi, builtin("anti"), 0)
+    assert phi._cache == {}
 
 
 def test_controlled_witness_small_character(binomial):

@@ -137,7 +137,7 @@ def test_evolve_refuses_a_curve_of_another_instance(ck, binomial):
 
 
 def test_curve_kind_validation(binomial):
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match="^kind must be 'inf' or 'char'$"):
         TimePolynomialCurve(binomial, 2, {}, "group")
 
 

@@ -146,6 +146,16 @@ def test_suggest_alpha_properties(k1, dk2, dk3):
     assert a * k1 + (1 - a) * k3 == k2
 
 
+def test_suggest_alpha_refuses_unordered_indices():
+    with pytest.raises(Refused, match=r"^need k1 < k2 < k3, got \(1, 3, 2\)$"):
+        suggest_alpha(1, 3, 2)
+
+
+def test_check_cw_refuses_alpha_outside_the_unit_interval():
+    with pytest.raises(Refused, match="^alpha must lie in \\(0,1\\), got 1$"):
+        check_cW(builtin("pow"), 1, 2, 3, Fraction(1), 4)
+
+
 def test_cw_with_suggested_alpha():
     for name in FIVE:
         fam = builtin(name)

@@ -28,7 +28,8 @@ from hopfchar.reports import character_to_json, curve_to_json, render_report
 from oracles import FOLD
 
 # (instance, truncation), sized to keep the Fraction-by-Fraction side quick
-CASES = [("ck", 6), ("ck2", 4), ("fdb-a", 8), ("shuffle:ab", 6), ("binomial", 8)]
+CASES = [("ck", 6), ("ck2", 4), ("fdb-a", 8), ("fdb-x", 8), ("shuffle:ab", 6),
+         ("binomial", 8)]
 
 
 def _value(rng):
@@ -103,6 +104,37 @@ def test_character_calculus_matches_fraction_fold(name, N, sparse, monkeypatch):
     for g, p in ref_gamma.polys.items():
         assert [type(c) for c in gamma.polys[g].coeffs] == [type(c) for c in p.coeffs]
     assert render_report(curve_to_json(gamma)) == render_report(curve_to_json(ref_gamma))
+
+
+@pytest.mark.parametrize("name,N", CASES, ids=[c[0] for c in CASES])
+def test_evolve_of_a_constant_curve_matches_fraction_fold(name, N, monkeypatch):
+    # a constant eta takes the solver's scalar path, as exp and log do
+    H = instance_by_name(name)
+    values = _values(H, N, random.Random(f"constant:{name}"), True)
+    curve = TimePolynomialCurve.constant(H, N, values)
+    gamma = evolve(H, curve, N)
+    monkeypatch.setattr(evolution, "RATIONAL", FOLD)
+    ref = evolve(H, curve, N)
+    for t in (1, Fraction(1, 3), 0.5):
+        _assert_same(gamma.at(t).values, ref.at(t).values)
+    assert gamma.polys.keys() == ref.polys.keys()
+    for g, p in ref.polys.items():
+        assert [type(c) for c in gamma.polys[g].coeffs] == [type(c) for c in p.coeffs]
+    assert render_report(curve_to_json(gamma)) == render_report(curve_to_json(ref))
+
+
+def test_an_evolved_time_poly_equals_one_built_from_its_coeffs(ck):
+    eta = TimePolynomialCurve(ck, 4, {g: TimePoly((Fraction(1, g.degree + 1), 0, -1))
+                                      for g in ck.generators_upto(4)}, "inf")
+    gamma, again = evolve(ck, eta, 4).polys, evolve(ck, eta, 4).polys
+    for g, p in gamma.items():
+        assert p == again[g]  # before either's coeffs were read
+        rebuilt = TimePoly(p.coeffs)
+        assert p == rebuilt and hash(p) == hash(rebuilt) and p.coeffs
+    # the zero curve's solution is zero: equal to TimePoly(), the int 0 at any t
+    for p in evolve(ck, TimePolynomialCurve(ck, 4, {}, "inf"), 4).polys.values():
+        assert p.eval(Fraction(1, 3)) == 0 and type(p.eval(Fraction(1, 3))) is int
+        assert p == TimePoly() and hash(p) == hash(TimePoly())
 
 
 def test_zero_results_keep_the_folds_types(ck):
