@@ -22,9 +22,10 @@ and bracket go through ``sum_products``, which sums integer numerators per
 denominator; the solver's step is one multiply-add per coproduct term and
 slot.  A Fraction is built only where a value leaves a pass, with the type
 (int or Fraction) the Fraction-by-Fraction fold gives; the solver's
-polynomials carry it in their length.  The float and dual targets keep that
-fold and its order of operations.  A rational q enters a target as
-``scale(q, one)``.
+polynomials carry it in their length.  ``RATIONAL_POLY`` also evaluates
+curves: an ``evolution.TimePoly`` is one of its polynomials, and ``at``
+sums it at t on integers.  The float and dual targets keep that fold and
+its order of operations.  A rational q enters a target as ``scale(q, one)``.
 """
 
 from __future__ import annotations
@@ -272,9 +273,9 @@ class RationalPolyTarget(PolyTarget):
     ``lift((0,))`` is not zero and ``integrate(())`` is the constant 0, and
     the length of a polynomial is the length of the generic one.  Every
     operation reduces with one gcd.  Values enter through ``lift`` and leave
-    through ``lower`` or ``at_one``; no Fraction is built in between.  The
-    int/Fraction type of a slot is not kept, so ``at_one`` gives the generic
-    type only on polynomials that ``integrate`` returned.
+    through ``lower``, ``at_one`` or ``at``, with no Fraction in between.
+    The int/Fraction type of a slot is not kept, so ``at_one`` gives the
+    generic type only on polynomials that ``integrate`` returned.
     """
 
     def __init__(self):
@@ -297,6 +298,32 @@ class RationalPolyTarget(PolyTarget):
             return ()
         den, nums = p
         return tuple(n if den == 1 else normalize_coeff(Fraction(n, den)) for n in nums)
+
+    def trimmed(self, p):
+        """p without its trailing zero slots: () exactly when p is zero."""
+        while p and not p[1][-1]:
+            p = (p[0], p[1][:-1]) if len(p[1]) > 1 else ()
+        return p
+
+    def at(self, p, t):
+        """p(t) with Horner's value and type over ``lower(p)``, summed on
+        integer numerators over one denominator at an int or Fraction t."""
+        if not isinstance(t, (int, Fraction)):
+            total = 0
+            for c in reversed(self.lower(p)):
+                total = total * t + c
+            return total
+        if not p:
+            return 0
+        den, nums = p
+        a, q = t.numerator, t.denominator
+        num, q_power = 0, 1
+        for c in reversed(nums):
+            num = num * a + c * q_power
+            q_power *= q
+        if den == 1 and not isinstance(t, Fraction):
+            return num
+        return Fraction(num, den * q_power // q)
 
     def add(self, p, q):
         if not p:
@@ -462,9 +489,6 @@ class _GeneratorMap:
         self.values = _clean_generator_values(hopf, N, values)
         self._cache: dict[Monomial, object] = {}
 
-    def _value(self, g: Monomial):
-        return self.values.get(g, self.target.zero)
-
     def evaluate(self, m: Monomial):
         cached = self._cache.get(m)  # holds only nonempty m within the truncation
         if cached is not None:
@@ -474,8 +498,7 @@ class _GeneratorMap:
                 f"degree {m.degree} exceeds truncation N={self.N} for {self.kind}")
         if m.is_empty():
             return self.target.zero if self.infinitesimal else self.target.one
-        total = self.hopf.character_value(m, self._value, self.evaluate, self.target,
-                                          self.infinitesimal)
+        total = self.hopf.character_value(self, m)
         self._cache[m] = total
         return total
 
@@ -605,8 +628,8 @@ def _solve_flow(H: HopfAlgebra, N: int, B: TargetAlgebra, eta: dict,
     solved = {}
     for n in range(1, N + 1):
         for g in H.generators(n):
-            p = P._flow_integral(inf._value(g), H.reduced_coproduct_monomial(g).terms.items(),
-                                 gamma, inf)
+            terms = H.reduced_coproduct_monomial(g).terms.items()
+            p = P._flow_integral(inf.values.get(g, P.zero), terms, gamma, inf)
             if phi is not None:
                 solved[g], inf.values[g], p = P._plus_t(p, phi.evaluate(g))
             gamma.values[g] = p

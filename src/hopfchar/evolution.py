@@ -5,6 +5,8 @@ coefficients, read as an infinitesimal-character-valued curve.  Because the
 reduced coproduct strictly lowers degree on the gamma slot, the solution's
 value on a degree-n generator is an exact rational polynomial in t obtained
 by integrating already-known lower-degree data; no ODE stepping is involved.
+Both curves keep each polynomial as a ``TimePoly`` in the form the solver
+computes in, ``characters.RATIONAL_POLY``, which alone reads it.
 """
 
 from __future__ import annotations
@@ -22,82 +24,56 @@ from .characters import (
     _flow_target,
     _solve_flow,
 )
-from .core import Coeff, Monomial, Refused, normalize_coeff
+from .core import Coeff, Monomial, Refused
 from .hopf import HopfAlgebra
 
 
 class TimePoly:
     """Dense univariate polynomial in t over exact rationals: a curve's value
-    on one generator.
+    on one generator, built from int and Fraction coefficients, t^0 first.
 
-    ``coeffs`` is a tuple of normalised rationals (integral ones as ints),
-    t^0 first, without trailing zeros.  A TimePoly is evaluated and compared;
-    polynomial arithmetic is the flow solver's ``characters.RATIONAL_POLY``
-    (integer numerators over one denominator), which ``evolve`` runs on the
-    coefficient tuples.  ``*`` lifts to it, multiplies there and lowers the
-    product; ``perfbench/spans.py`` counts its calls.  ``evolve``'s TimePolys
-    keep the solver's form for ``eval``, lowered only when coeffs are read.
+    It holds one ``characters.RATIONAL_POLY`` polynomial (integer numerators
+    over one denominator) without trailing zero slots, as ``evolve`` solves
+    it, and that target does the work: ``coeffs`` lowers it to normalised
+    rationals, ``eval`` runs on integers and ``*`` multiplies there.
     """
 
-    __slots__ = ("_coeffs", "_ints")
+    __slots__ = ("_p",)
 
     def __init__(self, coeffs=()):
-        cs = [normalize_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
-        self._ints = None
+        coeffs = tuple(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise Refused(f"curve coefficients must be ints or Fractions: {coeffs!r}")
+        self._p = RATIONAL_POLY.trimmed(RATIONAL_POLY.lift(coeffs))
 
     @classmethod
     def _solved(cls, p) -> "TimePoly":
-        """The TimePoly of a ``RATIONAL_POLY`` polynomial, () if it is zero."""
+        """The TimePoly of a ``RATIONAL_POLY`` polynomial."""
         out = cls.__new__(cls)
-        out._coeffs, out._ints = None, p if any(p[1]) else ()
+        out._p = RATIONAL_POLY.trimmed(p)
         return out
 
     @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            self._coeffs = TimePoly(RATIONAL_POLY.lower(self._ints))._coeffs
-        return self._coeffs
+        return RATIONAL_POLY.lower(self._p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimePoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._p == other._p
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._p)
 
     def __mul__(self, other: "TimePoly") -> "TimePoly":
-        P = RATIONAL_POLY
-        return TimePoly(P.lower(P.mul(P.lift(self.coeffs), P.lift(other.coeffs))))
+        return TimePoly._solved(RATIONAL_POLY.mul(self._p, other._p))
 
     def eval(self, t):
-        """The value at t.  At an int or Fraction t it is summed on integer
-        numerators over one denominator and has Horner's type: a Fraction
-        when t or a coefficient is one, else an int.  At a float t, Horner."""
-        if not isinstance(t, (int, Fraction)):
-            total = 0
-            for c in reversed(self.coeffs):
-                total = total * t + c
-            return total
-        if self._ints is None:
-            self._ints = RATIONAL_POLY.lift(self._coeffs)
-        if not self._ints:
-            return 0
-        den, nums = self._ints
-        p, q = t.numerator, t.denominator
-        num, q_power = 0, 1
-        for c in reversed(nums):
-            num = num * p + c * q_power
-            q_power *= q
-        if den == 1 and not isinstance(t, Fraction):
-            return num
-        return Fraction(num, den * q_power // q)
+        """The value at t, with Horner's value and type over ``coeffs``."""
+        return RATIONAL_POLY.at(self._p, t)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._p:
             return "0"
         return " + ".join(f"{c}*t^{i}" if i else f"{c}"
                           for i, c in enumerate(self.coeffs) if c)

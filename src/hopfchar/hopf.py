@@ -109,27 +109,29 @@ class HopfAlgebra(ABC):
                 self.add_product(acc, ma, mb, ca * cb)
         return GradedVector(acc)
 
-    def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
-        """The value at a nonempty basis element m of a character (or, with
-        infinitesimal, of an infinitesimal character) stored on generators.
+    def character_value(self, phi, m: Monomial):
+        """The value at a nonempty basis element m of phi, a character (or,
+        where phi.infinitesimal, an infinitesimal character) stored on
+        generators.
 
-        gen_value(g) reads the stored value of a generator g, and value_of(u)
-        the map's own value at another basis element u of the same or a
-        lower degree.
+        phi.values holds the generator values, absent meaning
+        phi.target.zero, and phi.evaluate(u) gives phi's value at another
+        basis element u of the same or a lower degree.
         Here m is the product of its factors: a character multiplies their
         values, and an infinitesimal character, zero on products, gives the
         value of a single generator and zero otherwise.
 
         This is the one evaluation path for characters: the exp/log/evolve
-        solver's gamma and eta come here too, with B the polynomials in t
-        over the solver's target.
+        solver's gamma and eta come here too, with phi.target the
+        polynomials in t over the solver's target.
         """
+        B, values = phi.target, phi.values
         gens = [Monomial.trusted((g,), g.degree) for g in m.factors]
-        if infinitesimal:
-            return gen_value(gens[0]) if len(gens) == 1 else B.zero
-        value = gen_value(gens[0])
+        if phi.infinitesimal:
+            return values.get(gens[0], B.zero) if len(gens) == 1 else B.zero
+        value = values.get(gens[0], B.zero)
         for g in gens[1:]:
-            value = B.mul(value, gen_value(g))
+            value = B.mul(value, values.get(g, B.zero))
         return value
 
     # ------------------------------------------------------------------ coproduct

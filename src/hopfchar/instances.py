@@ -358,7 +358,7 @@ class Shuffle(HopfAlgebra):
         return GradedVector.of(self.word_monomial(_text(g)[::-1]),
                                -1 if g.degree % 2 else 1)
 
-    def character_value(self, m: Monomial, gen_value, value_of, B, infinitesimal: bool):
+    def character_value(self, phi, m: Monomial):
         """A triangular solve on the first Chen-Fox-Lyndon factor of the word w.
 
         A Lyndon word is a generator.  Otherwise w has factors
@@ -367,32 +367,42 @@ class Shuffle(HopfAlgebra):
         a lexicographically smaller word with the same letters, so
         phi(w) = (phi(l_1) phi(t) - sum c_u phi(u)) / i_1, the product being 0
         for an infinitesimal character (both factors are nonempty); the sum
-        goes through ``B.sum_products`` and is then scaled by 1 / i_1.  The
-        smaller words with the same letters are valued first, in increasing
-        order, and then a character's tails l_k, l_{k-1} l_k, ..., t,
-        shortest first, so each value_of finds the words below it already
-        valued and the recursion depth does not grow with the word's length.
+        goes through ``B.sum_products`` and is then scaled by 1 / i_1.
+
+        First the smaller non-Lyndon words with the same letters are valued,
+        in increasing order, and then a character's tails l_k,
+        l_{k-1} l_k, ..., t, shortest first, so each phi.evaluate finds the
+        words below it already valued and the recursion depth does not grow
+        with the word's length.  A non-Lyndon word enters phi's cache only
+        after this fill has run for it, so a cached one certifies every
+        non-Lyndon word below it: the fill starts after the nearest cached
+        word below w and each word is filled once per map.
         """
         row = self._solve_rows.get(m)
         if row is None:
             row = self._solve_rows[m] = self._solve_row(m)
+        B, values = phi.target, phi.values
         if not row:
-            return gen_value(m)
+            return values.get(m, B.zero)
         inv, head, tails, words, coeffs, same_letters, index = row
-        for i in range(index):
-            value_of(same_letters[i])
+        cache, evaluate = phi._cache, phi.evaluate
+        start = index
+        while start and same_letters[start - 1] not in cache:
+            start -= 1
+        for i in range(start, index):
+            evaluate(same_letters[i])
         terms = []
-        if not infinitesimal:
-            tail = [value_of(t) for t in tails][-1]
-            terms.append((1, gen_value(head), tail))
-        terms += [(c, value_of(u)) for u, c in zip(words, coeffs)]
+        if not phi.infinitesimal:
+            tail = [evaluate(t) for t in tails][-1]
+            terms.append((1, values.get(head, B.zero), tail))
+        terms += [(c, evaluate(u)) for u, c in zip(words, coeffs)]
         return B.scale(inv, B.sum_products(terms))
 
     def _solve_row(self, m: Monomial) -> tuple:
         """() for a Lyndon word; else (1/i_1, the generator l_1, the tails of
         w shortest first, the words u and their coefficients -c_u, the
-        words with the same letters in lexicographic order, and the position
-        of m among them).  l_1 ш t is one :meth:`_shuffle`."""
+        non-Lyndon words with the same letters in lexicographic order, and
+        the position of m among them).  l_1 ш t is one :meth:`_shuffle`."""
         w = _text(m)
         if is_lyndon(w):
             return ()
@@ -409,7 +419,7 @@ class Shuffle(HopfAlgebra):
         same_letters = self._word_classes.get(key)
         if same_letters is None:
             same_letters = self._word_classes[key] = tuple(
-                self.word_monomial(u) for u in rearrangements(w))
+                self.word_monomial(u) for u in rearrangements(w) if not is_lyndon(u))
         return (Fraction(1, lead), self.word_monomial(head), tuple(tails),
                 tuple(map(self.word_monomial, expansion)),
                 tuple(-c for c in expansion.values()),

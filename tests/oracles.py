@@ -17,6 +17,8 @@ reads.  ``sigma`` is the tree symmetry coefficient by its recursion over
 children, which the library's tree pass folds into its own loop.
 ``semiregularity_check`` is the paper's regularity estimate for the exact
 ``evolve``, in floats with a relative guard, which no CLI report runs.
+``magnus_logarithm`` solves for the logarithm of an evolved curve through
+the library's ``bracket`` and polynomial target only, not its flow solver.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from math import comb, exp, factorial
 from typing import Iterator, Sequence
 
 from hopfchar.characters import (FLOAT, RationalTarget, TargetAlgebra,
-                                 TruncatedCharacter, TruncatedInfChar, linf_norm)
+                                 TruncatedCharacter, TruncatedInfChar, bracket,
+                                 linf_norm)
 from hopfchar.core import Coeff, GradedVector, Monomial, TensorVector, json_number
 from hopfchar.evolution import TimePolynomialCurve, evolve
 from hopfchar.fields import Poly, PolyVectorField
@@ -362,6 +365,36 @@ def log_by_series(phi, N: int) -> dict:
         for m in basis:
             acc[m] = B.add(acc[m], B.scale(c, power[m]))
     return acc
+
+
+def bernoulli_numbers(n: int) -> list:
+    """B_0 .. B_{n-1} by the recurrence sum_j C(m+1, j) B_j = 0, so B_1 = -1/2."""
+    out: list = []
+    for m in range(n):
+        out.append(Fraction(1) if m == 0 else
+                   -sum(comb(m + 1, j) * b for j, b in enumerate(out)) / (m + 1))
+    return out
+
+
+def magnus_logarithm(eta: TruncatedInfChar, odd_sign: int = 1) -> TruncatedInfChar:
+    """Omega(t) with exp(Omega(t)) = gamma(t), gamma' = gamma * eta, gamma(0)
+    the counit, for eta over a polynomial target such as
+    ``PolyTarget(RATIONAL)``: N Picard sweeps of the Magnus equation
+    Omega' = sum_{k<N} (-1)^k B_k / k! ad_Omega^k(eta), from Omega = 0.  A
+    bracket of length above N vanishes, and sweep n fixes degree n, so the
+    result is exact.  odd_sign = -1 flips the odd terms, as a control."""
+    H, N, P = eta.hopf, eta.N, eta.target
+    coeffs = [(-odd_sign) ** k * b / factorial(k)
+              for k, b in enumerate(bernoulli_numbers(N))]
+    omega = TruncatedInfChar(H, N, P, {})
+    for _ in range(N):
+        ad = [eta]
+        for _ in range(1, N):
+            ad.append(bracket(omega, ad[-1]))
+        omega = TruncatedInfChar(H, N, P, {
+            g: P.integrate(P.sum_products((c, x.evaluate(g)) for c, x in zip(coeffs, ad)))
+            for g in H.generators_upto(N)})
+    return omega
 
 
 class TableMap:

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hopfchar.characters import (RATIONAL, TruncatedInfChar, convolve,
+from hopfchar.characters import (RATIONAL, PolyTarget, TruncatedInfChar, convolve,
                                  exp_infchar)
 from hopfchar.core import Refused
 from hopfchar.evolution import TimePoly, TimePolynomialCurve, evolve
 from hopfchar.growth import builtin
-from oracles import seeded_rational_values, semiregularity_check
+from hopfchar.instances import instance_by_name
+from oracles import magnus_logarithm, seeded_rational_values, semiregularity_check
 
 
 def _unit_ball_values(H, N, seed):
@@ -60,6 +61,12 @@ def test_timepoly_eval_at_a_float_is_horner():
     assert type(p.eval(0.3)) is float
 
 
+def test_timepoly_refuses_a_float_coefficient():
+    # a float would fail only later, when the curve is evaluated or evolved
+    with pytest.raises(Refused, match="ints or Fractions"):
+        TimePoly((0.5, 1))
+
+
 def test_curve_at_picks_target(binomial):
     X = binomial.generators(1)[0]
     curve = TimePolynomialCurve(binomial, 3, {X: TimePoly((0, 1))}, "inf")
@@ -103,6 +110,29 @@ def test_evolve_constant_curve_equals_exponential(ck, fdb_a, ck2, shuffle_ab):
             assert all(
                 got.evaluate(m) == expected.evaluate(m) for m in H.basis_upto(6)
             )
+
+
+@pytest.mark.parametrize("label,N",
+                         [("ck", 5), ("ck2", 4), ("fdb-a", 6), ("shuffle:ab", 5)])
+def test_evolve_matches_the_magnus_expansion(label, N):
+    # an affine curve eta0 + t eta1; a constant one would make every bracket
+    # vanish, and the flipped expansion would pass too
+    H = instance_by_name(label)
+    rng = random.Random(f"magnus:{label}")
+    eta0, eta1 = (seeded_rational_values(H, N, rng) for _ in range(2))
+    gamma = evolve(H, TimePolynomialCurve(H, N, {g: TimePoly((v, eta1[g]))
+                                                 for g, v in eta0.items()}, "inf"), N)
+    eta = TruncatedInfChar(H, N, PolyTarget(RATIONAL),
+                           {g: (v, eta1[g]) for g, v in eta0.items()})
+    for sign, agrees in ((1, True), (-1, False)):
+        omega = magnus_logarithm(eta, sign)
+        same = True
+        for t in (1, Fraction(1, 2)):
+            want = gamma.at(t)
+            got = exp_infchar(TruncatedInfChar(
+                H, N, RATIONAL, {g: _horner(p, t) for g, p in omega.values.items()}))
+            same &= all(got.evaluate(g) == want.evaluate(g) for g in H.generators_upto(N))
+        assert same is agrees
 
 
 def test_cocycle_property_at_rational_samples(ck):

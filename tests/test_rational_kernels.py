@@ -22,6 +22,7 @@ from hopfchar import evolution
 from hopfchar.characters import (RATIONAL, RATIONAL_POLY, PolyTarget,
                                  TruncatedCharacter, TruncatedInfChar, bracket,
                                  convolve, exp_infchar, inverse, log_character)
+from hopfchar.core import normalize_coeff
 from hopfchar.evolution import TimePoly, TimePolynomialCurve, evolve
 from hopfchar.instances import instance_by_name
 from hopfchar.reports import character_to_json, curve_to_json, render_report
@@ -232,3 +233,37 @@ def test_scalar_sum_of_products_agrees_with_the_fold(terms):
         cut = [t[:width] for t in terms]
         got, want = RATIONAL.sum_products(cut), FOLD.sum_products(cut)
         assert got == want and type(got) is type(want)
+
+
+def _horner(coeffs, t):
+    total = 0
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
+
+
+@given(polys, st.integers(-9, 9),
+       st.fractions(min_value=-9, max_value=9, max_denominator=12),
+       st.floats(min_value=-9, max_value=9))
+def test_at_has_horners_value_and_type(p, n, q, x):
+    # the encoding keeps a slot's value, not its type, so Horner runs on the
+    # generic tuple with its integral slots as ints
+    p = tuple(map(normalize_coeff, p))
+    for t in (n, q, x):
+        got, want = R.at(R.lift(p), t), _horner(p, t)
+        assert got == want and type(got) is type(want)
+
+
+@given(polys)
+def test_trimmed_drops_only_trailing_zero_slots(p):
+    x, y = R.lift(p), R.trimmed(R.lift(p))
+    if not any(p):
+        assert y == ()
+        return
+    den, nums = y
+    k = len(nums)
+    assert den == x[0] and nums == x[1][:k] and nums[-1] and not any(x[1][k:])
+
+
+def test_a_time_poly_holds_one_rational_poly():
+    assert TimePoly.__slots__ == ("_p",)
