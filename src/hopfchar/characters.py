@@ -16,16 +16,17 @@ over the target B, and evaluate through the same hook.  No full monomial
 table is built.
 
 Over RATIONAL the inner loops run on Python ints: the solver's polynomials
-are integer numerators over one denominator (``RationalPolyTarget``), slot
-for slot the tuples of ``PolyTarget(RATIONAL)``, and convolution, inverse
-and bracket go through ``sum_products``, which sums integer numerators per
-denominator; the solver's step is one multiply-add per coproduct term and
-slot.  A Fraction is built only where a value leaves a pass, with the type
-(int or Fraction) the Fraction-by-Fraction fold gives; the solver's
-polynomials carry it in their length.  ``RATIONAL_POLY`` also evaluates
-curves: an ``evolution.TimePoly`` is one of its polynomials, and ``at``
-sums it at t on integers.  The float and dual targets keep that fold and
-its order of operations.  A rational q enters a target as ``scale(q, one)``.
+are integer numerators over one denominator in one canonical form
+(``RationalPolyTarget``), and convolution, inverse and bracket go through
+``sum_products``, which sums integer numerators per denominator; the
+solver's step is one multiply-add per coproduct term and slot.  A Fraction
+is built only where a value leaves a pass, and every RATIONAL value, there
+and in ``add``, ``mul`` and ``scale``, is an int exactly when it is
+integral, the rule of ``core``'s coefficients.  ``RATIONAL_POLY`` also
+evaluates curves: an ``evolution.TimePoly`` is one of its polynomials, and
+``at`` sums it at t on integers.  The float and dual targets keep the
+generic left fold and its order of operations.  A rational q enters a
+target as ``scale(q, one)``.
 """
 
 from __future__ import annotations
@@ -92,39 +93,40 @@ class TargetAlgebra(ABC):
 
 
 class RationalTarget(TargetAlgebra):
-    """Exact rationals: ints and Fractions."""
+    """Exact rationals, each result an int exactly when it is integral."""
 
     name = "rational"
     one = 1
     zero = 0
 
+    def add(self, a, b):
+        return normalize_coeff(a + b)
+
+    def mul(self, a, b):
+        return normalize_coeff(a * b)
+
     def scale(self, q, a):
-        return q * a
+        return normalize_coeff(q * a)
 
     def sum_products(self, terms):
         """The exact sum on integers: each product's numerator is added to the
         sum kept for its denominator, a product with a zero factor adds
-        nothing, and one Fraction is built at the end.  The result is an int
-        exactly when every factor of every term is an int, as the left fold
-        gives it."""
+        nothing, and one Fraction is built at the end unless the sum is an
+        int."""
         sums: dict[int, int] = {}
-        fraction = False
         for product in terms:
             num = den = 1
             for x in product:
                 if type(x) is int:
                     num *= x
-                else:
-                    fraction = True
-                    if num:
-                        num *= x.numerator
-                        den *= x.denominator
+                elif num:
+                    num *= x.numerator
+                    den *= x.denominator
             if num:
                 sums[den] = sums.get(den, 0) + num
-        if not fraction:
-            return sums.get(1, 0)
         den = lcm(*sums)
-        return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
+        num = sum(n * (den // d) for d, n in sums.items())
+        return num if den == 1 else normalize_coeff(Fraction(num, den))
 
 
 class FloatTarget(TargetAlgebra):
@@ -161,10 +163,10 @@ class PolyTarget(TargetAlgebra):
     () as zero; the norm is the sum of the coefficient norms.
 
     A slot still holding the B.zero object itself is overwritten rather than
-    added to.  Zero slots stay in place, and ``integrate(())`` is the
-    constant (B.zero,).  ``lift`` and ``lower`` take a tuple of B-values to
-    an element and back, here as it is.  Over RATIONAL the flow solver uses
-    ``RationalPolyTarget``, the same tuples on integer numerators.
+    added to, so a float -0.0 stays.  Zero slots stay in place, and
+    ``integrate(())`` is the constant (B.zero,).  ``lift`` and ``lower``
+    take a tuple of B-values to an element and back, here as it is.  Over
+    RATIONAL the flow solver uses ``RationalPolyTarget`` instead.
     """
 
     zero = ()
@@ -244,7 +246,12 @@ class PolyTarget(TargetAlgebra):
 
 
 def _reduced(den: int, nums: list):
-    """The polynomial nums / den in lowest terms, every slot kept."""
+    """The canonical form of the polynomial nums / den: () for zero, else
+    (den, nums) in lowest terms with a nonzero last numerator."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return ()
     g = gcd(den, *nums)
     if g != 1:
         den //= g
@@ -266,16 +273,14 @@ def _times(a, b) -> list:
 class RationalPolyTarget(PolyTarget):
     """Polynomials in t over RATIONAL, computed on Python ints.
 
-    It encodes ``PolyTarget(RATIONAL)`` slot for slot.  An element is ()
-    exactly where the generic target gives ().  Otherwise it is a pair
-    (den, nums): den > 0 and one integer numerator for each slot of the
-    generic tuple, t^0 first, zeros kept, with gcd(den, *nums) = 1.  So
-    ``lift((0,))`` is not zero and ``integrate(())`` is the constant 0, and
-    the length of a polynomial is the length of the generic one.  Every
-    operation reduces with one gcd.  Values enter through ``lift`` and leave
-    through ``lower``, ``at_one`` or ``at``, with no Fraction in between.
-    The int/Fraction type of a slot is not kept, so ``at_one`` gives the
-    generic type only on polynomials that ``integrate`` returned.
+    An element has one canonical form, which every operation returns: ()
+    for zero, else a pair (den, nums) of a denominator den > 0 and integer
+    numerators, t^0 first, with gcd(den, *nums) = 1 and a nonzero last
+    numerator; where one formula covers zero, () unpacks as (1, ()).  Equal
+    polynomials are equal tuples, so a ``TimePoly`` stores one as it is.
+    Values enter through ``lift`` and leave through ``lower``, ``at_one``
+    or ``at``, with no Fraction in between, as RATIONAL values do: an int
+    exactly when integral.
     """
 
     def __init__(self):
@@ -286,28 +291,18 @@ class RationalPolyTarget(PolyTarget):
         return (1, (1,))
 
     def lift(self, coeffs):
-        """A tuple of rationals as (den, nums)."""
-        if not coeffs:
-            return ()
+        """A tuple of rationals in the canonical form."""
         den = lcm(*(c.denominator for c in coeffs))
         return _reduced(den, [c.numerator * (den // c.denominator) for c in coeffs])
 
     def lower(self, p):
-        """The tuple of coefficients, integral ones as ints."""
-        if not p:
-            return ()
-        den, nums = p
+        """The tuple of coefficients, without trailing zeros."""
+        den, nums = p or (1, ())
         return tuple(n if den == 1 else normalize_coeff(Fraction(n, den)) for n in nums)
 
-    def trimmed(self, p):
-        """p without its trailing zero slots: () exactly when p is zero."""
-        while p and not p[1][-1]:
-            p = (p[0], p[1][:-1]) if len(p[1]) > 1 else ()
-        return p
-
     def at(self, p, t):
-        """p(t) with Horner's value and type over ``lower(p)``, summed on
-        integer numerators over one denominator at an int or Fraction t."""
+        """p(t), Horner's value over ``lower(p)``, summed on integer
+        numerators over one denominator at an int or Fraction t."""
         if not isinstance(t, (int, Fraction)):
             total = 0
             for c in reversed(self.lower(p)):
@@ -321,9 +316,7 @@ class RationalPolyTarget(PolyTarget):
         for c in reversed(nums):
             num = num * a + c * q_power
             q_power *= q
-        if den == 1 and not isinstance(t, Fraction):
-            return num
-        return Fraction(num, den * q_power // q)
+        return normalize_coeff(Fraction(num, den * q_power // q))
 
     def add(self, p, q):
         if not p:
@@ -353,37 +346,24 @@ class RationalPolyTarget(PolyTarget):
         return _reduced(den * q.denominator, [q.numerator * n for n in nums])
 
     def norm(self, p):
-        if not p:
-            return 0
-        den, nums = p
+        den, nums = p or (1, ())
         return normalize_coeff(Fraction(sum(map(abs, nums)), den))
 
     def at_one(self, p):
-        """p(1); of the generic type only on polynomials from ``integrate``
-        (a Fraction over two or more slots, else the int 0).  Elsewhere only
-        the value is the generic one: (1, 2) gives Fraction(3), not 3."""
-        if not p:
-            return 0
-        den, nums = p
-        if len(nums) == 1 and den == 1:
-            return nums[0]
-        return Fraction(sum(nums), den)
+        den, nums = p or (1, ())
+        return normalize_coeff(Fraction(sum(nums), den))
 
     def integrate(self, p):
         """The antiderivative vanishing at t = 0, over den * lcm(1..k) for k
-        slots; as in the generic target, integrate(()) is the constant 0."""
-        if not p:
-            return (1, (0,))
-        den, nums = p
+        slots."""
+        den, nums = p or (1, ())
         m = lcm(*range(1, len(nums) + 1))
         return _reduced(den * m, [0] + [n * (m // (i + 1)) for i, n in enumerate(nums)])
 
     def sum_products(self, terms):
         """The exact sum on integers: each product's numerators are added to
         the sums kept for its denominator and the result is reduced once at
-        the end.  A product with a () factor is () and adds nothing; any
-        other product, a zero one too, keeps its slots, so the sum is () only
-        when every product is ()."""
+        the end.  A product with a () factor is () and adds nothing."""
         sums: dict[int, list] = {}
         for c, *polys in terms:
             if not all(polys):
@@ -403,10 +383,8 @@ class RationalPolyTarget(PolyTarget):
                 acc.extend([0] * (len(nums) - len(acc)))
             for i, n in enumerate(nums):
                 acc[i] += c * n
-        if not sums:
-            return ()
         den = lcm(*sums)
-        out = [0] * max(map(len, sums.values()))
+        out = [0] * max(map(len, sums.values()), default=0)
         for d, acc in sums.items():
             f = den // d
             for i, n in enumerate(acc):
@@ -415,8 +393,9 @@ class RationalPolyTarget(PolyTarget):
 
     def _flow_integral(self, lead, terms, gamma, eta):
         """The generic step as one loop on integer numerators over a running
-        denominator, read off both maps' caches; a constant eta(beta), as in
-        exp and log, scales gamma(alpha), which is never (), by a number."""
+        denominator, read off both maps' caches; a term with a zero
+        gamma(alpha) or eta(beta) is left out, and a constant eta(beta), as
+        in exp and log, scales gamma(alpha) by a number."""
         den, acc = (lead[0], list(lead[1])) if lead else (1, [])
         gamma_cache, eta_cache = gamma._cache, eta._cache
         for (alpha, beta), c in terms:
@@ -425,7 +404,10 @@ class RationalPolyTarget(PolyTarget):
                 e = eta.evaluate(beta)
             if not e:
                 continue
-            (d, nums), (de, b) = gamma_cache.get(alpha) or gamma.evaluate(alpha), e
+            x = gamma_cache.get(alpha) or gamma.evaluate(alpha)
+            if not x:
+                continue
+            (d, nums), (de, b) = x, e
             d *= de * c.denominator
             c = c.numerator
             if len(b) == 1:  # eta(beta) is constant in t
@@ -443,12 +425,12 @@ class RationalPolyTarget(PolyTarget):
         return self.integrate((den, acc))
 
     def _plus_t(self, p, x):
-        """The generic step; p = integrate(()) is 0, and there e is x itself."""
-        den, nums = p
-        e = x if len(nums) == 1 else Fraction(x.numerator * den - x.denominator * sum(nums),
-                                              x.denominator * den)
+        """The generic step on integers."""
+        den, nums = p or (1, ())
+        e = normalize_coeff(Fraction(x.numerator * den - x.denominator * sum(nums),
+                                     x.denominator * den))
         n, d = e.numerator, e.denominator
-        return e, (d, (n,)), self.add(p, (d, (0, n)))
+        return e, _reduced(d, [n]), self.add(p, _reduced(d, [0, n]))
 
 
 RATIONAL = RationalTarget()

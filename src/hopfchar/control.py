@@ -149,8 +149,10 @@ def rlb_check(H: HopfAlgebra, N: int) -> RlbReport:
 
     e(n) is the max l1 mass over degree-n generators; the fit takes the
     minimal slope a_hat = max consecutive increment and the smallest
-    nonnegative intercept majorising all points.  The linear/superlinear
-    verdict comes from the second differences of e.
+    nonnegative intercept majorising all points.  The verdict is
+    ``superlinear`` when e is convex and not affine, no second difference
+    of e negative and one positive, and ``linear`` otherwise: a step
+    sequence such as floor(n/2) stays under its affine fit.
     """
     if N < 2:
         raise Refused(f"max degree must be at least 2, got {N}")
@@ -170,7 +172,8 @@ def rlb_check(H: HopfAlgebra, N: int) -> RlbReport:
     if b_hat < 0:
         b_hat = 0
     second = [counts[n + 2] - 2 * counts[n + 1] + counts[n] for n in range(1, N - 1)]
-    verdict = "superlinear" if any(d > 0 for d in second) else "linear"
+    convex = all(d >= 0 for d in second) and any(d > 0 for d in second)
+    verdict = "superlinear" if convex else "linear"
     return RlbReport(H.name, N, counts, witnesses, a_hat, b_hat, verdict)
 
 

@@ -15,8 +15,9 @@ Everything downstream is built from three value types:
   output type of coproducts); ``TensorVector`` is an alias kept for the
   second use.
 
-Coefficients are exact rationals stored as ``int`` where possible and
-``fractions.Fraction`` otherwise.
+Coefficients are exact rationals, each an ``int`` exactly when it is
+integral and a ``fractions.Fraction`` otherwise (:func:`normalize_coeff`).
+Values over ``characters.RATIONAL`` follow the same rule.
 
 Accumulation invariant: sums are built in place in a plain dict (see
 :func:`add_scaled`), which may pass through zero coefficients, and are

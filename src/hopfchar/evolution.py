@@ -33,8 +33,8 @@ class TimePoly:
     on one generator, built from int and Fraction coefficients, t^0 first.
 
     It holds one ``characters.RATIONAL_POLY`` polynomial (integer numerators
-    over one denominator) without trailing zero slots, as ``evolve`` solves
-    it, and that target does the work: ``coeffs`` lowers it to normalised
+    over one denominator) in that target's canonical form, as ``evolve``
+    solves it, and that target does the work: ``coeffs`` lowers it to
     rationals, ``eval`` runs on integers and ``*`` multiplies there.
     """
 
@@ -44,13 +44,13 @@ class TimePoly:
         coeffs = tuple(coeffs)
         if not all(isinstance(c, (int, Fraction)) for c in coeffs):
             raise Refused(f"curve coefficients must be ints or Fractions: {coeffs!r}")
-        self._p = RATIONAL_POLY.trimmed(RATIONAL_POLY.lift(coeffs))
+        self._p = RATIONAL_POLY.lift(coeffs)
 
     @classmethod
     def _solved(cls, p) -> "TimePoly":
         """The TimePoly of a ``RATIONAL_POLY`` polynomial."""
         out = cls.__new__(cls)
-        out._p = RATIONAL_POLY.trimmed(p)
+        out._p = p
         return out
 
     @property
@@ -69,7 +69,7 @@ class TimePoly:
         return TimePoly._solved(RATIONAL_POLY.mul(self._p, other._p))
 
     def eval(self, t):
-        """The value at t, with Horner's value and type over ``coeffs``."""
+        """The value at t, Horner's value over ``coeffs``."""
         return RATIONAL_POLY.at(self._p, t)
 
     def __repr__(self) -> str:

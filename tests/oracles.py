@@ -243,11 +243,12 @@ def seeded_rational_values(H, N: int, rng, den_max: int = 12) -> dict:
 class FoldRational(RationalTarget):
     """Exact rationals computed one Fraction operation at a time.
 
-    ``sum_products`` is the generic left fold of ``TargetAlgebra``, and as
-    this target is not ``RATIONAL`` itself, the flow solver runs it over the
-    generic ``PolyTarget`` of rational tuples.  Results over it are the
-    reference for the integer kernels of ``RATIONAL``: equal values of the
-    same Python types.
+    ``sum_products`` is the generic left fold of ``TargetAlgebra`` through
+    the inherited ``add``, ``mul`` and ``scale``, each an int exactly when
+    integral, and as this target is not ``RATIONAL`` itself, the flow solver
+    runs it over the generic ``PolyTarget`` of rational tuples.  Results
+    over it are the reference for the integer kernels of ``RATIONAL``: equal
+    values of the same Python types.
     """
 
     sum_products = TargetAlgebra.sum_products

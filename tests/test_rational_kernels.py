@@ -5,9 +5,11 @@ solver on ``RATIONAL_POLY`` and the sums of products on
 ``RationalTarget.sum_products``.  Each result is compared with the same call
 over ``oracles.FOLD``, which computes through the generic left fold and the
 generic ``PolyTarget``: values must be equal and of the same Python type.
-``RATIONAL_POLY`` is also checked operation by operation against
-``PolyTarget(RATIONAL)``, which it encodes slot for slot: the same length,
-equal values, and () exactly where the generic result is ().
+Every RATIONAL value is an int exactly when it is integral.  ``RATIONAL_POLY``
+is also checked operation by operation against ``PolyTarget(RATIONAL)``: it
+returns its canonical form, () for zero or integer numerators in lowest terms
+with a nonzero last one, and the generic result's value without its trailing
+zero slots.
 """
 
 import random
@@ -22,7 +24,6 @@ from hopfchar import evolution
 from hopfchar.characters import (RATIONAL, RATIONAL_POLY, PolyTarget,
                                  TruncatedCharacter, TruncatedInfChar, bracket,
                                  convolve, exp_infchar, inverse, log_character)
-from hopfchar.core import normalize_coeff
 from hopfchar.evolution import TimePoly, TimePolynomialCurve, evolve
 from hopfchar.instances import instance_by_name
 from hopfchar.reports import character_to_json, curve_to_json, render_report
@@ -51,6 +52,10 @@ def _values(H, N, rng, sparse):
     of them out, which a stored zero is not."""
     return {g: _value(rng) for g in H.generators_upto(N)
             if not sparse or rng.random() < 0.65}
+
+
+def _int_when_integral(x) -> bool:
+    return type(x) is (int if x.denominator == 1 else Fraction)
 
 
 def _assert_same(got: dict, want: dict):
@@ -139,15 +144,75 @@ def test_an_evolved_time_poly_equals_one_built_from_its_coeffs(ck):
 
 
 def test_zero_results_keep_the_folds_types(ck):
-    # exp of the zero map: no stored value reaches any generator, so every
-    # value is the int 0; log of the counit stores eta(g) = 0 as it goes, so
-    # only degree 1 keeps phi(g) itself and the rest are Fraction(0)
+    # exp of the zero map and log of the counit are zero on every generator,
+    # the int 0 whatever the degree, over RATIONAL and over the fold alike
     exp0 = exp_infchar(TruncatedInfChar(ck, 4, RATIONAL, {})).values
-    assert set(map(type, exp0.values())) == {int}
+    assert set(exp0.values()) == {0} and set(map(type, exp0.values())) == {int}
     _assert_same(exp0, exp_infchar(TruncatedInfChar(ck, 4, FOLD, {})).values)
     log0 = log_character(TruncatedCharacter(ck, 4, RATIONAL, {})).values
-    assert {g.degree for g, v in log0.items() if type(v) is int} == {1}
+    assert set(log0.values()) == {0} and set(map(type, log0.values())) == {int}
     _assert_same(log0, log_character(TruncatedCharacter(ck, 4, FOLD, {})).values)
+
+
+def _canonical(p):
+    """p is in RATIONAL_POLY's canonical form: () or (den, nums), ints in
+    lowest terms with den > 0 and a nonzero last numerator."""
+    if p == ():
+        return True
+    den, nums = p
+    return (type(nums) is tuple and all(type(n) is int for n in (den, *nums))
+            and den > 0 and gcd(den, *nums) == 1 and nums and nums[-1] != 0)
+
+
+POLY_OPS = ("lift", "add", "mul", "scale", "integrate", "sum_products", "_flow_integral")
+
+
+def _watch_poly_ops(monkeypatch) -> list:
+    """Wrap RATIONAL_POLY's operations so each result is recorded."""
+    seen = []
+    for name in POLY_OPS + ("_plus_t",):
+        def watched(*args, _op=getattr(RATIONAL_POLY, name), _name=name):
+            out = _op(*args)
+            seen.append((_name, out))
+            return out
+        monkeypatch.setattr(RATIONAL_POLY, name, watched)
+    return seen
+
+
+@pytest.mark.parametrize("name,N", CASES, ids=[c[0] for c in CASES])
+def test_every_rational_value_is_an_int_exactly_when_integral(name, N, monkeypatch):
+    H = instance_by_name(name)
+    rng = random.Random(f"int-rule:{name}")
+    v1, v2, chi = (_values(H, N, rng, True) for _ in range(3))
+    eta1, eta2 = (TruncatedInfChar(H, N, RATIONAL, v) for v in (v1, v2))
+    char = TruncatedCharacter(H, N, RATIONAL, chi)
+    seen = _watch_poly_ops(monkeypatch)
+    phi = exp_infchar(eta1)
+    computed = [phi, log_character(phi), log_character(char), inverse(phi),
+                inverse(char), convolve(phi, char), bracket(eta1, eta2)]
+    curve = TimePolynomialCurve(H, N, {g: TimePoly((v, 0, w))
+                                       for (g, v), w in zip(v1.items(), v2.values())},
+                                "inf")
+    gamma = evolve(H, curve, N)
+    values = [v for psi in computed for v in psi.values.values()]
+    values += [psi.evaluate(m) for psi in computed + [eta1, char]
+               for m in H.basis_upto(N) if not H.is_generator(m)]
+    values += [c for p in gamma.polys.values() for c in p.coeffs]
+    values += [v for t in (1, -2, Fraction(1, 3)) for v in gamma.at(t).values.values()]
+    values += [out[0] for op, out in seen if op == "_plus_t"]
+    bad = [v for v in values if not _int_when_integral(v)]
+    assert not bad, bad[:5]
+    polys = [out for op, out in seen if op != "_plus_t"]
+    polys += [p for op, out in seen if op == "_plus_t" for p in out[1:]]
+    polys += [p._p for p in gamma.polys.values()]
+    assert {op for op, _ in seen} >= {"integrate", "_flow_integral", "_plus_t"}
+    assert all(map(_canonical, polys)), [p for p in polys if not _canonical(p)][:5]
+
+
+def test_exp_of_an_integral_value_is_an_int(binomial):
+    X = binomial.generators(1)[0]
+    got = exp_infchar(TruncatedInfChar(binomial, 2, RATIONAL, {X: 2})).values[X]
+    assert got == 2 and type(got) is int
 
 
 # ---------------------------------------------------------------- the poly target
@@ -160,25 +225,14 @@ R = RATIONAL_POLY
 
 
 def _check(p, want):
-    """p encodes the generic result want slot for slot: () exactly where want
-    is (), else ints in lowest terms, one numerator per slot of want, and
-    equal values."""
-    if want == ():
-        assert p == ()
-        return
-    assert p != ()
-    den, nums = p
-    assert all(type(n) is int for n in (den, *nums))
-    assert den > 0 and gcd(den, *nums) == 1
-    assert len(nums) == len(want) and R.lower(p) == want
-
-
-def test_zero_slots_are_not_the_zero_object():
-    _check(R.lift((0,)), (0,))
-    _check(R.lift((Fraction(0), 0)), (0, 0))
-    _check(R.integrate(()), GENERIC.integrate(()))
-    _check(R.scale(0, R.lift((1, 2))), (0, 0))
-    assert R.at_one(R.integrate(())) == 0 and type(R.at_one(R.integrate(()))) is int
+    """p is canonical, and its coefficients are the generic result want's
+    without trailing zero slots, each an int exactly when integral."""
+    assert _canonical(p), p
+    want = list(want)
+    while want and not want[-1]:
+        want.pop()
+    got = R.lower(p)
+    assert got == tuple(want) and all(map(_int_when_integral, got))
 
 
 @given(polys, polys)
@@ -193,11 +247,9 @@ def test_scale_integrate_and_at_one_agree_with_the_fraction_target(p, q):
     _check(x, p)
     _check(R.scale(q, x), GENERIC.scale(q, p))
     _check(R.integrate(x), GENERIC.integrate(p))
-    assert R.at_one(x) == GENERIC.at_one(p)
-    # the flow solver reads exp and log off integrated polynomials, where
-    # at_one must give the generic type too
-    got, want = R.at_one(R.integrate(x)), GENERIC.at_one(GENERIC.integrate(p))
-    assert got == want and type(got) is type(want)
+    for got, want in ((R.at_one(x), GENERIC.at_one(p)),
+                      (R.at_one(R.integrate(x)), GENERIC.at_one(GENERIC.integrate(p)))):
+        assert got == want and _int_when_integral(got)
 
 
 @given(polys, st.integers(1, 40), st.integers(-40, 40))
@@ -210,7 +262,7 @@ def test_shuffle_row_scalings_stay_exact(p, lead, c):
 
 
 @given(polys, polys)
-def test_a_sum_that_cancels_keeps_the_generic_slots(p, q):
+def test_a_sum_that_cancels_is_zero(p, q):
     x, y = R.lift(p), R.lift(q)
     _check(R.add(x, R.scale(-1, x)), GENERIC.add(p, GENERIC.scale(-1, p)))
     _check(R.sum_products([(1, x), (-1, x)]), GENERIC.sum_products([(1, p), (-1, p)]))
@@ -246,23 +298,21 @@ def _horner(coeffs, t):
        st.fractions(min_value=-9, max_value=9, max_denominator=12),
        st.floats(min_value=-9, max_value=9))
 def test_at_has_horners_value_and_type(p, n, q, x):
-    # the encoding keeps a slot's value, not its type, so Horner runs on the
-    # generic tuple with its integral slots as ints
-    p = tuple(map(normalize_coeff, p))
-    for t in (n, q, x):
-        got, want = R.at(R.lift(p), t), _horner(p, t)
-        assert got == want and type(got) is type(want)
+    # at an exact t, Horner's value, an int exactly when integral; at a
+    # float t, Horner's float over the lowered coefficients
+    for t in (n, q):
+        got = R.at(R.lift(p), t)
+        assert got == _horner(p, t) and _int_when_integral(got)
+    got, want = R.at(R.lift(p), x), _horner(R.lower(R.lift(p)), x)
+    assert got == want and type(got) is type(want)
 
 
 @given(polys)
-def test_trimmed_drops_only_trailing_zero_slots(p):
-    x, y = R.lift(p), R.trimmed(R.lift(p))
-    if not any(p):
-        assert y == ()
-        return
-    den, nums = y
-    k = len(nums)
-    assert den == x[0] and nums == x[1][:k] and nums[-1] and not any(x[1][k:])
+def test_the_poly_one_is_the_unit(ck, p):
+    # evaluate returns one for the empty monomial of a character
+    assert TruncatedCharacter(ck, 2, R, {}).evaluate(ck.empty()) == R.one
+    assert R.at_one(R.one) == 1 and type(R.at_one(R.one)) is int
+    assert R.mul(R.one, R.lift(p)) == R.lift(p) == R.mul(R.lift(p), R.one)
 
 
 def test_a_time_poly_holds_one_rational_poly():
