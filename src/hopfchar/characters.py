@@ -404,7 +404,9 @@ class RationalPolyTarget(PolyTarget):
                 e = eta.evaluate(beta)
             if not e:
                 continue
-            x = gamma_cache.get(alpha) or gamma.evaluate(alpha)
+            x = gamma_cache.get(alpha)
+            if x is None:
+                x = gamma.evaluate(alpha)
             if not x:
                 continue
             (d, nums), (de, b) = x, e

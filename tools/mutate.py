@@ -8,18 +8,21 @@ Each mutant changes one AST site of one module under ``src/hopfchar``:
 * an int constant 0, 1 or 2 raised by one.
 
 The repository is copied once to a temporary directory, and each mutant is
-written there and tested with one ``pytest -x`` process at a time, under a
-timeout; ``src/`` itself is never edited.  A mutant survives when the tests
-pass.  The survivors are written as JSON, sorted by line, with the file,
-line, operator and source line of each.  An equivalent mutant, one with the
-behaviour of the original, survives too; a survivor keeps the ``reason``
-that the report already at ``--out`` gave it, so a baseline can say why a
-survivor is equivalent and a rerun does not lose it.
+written there and tested with one ``pytest -x`` process at a time; ``src/``
+itself is never edited.  The tests are first timed on the unmutated module,
+and a mutant that runs ``TIMEOUT_FACTOR`` times as long counts as killed.
+A mutant survives when the tests pass.  The survivors are written as JSON,
+sorted by line, with the file, line, operator and source line of each.  An
+equivalent mutant, one with the behaviour of the original, survives too; a
+survivor keeps the ``reason`` that the report already at ``--out`` gave it,
+so a baseline can say why a survivor is equivalent and a rerun does not lose
+it.
 
 This measures the tests and changes none; it is not part of the test suite.
 
     python tools/mutate.py characters tests/test_characters.py \\
-        tests/test_rational_kernels.py --out tools/mutants/characters.json
+        tests/test_rational_kernels.py tests/test_evolution.py \\
+        --out tools/mutants/characters.json
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDi
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
          ast.In: ast.NotIn, ast.NotIn: ast.In}
 BUMPED = (0, 1, 2)
+TIMEOUT_FACTOR = 10
 
 
 def sites(tree: ast.AST):
@@ -72,7 +76,7 @@ def mutant(source: str, index: int, slot: int | None) -> tuple[str, int]:
     return ast.unparse(tree), node.lineno
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
+def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str:
     """'pass', 'fail' or 'timeout' for one pytest process in the copy."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -84,7 +88,7 @@ def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
     return "pass" if done.returncode == 0 else "fail"
 
 
-def survey(module: str, tests: list[str], timeout: float) -> dict:
+def survey(module: str, tests: list[str]) -> dict:
     rel = Path("src", "hopfchar", f"{module}.py")
     source = (ROOT / rel).read_text(encoding="utf-8")
     lines = source.splitlines()
@@ -97,8 +101,10 @@ def survey(module: str, tests: list[str], timeout: float) -> dict:
         target = copy / rel
         # the unparsed module must pass, or every survivor is meaningless
         target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
-        if run_tests(copy, tests, timeout) != "pass":
+        start = time.monotonic()
+        if run_tests(copy, tests, None) != "pass":
             raise SystemExit(f"the tests fail on the unmutated {rel}")
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
         start = time.monotonic()
         for n, (index, slot, op) in enumerate(todo, 1):
             text, line = mutant(source, index, slot)
@@ -120,11 +126,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="a module of src/hopfchar, e.g. characters")
     parser.add_argument("tests", nargs="+", help="test files or node ids, from the repo root")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds per mutant before it counts as killed")
     parser.add_argument("--out", help="JSON file for the report; stdout if absent")
     args = parser.parse_args(argv)
-    report = survey(args.module, args.tests, args.timeout)
+    report = survey(args.module, args.tests)
     if args.out and Path(args.out).exists():
         old = json.loads(Path(args.out).read_text(encoding="utf-8"))["survivors"]
         reasons = {(s["operator"], s["source"]): s["reason"] for s in old if "reason" in s}
