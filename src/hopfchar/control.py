@@ -149,10 +149,11 @@ def rlb_check(H: HopfAlgebra, N: int) -> RlbReport:
 
     e(n) is the max l1 mass over degree-n generators; the fit takes the
     minimal slope a_hat = max consecutive increment and the smallest
-    nonnegative intercept majorising all points.  The verdict is
-    ``superlinear`` when e is convex and not affine, no second difference
-    of e negative and one positive, and ``linear`` otherwise: a step
-    sequence such as floor(n/2) stays under its affine fit.
+    nonnegative intercept majorising all points, max(e(1) - a_hat, 0): no
+    increment exceeds a_hat, so e(n) - a_hat n never increases in n.  The
+    verdict is ``superlinear`` when e is convex and not affine, no second
+    difference of e negative and one positive, and ``linear`` otherwise: a
+    step sequence such as floor(n/2) stays under its affine fit.
     """
     if N < 2:
         raise Refused(f"max degree must be at least 2, got {N}")
@@ -168,9 +169,7 @@ def rlb_check(H: HopfAlgebra, N: int) -> RlbReport:
         counts[n] = best
         witnesses[n] = arg
     a_hat = max(counts[n + 1] - counts[n] for n in range(1, N))
-    b_hat = max(counts[n] - a_hat * n for n in range(1, N + 1))
-    if b_hat < 0:
-        b_hat = 0
+    b_hat = max(counts[1] - a_hat, 0)
     second = [counts[n + 2] - 2 * counts[n + 1] + counts[n] for n in range(1, N - 1)]
     convex = all(d >= 0 for d in second) and any(d > 0 for d in second)
     verdict = "superlinear" if convex else "linear"

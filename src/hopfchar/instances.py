@@ -367,7 +367,8 @@ class Shuffle(HopfAlgebra):
         a lexicographically smaller word with the same letters, so
         phi(w) = (phi(l_1) phi(t) - sum c_u phi(u)) / i_1, the product being 0
         for an infinitesimal character (both factors are nonempty); the sum
-        goes through ``B.sum_products`` and is then scaled by 1 / i_1.
+        goes through ``B.sum_products``, the generic fold over the solver's
+        ``RATIONAL_POLY``, and is then scaled by 1 / i_1.
 
         First the smaller non-Lyndon words with the same letters are valued,
         in increasing order, and then a character's tails l_k,

@@ -19,6 +19,8 @@ children, which the library's tree pass folds into its own loop.
 ``evolve``, in floats with a relative guard, which no CLI report runs.
 ``magnus_logarithm`` solves for the logarithm of an evolved curve through
 the library's ``bracket`` and polynomial target only, not its flow solver.
+``FaaDiBrunoFactorial`` is fdb-a carried to the basis a_n / n!, an instance
+whose structure maps have Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, factorial
+from math import comb, exp, factorial, prod
 from typing import Iterator, Sequence
 
 from hopfchar.characters import (FLOAT, RationalTarget, TargetAlgebra,
@@ -210,6 +212,28 @@ def fdb_a_coproduct_via_bell(H: FaaDiBrunoA, n: int) -> TensorVector:
         for m, c in vec.scale(scale).terms.items():
             terms[(left, m)] = c
     return TensorVector(terms)
+
+
+class FaaDiBrunoFactorial(FaaDiBrunoA):
+    """fdb-a in the basis a_n / n!: its generator of degree n stands for
+    fdb-a's a_n / n!, so each a_m in an image becomes m! times a generator.
+    Both structure maps are fdb-a's carried over this way, and both have
+    Fraction coefficients, which no instance of the library has.
+    """
+
+    name = "fdb-a/n!"
+
+    def coproduct_generator(self, g: Monomial) -> TensorVector:
+        def weight(m):
+            return prod(factorial(h.degree) for h in m.factors)
+
+        return TensorVector({
+            (left, right): Fraction(c * weight(left) * weight(right), factorial(g.degree))
+            for (left, right), c in super().coproduct_generator(g).terms.items()})
+
+    def _antipode_weight(self, n: int, part: tuple[int, ...]) -> Coeff:
+        """prod i! / n! over the parts i of the partition `part` of n."""
+        return Fraction(prod(map(factorial, part)), factorial(n))
 
 
 def brute_shuffle(u: str, v: str) -> dict:

@@ -1,15 +1,18 @@
 """The integer kernels of RATIONAL against Fraction-by-Fraction references.
 
 The character calculus over RATIONAL runs on integer numerators: the flow
-solver on ``RATIONAL_POLY`` and the sums of products on
+solver's step on ``RATIONAL_POLY`` and the sums of products on
 ``RationalTarget.sum_products``.  Each result is compared with the same call
 over ``oracles.FOLD``, which computes through the generic left fold and the
 generic ``PolyTarget``: values must be equal and of the same Python type.
-Every RATIONAL value is an int exactly when it is integral.  ``RATIONAL_POLY``
-is also checked operation by operation against ``PolyTarget(RATIONAL)``: it
-returns its canonical form, () for zero or integer numerators in lowest terms
-with a nonzero last one, and the generic result's value without its trailing
-zero slots.
+Every RATIONAL value is an int exactly when it is integral.  Besides the
+library's instances, fdb-a in the basis a_n / n! (``oracles``) gives the
+solver coproduct coefficients that are Fractions.  ``RATIONAL_POLY`` is also
+checked operation by operation against ``PolyTarget(RATIONAL)``, its
+``sum_products`` being the inherited fold through its own ``add``, ``mul``
+and ``scale``: it returns its canonical form, () for zero or integer
+numerators in lowest terms with a nonzero last one, and the generic result's
+value without its trailing zero slots.
 """
 
 import random
@@ -25,13 +28,32 @@ from hopfchar.characters import (RATIONAL, RATIONAL_POLY, PolyTarget,
                                  TruncatedCharacter, TruncatedInfChar, bracket,
                                  convolve, exp_infchar, inverse, log_character)
 from hopfchar.evolution import TimePoly, TimePolynomialCurve, evolve
+from hopfchar.hopf import check_hopf_axioms
 from hopfchar.instances import instance_by_name
 from hopfchar.reports import character_to_json, curve_to_json, render_report
-from oracles import FOLD
+from oracles import FOLD, FaaDiBrunoFactorial
 
 # (instance, truncation), sized to keep the Fraction-by-Fraction side quick
 CASES = [("ck", 6), ("ck2", 4), ("fdb-a", 8), ("fdb-x", 8), ("shuffle:ab", 6),
          ("binomial", 8)]
+# and fdb-a in the basis a_n / n!, whose coproduct has Fraction coefficients
+CALCULUS_CASES = CASES + [(FaaDiBrunoFactorial.name, 7)]
+
+
+def _instance(name):
+    return FaaDiBrunoFactorial() if name == FaaDiBrunoFactorial.name else instance_by_name(name)
+
+
+def test_the_factorial_basis_instance_is_a_hopf_algebra_with_fraction_coefficients():
+    H = FaaDiBrunoFactorial()
+    assert check_hopf_axioms(H, 8).ok
+    for g in H.generators_upto(8):
+        assert (H.antipode_generator_explicit(g) == H.antipode_recursive(g, 1)
+                == H.antipode_recursive(g, 2))
+    fractions = [c for g in H.generators_upto(7)
+                 for c in H.reduced_coproduct_monomial(g).terms.values()
+                 if type(c) is Fraction]
+    assert len(fractions) == 45
 
 
 def _value(rng):
@@ -74,10 +96,10 @@ def _same_report(phi, ref):
             == render_report(character_to_json(_as_rational(ref))))
 
 
-@pytest.mark.parametrize("name,N", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("name,N", CALCULUS_CASES, ids=[c[0] for c in CALCULUS_CASES])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_character_calculus_matches_fraction_fold(name, N, sparse, monkeypatch):
-    H = instance_by_name(name)
+    H = _instance(name)
     rng = random.Random(f"kernels:{name}:{sparse}")
     v1, v2, chi = (_values(H, N, rng, sparse) for _ in range(3))
     eta1, eta2 = (TruncatedInfChar(H, N, RATIONAL, v) for v in (v1, v2))
@@ -233,6 +255,13 @@ def _check(p, want):
         want.pop()
     got = R.lower(p)
     assert got == tuple(want) and all(map(_int_when_integral, got))
+
+
+@given(polys)
+def test_norm_is_the_generic_norm_of_the_lowered_coefficients(p):
+    x = R.lift(p)
+    got, want = R.norm(x), GENERIC.norm(R.lower(x))
+    assert got == want and _int_when_integral(got)
 
 
 @given(polys, polys)

@@ -1209,3 +1209,43 @@ def test_cli_char_refuses_an_option_its_op_does_not_read(tmp_path, capsys, case)
     assert _run(*[a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not emit.exists()
+
+
+# an input whose parts disagree -> (the bad input file, argv, the message);
+# each is refused with exit 2 before the report or its side file is written
+ORDER_CSV = ["--max-order", "3", "--csv", "{side}"]
+LENGTH_CSV = ["--max-length", "3", "--csv", "{side}"]
+INCONSISTENT_INPUTS = {
+    "conv without --b": ({}, ["char", "conv", "--a", "{ck}", "--emit", "{side}"],
+                         "conv needs --b"),
+    "bseries point": ({}, ["bseries", "--field", "{field}", "--y", "1,2", *ORDER_CSV],
+                      "initial point has 2 components, field has 1"),
+    "pseries point": ({}, ["pseries", "--system", "{system}", "--p", "1", "--q", "0,1",
+                           *ORDER_CSV],
+                      "p and q must each have dim components"),
+    "wordseries point": ({}, ["wordseries", "--system", "{letters}", "--x", "1,2", *LENGTH_CSV],
+                         "point has 2 components, fields have 1"),
+    "field monomial": (_field(monomial=(1, 0)),
+                       ["bseries", "--field", "{bad}", "--y", "1", *ORDER_CSV],
+                       "monomial (1, 0) should have 1 exponents"),
+    "field components": (_field(monomial=(1, 0), dim=2),
+                         ["bseries", "--field", "{bad}", "--y", "1,0", *ORDER_CSV],
+                         "component count must equal dim"),
+    "coloured blocks": (dict(PENDULUM, f=PENDULUM["f"] * 2),
+                        ["pseries", "--system", "{bad}", "--p", "1", "--q", "0", *ORDER_CSV],
+                        "each block must have dim components"),
+    "letter field": ({"dim": 1, "letters": {"a": GOOD_INPUTS["letters"]["letters"]["a"] * 2}},
+                     ["wordseries", "--system", "{bad}", "--x", "1", *LENGTH_CSV],
+                     "each letter field must have dim components"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_INPUTS))
+def test_cli_refuses_inconsistent_inputs_and_writes_nothing(tmp_path, capsys, case):
+    bad_doc, argv, message = INCONSISTENT_INPUTS[case]
+    paths = _inputs(tmp_path, bad_doc)
+    out, side = tmp_path / "out.json", tmp_path / "side"
+    assert _run(*[a.format(**paths, side=side) for a in argv], "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists() and not side.exists()

@@ -346,6 +346,13 @@ def test_exact_flow_character_values():
         assert v == prod
 
 
+def test_exact_flow_character_holds_the_trees_up_to_its_order():
+    # one colour by default, and no tree past max_order
+    for got, colours, N in ((exact_flow_character(4), 1, 4),
+                            (exact_flow_character(3, colours=2), 2, 3)):
+        assert set(got) == {t for n in range(1, N + 1) for t in trees_of_order(n, colours)}
+
+
 @pytest.mark.parametrize("name, N, count", [("ck", 6, 37), ("ck2", 4, 72)])
 def test_exp_of_the_one_node_character_is_the_exact_flow(name, N, count):
     # two independent paths: the flow solver behind exp, and the tree factorial
