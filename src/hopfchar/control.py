@@ -81,15 +81,13 @@ def _ratio_report(H: HopfAlgebra, family: GrowthFamily, k1: int, k2: int,
                   N: int, map_name: str) -> RatioReport:
     if k2 < k1:
         raise Refused(f"k2 must be at least k1, got k1={k1}, k2={k2}")
+    apply = H.coproduct_monomial if map_name == "coproduct" else H.antipode_monomial
     rows = []
     for n in range(1, N + 1):
         weight = family.eval(k2, n)
         best: RatioRow | None = None
         for x in H.axiom_domain(n):
-            if map_name == "coproduct":
-                norm = H.coproduct_monomial(x).l1_norm(family, k1)
-            else:
-                norm = H.antipode_monomial(x).l1_norm(family, k1)
+            norm = apply(x).l1_norm(family, k1)
             ratio = norm / weight
             if best is None or ratio > best.ratio:
                 best = RatioRow(n, H.monomial_text(x), norm, weight, ratio)
@@ -209,23 +207,18 @@ class HandednessReport(NamedTuple):
 def right_handed_check(H: HopfAlgebra, N: int) -> HandednessReport:
     """Which tensor slot of the reduced coproduct stays in the generator span.
 
-    Tested over all generators of degree <= N, for both slots; the witness
-    records the first offending generator and term.
+    Tested over all generators of degree <= N, one rule for both slots; each
+    slot's witness records the first offending generator and term.
     """
-    left_ok = right_ok = True
-    left_witness = right_witness = None
-    for n in range(1, N + 1):
-        for g in H.generators(n):
-            for (mu, sigma) in H.reduced_coproduct_monomial(g).terms:
-                if left_ok and not H.is_generator(mu):
-                    left_ok = False
-                    left_witness = (f"{H.monomial_text(g)}: term "
-                                    f"{H.monomial_text(mu)} (x) {H.monomial_text(sigma)}")
-                if right_ok and not H.is_generator(sigma):
-                    right_ok = False
-                    right_witness = (f"{H.monomial_text(g)}: term "
-                                     f"{H.monomial_text(mu)} (x) {H.monomial_text(sigma)}")
-            if not (left_ok or right_ok):
-                return HandednessReport(H.name, N, left_ok, right_ok,
-                                        left_witness, right_witness)
-    return HandednessReport(H.name, N, left_ok, right_ok, left_witness, right_witness)
+    ok, witness = [True, True], [None, None]
+    terms = ((g, pair) for n in range(1, N + 1) for g in H.generators(n)
+             for pair in H.reduced_coproduct_monomial(g).terms)
+    for g, pair in terms:
+        for slot, m in enumerate(pair):
+            if ok[slot] and not H.is_generator(m):
+                ok[slot] = False
+                witness[slot] = (f"{H.monomial_text(g)}: term {H.monomial_text(pair[0])}"
+                                 f" (x) {H.monomial_text(pair[1])}")
+        if not any(ok):
+            break
+    return HandednessReport(H.name, N, *ok, *witness)

@@ -21,7 +21,6 @@ from .characters import (
     TruncatedCharacter,
     TruncatedInfChar,
     _clean_generator_values,
-    _flow_target,
     _solve_flow,
 )
 from .core import Coeff, Monomial, Refused
@@ -119,14 +118,13 @@ def evolve(H: HopfAlgebra, eta: TimePolynomialCurve, N: int) -> TimePolynomialCu
     through the instance's ``character_value`` hook from generator
     polynomials already computed.  Each step integrates a rational
     polynomial, which is exact.  This is the solver behind ``exp_infchar``
-    and ``log_character`` too, run here on the curve's coefficient tuples.
+    and ``log_character`` too, run here in ``RATIONAL_POLY`` on the curve's
+    own polynomials, which it returns as they are solved.
     """
     if eta.kind != "inf":
         raise Refused("evolve takes an infinitesimal curve (kind inf-curve)")
     if N > eta.N:
         raise Refused(f"truncation {N} exceeds the curve's degree bound {eta.N}")
-    gamma, _ = _solve_flow(H, N, RATIONAL, {g: p.coeffs for g, p in eta.polys.items()})
-    P = _flow_target(RATIONAL)  # RATIONAL_POLY, unless a reference target stands in
-    poly = TimePoly._solved if P is RATIONAL_POLY else lambda p: TimePoly(P.lower(p))
-    return TimePolynomialCurve(H, N, {g: poly(p) for g, p in gamma.items()}, "char")
-
+    gamma, _ = _solve_flow(H, N, RATIONAL_POLY, {g: p._p for g, p in eta.polys.items()})
+    return TimePolynomialCurve(H, N, {g: TimePoly._solved(p) for g, p in gamma.items()},
+                               "char")

@@ -143,24 +143,13 @@ def w3_holds_at(family: GrowthFamily, k1: int, k2: int, n_max: int) -> bool:
 
 
 def check_W3(family: GrowthFamily, k1: int, n_max: int, k2_max: int = 64) -> AxiomCheck:
-    """Search the least verified k2 <= k2_max; for an exact family, report the
-    analytic witness k2 = 2 k1 too (omega_{2k}(n) >= 2^n omega_k(n) holds for
-    every exact built-in)."""
+    """Search k2 = k1, k1 + 1, ... up to k2_max for the least k2 at which W3
+    holds on the grid; the witness is that least k2, or only k1 if none does."""
     grid = {"k1": k1, "n_max": n_max, "k2_max": k2_max}
-    least = None
     for k2 in range(k1, k2_max + 1):
         if w3_holds_at(family, k1, k2, n_max):
-            least = k2
-            break
-    witness: dict = {}
-    if family.is_exact:
-        ak2 = 2 * k1
-        witness["analytic_k2"] = ak2
-        if ak2 <= k2_max:
-            witness["analytic_k2_verified"] = w3_holds_at(family, k1, ak2, n_max)
-    if least is None:
-        return AxiomCheck(family.name, "W3", grid, False, {"k1": k1, **witness})
-    return AxiomCheck(family.name, "W3", grid, True, {"k1": k1, "least_k2": least, **witness})
+            return AxiomCheck(family.name, "W3", grid, True, {"k1": k1, "least_k2": k2})
+    return AxiomCheck(family.name, "W3", grid, False, {"k1": k1})
 
 
 def suggest_alpha(k1: int, k2: int, k3: int) -> Fraction:

@@ -20,7 +20,9 @@ children, which the library's tree pass folds into its own loop.
 ``magnus_logarithm`` solves for the logarithm of an evolved curve through
 the library's ``bracket`` and polynomial target only, not its flow solver.
 ``FaaDiBrunoFactorial`` is fdb-a carried to the basis a_n / n!, an instance
-whose structure maps have Fraction coefficients.
+whose structure maps have Fraction coefficients.  ``evolve_by_fold`` is not
+independent of the flow solver: it runs it over ``PolyTarget(FOLD)``, one
+Fraction operation at a time, as the reference for its integer loop.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from functools import lru_cache
 from math import comb, exp, factorial, prod
 from typing import Iterator, Sequence
 
-from hopfchar.characters import (FLOAT, RationalTarget, TargetAlgebra,
-                                 TruncatedCharacter, TruncatedInfChar, bracket,
-                                 linf_norm)
+from hopfchar.characters import (FLOAT, PolyTarget, RationalTarget, TargetAlgebra,
+                                 TruncatedCharacter, TruncatedInfChar, _solve_flow,
+                                 bracket, linf_norm)
 from hopfchar.core import Coeff, GradedVector, Monomial, TensorVector, json_number
-from hopfchar.evolution import TimePolynomialCurve, evolve
+from hopfchar.evolution import TimePoly, TimePolynomialCurve, evolve
 from hopfchar.fields import Poly, PolyVectorField
 from hopfchar.growth import GrowthFamily
 from hopfchar.instances import FaaDiBrunoA, Shuffle, bell_partial
@@ -279,6 +281,14 @@ class FoldRational(RationalTarget):
 
 
 FOLD = FoldRational()
+
+
+def evolve_by_fold(H, eta: TimePolynomialCurve, N: int) -> TimePolynomialCurve:
+    """``evolve`` with the flow solver run over ``PolyTarget(FOLD)`` on eta's
+    coefficient tuples, each result built back into a TimePoly."""
+    eta = {g: p.coeffs for g, p in eta.polys.items()}
+    gamma, _ = _solve_flow(H, N, PolyTarget(FOLD), eta)
+    return TimePolynomialCurve(H, N, {g: TimePoly(p) for g, p in gamma.items()}, "char")
 
 
 def lambda_by_enumeration(parts: tuple, tuples) -> int:

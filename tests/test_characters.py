@@ -465,6 +465,9 @@ def test_linf_norm_on_counit(ck):
     eps = TruncatedCharacter(ck, 6, RATIONAL, {})
     assert linf_norm(eps, builtin("pow"), 1) == 0
     assert linf_norm(eps, builtin("pow"), 1, over="monomials") == 1
+    # N = 0 leaves no generator to take the supremum over
+    empty = linf_norm(TruncatedCharacter(ck, 0, RATIONAL, {}), builtin("pow"), 1)
+    assert empty == 0 and type(empty) is int
     with pytest.raises(Refused, match="^over must be 'generators' or 'monomials'$"):
         linf_norm(eps, builtin("pow"), 1, over="words")
 
@@ -498,7 +501,7 @@ def test_counterexample_square_escapes_every_weight():
     assert d["controlled"] is True
     assert abs(d["square_at_X"] - 1.8) < 1e-12
     assert d["uncontrolled_square"] is True
-    assert d["max_weight_at_degree_1"] < 1
+    assert d["max_weight_at_degree_1"] == 1
     assert all(step["ok"] for step in d["trace"])
 
 

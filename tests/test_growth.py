@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfchar import growth
 from hopfchar.core import Refused
 from hopfchar.growth import (BUILTIN_FAMILIES, GrowthFamily, builtin,
                              check_all_axioms, check_cW, check_W1, check_W2,
@@ -66,6 +67,24 @@ def test_w3_witness_indices():
         assert rep.ok and rep.witness["least_k2"] == 2 * k1
         rep2 = check_W3(builtin("pow2"), k1, 40)
         assert rep2.ok and rep2.witness["least_k2"] == k1 + 1
+
+
+def test_check_w3_searches_once(monkeypatch):
+    # one sweep from k1 up to the least k2 (or k2_max), and only its result
+    calls = []
+
+    def counted(family, k1, k2, n_max):
+        calls.append(k2)
+        return w3_holds_at(family, k1, k2, n_max)
+
+    monkeypatch.setattr(growth, "w3_holds_at", counted)
+    for name in FIVE + ("anti",):
+        for k1 in range(1, 7):
+            calls.clear()
+            rep = check_W3(builtin(name), k1, 40, k2_max=16)
+            last = rep.witness["least_k2"] if rep.ok else 16
+            assert calls == list(range(k1, last + 1)), (name, k1)
+            assert rep.witness == ({"k1": k1, "least_k2": last} if rep.ok else {"k1": k1})
 
 
 def test_anti_fails_exactly_and_only_w3():

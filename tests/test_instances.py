@@ -206,6 +206,9 @@ def test_registry_builds_every_label():
         H = instance_by_name(label)
         assert H.name == label if not label.startswith("shuffle") else True
     assert instance_by_name("shuffle:ba").name == "shuffle:ab"
+    # the alphabet is all of the label past "shuffle:", a ':' included
+    assert instance_by_name("shuffle:a:b").name == "shuffle::ab"
+    assert instance_by_name("shuffle::ab").name == "shuffle::ab"
     with pytest.raises(Refused, match="unknown instance 'nope'"):
         instance_by_name("nope")
     with pytest.raises(Refused, match="alphabet must be nonempty"):

@@ -4,15 +4,16 @@ The character calculus over RATIONAL runs on integer numerators: the flow
 solver's step on ``RATIONAL_POLY`` and the sums of products on
 ``RationalTarget.sum_products``.  Each result is compared with the same call
 over ``oracles.FOLD``, which computes through the generic left fold and the
-generic ``PolyTarget``: values must be equal and of the same Python type.
-Every RATIONAL value is an int exactly when it is integral.  Besides the
-library's instances, fdb-a in the basis a_n / n! (``oracles``) gives the
-solver coproduct coefficients that are Fractions.  ``RATIONAL_POLY`` is also
-checked operation by operation against ``PolyTarget(RATIONAL)``, its
-``sum_products`` being the inherited fold through its own ``add``, ``mul``
-and ``scale``: it returns its canonical form, () for zero or integer
-numerators in lowest terms with a nonzero last one, and the generic result's
-value without its trailing zero slots.
+generic ``PolyTarget`` (for ``evolve``, ``oracles.evolve_by_fold``): values
+must be equal and of the same Python type.  Every RATIONAL value is an int
+exactly when it is integral.  Besides the library's instances, fdb-a in the
+basis a_n / n! (``oracles``) gives the solver coproduct coefficients that
+are Fractions.  ``RATIONAL_POLY`` is also checked operation by operation
+against ``PolyTarget(RATIONAL)``, its ``sum_products`` being the inherited
+fold through its own ``add``, ``mul`` and ``scale``: it returns its
+canonical form, () for zero or integer numerators in lowest terms with a
+nonzero last one, and the generic result's value without its trailing zero
+slots.
 """
 
 import random
@@ -23,7 +24,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfchar import evolution
 from hopfchar.characters import (RATIONAL, RATIONAL_POLY, PolyTarget,
                                  TruncatedCharacter, TruncatedInfChar, bracket,
                                  convolve, exp_infchar, inverse, log_character)
@@ -31,7 +31,7 @@ from hopfchar.evolution import TimePoly, TimePolynomialCurve, evolve
 from hopfchar.hopf import check_hopf_axioms
 from hopfchar.instances import instance_by_name
 from hopfchar.reports import character_to_json, curve_to_json, render_report
-from oracles import FOLD, FaaDiBrunoFactorial
+from oracles import FOLD, FaaDiBrunoFactorial, evolve_by_fold
 
 # (instance, truncation), sized to keep the Fraction-by-Fraction side quick
 CASES = [("ck", 6), ("ck2", 4), ("fdb-a", 8), ("fdb-x", 8), ("shuffle:ab", 6),
@@ -98,7 +98,7 @@ def _same_report(phi, ref):
 
 @pytest.mark.parametrize("name,N", CALCULUS_CASES, ids=[c[0] for c in CALCULUS_CASES])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-def test_character_calculus_matches_fraction_fold(name, N, sparse, monkeypatch):
+def test_character_calculus_matches_fraction_fold(name, N, sparse):
     H = _instance(name)
     rng = random.Random(f"kernels:{name}:{sparse}")
     v1, v2, chi = (_values(H, N, rng, sparse) for _ in range(3))
@@ -125,9 +125,7 @@ def test_character_calculus_matches_fraction_fold(name, N, sparse, monkeypatch):
     curve = TimePolynomialCurve(H, N, {g: TimePoly((0, v, w))
                                        for (g, v), w in zip(v1.items(), v2.values())},
                                 "inf")
-    gamma = evolve(H, curve, N)
-    monkeypatch.setattr(evolution, "RATIONAL", FOLD)
-    ref_gamma = evolve(H, curve, N)
+    gamma, ref_gamma = evolve(H, curve, N), evolve_by_fold(H, curve, N)
     assert gamma.polys.keys() == ref_gamma.polys.keys()
     for g, p in ref_gamma.polys.items():
         assert [type(c) for c in gamma.polys[g].coeffs] == [type(c) for c in p.coeffs]
@@ -135,14 +133,12 @@ def test_character_calculus_matches_fraction_fold(name, N, sparse, monkeypatch):
 
 
 @pytest.mark.parametrize("name,N", CASES, ids=[c[0] for c in CASES])
-def test_evolve_of_a_constant_curve_matches_fraction_fold(name, N, monkeypatch):
+def test_evolve_of_a_constant_curve_matches_fraction_fold(name, N):
     # a constant eta takes the solver's scalar path, as exp and log do
     H = instance_by_name(name)
     values = _values(H, N, random.Random(f"constant:{name}"), True)
     curve = TimePolynomialCurve.constant(H, N, values)
-    gamma = evolve(H, curve, N)
-    monkeypatch.setattr(evolution, "RATIONAL", FOLD)
-    ref = evolve(H, curve, N)
+    gamma, ref = evolve(H, curve, N), evolve_by_fold(H, curve, N)
     for t in (1, Fraction(1, 3), 0.5):
         _assert_same(gamma.at(t).values, ref.at(t).values)
     assert gamma.polys.keys() == ref.polys.keys()
@@ -189,10 +185,10 @@ def _canonical(p):
 POLY_OPS = ("lift", "add", "mul", "scale", "integrate", "sum_products", "_flow_integral")
 
 
-def _watch_poly_ops(monkeypatch) -> list:
+def _watch_poly_ops(monkeypatch, ops=POLY_OPS + ("_plus_t",)) -> list:
     """Wrap RATIONAL_POLY's operations so each result is recorded."""
     seen = []
-    for name in POLY_OPS + ("_plus_t",):
+    for name in ops:
         def watched(*args, _op=getattr(RATIONAL_POLY, name), _name=name):
             out = _op(*args)
             seen.append((_name, out))
@@ -229,6 +225,19 @@ def test_every_rational_value_is_an_int_exactly_when_integral(name, N, monkeypat
     polys += [p._p for p in gamma.polys.values()]
     assert {op for op, _ in seen} >= {"integrate", "_flow_integral", "_plus_t"}
     assert all(map(_canonical, polys)), [p for p in polys if not _canonical(p)][:5]
+
+
+@pytest.mark.parametrize("name,N", CASES, ids=[c[0] for c in CASES])
+def test_evolve_hands_the_solver_the_curves_own_polynomials(name, N, monkeypatch):
+    # no polynomial is lowered to rationals and lifted back on the way
+    H = instance_by_name(name)
+    values = _values(H, N, random.Random(f"no-round-trip:{name}"), True)
+    curve = TimePolynomialCurve(H, N, {g: TimePoly((v, 0, -v)) for g, v in values.items()},
+                                "inf")
+    want = evolve(H, curve, N).polys
+    seen = _watch_poly_ops(monkeypatch, ("lift", "lower"))
+    assert evolve(H, curve, N).polys == want
+    assert seen == []
 
 
 def test_exp_of_an_integral_value_is_an_int(binomial):

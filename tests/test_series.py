@@ -382,6 +382,11 @@ def test_exact_flow_bseries_matches_symbolic_taylor():
             assert tuple(terms[n - 1]) == taylor[n]
 
 
+def test_partial_sums_of_empty_steps_are_zero():
+    # a zero-dimensional step has no component, so its largest is 0
+    assert partial_sums([(), ()], ()) == ([(0, ()), (0, ())], ())
+
+
 def test_bseries_exponential_at_half():
     terms = bseries_order_terms(exact_flow_coefficient, _linear_field(), (1,), 8)
     val = partial_sums(terms, (1,), Fraction(1, 2))[1]
