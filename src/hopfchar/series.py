@@ -26,6 +26,19 @@ A built tree whose F comes out as the zero vector is dropped: it is neither
 summed nor used as a child.  The coefficient a(t) is read for live trees
 only, and each order is summed in the canonical tree order.
 
+Each partial of a root map is evaluated at the point once per pass, when a
+tree with that many children first needs it.  At a rational point with
+rational fields the partials of one order are integer numerators over one
+denominator, and F(t) is the pair (den, numerators): the partials
+contracted with the children's numerator vectors, over the product of the
+denominators, reduced by one gcd.  An order's sum of a(t)/sigma(t) F(t)
+keeps one numerator vector per denominator, and a Fraction is built per
+component as the term leaves the pass.  A float point or field coefficient
+keeps den = 1 and Poly.eval's values, so F(t) is PolyMap.deriv_apply's
+float arithmetic in the same order of operations.  A float a(t), or any
+term of a float pass, continues its order's sum as the left fold
+u + (a(t)/sigma(t)) v from the exact sum before it.
+
 The word pass never builds a word's map f_w as a polynomial.  It expands
 each letter field once about the point x (an exact binomial shift) and
 keeps every map as its Taylor jet at x, truncated in total degree.  The
@@ -37,8 +50,10 @@ are built on demand from their suffix's jet and memoised for one call; delta
 is still read for every word, by length and then in ``all_words`` order.  A
 jet that comes out zero is dropped, and every word ending in that suffix
 adds nothing.  At a rational point with rational fields a jet is integer
-numerators over one denominator, and a Fraction is built only for f_w(x);
-a float point or coefficient keeps the float arithmetic.
+numerators over one denominator, and a length's sum of delta(w) f_w(x) is
+kept per denominator like a tree order's, so a Fraction is built only per
+component of a length's sum; a float point, coefficient or delta(w) keeps
+the float arithmetic.
 """
 
 from __future__ import annotations
@@ -88,28 +103,138 @@ def series_rows(table: Sequence) -> list:
             for n, (inc, partial) in enumerate(table, start=1)]
 
 
+def _is_rational(point: Sequence, polys) -> bool:
+    """Whether the point and every coefficient of the polys are exact rationals."""
+    return all(isinstance(v, (int, Fraction)) for v in point) and all(
+        isinstance(a, (int, Fraction)) for p in polys for a in p.terms.values())
+
+
+class _Derivatives:
+    """The partials of one polynomial map at a point, each evaluated once, and
+    the multilinear derivatives they make.
+
+    The partials of order m are evaluated when a derivative of order m is
+    first applied: one row of (component, value) pairs per sorted m-tuple of
+    variables whose partial is not the zero polynomial, the map itself at
+    m = 0.  Over an exact pass the values of one order are integer numerators
+    over one denominator; otherwise den = 1 and they are ``Poly.eval``'s, as
+    ``PolyMap.deriv_apply`` reads them.
+    """
+
+    def __init__(self, fmap: PolyMap, point: Sequence, exact: bool):
+        self.fmap = fmap
+        self.point = point
+        self.exact = exact
+        # m -> (den, rows by sorted variable tuple)
+        self._orders: dict[int, tuple] = {}
+
+    def _order(self, m: int) -> tuple:
+        """(den, rows) for the partials of order m."""
+        fmap = self.fmap
+        rows = {}
+        for js in itertools.combinations_with_replacement(range(fmap.nvars), m):
+            row = [(i, p.eval(self.point)) for i in range(fmap.dim)
+                   if not (p := fmap.partial(i, js)).is_zero()]
+            if row:
+                rows[js] = row
+        den = 1
+        if self.exact:
+            den = lcm(*(v.denominator for row in rows.values() for _, v in row))
+            rows = {js: [(i, v.numerator * (den // v.denominator)) for i, v in row]
+                    for js, row in rows.items()}
+        return den, rows
+
+    def apply(self, slots: Sequence[Sequence[int]], vectors: Sequence[tuple]) -> tuple | None:
+        """The m-linear derivative at the point applied to m vectors, each a
+        pair (den, values) indexed alongside its slot, the variable indices it
+        ranges over; the result is a pair (den, values), None when it is zero.
+
+        Each component sums partial * v_1[j_1] * ... * v_m[j_m] over the
+        index tuples in ``itertools.product`` order, as ``deriv_apply`` does,
+        and an exact result is reduced by one gcd.
+        """
+        m = len(vectors)
+        got = self._orders.get(m)
+        if got is None:
+            got = self._orders[m] = self._order(m)
+        den, rows = got
+        out = [0] * self.fmap.dim
+        for js, xs in zip(itertools.product(*slots),
+                          itertools.product(*(values for _, values in vectors))):
+            for i, v in rows.get(tuple(sorted(js)), ()):
+                for x in xs:
+                    v = v * x
+                out[i] = out[i] + v
+        if not any(out):
+            return None
+        for d, _ in vectors:
+            den *= d
+        if self.exact:
+            g = gcd(den, *out)
+            if g != 1:
+                den //= g
+                out = [v // g for v in out]
+        return den, tuple(out)
+
+
+def _sum_order(terms: Sequence[tuple], dim: int, exact: bool) -> tuple:
+    """The sum of c / s * values / den over the terms (c, s, den, values).
+
+    Over an exact pass, rational terms are summed on integers, one list of
+    numerators per denominator, and one Fraction per component is built at
+    the end.  A float term, or any term of a float pass, continues the sum as
+    the fold u + (c / s) * v from the exact sum so far, so float results keep
+    their last bits.  Each component is an int exactly when it is integral.
+    """
+    sums: dict[int, list] = {}
+    acc = None
+    for c, s, den, values in terms:
+        if acc is None:
+            if exact and isinstance(c, (int, Fraction)):
+                d = c.denominator * s * den
+                n = c.numerator
+                sums[d] = [u + n * v for u, v in zip(sums.get(d, (0,) * dim), values)]
+                continue
+            acc = _over_one_denominator(sums, dim)
+        c = Fraction(c, s) if isinstance(c, int) else c / s
+        if den != 1:
+            values = [Fraction(v, den) for v in values]
+        acc = [u + c * v for u, v in zip(acc, values)]
+    if acc is None:
+        return _over_one_denominator(sums, dim)
+    return tuple(normalize_coeff(v) for v in acc)
+
+
+def _over_one_denominator(sums: dict, dim: int) -> tuple:
+    """The components of sum over d of sums[d] / d."""
+    den = lcm(*sums)
+    nums = [sum(ns[i] * (den // d) for d, ns in sums.items()) for i in range(dim)]
+    if den == 1:
+        return tuple(nums)
+    return tuple(normalize_coeff(Fraction(n, den)) for n in nums)
+
+
 def _tree_terms(a, maps: Sequence[PolyMap], slots: Sequence[Sequence[int]],
                 point: Sequence, max_order: int) -> list:
     """Per order n, one flat vector whose colour-c block sums a(t)/sigma(t) *
     F(t)(point) over the live trees t with n nodes and root colour c."""
     dim = maps[0].dim
     degrees = [fmap.degree() for fmap in maps]
-    # live[t] = (F(t)(point), sigma(t)); pool lists the live trees of the
-    # orders below n in _sort_key order, as multisets needs
+    exact = _is_rational(point, [p for fmap in maps for p in fmap.comps])
+    derivatives = [_Derivatives(fmap, point, exact) for fmap in maps]
+    # live[t] = ((den, F(t)(point) numerators), sigma(t)); pool lists the
+    # live trees of the orders below n in _sort_key order, as multisets needs
     live: dict[RootedTree, tuple] = {}
     pool: list[RootedTree] = []
     terms = []
     for n in range(1, max_order + 1):
         sizes = [t.order for t in pool]
         born = []
-        for colour, fmap in enumerate(maps):
+        for colour, derivative in enumerate(derivatives):
             for kids in multisets(pool, sizes, n - 1, degrees[colour]):
-                if kids:
-                    vec = fmap.deriv_apply(point, [live[k][0] for k in kids],
-                                           [slots[k.colour] for k in kids])
-                else:
-                    vec = fmap.evaluate(point)
-                if any(vec):
+                vec = derivative.apply([slots[k.colour] for k in kids],
+                                       [live[k][0] for k in kids])
+                if vec is not None:
                     # sigma(t): the product over child multiplicities m of
                     # m! sigma(child)^m
                     s = 1
@@ -119,15 +244,13 @@ def _tree_terms(a, maps: Sequence[PolyMap], slots: Sequence[Sequence[int]],
                     live[t] = (vec, s)
                     born.append(t)
         born.sort(key=_sort_key)
-        accs = [[0] * dim for _ in maps]
+        blocks = [[] for _ in maps]
         for t in born:
             c = a(t)
-            if not c:
-                continue
-            vec, s = live[t]
-            c = Fraction(c, s) if isinstance(c, int) else c / s
-            accs[t.colour] = [u + c * v for u, v in zip(accs[t.colour], vec)]
-        terms.append(tuple(v for acc in accs for v in acc))
+            if c:
+                (den, vec), s = live[t]
+                blocks[t.colour].append((c, s, den, vec))
+        terms.append(tuple(v for block in blocks for v in _sum_order(block, dim, exact)))
         pool = sorted(pool + born, key=_sort_key)
     return terms
 
@@ -188,9 +311,10 @@ class _WordJets:
 
     When the point and every field coefficient are rational, each letter's
     jet is scaled once by the lcm of its denominators, so an extension
-    multiplies Python ints and then reduces by one gcd per jet; ``value``
-    builds the Fractions.  A float point or coefficient keeps den = 1 and the
-    float arithmetic as it is, in the same order of operations.
+    multiplies Python ints and then reduces by one gcd per jet, and ``value``
+    reads f_w(x) as numerators over den.  A float point or coefficient keeps
+    den = 1 and the float arithmetic as it is, in the same order of
+    operations.
     """
 
     def __init__(self, sys: WordSystem, x: Sequence, max_length: int):
@@ -202,21 +326,19 @@ class _WordJets:
         self.base = max_length + 1
         self.units = [self.base ** i for i in range(sys.dim)]
         self.top = self.base ** sys.dim
-        self.exact = all(isinstance(v, (int, Fraction)) for v in self.x) and all(
-            isinstance(a, (int, Fraction)) for field in sys.fields.values()
-            for p in field.comps for a in p.terms.values())
+        self.exact = _is_rational(self.x, [p for field in sys.fields.values()
+                                           for p in field.comps])
         self._letters: dict[str, tuple] = {}
         self._jets: dict[str, tuple | None] = {}
 
     def value(self, w: str) -> tuple | None:
-        """f_w(x), or None when the jet of f_w is zero."""
+        """f_w(x) as (den, numerators), the constant term of w's jet, or None
+        when the jet of f_w is zero."""
         jet = self.jet(w)
         if jet is None:
             return None
         den, comps = jet
-        if den == 1:
-            return tuple(comp.get(0, 0) for comp in comps)
-        return tuple(normalize_coeff(Fraction(comp.get(0, 0), den)) for comp in comps)
+        return den, tuple(comp.get(0, 0) for comp in comps)
 
     def jet(self, w: str) -> tuple | None:
         """The jet of f_w truncated at total degree max_length - |w|; the
@@ -304,15 +426,13 @@ def wordseries_order_terms(delta: Callable, sys: WordSystem, x: Sequence,
     jets = _WordJets(sys, x, max_length)
     terms = []
     for n in range(1, max_length + 1):
-        acc = [0] * sys.dim
+        block = []
         for w in all_words(sys.alphabet, n):
             c = delta(w)
             if not c:
                 continue
-            vec = jets.value(w)
-            if vec is None:
-                continue
-            acc = [u + c * v for u, v in zip(acc, vec)]
-        terms.append(tuple(acc))
+            value = jets.value(w)
+            if value is not None:
+                block.append((c, 1, *value))
+        terms.append(_sum_order(block, sys.dim, jets.exact))
     return terms
-

@@ -637,6 +637,20 @@ def pseries_terms_by_recursion(a, system, p, q, trees_by_order) -> list:
     return terms
 
 
+def word_maps_by_jacobian(sys):
+    """w -> f_w as a symbolic polynomial map, f_c for a letter c and
+    Df_s . f_c for w = c s by ``PolyMap.jacobian_times``, each built once."""
+    maps = {}
+
+    def word_map(w):
+        if w not in maps:
+            f_c = sys.field(w[0])
+            maps[w] = f_c if len(w) == 1 else word_map(w[1:]).jacobian_times(f_c)
+        return maps[w]
+
+    return word_map
+
+
 def word_series_by_jacobian(delta, sys, x, max_length: int) -> list:
     """Per-length sums of delta(w) f_w(x), with each word map built as a
     symbolic polynomial map, f_c for a letter c and Df_s . f_c for w = c s by
@@ -646,14 +660,7 @@ def word_series_by_jacobian(delta, sys, x, max_length: int) -> list:
     point the sums may round differently from the library's, which expands
     the fields about x first, so float results agree only to a tolerance.
     """
-    maps = {}
-
-    def word_map(w):
-        if w not in maps:
-            f_c = sys.field(w[0])
-            maps[w] = f_c if len(w) == 1 else word_map(w[1:]).jacobian_times(f_c)
-        return maps[w]
-
+    word_map = word_maps_by_jacobian(sys)
     terms = []
     for n in range(1, max_length + 1):
         acc = [0] * sys.dim

@@ -197,12 +197,16 @@ def test_criterion_08_square_escapes_weights():
         d = counterexample_demo()
         assert d["status"] == "pass"
         assert d["controlled"] is True
-        assert 0.9 <= exp(-1 / 10) + 1e-12
-        assert abs(d["square_at_X"] - 1.8) < 1e-12
+        assert 0.9 <= exp(-1 / 10)
+        assert d["square_at_X"] == 1.8
         assert d["uncontrolled_square"] is True
-        assert 1.8 > exp(-1 / 10 ** 6)
+        assert d["max_weight_at_degree_1"] == 1
+        escape = d["trace"][-1]
+        assert escape["step"] == "escape"
+        assert escape["detail"] == "1.8 >= 1 > exp(-1/k) for every k >= 1"
+        assert escape["value"] == 1 and escape["ok"] is True
         return ("value 0.9 controlled at k=10 (0.9 <= e^{-1/10} = "
-                f"{exp(-0.1):.4f}); square 1.8 > e^(-1/k) for all k <= 1e6")
+                f"{exp(-0.1):.4f}); square 1.8 >= 1 > e^(-1/k) for every k >= 1")
 
     _gate(8, body)
 

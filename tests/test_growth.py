@@ -194,3 +194,109 @@ def test_report_dicts_have_status():
 
 def test_registry_contents():
     assert set(BUILTIN_FAMILIES) == set(FIVE) | {"anti"}
+
+
+def test_suggest_alpha_refuses_equal_indices():
+    for triple in ((1, 1, 2), (1, 2, 2)):
+        with pytest.raises(Refused, match=r"^need k1 < k2 < k3, got "):
+            suggest_alpha(*triple)
+
+
+def test_check_cw_refuses_alpha_zero():
+    with pytest.raises(Refused, match="^alpha must lie in \\(0,1\\), got 0$"):
+        check_cW(builtin("pow"), 1, 2, 3, Fraction(0), 4)
+
+
+def _changed_at(points, base):
+    """base(k, n), except omega_k(n) = points[(k, n)]."""
+    return lambda k, n: points[(k, n)] if (k, n) in points else base(k, n)
+
+
+def _pow(k, n):
+    return k**n
+
+
+def test_w1_breaks_at_degree_zero_at_either_end_of_the_indices():
+    # omega_1(0) = 1/2 keeps omega_1 <= omega_2, so only the n = 0 rule sees it
+    first = GrowthFamily("broken", "W1", _changed_at({(1, 0): Fraction(1, 2)}, _pow))
+    assert check_W1(first, 3, 2).witness == {"k": 1, "n": 0}
+    last = GrowthFamily("broken", "W1", _changed_at({(3, 0): 2}, _pow))
+    rep = check_W1(last, 3, 2)
+    assert (rep.ok, rep.witness) == (False, {"k": 3, "n": 0})
+    assert check_W1(last, 2, 2).ok
+
+
+# per axiom, a family that first fails it at the last point of its grid, the
+# check on that grid, its witness, and the check one step inside the grid
+LAST_POINT_BROKEN = {
+    # omega_3(4) drops below omega_2(4)
+    "W1": (_changed_at({(3, 4): 2**4 - 1}, _pow),
+           lambda fam, n: check_W1(fam, 3, n), 4, {"k": 2, "n": 4}),
+    # k^n with omega_3(2) one less: omega_3(1)^2 > omega_3(2), at k = k_max
+    "W2": (_changed_at({(3, 2): 3**2 - 1}, _pow),
+           lambda fam, n: check_W2(fam, 3, n), 2, {"k": 3, "n": 1, "m": 1}),
+    # 2^(kn) with omega_2(5) = 2^5: k2 = 2 serves k1 = 1 below n = 5 only
+    "W3": (_changed_at({(2, 5): 2**5}, lambda k, n: 2 ** (k * n)),
+           lambda fam, n: check_W3(fam, 1, n), 5, {"k1": 1, "least_k2": 3}),
+    # k^n with omega_2(3) = 1: omega_1(3) omega_3(3) = 27 > 1 at alpha = 1/2
+    "cW": (_changed_at({(2, 3): 1}, _pow),
+           lambda fam, n: check_cW(fam, 1, 2, 3, Fraction(1, 2), n), 3, {"n": 3}),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(LAST_POINT_BROKEN))
+def test_axioms_first_fail_at_the_last_grid_point(axiom):
+    omega, check, n_max, witness = LAST_POINT_BROKEN[axiom]
+    rep = check(GrowthFamily("broken", axiom, omega), n_max)
+    inside = check(GrowthFamily("broken", axiom, omega), n_max - 1)
+    if axiom == "W3":
+        # W3 holds at both grids; the last degree moves the least k2
+        assert rep.ok and rep.witness == witness
+        assert inside.ok and inside.witness == {"k1": 1, "least_k2": 2}
+    else:
+        assert (rep.ok, rep.witness) == (False, witness)
+        assert inside.ok
+
+
+def test_w2_breaking_one_index_past_the_grid_holds_on_it():
+    fam = GrowthFamily("broken", "W2", LAST_POINT_BROKEN["W2"][0])
+    assert check_W2(fam, 2, 2).ok
+
+
+def test_log_form_w3_moves_its_least_k2_at_the_last_grid_point():
+    # log omega_k(n) = k n, with omega_2(5) = omega_1(5): e^n >= 2^n serves
+    # k2 = k1 + 1 at every other degree
+    log_omega = lambda k, n: Fraction(n if (k, n) == (2, 5) else k * n)
+    fam = GrowthFamily("log-form", "W3", lambda k, n: exp(log_omega(k, n)),
+                       is_exact=False, log_omega=log_omega)
+    assert check_W3(fam, 1, 5).witness == {"k1": 1, "least_k2": 3}
+    assert check_W3(fam, 1, 4).witness == {"k1": 1, "least_k2": 2}
+
+
+def test_log_form_w3_holds_on_the_edge_of_its_float_guard(monkeypatch):
+    # log omega_2(n) is n log 2 less the guard, to the last bit: W3 holds from
+    # k1 = 1 (omega_1 = 1) at k2 = 2 only because of the guard
+    guard = growth._W3_FLOAT_GUARD
+
+    def edge(k, n):
+        if k == 1 or n == 0:
+            return Fraction(0)
+        rhs = n * growth.LOG2 + 0.0
+        return Fraction(rhs - guard * max(1.0, abs(rhs)))
+
+    fam = GrowthFamily("edge", "W3", lambda k, n: exp(edge(k, n)), is_exact=False,
+                       log_omega=edge)
+    assert w3_holds_at(fam, 1, 2, 6)
+    monkeypatch.setattr(growth, "_W3_FLOAT_GUARD", 0.0)
+    assert not w3_holds_at(fam, 1, 2, 6)
+
+
+def test_all_axiom_summaries_cover_exactly_the_grid_indices():
+    # every k1 <= k_max has its least k2, and no triple reaches k_max + 1:
+    # k^n with omega_4 = 100^n breaks cW only at triples with k3 = 4
+    w3 = check_all_axioms(builtin("pow"), 3, 10)[2]
+    assert w3.witness == {"least_k2_by_k1": {"1": 2, "2": 4, "3": 6}}
+    fam = GrowthFamily("broken", "cW", lambda k, n: 100**n if k == 4 else k**n)
+    assert not check_cW(fam, 1, 2, 4, suggest_alpha(1, 2, 4), 3).ok
+    cw = check_all_axioms(fam, 3, 3)[3]
+    assert cw.ok and cw.witness == {"alpha_by_triple": {"1,2,3": "1/2"}}

@@ -22,7 +22,7 @@ from hopfchar.words import all_words
 from oracles import (automorphism_count, bseries_terms_by_recursion,
                      flow_taylor_coefficients, plain_coloured_differential,
                      plain_differential, pseries_terms_by_recursion, sigma,
-                     word_series_by_jacobian)
+                     word_maps_by_jacobian, word_series_by_jacobian)
 
 
 def _linear_field():
@@ -188,14 +188,17 @@ def test_pseries_terms_match_unmemoised_recursion(seed):
 
 
 def _count_derivatives(monkeypatch) -> list:
+    """Counts the derivatives the tree pass applies to at least one child's
+    vector; a leaf's F is the map itself, applied to no vector."""
     calls = []
-    original = PolyMap.deriv_apply
+    original = series._Derivatives.apply
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
+    def counting(self, slots, vectors):
+        if vectors:
+            calls.append(1)
+        return original(self, slots, vectors)
 
-    monkeypatch.setattr(PolyMap, "deriv_apply", counting)
+    monkeypatch.setattr(series._Derivatives, "apply", counting)
     return calls
 
 
@@ -331,6 +334,96 @@ def test_tree_pass_sums_each_order_in_canonical_tree_order():
             acc[t.colour][:] = [u + c * v for u, v in zip(acc[t.colour], vec)]
         want.append(tuple(acc[0] + acc[1]))
     assert pseries_order_terms(a, system, p, q, 5) == want
+
+
+def _float_bits(terms):
+    """Each component's binary64 bits when it is a float, its value otherwise."""
+    return [[v.hex() if isinstance(v, float) else v for v in term] for term in terms]
+
+
+def _fold_through_deriv_apply(a, differential, trees_by_order, blocks):
+    """Per order, a(t)/sigma(t) * F(t) folded into a colour block left to
+    right, over the trees whose F (from ``PolyMap.deriv_apply``) is nonzero,
+    in canonical tree order."""
+    terms = []
+    for trees in trees_by_order:
+        acc = [[0] * blocks[1] for _ in range(blocks[0])]
+        for t in trees:
+            c = a(t)
+            vec = differential(t)
+            if not c or not any(vec):
+                continue
+            s = automorphism_count(t)
+            c = Fraction(c, s) if isinstance(c, int) else c / s
+            acc[t.colour] = [u + c * v for u, v in zip(acc[t.colour], vec)]
+        terms.append(tuple(v for block in acc for v in block))
+    return terms
+
+
+def _with_a_float_coefficient(comps):
+    # the first term of the first component becomes a float
+    first = dict(comps[0].terms)
+    e = min(first)
+    first[e] = float(first[e]) + 0.1
+    return [Poly(comps[0].nvars, first)] + list(comps[1:])
+
+
+def _tree_coefficient_kinds(trees_by_order):
+    return {"float": _float_coefficients(trees_by_order),
+            "rational": _seeded_tree_coefficients(trees_by_order, 6),
+            "int": lambda t: len(t.children) - 1}
+
+
+@pytest.mark.parametrize("inputs", ["float-point", "float-coefficient"])
+@pytest.mark.parametrize("kind", ["float", "rational", "int"])
+def test_bseries_float_path_is_the_deriv_apply_fold(inputs, kind):
+    f = _seeded_field(2, 4, max_deg=3)
+    y = (Fraction(1, 2), Fraction(-2, 3))
+    if inputs == "float-point":
+        y = (0.3, -0.7)
+    else:
+        f = PolyVectorField(_with_a_float_coefficient(f.comps))
+    trees_by_order = [trees_of_order(n) for n in range(1, 7)]
+    a = _tree_coefficient_kinds(trees_by_order)[kind]
+    want = _fold_through_deriv_apply(a, lambda t: plain_differential(f, t, y),
+                                     trees_by_order, (1, f.dim))
+    got = bseries_order_terms(a, f, y, 6)
+    assert any(isinstance(v, float) for term in got for v in term)
+    assert _float_bits(got) == _float_bits(want)
+
+
+@pytest.mark.parametrize("inputs", ["float-point", "float-coefficient"])
+@pytest.mark.parametrize("kind", ["float", "rational", "int"])
+def test_pseries_float_path_is_the_deriv_apply_fold(inputs, kind):
+    system = _seeded_partitioned_system(4)
+    p, q = (Fraction(1, 3), Fraction(-1)), (Fraction(2), Fraction(1, 2))
+    if inputs == "float-point":
+        p, q = (0.3, -1.1), (1.9, 0.45)
+    else:
+        system = ColouredPolySystem(PolyMap(4, _with_a_float_coefficient(system.f.comps)),
+                                    system.g)
+    trees_by_order = [trees_of_order(n, colours=2) for n in range(1, 6)]
+    a = _tree_coefficient_kinds(trees_by_order)[kind]
+    want = _fold_through_deriv_apply(
+        a, lambda t: plain_coloured_differential(system, t, p + q), trees_by_order,
+        (2, system.dim))
+    got = pseries_order_terms(a, system, p, q, 5)
+    assert any(isinstance(v, float) for term in got for v in term)
+    assert _float_bits(got) == _float_bits(want)
+
+
+def test_tree_pass_with_some_float_coefficients_folds_from_the_exact_sum():
+    # the first float term of an order continues that order's exact sum as a
+    # fold: every component equals the deriv_apply fold's bits
+    f = _seeded_field(2, 4, max_deg=3)
+    y = (Fraction(1, 2), Fraction(-2, 3))
+    trees_by_order = [trees_of_order(n) for n in range(1, 7)]
+    floats = _float_coefficients(trees_by_order)
+    exact = _seeded_tree_coefficients(trees_by_order, 6)
+    a = lambda t: floats(t) if len(t.children) == 1 else exact(t)
+    want = _fold_through_deriv_apply(a, lambda t: plain_differential(f, t, y),
+                                     trees_by_order, (1, f.dim))
+    assert _float_bits(bseries_order_terms(a, f, y, 6)) == _float_bits(want)
 
 
 def test_exact_flow_character_values():
@@ -682,3 +775,90 @@ def test_demo_word_series_matches_symbolic_word_maps():
     terms = series.wordseries_order_terms(delta, sys, (1,), 10)
     assert terms == word_series_by_jacobian(delta, sys, (1,), 10)
     assert terms == [(Fraction(1, factorial(n)),) for n in range(1, 11)]
+
+
+def _is_canonical(v):
+    """An exact value is an int exactly when it is integral."""
+    return type(v) is int if v.denominator == 1 else type(v) is Fraction
+
+
+def test_exact_series_components_are_ints_exactly_when_integral():
+    # y' = y^2 from y = 1 and y' = y from x = 1: every B-series term of the
+    # exact flow is 1, and the word terms are 1/n!
+    terms = bseries_order_terms(exact_flow_coefficient, _square_field(), (1,), 6)
+    assert terms == [(1,)] * 6
+    words = series.wordseries_order_terms(lambda w: Fraction(1, factorial(len(w))),
+                                          WordSystem({"a": _linear_field()}), (1,), 6)
+    assert words == [(Fraction(1, factorial(n)),) for n in range(1, 7)]
+    system = _seeded_partitioned_system(2)
+    pterms = pseries_order_terms(exact_flow_coefficient, system, (1, 2), (3, 4), 5)
+    case = _word_case("ab-linear-quadratic-2d", 1)
+    wterms = series.wordseries_order_terms(_word_delta("with-zeros", case[0], 6, 1), *case)
+    seeded = bseries_order_terms(_seeded_tree_coefficients([trees_of_order(n) for n in
+                                                            range(1, 7)], 1),
+                                 _seeded_field(2, 1), (2, -1), 6)
+    for got in (terms, words, pterms, wterms, seeded):
+        assert all(_is_canonical(v) for term in got for v in term)
+    found = [v for got in (pterms, wterms, seeded) for term in got for v in term]
+    assert any(type(v) is int and v for v in found)
+    assert any(type(v) is Fraction for v in found)
+
+
+def _count_fractions(monkeypatch) -> list:
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return built
+
+
+def test_exact_passes_build_one_fraction_per_component_per_order(monkeypatch):
+    # the partials of orders 0..2 of a quadratic field are evaluated by order
+    # 3 (a first pass leaves their polynomials cached on the map); orders
+    # 4..9 add hundreds of live trees and only one Fraction per component
+    f = _seeded_field(2, 3)
+    y = (Fraction(1, 2), Fraction(-2, 3))
+    a = exact_flow_character(9).__getitem__
+    bseries_order_terms(a, f, y, 3)
+    built = _count_fractions(monkeypatch)
+    bseries_order_terms(a, f, y, 3)
+    setup = len(built)
+    built.clear()
+    terms = bseries_order_terms(a, f, y, 9)
+    assert len(built) - setup <= 6 * f.dim
+    assert all(any(term) for term in terms)
+
+    sys, x, max_length = _word_case("ab-linear-quadratic-2d", 7)
+    values = {w: Fraction(n + 1, 7) for n in range(max_length + 1)
+              for w in all_words(sys.alphabet, n)}
+    built.clear()
+    jets = series._WordJets(sys, x, max_length)
+    for c in sys.alphabet:
+        jets._letter(c)
+    setup = len(built)
+    built.clear()
+    series.wordseries_order_terms(values.__getitem__, sys, x, max_length)
+    assert len(built) - setup <= max_length * sys.dim
+
+
+@pytest.mark.parametrize("case", sorted(_WORD_CASES))
+def test_word_series_with_float_delta_keeps_the_float_fold(case):
+    # at a rational point a float delta(w) multiplies the exact f_w(x): the
+    # sum is the fold u + delta(w) * f_w(x) in all_words order
+    sys, x, max_length = _word_case(case, 5)
+    delta = lambda w: 1 / (3 + len(w) + sum(map(ord, w)) % 5)
+    word_map = word_maps_by_jacobian(sys)
+    want = []
+    for n in range(1, max_length + 1):
+        acc = [0] * sys.dim
+        for w in all_words(sys.alphabet, n):
+            vec = word_map(w).evaluate(x)
+            if any(vec):
+                acc = [u + delta(w) * v for u, v in zip(acc, vec)]
+        want.append(tuple(acc))
+    got = series.wordseries_order_terms(delta, sys, x, max_length)
+    assert _float_bits(got) == _float_bits(want)
